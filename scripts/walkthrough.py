@@ -2,9 +2,11 @@
 """Narrated solve of the bundled three-activity project.
 
 Loads the fixture, solves the minimax flow-time problem, and prints
-every intermediate quantity the solver assembles on the way to theta:
-matrix powers, the precedence closure, the feasibility gates, the
-rooted squeeze legs, the solution family and the recovered schedule.
+the intermediate ledger of the paper's closed form for theta: matrix
+powers, the precedence closure, the feasibility gates, the rooted
+squeeze legs, then the solution family and the recovered schedule.
+The solver itself takes theta as one spectral radius; the ledger
+recomputes it term by term.
 
 Usage:
     python3 scripts/walkthrough.py [--fixture PATH]

@@ -16,6 +16,7 @@ The public surface:
 from .errors import (
     AllZeroVector,
     DegenerateProblem,
+    EmptyParameterBox,
     GridTooLarge,
     IndexOutOfRange,
     InfeasibleConstraints,
@@ -78,6 +79,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AllZeroVector",
     "DegenerateProblem",
+    "EmptyParameterBox",
     "GridTooLarge",
     "IndexOutOfRange",
     "InfeasibleConstraints",

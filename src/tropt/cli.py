@@ -36,7 +36,7 @@ from .linalg import Vector
 from .linsolve import solve_combined, solve_fixpoint_lower, solve_upper_bounded
 from .optimize import Problem, solve_problem
 from .oracle import GridSpec, default_step, grid_minimize
-from .schedule import collapse_solution_line, solve_schedule_detailed
+from .schedule import collapse_solution_line, solve_schedule, solve_schedule_detailed
 from .semifield import MAXPLUS, MaxPlus
 
 _DOMAIN_ERRORS = (
@@ -114,7 +114,10 @@ def _cmd_schedule(args) -> int:
     exact, sf = _mode(args)
     data = serialize.loads(_read_text(args.spec), exact)
     spec = serialize.parse_schedule(data, sf, exact)
-    result, intermediates = solve_schedule_detailed(spec)
+    if args.emit_intermediates:
+        result, intermediates = solve_schedule_detailed(spec)
+    else:
+        result = solve_schedule(spec)
     collapse = collapse_solution_line(result.solutions)
     doc = serialize.encode_schedule_result(result, collapse)
     if args.emit_intermediates:

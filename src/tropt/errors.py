@@ -76,6 +76,11 @@ class DegenerateProblem(TroptError):
     degenerates and the closed form does not apply."""
 
 
+class EmptyParameterBox(TroptError):
+    """Float rounding left the parameter box of a solution family empty
+    beyond the comparison tolerance."""
+
+
 class SpecValidation(TroptError):
     """A schedule specification violates its invariants.
 

@@ -12,9 +12,12 @@ subject to none, some, or all of the constraints
     g <= x <= h             (box bounds)
 
 Each solver returns the exact minimum together with the complete family
-of minimizers, parameterized as x = G (x) u over a box of u.  The
-minimum formulas combine the spectral radius of A, rational roots of
-chain/closure sums of (A, B) squeezed against p, q, g, h, and r.
+of minimizers, parameterized as x = G (x) u over a box of u.  One
+kernel serves all six kinds: A and B are bordered by one extra node,
+Ahat = [[A, p], [q^-, r]] and Bhat = [[B, g], [h^-, 0]] with absent
+pieces zero, and the minimum is theta = the spectral radius of
+Bhat* Ahat.  The per-kind solvers only check shapes and their own
+feasibility and degeneracy gates before calling it.
 """
 
 from __future__ import annotations
@@ -27,13 +30,13 @@ from typing import Optional
 
 from .errors import (
     DegenerateProblem,
+    EmptyParameterBox,
     InfeasibleConstraints,
     NotRegularVector,
-    NotSquare,
     ShapeMismatch,
     ZeroSpectralRadius,
 )
-from .linalg import Matrix, Vector, chain_sums, closure_sums
+from .linalg import Matrix, RowVector, Vector
 from .linsolve import SolutionSet
 from .semifield import Scalar
 
@@ -127,7 +130,7 @@ def _tighten_box(lower: Vector, upper: Vector) -> Vector:
             out.append(lo)
             widened = True
         else:
-            raise AssertionError("parameter box empty beyond tolerance")
+            raise EmptyParameterBox("parameter box empty beyond tolerance")
     if widened:
         warnings.warn(
             "parameter box widened by eps to absorb float rounding",
@@ -138,13 +141,63 @@ def _tighten_box(lower: Vector, upper: Vector) -> Vector:
     return upper
 
 
-def _result(minimum: Scalar, generator: Matrix, lower: Vector,
-            upper: Optional[Vector]) -> OptResult:
-    if upper is not None:
-        upper = _tighten_box(lower, upper)
-    sols = SolutionSet(generator=generator, lower=lower, upper=upper,
-                       minimum=minimum)
-    return OptResult(minimum=minimum, solutions=sols, canonical=sols.canonical())
+def _border(m: Optional[Matrix], n: int, sf, col: Optional[Vector],
+            row: Optional[RowVector], corner: Optional[Scalar]) -> Matrix:
+    """[[m, col], [row, corner]] of order n+1; absent pieces are zero."""
+    zeros = (sf.zero,) * n
+    rows = (zeros,) * n if m is None else m.rows
+    col = zeros if col is None else col.entries
+    last = (zeros if row is None else row.entries) + (
+        sf.zero if corner is None else corner,
+    )
+    return Matrix(tuple(r + (c,) for r, c in zip(rows, col)) + (last,), sf)
+
+
+def _minimize(a: Matrix, b: Optional[Matrix] = None,
+              p: Optional[Vector] = None, q: Optional[Vector] = None,
+              g: Optional[Vector] = None, h: Optional[Vector] = None,
+              r: Optional[Scalar] = None) -> OptResult:
+    """The kernel every kind calls, absent data passed as None.
+
+    theta is the largest cycle mean of Bhat* Ahat: the maximum ratio of
+    weight to A-arc count over the cycles of Ahat (+) Bhat, where the
+    extra node n is entered through p or g and left through q^- or h^-.
+    The callers' gates rule out positive cycles of Bhat alone.  Node n
+    is left out when no cycle can pass through it.  The minimizers are
+    x = G u, G = (theta^-1 A (+) B)*, theta^-1 p (+) g <= u and, when q
+    or h is given, u <= ((theta^-1 q^- (+) h^-) G)^-.
+    """
+    n = a.n_rows
+    sf = a.sf
+    qc = None if q is None else q.conj()
+    hc = None if h is None else h.conj()
+    a_hat, b_hat = a, b
+    enters = p is not None or g is not None
+    leaves = q is not None or h is not None
+    if r is not None or (enters and leaves):
+        a_hat = _border(a, n, sf, p, qc, r)
+        if b is not None or g is not None or h is not None:
+            b_hat = _border(b, n, sf, g, hc, None)
+    if b_hat is not None:
+        a_hat = b_hat.star() @ a_hat
+    theta = a_hat.spectral_radius()
+    if sf.is_zero(theta):
+        raise ZeroSpectralRadius("matrix has no cycle")
+
+    inv_t = sf.inv(theta)
+    scaled = a.scale(inv_t)
+    gen = (scaled if b is None else scaled + b).star()
+    lower = Vector.zeros(n, sf)
+    if p is not None:
+        lower = lower + p.scale(inv_t)
+    if g is not None:
+        lower = lower + g
+    w = None if qc is None else qc.scale(inv_t)
+    if hc is not None:
+        w = hc if w is None else w + hc
+    upper = None if w is None else _tighten_box(lower, (w @ gen).conj())
+    sols = SolutionSet(generator=gen, lower=lower, upper=upper, minimum=theta)
+    return OptResult(minimum=theta, solutions=sols, canonical=sols.canonical())
 
 
 def minimize_basic(a: Matrix) -> OptResult:
@@ -153,34 +206,20 @@ def minimize_basic(a: Matrix) -> OptResult:
     The minimum is the spectral radius; minimizers are the images of
     the star of the radius-normalized matrix.
     """
-    n = a._require_square()
-    sf = a.sf
-    lam = a.spectral_radius()
-    if sf.is_zero(lam):
-        raise ZeroSpectralRadius("matrix has no cycle")
-    gen = a.scale(sf.inv(lam)).star()
-    return _result(lam, gen, Vector.zeros(n, sf), None)
+    a._require_square()
+    return _minimize(a)
 
 
 def minimize_extended(a: Matrix, p: Vector, q: Vector, r: Scalar) -> OptResult:
     """min over regular x of x^- A x (+) x^- p (+) q^- x (+) r."""
     n = a._require_square()
-    sf = a.sf
     if not q.is_regular():
         raise NotRegularVector("q must be regular")
     if p.dim != n or q.dim != n:
         raise ShapeMismatch("p, q must match the order of A")
-    lam = a.spectral_radius()
-    if sf.is_zero(lam):
+    if a.sf.is_zero(a.spectral_radius()):
         raise ZeroSpectralRadius("matrix has no cycle")
-    qc = q.conj()
-    mu = sf.add(lam, r)
-    for m, power_m in enumerate(a.powers(n - 1)):
-        mu = sf.add(mu, sf.power(qc @ power_m @ p, Fraction(1, m + 2)))
-    gen = a.scale(sf.inv(mu)).star()
-    lower = p.scale(sf.inv(mu))
-    upper = ((qc @ gen).conj()).scale(mu)
-    return _result(mu, gen, lower, upper)
+    return _minimize(a, p=p, q=q, r=r)
 
 
 def minimize_linear_constrained(a: Matrix, b: Matrix, g: Vector) -> OptResult:
@@ -193,18 +232,13 @@ def minimize_linear_constrained(a: Matrix, b: Matrix, g: Vector) -> OptResult:
         raise InfeasibleConstraints("Tr(B) <= 1")
     if sf.is_zero(a.spectral_radius()):
         raise ZeroSpectralRadius("matrix has no cycle")
-    chains = chain_sums(a, b)
-    mu = sf.sum(
-        sf.power(chains[k].trace(), Fraction(1, k)) for k in range(1, n + 1)
-    )
-    gen = (a.scale(sf.inv(mu)) + b).star()
-    return _result(mu, gen, g, None)
+    return _minimize(a, b, g=g)
 
 
-def _degenerate_gate(sf, lam: Scalar, qp: Scalar, r: Scalar) -> None:
-    base = sf.add(lam, sf.power(qp, Fraction(1, 2)))
-    base = sf.add(base, r)
-    if sf.is_zero(base):
+def _degenerate_gate(a: Matrix, p: Vector, q: Vector, r: Scalar) -> None:
+    sf = a.sf
+    base = sf.add(a.spectral_radius(), sf.power(q.conj() @ p, Fraction(1, 2)))
+    if sf.is_zero(sf.add(base, r)):
         raise DegenerateProblem(
             "every scale bound is zero: no cycle, q^- p zero, r zero"
         )
@@ -214,30 +248,15 @@ def minimize_box_constrained(a: Matrix, p: Vector, q: Vector, g: Vector,
                              h: Vector, r: Scalar) -> OptResult:
     """min of the extended span objective subject to g <= x <= h."""
     n = a._require_square()
-    sf = a.sf
     for name, vec in (("p", p), ("q", q), ("g", g), ("h", h)):
         if vec.dim != n:
             raise ShapeMismatch(f"{name} must match the order of A")
     if not q.is_regular() or not h.is_regular():
         raise NotRegularVector("q and h must be regular")
-    qc, hc = q.conj(), h.conj()
-    if not sf.leq_tol(hc @ g, sf.one):
+    if not a.sf.leq_tol(h.conj() @ g, a.sf.one):
         raise InfeasibleConstraints("h^- g <= 1")
-    lam = a.spectral_radius()
-    _degenerate_gate(sf, lam, qc @ p, r)
-    pows = a.powers(n - 1)
-    theta = sf.add(lam, r)
-    for k in range(1, n):
-        theta = sf.add(theta, sf.power(hc @ pows[k] @ g, Fraction(1, k)))
-    for k in range(n):
-        cross = sf.add(qc @ pows[k] @ g, hc @ pows[k] @ p)
-        theta = sf.add(theta, sf.power(cross, Fraction(1, k + 1)))
-        theta = sf.add(theta, sf.power(qc @ pows[k] @ p, Fraction(1, k + 2)))
-    inv_t = sf.inv(theta)
-    gen = a.scale(inv_t).star()
-    lower = p.scale(inv_t) + g
-    upper = ((qc.scale(inv_t) + hc) @ gen).conj()
-    return _result(theta, gen, lower, upper)
+    _degenerate_gate(a, p, q, r)
+    return _minimize(a, p=p, q=q, g=g, h=h, r=r)
 
 
 def minimize_fixpoint_constrained(a: Matrix, b: Matrix, p: Vector, q: Vector,
@@ -251,20 +270,8 @@ def minimize_fixpoint_constrained(a: Matrix, b: Matrix, p: Vector, q: Vector,
         raise NotRegularVector("q must be regular")
     if not sf.leq_tol(b.trace_sum(), sf.one):
         raise InfeasibleConstraints("Tr(B) <= 1")
-    qc = q.conj()
-    _degenerate_gate(sf, a.spectral_radius(), qc @ p, r)
-    chains = chain_sums(a, b)
-    closures = closure_sums(a, b)
-    theta = r
-    for k in range(1, n + 1):
-        theta = sf.add(theta, sf.power(chains[k].trace(), Fraction(1, k)))
-    for k in range(n):
-        theta = sf.add(theta, sf.power(qc @ closures[k] @ p, Fraction(1, k + 2)))
-    inv_t = sf.inv(theta)
-    gen = (a.scale(inv_t) + b).star()
-    lower = p.scale(inv_t)
-    upper = ((qc @ gen).conj()).scale(theta)
-    return _result(theta, gen, lower, upper)
+    _degenerate_gate(a, p, q, r)
+    return _minimize(a, b, p, q, r=r)
 
 
 def minimize_general(a: Matrix, b: Matrix, p: Vector, q: Vector, g: Vector,
@@ -272,9 +279,9 @@ def minimize_general(a: Matrix, b: Matrix, p: Vector, q: Vector, g: Vector,
     """min of the extended span objective subject to both constraint
     blocks: B x (+) g <= x <= h.
 
-    The minimum collects five groups of terms: trace roots of the chain
-    family, rooted squeezes of the closure family against (h, g),
-    (q, g) with (h, p) jointly, (q, p), and the floor r.
+    The minimum is the spectral radius of Bhat* Ahat with
+    Ahat = [[A, p], [q^-, r]] and Bhat = [[B, g], [h^-, 0]], once the
+    gates Tr(B) <= 1 and h^- B* g <= 1 leave Bhat no positive cycle.
     """
     n = a._require_square()
     sf = a.sf
@@ -287,27 +294,10 @@ def minimize_general(a: Matrix, b: Matrix, p: Vector, q: Vector, g: Vector,
         raise NotRegularVector("q and h must be regular")
     if not sf.leq_tol(b.trace_sum(), sf.one):
         raise InfeasibleConstraints("Tr(B) <= 1")
-    qc, hc = q.conj(), h.conj()
-    if not sf.leq_tol(hc @ b.star() @ g, sf.one):
+    if not sf.leq_tol(h.conj() @ b.star() @ g, sf.one):
         raise InfeasibleConstraints("h^- B* g <= 1")
-    _degenerate_gate(sf, a.spectral_radius(), qc @ p, r)
-    chains = chain_sums(a, b)
-    closures = closure_sums(a, b)
-    theta = r
-    for k in range(1, n + 1):
-        theta = sf.add(theta, sf.power(chains[k].trace(), Fraction(1, k)))
-    for k in range(1, n):
-        theta = sf.add(theta, sf.power(hc @ closures[k] @ g, Fraction(1, k)))
-    for k in range(n):
-        row = closures[k]
-        cross = sf.add(qc @ row @ g, hc @ row @ p)
-        theta = sf.add(theta, sf.power(cross, Fraction(1, k + 1)))
-        theta = sf.add(theta, sf.power(qc @ row @ p, Fraction(1, k + 2)))
-    inv_t = sf.inv(theta)
-    gen = (a.scale(inv_t) + b).star()
-    lower = p.scale(inv_t) + g
-    upper = ((qc.scale(inv_t) + hc) @ gen).conj()
-    return _result(theta, gen, lower, upper)
+    _degenerate_gate(a, p, q, r)
+    return _minimize(a, b, p, q, g, h, r)
 
 
 def solve_problem(problem: Problem) -> OptResult:

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from .errors import GridTooLarge, NoFeasiblePoint, TooLarge
 from .linalg import Matrix, Vector
-from .optimize import Problem, ProblemKind
+from .optimize import _FIELDS, Problem, ProblemKind
 from .schedule import ScheduleSpec
 from .semifield import MAXPLUS, Scalar, Semifield
 
@@ -539,7 +539,12 @@ def random_trace_bounded(
     all-zero matrix after `cap` failures (degenerate but valid)."""
     for _ in range(cap):
         m = random_matrix(rng, n, zero_p=zero_p, sf=sf)
-        if sf.leq(m.trace_sum(), sf.one):
+        power = m
+        for _ in range(n):  # the trace sum, stopped at the first trace above one
+            if not sf.leq(power.trace(), sf.one):
+                break
+            power = power @ m
+        else:
             return m
     return Matrix.zeros(n, n, sf)
 
@@ -556,14 +561,7 @@ def sample_problem(
         n = rng.choice((2, 3))
     a = random_matrix(rng, n, zero_p=0.3)
     fields = {"kind": kind, "A": a}
-    need = {
-        ProblemKind.BASIC: (),
-        ProblemKind.EXTENDED: ("p", "q", "r"),
-        ProblemKind.LINEAR_CONSTRAINED: ("B", "g"),
-        ProblemKind.GENERAL: ("B", "p", "q", "g", "h", "r"),
-        ProblemKind.BOX_CONSTRAINED: ("p", "q", "g", "h", "r"),
-        ProblemKind.FIXPOINT_CONSTRAINED: ("B", "p", "q", "r"),
-    }[kind]
+    need = _FIELDS[kind]
     if "B" in need:
         fields["B"] = random_trace_bounded(rng, n)
     if "p" in need:

@@ -17,8 +17,10 @@ theta and every optimal start vector, parameterized as x = G (x) u.
 Algebraically the objective expands to
 x^- A x (+) q^- A x (+) x^- p (+) q^- p over the max-plus semifield,
 a span problem whose q-vector is replaced by (q^- A)^- and whose floor
-r is q^- p; theta then collects rooted squeezes of the chain and
-closure families of (A, B) against p, q, g, h.
+r is q^- p.  `solve_schedule` solves that General problem; only
+`solve_schedule_detailed` also lists theta's terms, the rooted
+squeezes of the chain and closure families of (A, B) against p, q, g,
+h, as a ledger.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InfeasibleSchedule, SpecValidation
+from .errors import InfeasibleConstraints, InfeasibleSchedule, SpecValidation
 from .linalg import Matrix, RowVector, Vector, chain_sums, closure_sums
 from .linsolve import SolutionSet
-from .optimize import OptResult, Problem, ProblemKind, _result
+from .optimize import Problem, ProblemKind, solve_problem
 from .semifield import Scalar
 
 
@@ -81,8 +83,11 @@ class ScheduleSpec:
         ):
             if vec.dim == n and not vec.is_regular():
                 problems.append(f"{name} must be finite everywhere")
-        if self.activities is not None and len(self.activities) != n:
-            problems.append("activity name list must match the order")
+        if self.activities is not None:
+            if len(self.activities) != n:
+                problems.append("activity name list must match the order")
+            if len(set(self.activities)) != len(self.activities):
+                problems.append("activity names must be distinct")
         if problems:
             raise SpecValidation(problems)
 
@@ -120,9 +125,38 @@ def build_problem(spec: ScheduleSpec) -> Problem:
     )
 
 
-def _theta_terms(spec: ScheduleSpec) -> tuple[Scalar, dict]:
-    """Exact minimum of the largest flow time, with every intermediate
-    quantity the computation touches, keyed for introspection."""
+def solve_schedule(spec: ScheduleSpec) -> ScheduleResult:
+    """Minimize the largest flow time; exact minimum and all optima."""
+    try:
+        opt = solve_problem(build_problem(spec))
+    except InfeasibleConstraints as exc:
+        raise InfeasibleSchedule(exc.condition) from None
+    a = spec.start_finish
+    sf = a.sf
+    x = opt.canonical
+    y = a @ x
+    s = x.meet(spec.window_lower)
+    t = y + spec.window_upper
+    flows = tuple(
+        sf.mul(ti, sf.inv(si)) for ti, si in zip(t.entries, s.entries)
+    )
+    return ScheduleResult(
+        theta=opt.minimum,
+        initiation=x,
+        completion=y,
+        adjusted_start=s,
+        adjusted_finish=t,
+        flow_times=flows,
+        solutions=opt.solutions,
+        activities=spec.names(),
+    )
+
+
+def _ledger(spec: ScheduleSpec, result: ScheduleResult) -> dict:
+    """Every intermediate quantity of the paper's closed form for theta,
+    keyed for introspection: matrix powers, the feasibility gates, the
+    chain and closure families, the rooted squeezes against p, q, g, h
+    and their sum `theta`, then the solution family."""
     a, b = spec.start_finish, spec.start_start
     sf = a.sf
     n = a.n_rows
@@ -165,70 +199,28 @@ def _theta_terms(spec: ScheduleSpec) -> tuple[Scalar, dict]:
             sf.power(v, Fraction(1, int(k) + 1)) for k, v in q_chain_p.items()
         ),
     }
-    theta = sf.sum(sums.values())
+    scaled = a.scale(sf.inv(result.theta)) + b
     inter.update(
         h_closure_g=h_closure_g,
         q_chain_g=q_chain_g,
         h_closure_p=h_closure_p,
         q_chain_p=q_chain_p,
         **sums,
+        theta=sf.sum(sums.values()),
+        scaled_sum=scaled,
+        scaled_sum_pow={str(k): scaled.power(k) for k in range(2, n)},
+        generator=result.solutions.generator,
+        lower_u=result.solutions.lower,
+        upper_u=result.solutions.upper,
     )
-    inter["theta"] = theta
-    return theta, inter
+    return inter
 
 
 def solve_schedule_detailed(spec: ScheduleSpec) -> tuple[ScheduleResult, dict]:
-    """Solve and also return the intermediate quantities by name."""
-    spec.validate()
-    a, b = spec.start_finish, spec.start_start
-    sf = a.sf
-    g, h = spec.earliest_start, spec.latest_start
-    p, q = spec.window_upper, spec.window_lower
-
-    if not sf.leq_tol(b.trace_sum(), sf.one):
-        raise InfeasibleSchedule("Tr(B) <= 1")
-    if not sf.leq_tol(h.conj() @ b.star() @ g, sf.one):
-        raise InfeasibleSchedule("h^- B* g <= 1")
-
-    theta, inter = _theta_terms(spec)
-    inv_t = sf.inv(theta)
-    scaled = a.scale(inv_t) + b
-    gen = scaled.star()
-    lower = p.scale(inv_t) + g
-    w = (q.conj() @ a).scale(inv_t) + h.conj()
-    upper = (w @ gen).conj()
-    inter["scaled_sum"] = scaled
-    inter["scaled_sum_pow"] = {
-        str(k): scaled.power(k) for k in range(2, a.n_rows)
-    }
-    inter["generator"] = gen
-    inter["lower_u"] = lower
-    inter["upper_u"] = upper
-
-    opt = _result(theta, gen, lower, upper)
-    x = opt.canonical
-    y = a @ x
-    s = x.meet(q)
-    t = y + p
-    flows = tuple(
-        sf.mul(ti, sf.inv(si)) for ti, si in zip(t.entries, s.entries)
-    )
-    result = ScheduleResult(
-        theta=theta,
-        initiation=x,
-        completion=y,
-        adjusted_start=s,
-        adjusted_finish=t,
-        flow_times=flows,
-        solutions=opt.solutions,
-        activities=spec.names(),
-    )
-    return result, inter
-
-
-def solve_schedule(spec: ScheduleSpec) -> ScheduleResult:
-    """Minimize the largest flow time; exact minimum and all optima."""
-    return solve_schedule_detailed(spec)[0]
+    """Solve and also return the intermediate quantities by name.  The
+    ledger recomputes theta from its terms; it equals the solved one."""
+    result = solve_schedule(spec)
+    return result, _ledger(spec, result)
 
 
 def collapse_solution_line(solutions: SolutionSet) -> Optional[

@@ -47,6 +47,8 @@ def parse_scalar(value, sf: Semifield = MAXPLUS, exact: bool = True) -> Scalar:
     if isinstance(value, Fraction):
         frac = value
     elif isinstance(value, float):
+        if math.isnan(value):
+            raise ValueError("NaN is not a scalar")
         if math.isinf(value):
             if value == sf.zero:
                 return sf.zero

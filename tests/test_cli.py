@@ -88,6 +88,24 @@ class TestSchedule:
         assert code == 1
         assert "error" in err
 
+    def test_duplicate_activity_names(self, capsys, tmp_path):
+        bad = tmp_path / "names.json"
+        bad.write_text(
+            json.dumps(
+                {
+                    "activities": ["x", "x"],
+                    "startFinish": [[1, 0], [0, 1]],
+                    "latestStart": [5, 5],
+                    "windowLower": [0, 0],
+                    "windowUpper": [3, 3],
+                }
+            )
+        )
+        code, out, err = run(capsys, "schedule", str(bad))
+        assert code == 1
+        assert out == ""
+        assert "activity names must be distinct" in err
+
     def test_output_file(self, capsys, fixtures_dir, tmp_path):
         target = tmp_path / "result.json"
         code, out, _ = run(
@@ -147,6 +165,39 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(bad))
         assert code == 2
         assert "infeasible" in err
+
+    def test_nan_is_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"kind": "Basic", "A": [[NaN, 1], [2, 0]]}')
+        for mode in ("--float", "--exact"):
+            code, out, err = run(capsys, "solve", str(bad), mode)
+            assert code == 1, mode
+            assert out == ""
+            assert err.startswith("error:")
+
+    def test_empty_parameter_box_is_input_error(self, capsys, tmp_path):
+        # float data near 1e8: rounding pushes the upper parameter bound
+        # below the lower one by more than the tolerance
+        bad = tmp_path / "rounding.json"
+        bad.write_text(
+            json.dumps(
+                {
+                    "kind": "ExtendedUnconstrained",
+                    "A": [
+                        [-139999999.18921995, 700000000.0051234, -559999999.2340894],
+                        [-139999999.63895628, -559999999.9835922, -699999999.7491463],
+                        ["-inf", -139999999.5417691, -559999999.6171821],
+                    ],
+                    "p": ["-inf", 420000000.5167682, -419999999.9468733],
+                    "q": [140000000.21858656, -279999999.0256975, 0.4426428602054533],
+                    "r": -419999999.52811086,
+                }
+            )
+        )
+        code, out, err = run(capsys, "solve", str(bad), "--float")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: parameter box empty")
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", str(tmp_path / "absent.json"))

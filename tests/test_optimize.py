@@ -5,6 +5,7 @@ import pytest
 import _frozen as frozen
 from tropt import (
     DegenerateProblem,
+    EmptyParameterBox,
     InfeasibleConstraints,
     Matrix,
     NotRegularVector,
@@ -22,6 +23,9 @@ from tropt import (
     solve_problem,
     verify_solution,
 )
+from tropt.errors import TroptError
+from tropt.optimize import _tighten_box
+from tropt.semifield import MaxPlus
 
 NEG = float("-inf")
 
@@ -311,3 +315,18 @@ class TestDispatch:
         prob = Problem(ProblemKind.GENERAL, A=a)
         with pytest.raises(ValueError):
             solve_problem(prob)
+
+
+class TestParameterBox:
+    def test_float_dust_is_absorbed(self):
+        sf = MaxPlus(eps=1e-9)
+        lower = Vector((1.0, 2.0), sf)
+        with pytest.warns(RuntimeWarning):
+            upper = _tighten_box(lower, Vector((1.0 - 1e-12, 5.0), sf))
+        assert upper.entries == (1.0, 5.0)
+
+    def test_empty_box_is_a_named_error(self):
+        sf = MaxPlus(eps=1e-9)
+        with pytest.raises(EmptyParameterBox) as err:
+            _tighten_box(Vector((1.0, 2.0), sf), Vector((1.0, 1.5), sf))
+        assert isinstance(err.value, TroptError)

@@ -232,6 +232,20 @@ class TestSpecValidation:
         with pytest.raises(SpecValidation):
             spec.validate()
 
+    def test_names_must_be_distinct(self, project_spec):
+        spec = ScheduleSpec(
+            project_spec.start_finish,
+            project_spec.start_start,
+            project_spec.earliest_start,
+            project_spec.latest_start,
+            project_spec.window_lower,
+            project_spec.window_upper,
+            activities=("cut", "weld", "cut"),
+        )
+        with pytest.raises(SpecValidation) as err:
+            spec.validate()
+        assert err.value.problems == ["activity names must be distinct"]
+
 
 class TestCollapseDetection:
     def test_full_rank_generator_has_no_line(self):

@@ -1,0 +1,25 @@
+"""Smoke runs of the bundled scripts, each in a fresh interpreter."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["walkthrough.py"], ["audit_random.py", "--count", "5"]],
+    ids=["walkthrough", "audit_random"],
+)
+def test_script_exits_cleanly(argv):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "Traceback" not in done.stderr

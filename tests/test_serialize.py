@@ -49,6 +49,11 @@ class TestScalars:
         with pytest.raises(ValueError):
             parse_scalar(float("inf"))
 
+    def test_nan_rejected(self):
+        for exact in (True, False):
+            with pytest.raises(ValueError):
+                parse_scalar(float("nan"), exact=exact)
+
     def test_decimal_strings_parse_exactly(self):
         assert parse_scalar("2.5") == Fraction(5, 2)
 
