@@ -3,7 +3,7 @@ under two-sided constraints, and just-in-time project scheduling.
 
 The public surface:
 
-  semifield  MaxPlus / MinPlus scalar arithmetic
+  semifield  MaxPlus scalar arithmetic
   linalg     Matrix, Vector, RowVector, closures, chain families
   linsolve   inequality systems with explicit solution families
   optimize   constrained span minimization in closed form
@@ -72,7 +72,7 @@ from .schedule import (
     solve_schedule,
     solve_schedule_detailed,
 )
-from .semifield import MAXPLUS, MINPLUS, MaxPlus, MinPlus, Semifield
+from .semifield import MAXPLUS, MaxPlus, Semifield
 
 __version__ = "0.1.0"
 
@@ -86,10 +86,8 @@ __all__ = [
     "InfeasibleSchedule",
     "InversionOfZero",
     "MAXPLUS",
-    "MINPLUS",
     "Matrix",
     "MaxPlus",
-    "MinPlus",
     "NoFeasiblePoint",
     "NoRegularSolution",
     "NotColumnRegular",

@@ -16,8 +16,9 @@ of minimizers, parameterized as x = G (x) u over a box of u.  One
 kernel serves all six kinds: A and B are bordered by one extra node,
 Ahat = [[A, p], [q^-, r]] and Bhat = [[B, g], [h^-, 0]] with absent
 pieces zero, and the minimum is theta = the spectral radius of
-Bhat* Ahat.  The per-kind solvers only check shapes and their own
-feasibility and degeneracy gates before calling it.
+Bhat* Ahat.  One gated path leads to it: `solve_problem` validates the
+problem and runs each feasibility gate whose data is present; the
+`minimize_*` functions only build a Problem and hand it over.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def objective_value(problem: Problem, x: Vector) -> Scalar:
     sf = problem.A.sf
     xc = x.conj()
     value = xc @ (problem.A @ x)
-    if problem.kind in (ProblemKind.BASIC, ProblemKind.LINEAR_CONSTRAINED):
+    if problem.p is None:
         return value
     value = sf.add(value, xc @ problem.p)
     value = sf.add(value, problem.q.conj() @ x)
@@ -135,7 +136,7 @@ def _tighten_box(lower: Vector, upper: Vector) -> Vector:
         warnings.warn(
             "parameter box widened by eps to absorb float rounding",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
         return Vector(tuple(out), sf)
     return upper
@@ -162,7 +163,7 @@ def _minimize(a: Matrix, b: Optional[Matrix] = None,
     theta is the largest cycle mean of Bhat* Ahat: the maximum ratio of
     weight to A-arc count over the cycles of Ahat (+) Bhat, where the
     extra node n is entered through p or g and left through q^- or h^-.
-    The callers' gates rule out positive cycles of Bhat alone.  Node n
+    solve_problem's gates rule out positive cycles of Bhat alone.  Node n
     is left out when no cycle can pass through it.  The minimizers are
     x = G u, G = (theta^-1 A (+) B)*, theta^-1 p (+) g <= u and, when q
     or h is given, u <= ((theta^-1 q^- (+) h^-) G)^-.
@@ -200,78 +201,74 @@ def _minimize(a: Matrix, b: Optional[Matrix] = None,
     return OptResult(minimum=theta, solutions=sols, canonical=sols.canonical())
 
 
+# kinds whose optimum needs a cycle in A, and kinds that need only one
+# nonzero scale bound: lambda(A), (q^- p)^(1/2) or r; for Basic the
+# kernel's zero theta is the no-cycle gate
+_NEEDS_CYCLE = (ProblemKind.EXTENDED, ProblemKind.LINEAR_CONSTRAINED)
+_NEEDS_SCALE = (ProblemKind.BOX_CONSTRAINED, ProblemKind.FIXPOINT_CONSTRAINED,
+                ProblemKind.GENERAL)
+
+
+def solve_problem(problem: Problem) -> OptResult:
+    """Validate the problem, run its gates and call the kernel.
+
+    Each gate runs when its data is present, in this order: q and h
+    regular; Tr(B) <= 1; h^- B* g <= 1 (h^- g <= 1 without B); then
+    the kind's no-cycle rule.
+    """
+    problem.validate()
+    a, b, p, q = problem.A, problem.B, problem.p, problem.q
+    g, h, r = problem.g, problem.h, problem.r
+    sf = a.sf
+    for name, vec in (("q", q), ("h", h)):
+        if vec is not None and not vec.is_regular():
+            raise NotRegularVector(f"{name} must be regular")
+    if b is not None and not sf.leq_tol(b.trace_sum(), sf.one):
+        raise InfeasibleConstraints("Tr(B) <= 1")
+    if g is not None and h is not None:
+        row = h.conj() if b is None else h.conj() @ b.star()
+        if not sf.leq_tol(row @ g, sf.one):
+            raise InfeasibleConstraints("h^- g <= 1" if b is None else "h^- B* g <= 1")
+    if problem.kind in _NEEDS_CYCLE and sf.is_zero(a.spectral_radius()):
+        raise ZeroSpectralRadius("matrix has no cycle")
+    if problem.kind in _NEEDS_SCALE:
+        root = sf.power(q.conj() @ p, Fraction(1, 2))
+        if sf.is_zero(sf.sum((a.spectral_radius(), root, r))):
+            raise DegenerateProblem(
+                "every scale bound is zero: no cycle, q^- p zero, r zero"
+            )
+    return _minimize(a, b, p, q, g, h, r)
+
+
 def minimize_basic(a: Matrix) -> OptResult:
     """min over regular x of x^- A x.
 
     The minimum is the spectral radius; minimizers are the images of
     the star of the radius-normalized matrix.
     """
-    a._require_square()
-    return _minimize(a)
+    return solve_problem(Problem(ProblemKind.BASIC, a))
 
 
 def minimize_extended(a: Matrix, p: Vector, q: Vector, r: Scalar) -> OptResult:
     """min over regular x of x^- A x (+) x^- p (+) q^- x (+) r."""
-    n = a._require_square()
-    if not q.is_regular():
-        raise NotRegularVector("q must be regular")
-    if p.dim != n or q.dim != n:
-        raise ShapeMismatch("p, q must match the order of A")
-    if a.sf.is_zero(a.spectral_radius()):
-        raise ZeroSpectralRadius("matrix has no cycle")
-    return _minimize(a, p=p, q=q, r=r)
+    return solve_problem(Problem(ProblemKind.EXTENDED, a, p=p, q=q, r=r))
 
 
 def minimize_linear_constrained(a: Matrix, b: Matrix, g: Vector) -> OptResult:
     """min x^- A x subject to B x (+) g <= x."""
-    n = a._require_square()
-    sf = a.sf
-    if b._require_square() != n or g.dim != n:
-        raise ShapeMismatch("B, g must match the order of A")
-    if not sf.leq_tol(b.trace_sum(), sf.one):
-        raise InfeasibleConstraints("Tr(B) <= 1")
-    if sf.is_zero(a.spectral_radius()):
-        raise ZeroSpectralRadius("matrix has no cycle")
-    return _minimize(a, b, g=g)
-
-
-def _degenerate_gate(a: Matrix, p: Vector, q: Vector, r: Scalar) -> None:
-    sf = a.sf
-    base = sf.add(a.spectral_radius(), sf.power(q.conj() @ p, Fraction(1, 2)))
-    if sf.is_zero(sf.add(base, r)):
-        raise DegenerateProblem(
-            "every scale bound is zero: no cycle, q^- p zero, r zero"
-        )
+    return solve_problem(Problem(ProblemKind.LINEAR_CONSTRAINED, a, b, g=g))
 
 
 def minimize_box_constrained(a: Matrix, p: Vector, q: Vector, g: Vector,
                              h: Vector, r: Scalar) -> OptResult:
     """min of the extended span objective subject to g <= x <= h."""
-    n = a._require_square()
-    for name, vec in (("p", p), ("q", q), ("g", g), ("h", h)):
-        if vec.dim != n:
-            raise ShapeMismatch(f"{name} must match the order of A")
-    if not q.is_regular() or not h.is_regular():
-        raise NotRegularVector("q and h must be regular")
-    if not a.sf.leq_tol(h.conj() @ g, a.sf.one):
-        raise InfeasibleConstraints("h^- g <= 1")
-    _degenerate_gate(a, p, q, r)
-    return _minimize(a, p=p, q=q, g=g, h=h, r=r)
+    return solve_problem(Problem(ProblemKind.BOX_CONSTRAINED, a, None, p, q, g, h, r))
 
 
 def minimize_fixpoint_constrained(a: Matrix, b: Matrix, p: Vector, q: Vector,
                                   r: Scalar) -> OptResult:
     """min of the extended span objective subject to B x <= x."""
-    n = a._require_square()
-    sf = a.sf
-    if b._require_square() != n or p.dim != n or q.dim != n:
-        raise ShapeMismatch("B, p, q must match the order of A")
-    if not q.is_regular():
-        raise NotRegularVector("q must be regular")
-    if not sf.leq_tol(b.trace_sum(), sf.one):
-        raise InfeasibleConstraints("Tr(B) <= 1")
-    _degenerate_gate(a, p, q, r)
-    return _minimize(a, b, p, q, r=r)
+    return solve_problem(Problem(ProblemKind.FIXPOINT_CONSTRAINED, a, b, p, q, r=r))
 
 
 def minimize_general(a: Matrix, b: Matrix, p: Vector, q: Vector, g: Vector,
@@ -283,62 +280,20 @@ def minimize_general(a: Matrix, b: Matrix, p: Vector, q: Vector, g: Vector,
     Ahat = [[A, p], [q^-, r]] and Bhat = [[B, g], [h^-, 0]], once the
     gates Tr(B) <= 1 and h^- B* g <= 1 leave Bhat no positive cycle.
     """
-    n = a._require_square()
-    sf = a.sf
-    if b._require_square() != n:
-        raise ShapeMismatch("B must match the order of A")
-    for name, vec in (("p", p), ("q", q), ("g", g), ("h", h)):
-        if vec.dim != n:
-            raise ShapeMismatch(f"{name} must match the order of A")
-    if not q.is_regular() or not h.is_regular():
-        raise NotRegularVector("q and h must be regular")
-    if not sf.leq_tol(b.trace_sum(), sf.one):
-        raise InfeasibleConstraints("Tr(B) <= 1")
-    if not sf.leq_tol(h.conj() @ b.star() @ g, sf.one):
-        raise InfeasibleConstraints("h^- B* g <= 1")
-    _degenerate_gate(a, p, q, r)
-    return _minimize(a, b, p, q, g, h, r)
-
-
-def solve_problem(problem: Problem) -> OptResult:
-    """Validate and dispatch to the kind's solver."""
-    problem.validate()
-    k = problem.kind
-    if k is ProblemKind.BASIC:
-        return minimize_basic(problem.A)
-    if k is ProblemKind.EXTENDED:
-        return minimize_extended(problem.A, problem.p, problem.q, problem.r)
-    if k is ProblemKind.LINEAR_CONSTRAINED:
-        return minimize_linear_constrained(problem.A, problem.B, problem.g)
-    if k is ProblemKind.BOX_CONSTRAINED:
-        return minimize_box_constrained(
-            problem.A, problem.p, problem.q, problem.g, problem.h, problem.r
-        )
-    if k is ProblemKind.FIXPOINT_CONSTRAINED:
-        return minimize_fixpoint_constrained(
-            problem.A, problem.B, problem.p, problem.q, problem.r
-        )
-    return minimize_general(
-        problem.A, problem.B, problem.p, problem.q, problem.g, problem.h,
-        problem.r,
-    )
+    return solve_problem(Problem(ProblemKind.GENERAL, a, b, p, q, g, h, r))
 
 
 def _feasible(problem: Problem, x: Vector) -> Optional[str]:
-    sf = problem.A.sf
-    k = problem.kind
-    if k in (ProblemKind.LINEAR_CONSTRAINED, ProblemKind.GENERAL,
-             ProblemKind.FIXPOINT_CONSTRAINED):
+    if problem.B is not None:
         bound = problem.B @ x
         if problem.g is not None:
             bound = bound + problem.g
         if not bound.leq_tol(x):
             return "constraint B x (+) g <= x violated"
-    if k is ProblemKind.BOX_CONSTRAINED and not problem.g.leq_tol(x):
+    elif problem.g is not None and not problem.g.leq_tol(x):
         return "constraint g <= x violated"
-    if k in (ProblemKind.GENERAL, ProblemKind.BOX_CONSTRAINED):
-        if not x.leq_tol(problem.h):
-            return "constraint x <= h violated"
+    if problem.h is not None and not x.leq_tol(problem.h):
+        return "constraint x <= h violated"
     return None
 
 

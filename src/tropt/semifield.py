@@ -4,14 +4,13 @@ The ground structure is the max-plus semifield: the reals extended with
 -inf, addition x (+) y = max(x, y), multiplication x (*) y = x + y,
 neutral elements zero = -inf and one = 0.  Addition is idempotent, every
 nonzero element has a multiplicative inverse (-x), and rational powers
-exist (x^r = r*x), so the structure is radicable.  The dual min-plus
-instance arises by reversing the order: addition is min, zero is +inf.
+exist (x^r = r*x), so the structure is radicable.
 
 Scalars are plain Python numbers: int or fractions.Fraction in exact
-mode, float in float mode, with the zero element always carried as the
-appropriate float infinity.  The two modes can mix; comparisons become
-approximate (absolute tolerance `eps`) as soon as a finite float is
-involved, and stay exact on int/Fraction operands.
+mode, float in float mode, with the zero element always carried as
+float -inf.  The two modes can mix; comparisons become approximate
+(absolute tolerance `eps`) as soon as a finite float is involved, and
+stay exact on int/Fraction operands.
 
 Any further instance must supply a linear (total) order compatible with
 the operations; the solvers rely on order totality throughout.
@@ -39,8 +38,8 @@ class Semifield:
 
     Concrete instances define `zero`, `one` and the numeric direction
     of the canonical order x <= y  iff  x (+) y = y.  Multiplication,
-    inversion and rational powers share one implementation because both
-    shipped instances live on the extended reals under +.
+    inversion and rational powers live here because they hold for any
+    instance on the extended reals under +.
     """
 
     zero: Scalar
@@ -57,9 +56,6 @@ class Semifield:
     def leq(self, x: Scalar, y: Scalar) -> bool:
         """Canonical order: x <= y iff x (+) y = y.  Exact."""
         return self.add(x, y) == y
-
-    def lt(self, x: Scalar, y: Scalar) -> bool:
-        return self.leq(x, y) and x != y
 
     def eq(self, x: Scalar, y: Scalar) -> bool:
         """Equality; absolute eps tolerance once floats are involved."""
@@ -133,14 +129,4 @@ class MaxPlus(Semifield):
         return x if y <= x else y
 
 
-class MinPlus(Semifield):
-    """(R u {+inf}, min, +): the dual instance by order reversal."""
-
-    zero = float("inf")
-
-    def add(self, x: Scalar, y: Scalar) -> Scalar:
-        return x if x <= y else y
-
-
 MAXPLUS = MaxPlus()
-MINPLUS = MinPlus()

@@ -199,6 +199,16 @@ class TestSolve:
         assert out == ""
         assert err.startswith("error: parameter box empty")
 
+    def test_float_overflow_is_input_error(self, capsys, tmp_path):
+        big = tmp_path / "overflow.json"
+        big.write_text(
+            json.dumps({"kind": "Basic", "A": [[1e308, 1e308], [1e308, 1e308]]})
+        )
+        code, out, err = run(capsys, "solve", str(big), "--float")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: float overflow")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", str(tmp_path / "absent.json"))
         assert code == 1
@@ -264,6 +274,23 @@ class TestMatrixCommands:
         code, doc, _ = run_json(capsys, "eig", str(f))
         assert code == 0
         assert doc["spectralRadius"] == "5/2"
+
+    def test_float_mode_reads_integers_as_floats(self, capsys, tmp_path):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps([[1, 3], [2, 0]]))
+        code, doc, _ = run_json(capsys, "eig", str(f), "--float")
+        assert code == 0
+        assert doc["spectralRadius"] == 2.5
+        assert isinstance(doc["spectralRadius"], float)
+
+    def test_integer_too_large_for_float(self, capsys, tmp_path):
+        f = tmp_path / "huge.json"
+        f.write_text("[[" + "9" * 400 + ", 1], [2, 0]]")
+        for command in ("eig", "star"):
+            code, out, err = run(capsys, command, str(f), "--float")
+            assert code == 1, command
+            assert out == ""
+            assert err.startswith("error:") and "Traceback" not in err
 
     def test_star(self, capsys, fixtures_dir):
         code, doc, _ = run_json(capsys, "star", str(fixtures_dir / "B.json"))

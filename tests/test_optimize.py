@@ -18,13 +18,17 @@ from tropt import (
     Vector,
     ZeroSpectralRadius,
     minimize_basic,
+    minimize_box_constrained,
     minimize_extended,
+    minimize_fixpoint_constrained,
+    minimize_general,
+    minimize_linear_constrained,
     objective_value,
     solve_problem,
     verify_solution,
 )
 from tropt.errors import TroptError
-from tropt.optimize import _tighten_box
+from tropt.optimize import _FIELDS, _tighten_box
 from tropt.semifield import MaxPlus
 
 NEG = float("-inf")
@@ -276,6 +280,36 @@ class TestVerifySolution:
         assert not ok
         assert reason == "constraint x <= h violated"
 
+    def test_rejects_fixpoint_violation(self):
+        a, b = project_matrices()
+        prob = Problem(
+            ProblemKind.FIXPOINT_CONSTRAINED,
+            A=a,
+            B=b,
+            p=Vector(frozen.P),
+            q=Vector(frozen.Q),
+            r=2,
+        )
+        res = solve_problem(prob)
+        ok, reason = verify_solution(prob, res, Vector((0, 0, 0)))
+        assert not ok
+        assert reason == "constraint B x (+) g <= x violated"
+
+    def test_rejects_lower_bound_violation(self):
+        prob = Problem(
+            ProblemKind.BOX_CONSTRAINED,
+            A=Matrix(((1, 2), (NEG, 0))),
+            p=Vector((3, 1)),
+            q=Vector((0, 1)),
+            g=Vector((-1, -1)),
+            h=Vector((2, 2)),
+            r=0,
+        )
+        res = solve_problem(prob)
+        ok, reason = verify_solution(prob, res, Vector((-5, 0)))
+        assert not ok
+        assert reason == "constraint g <= x violated"
+
     def test_rejects_wrong_objective(self):
         prob = Problem(
             ProblemKind.BOX_CONSTRAINED,
@@ -315,6 +349,78 @@ class TestDispatch:
         prob = Problem(ProblemKind.GENERAL, A=a)
         with pytest.raises(ValueError):
             solve_problem(prob)
+
+
+# each case fails two gates; the earlier one in solve_problem's order wins
+GATE_ORDER_CASES = [
+    (
+        Problem(
+            ProblemKind.FIXPOINT_CONSTRAINED,
+            A=Matrix(((0,),)),
+            B=Matrix(((1,),)),
+            p=Vector((0,)),
+            q=Vector((NEG,)),
+            r=0,
+        ),
+        NotRegularVector,
+        None,
+    ),
+    (
+        Problem(
+            ProblemKind.GENERAL,
+            A=Matrix(((0,),)),
+            B=Matrix(((1,),)),
+            p=Vector((0,)),
+            q=Vector((0,)),
+            g=Vector((5,)),
+            h=Vector((0,)),
+            r=0,
+        ),
+        InfeasibleConstraints,
+        "Tr(B) <= 1",
+    ),
+    (
+        Problem(
+            ProblemKind.LINEAR_CONSTRAINED,
+            A=Matrix(((NEG, 3), (NEG, NEG))),
+            B=Matrix(((1, NEG), (NEG, NEG))),
+            g=Vector((0, 0)),
+        ),
+        InfeasibleConstraints,
+        "Tr(B) <= 1",
+    ),
+    (
+        Problem(
+            ProblemKind.BOX_CONSTRAINED,
+            A=Matrix(((NEG,),)),
+            p=Vector((NEG,)),
+            q=Vector((0,)),
+            g=Vector((5,)),
+            h=Vector((0,)),
+            r=NEG,
+        ),
+        InfeasibleConstraints,
+        "h^- g <= 1",
+    ),
+]
+
+MINIMIZERS = {
+    ProblemKind.LINEAR_CONSTRAINED: minimize_linear_constrained,
+    ProblemKind.GENERAL: minimize_general,
+    ProblemKind.BOX_CONSTRAINED: minimize_box_constrained,
+    ProblemKind.FIXPOINT_CONSTRAINED: minimize_fixpoint_constrained,
+}
+
+
+@pytest.mark.parametrize("prob, error, condition", GATE_ORDER_CASES)
+def test_gate_order(prob, error, condition):
+    fields = ("A",) + _FIELDS[prob.kind]
+    args = [getattr(prob, name) for name in fields]
+    for solve in (lambda: solve_problem(prob), lambda: MINIMIZERS[prob.kind](*args)):
+        with pytest.raises(error) as err:
+            solve()
+        if condition is not None:
+            assert err.value.condition == condition
 
 
 class TestParameterBox:

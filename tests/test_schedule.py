@@ -17,6 +17,7 @@ from tropt import (
     solve_schedule,
     solve_schedule_detailed,
 )
+from tropt import serialize
 from tropt.oracle import sample_schedule
 
 NEG = float("-inf")
@@ -97,6 +98,23 @@ class TestProjectFixture:
         )
         res = solve_schedule(spec)
         assert res.activities == ("a1", "a2", "a3")
+
+
+    def test_float_parse_runs_floats(self, fixtures_dir):
+        text = (fixtures_dir / "three_activity_project.json").read_text()
+        spec = serialize.parse_schedule(serialize.loads(text, exact=False), exact=False)
+        parsed = [
+            *(v for row in spec.start_finish.rows for v in row),
+            *(v for row in spec.start_start.rows for v in row),
+            *spec.earliest_start.entries,
+            *spec.latest_start.entries,
+            *spec.window_lower.entries,
+            *spec.window_upper.entries,
+        ]
+        assert all(isinstance(v, float) for v in parsed)
+        theta = solve_schedule(spec).theta
+        assert isinstance(theta, float)
+        assert abs(theta - 4) <= 1e-9
 
 
 class TestSingleActivity:

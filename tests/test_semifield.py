@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tropt import MAXPLUS, MINPLUS, InversionOfZero, UndefinedPower
+from tropt import MAXPLUS, InversionOfZero, UndefinedPower
 from tropt.semifield import MaxPlus
 
 NEG = float("-inf")
@@ -69,16 +69,6 @@ class TestMaxPlus:
     def test_is_zero(self):
         assert MAXPLUS.is_zero(NEG)
         assert not MAXPLUS.is_zero(0)
-
-
-class TestMinPlus:
-    def test_duality(self):
-        assert MINPLUS.add(3, 5) == 3
-        assert MINPLUS.zero == float("inf")
-        assert MINPLUS.mul(3, 5) == 8
-        assert MINPLUS.mul(MINPLUS.zero, 4) == MINPLUS.zero
-        assert MINPLUS.leq(5, 3)
-        assert MINPLUS.sum([4, 1, 9]) == 1
 
 
 class TestEquality:

@@ -61,6 +61,18 @@ class TestScalars:
         assert parse_scalar("10/3", exact=False) == pytest.approx(10 / 3)
         assert parse_scalar(2.5, exact=False) == 2.5
 
+    def test_float_mode_converts_integers(self):
+        assert isinstance(parse_scalar(4, exact=False), float)
+        assert isinstance(parse_scalar("8/2", exact=False), float)
+        with pytest.raises(ValueError):
+            parse_scalar(10**400, exact=False)
+        with pytest.raises(ValueError):
+            parse_scalar("1e400", exact=False)
+
+    def test_plus_infinity_is_not_encoded(self):
+        with pytest.raises(ValueError, match="float overflow"):
+            encode_scalar(float("inf"))
+
     def test_float_in_exact_mode_reads_decimal_spelling(self):
         assert parse_scalar(2.5, exact=True) == Fraction(5, 2)
 
