@@ -1,9 +1,10 @@
-"""Matrices and vectors over an idempotent semifield.
+"""Matrices and vectors over the max-plus semifield.
 
 Objects are immutable; entries are raw scalars (int, Fraction, float)
-with the semifield's zero carried as a float infinity.  The arithmetic
-is the semifield's: `+` is the idempotent addition applied entrywise
-and `@` is the semiring product.  Column vectors and row vectors are
+with the semifield's zero carried as a float -inf.  `+` is the
+idempotent addition applied entrywise and `@` is the max-plus product,
+computed by one inlined kernel over the finite entries.  `star` is one
+O(n^3) Floyd-Warshall pass.  Column vectors and row vectors are
 distinct types so that expressions read like the algebra they compute,
 e.g. ``h.conj() @ T @ g`` is a scalar.
 
@@ -28,6 +29,32 @@ from .semifield import MAXPLUS, Scalar, Semifield
 
 def _as_tuple_rows(rows: Iterable[Iterable[Scalar]]) -> tuple[tuple[Scalar, ...], ...]:
     return tuple(tuple(r) for r in rows)
+
+
+def _product(left: Sequence[Sequence[Scalar]], right: Sequence[Sequence[Scalar]],
+             zero: Scalar) -> list[tuple[Scalar, ...]]:
+    """Rows of the max-plus product of two row-major tables.
+
+    Entry (i, j) is the largest left[i][k] + right[k][j] over the k
+    where neither factor is `zero`, or `zero` when there is none.  Terms
+    are visited in increasing k and only a strictly larger one replaces
+    the running maximum, so the first maximal term is kept: the result,
+    Python type included, is that of `sf.sum(sf.mul(a, b) ...)` under
+    `MaxPlus`, without a method call per scalar.
+    """
+    right_nz = [[(j, b) for j, b in enumerate(row) if b != zero] for row in right]
+    width = len(right[0])
+    out = []
+    for row in left:
+        acc = [zero] * width
+        for a, nz in zip(row, right_nz):
+            if a != zero:
+                for j, b in nz:
+                    s = a + b
+                    if s > acc[j]:
+                        acc[j] = s
+        out.append(tuple(acc))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,32 +153,22 @@ class Matrix:
         )
 
     def __matmul__(self, other: Union["Matrix", "Vector"]) -> Union["Matrix", "Vector"]:
+        """Max-plus product: entry (i, j) is the max over k of
+        a_ik + b_kj, zero factors skipped."""
         sf = self.sf
         if isinstance(other, Vector):
             if self.n_cols != other.dim:
                 raise ShapeMismatch(
                     f"{self.n_rows}x{self.n_cols} times vector of dim {other.dim}"
                 )
-            return Vector(
-                tuple(
-                    sf.sum(sf.mul(a, x) for a, x in zip(r, other.entries))
-                    for r in self.rows
-                ),
-                sf,
-            )
+            rows = _product(self.rows, [(x,) for x in other.entries], sf.zero)
+            return Vector(tuple(r[0] for r in rows), sf)
         if isinstance(other, Matrix):
             if self.n_cols != other.n_rows:
                 raise ShapeMismatch(
                     f"{self.n_rows}x{self.n_cols} times {other.n_rows}x{other.n_cols}"
                 )
-            cols = tuple(zip(*other.rows)) if other.rows else ()
-            return Matrix(
-                tuple(
-                    tuple(sf.sum(sf.mul(a, b) for a, b in zip(r, c)) for c in cols)
-                    for r in self.rows
-                ),
-                sf,
-            )
+            return Matrix(tuple(_product(self.rows, other.rows, sf.zero)), sf)
         return NotImplemented
 
     def scale(self, c: Scalar) -> "Matrix":
@@ -231,27 +248,35 @@ class Matrix:
         """Kleene star truncated at the matrix order:
         I (+) A (+) A^2 (+) ... (+) A^(n-1).
 
-        Fast path squares (I (+) A) up to exponent >= n-1, which equals
-        the truncated sum whenever no cycle weight exceeds one (the only
-        regime the solvers use).  A final stabilization check detects
-        the positive-cycle case, where higher powers would leak into the
-        squared result, and falls back to the literal truncated sum.
+        One O(n^3) Floyd-Warshall pass gives the heaviest walk weights;
+        with no cycle weight above one (the only regime the solvers use)
+        they are the heaviest path weights, which is the truncated sum
+        off the diagonal, and the diagonal is one.  A diagonal entry
+        above one marks a positive cycle, where walks outgrow the
+        truncation, and the literal truncated sum is returned instead.
         """
         n = self._require_square()
-        eye = Matrix.identity(n, self.sf)
-        if n == 1:
-            return eye
-        m = eye + self
-        exp = 1
-        while exp < n - 1:
-            m = m @ m
-            exp *= 2
-        if m @ m == m:
-            return m
-        acc = eye
-        for _ in range(n - 1):
-            acc = eye + (self @ acc)
-        return acc
+        sf = self.sf
+        zero = sf.zero
+        d = [list(r) for r in self.rows]
+        for k in range(n):
+            pivot = [(j, v) for j, v in enumerate(d[k]) if v != zero]
+            for di in d:
+                a = di[k]
+                if a != zero:
+                    for j, v in pivot:
+                        s = a + v
+                        if s > di[j]:
+                            di[j] = s
+        if any(d[i][i] > sf.one for i in range(n)):
+            eye = Matrix.identity(n, sf)
+            acc = eye
+            for _ in range(n - 1):
+                acc = eye + (self @ acc)
+            return acc
+        for i in range(n):
+            d[i][i] = sf.one
+        return Matrix(tuple(tuple(r) for r in d), sf)
 
     # -- comparisons ------------------------------------------------------
 
@@ -410,21 +435,18 @@ class RowVector:
         return self.scale(c)
 
     def __matmul__(self, other: Union[Matrix, Vector]) -> Union["RowVector", Scalar]:
+        """Max-plus product with a column (a scalar) or a matrix."""
         sf = self.sf
         if isinstance(other, Vector):
             if self.dim != other.dim:
                 raise ShapeMismatch(f"row dim {self.dim} times vector dim {other.dim}")
-            return sf.sum(sf.mul(a, b) for a, b in zip(self.entries, other.entries))
+            return _product((self.entries,), [(x,) for x in other.entries], sf.zero)[0][0]
         if isinstance(other, Matrix):
             if self.dim != other.n_rows:
                 raise ShapeMismatch(
                     f"row dim {self.dim} times {other.n_rows}x{other.n_cols}"
                 )
-            cols = tuple(zip(*other.rows))
-            return RowVector(
-                tuple(sf.sum(sf.mul(a, b) for a, b in zip(self.entries, c)) for c in cols),
-                sf,
-            )
+            return RowVector(_product((self.entries,), other.rows, sf.zero)[0], sf)
         return NotImplemented
 
     def __eq__(self, other: object) -> bool:

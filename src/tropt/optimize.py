@@ -23,6 +23,7 @@ problem and runs each feasibility gate whose data is present; the
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -117,6 +118,16 @@ def objective_value(problem: Problem, x: Vector) -> Scalar:
     return sf.add(value, problem.r)
 
 
+def _caller_level() -> int:
+    """`stacklevel` for a warning issued by the calling function: it
+    names the first frame outside the tropt package, so the warning
+    points at user code whichever public entry point led there."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__", "").split(".")[0] == "tropt":
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def _tighten_box(lower: Vector, upper: Vector) -> Vector:
     """Absorb float dust that pushed the upper parameter bound below the
     lower one.  Exact arithmetic never triggers this; the closed forms
@@ -136,7 +147,7 @@ def _tighten_box(lower: Vector, upper: Vector) -> Vector:
         warnings.warn(
             "parameter box widened by eps to absorb float rounding",
             RuntimeWarning,
-            stacklevel=4,
+            stacklevel=_caller_level(),
         )
         return Vector(tuple(out), sf)
     return upper
@@ -233,7 +244,9 @@ def solve_problem(problem: Problem) -> OptResult:
         raise ZeroSpectralRadius("matrix has no cycle")
     if problem.kind in _NEEDS_SCALE:
         root = sf.power(q.conj() @ p, Fraction(1, 2))
-        if sf.is_zero(sf.sum((a.spectral_radius(), root, r))):
+        # lambda(A) costs n matrix products: compute it only when r and
+        # the root leave the verdict open
+        if sf.is_zero(sf.add(root, r)) and sf.is_zero(a.spectral_radius()):
             raise DegenerateProblem(
                 "every scale bound is zero: no cycle, q^- p zero, r zero"
             )

@@ -22,6 +22,7 @@ from tropt import (
     outer,
 )
 from tropt.oracle import max_cycle_mean, random_matrix
+from tropt.semifield import MAXPLUS, MaxPlus, Semifield
 
 NEG = float("-inf")
 
@@ -267,3 +268,153 @@ def test_identity_is_neutral(x):
     eye = Matrix.identity(2)
     assert eye @ x == x
     assert x @ eye == x
+
+
+# -- differential tests of the product and star kernels --------------------
+#
+# The references below are the definitions, one Semifield call per
+# scalar, kept apart from the kernels they check.
+
+
+def _ref_product(left, right, sf=MAXPLUS):
+    """Rows of left @ right as sf.sum over sf.mul, column by column."""
+    cols = tuple(zip(*right))
+    return tuple(
+        tuple(sf.sum(sf.mul(a, b) for a, b in zip(row, col)) for col in cols)
+        for row in left
+    )
+
+
+def _ref_star(a: Matrix) -> tuple:
+    """I (+) A (I (+) A (... (I (+) A))), n-1 products deep."""
+    sf, n = a.sf, a.n_rows
+    eye = Matrix.identity(n, sf).rows
+    acc = eye
+    for _ in range(n - 1):
+        prod = _ref_product(a.rows, acc, sf)
+        acc = tuple(
+            tuple(sf.add(x, y) for x, y in zip(ri, rp)) for ri, rp in zip(eye, prod)
+        )
+    return acc
+
+
+def _has_positive_cycle(a: Matrix) -> bool:
+    """Some diagonal entry of A (+) A^2 (+) ... (+) A^n exceeds one."""
+    sf, n = a.sf, a.n_rows
+    power = a.rows
+    for _ in range(n):
+        if any(power[i][i] > sf.one for i in range(n)):
+            return True
+        power = _ref_product(power, a.rows, sf)
+    return False
+
+
+def _scalar(rng, kinds=("int", "fraction", "float")):
+    """About 40% zeros; finite entries an int, a Fraction or a float,
+    with -0.0 among the floats."""
+    if rng.random() < 0.4:
+        return NEG
+    kind = rng.choice(kinds)
+    if kind == "int":
+        return rng.randint(-9, 9)
+    if kind == "fraction":
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 6))
+    return rng.choice((-0.0, 0.0, rng.uniform(-9, 9)))
+
+
+def _table(rng, n_rows, n_cols, kinds=("int", "fraction", "float")):
+    rows = [[_scalar(rng, kinds) for _ in range(n_cols)] for _ in range(n_rows)]
+    if rng.random() < 0.3:
+        rows[rng.randrange(n_rows)] = [NEG] * n_cols
+    if rng.random() < 0.3:
+        j = rng.randrange(n_cols)
+        for r in rows:
+            r[j] = NEG
+    return tuple(tuple(r) for r in rows)
+
+
+def test_product_matches_semifield_reference():
+    rng = random.Random(41)
+    for _ in range(600):
+        r, k, c = (rng.randint(1, 8) for _ in range(3))
+        left, right = _table(rng, r, k), _table(rng, k, c)
+        a, b = Matrix(left), Matrix(right)
+        col = Vector(tuple(row[0] for row in right))
+        row = RowVector(left[0])
+        got = (a @ b, a @ col, row @ b, row @ col)
+        want = _ref_product(left, right)
+        want_col = _ref_product(left, tuple((x,) for x in col.entries))
+        assert repr(got[0]) == repr(Matrix(want))
+        assert repr(got[1]) == repr(Vector(tuple(w[0] for w in want_col)))
+        assert repr(got[2]) == repr(RowVector(want[0]))
+        assert repr(got[3]) == repr(want_col[0][0])
+
+
+def _star_case(rng):
+    """A random square matrix: half with cycle weights at most zero
+    (arcs under a potential, ties and zero-weight cycles common), half
+    free, which mostly has positive cycles."""
+    n = rng.randint(1, 7)
+    kinds = rng.choice((("int", "fraction"), ("float",)))
+    rows = _table(rng, n, n, kinds)
+    if rng.random() < 0.5:
+        pot = [rng.randint(-5, 5) for _ in range(n)]
+        rows = tuple(
+            tuple(
+                v if v == NEG else pot[j] - pot[i] - rng.choice((0, 0, abs(v)))
+                for j, v in enumerate(r)
+            )
+            for i, r in enumerate(rows)
+        )
+    sf = MAXPLUS if kinds != ("float",) else MaxPlus(eps=1e-9)
+    return Matrix(rows, sf), kinds != ("float",)
+
+
+def test_star_matches_literal_sum():
+    rng = random.Random(43)
+    positive = 0
+    for _ in range(1200):
+        a, exact = _star_case(rng)
+        got = a.star()
+        want = _ref_star(a)
+        if exact:
+            assert got.rows == want
+        else:
+            assert got == Matrix(want, a.sf)
+        if _has_positive_cycle(a):
+            positive += 1
+        else:
+            for i in range(a.n_rows):
+                d = got.rows[i][i]
+                assert d == a.sf.one and type(d) is type(a.sf.one)
+    assert 200 < positive < 1000
+
+
+def test_kernels_make_no_semifield_calls(monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for cls, name in ((MaxPlus, "add"), (Semifield, "mul"), (Semifield, "sum")):
+        monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
+    rng = random.Random(47)
+    pot = [rng.randint(-5, 5) for _ in range(6)]
+    a = Matrix(
+        tuple(
+            tuple(NEG if rng.random() < 0.3 else pot[j] - pot[i] - rng.randint(0, 3)
+                  for j in range(6))
+            for i in range(6)
+        )
+    )
+    b = Matrix(_table(rng, 6, 6, ("int", "fraction")))
+    x = Vector(tuple(rng.randint(-9, 9) for _ in range(6)))
+    y = x.conj()
+    assert not _has_positive_cycle(a)
+    calls.clear()
+    a @ b, a @ x, y @ a, y @ x, a.star()
+    assert calls == []

@@ -13,10 +13,12 @@ from tropt import (
     OptResult,
     Problem,
     ProblemKind,
+    ScheduleSpec,
     ShapeMismatch,
     SolutionSet,
     Vector,
     ZeroSpectralRadius,
+    build_problem,
     minimize_basic,
     minimize_box_constrained,
     minimize_extended,
@@ -25,6 +27,7 @@ from tropt import (
     minimize_linear_constrained,
     objective_value,
     solve_problem,
+    solve_schedule,
     verify_solution,
 )
 from tropt.errors import TroptError
@@ -423,6 +426,21 @@ def test_gate_order(prob, error, condition):
             assert err.value.condition == condition
 
 
+def test_scale_gate_skips_spectral_radius_when_r_is_finite(monkeypatch, general_problem):
+    # a finite r already decides the scale gate, so the only spectral
+    # radius a General solve computes is the kernel's theta
+    calls = []
+    radius = Matrix.spectral_radius
+
+    def counted(self):
+        calls.append(self.n_rows)
+        return radius(self)
+
+    monkeypatch.setattr(Matrix, "spectral_radius", counted)
+    solve_problem(general_problem)
+    assert calls == [general_problem.dim + 1]
+
+
 class TestParameterBox:
     def test_float_dust_is_absorbed(self):
         sf = MaxPlus(eps=1e-9)
@@ -436,3 +454,28 @@ class TestParameterBox:
         with pytest.raises(EmptyParameterBox) as err:
             _tighten_box(Vector((1.0, 2.0), sf), Vector((1.0, 1.5), sf))
         assert isinstance(err.value, TroptError)
+
+    def test_widening_warning_names_the_caller(self):
+        # float data near 1e8 whose upper parameter bound rounds to just
+        # below the lower one; every entry point reports the line here
+        sf = MaxPlus(eps=1e-9)
+        spec = ScheduleSpec(
+            start_finish=Matrix(
+                ((280000000.9101924, 420000000.9589238), (NEG, 420000000.1159132)), sf
+            ),
+            start_start=Matrix(((NEG, NEG), (NEG, NEG)), sf),
+            earliest_start=Vector((-279999999.58247805, 0.5736672878536785), sf),
+            latest_start=Vector((-139999999.22216937, 140000000.48389688), sf),
+            window_lower=Vector((420000000.3231373, -279999999.0496417), sf),
+            window_upper=Vector((420000000.38515985, 140000000.49170455), sf),
+        )
+        prob = build_problem(spec)
+        args = [getattr(prob, name) for name in ("A",) + _FIELDS[prob.kind]]
+        for solve in (
+            lambda: solve_schedule(spec),
+            lambda: solve_problem(prob),
+            lambda: minimize_general(*args),
+        ):
+            with pytest.warns(RuntimeWarning, match="parameter box widened") as record:
+                solve()
+            assert record[0].filename == __file__
