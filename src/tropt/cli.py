@@ -17,6 +17,7 @@ or degeneracy condition failed, 1 anything wrong with the input.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -58,6 +59,8 @@ def _read_text(path: str) -> str:
 def _mode(args) -> tuple[bool, MaxPlus]:
     epsilon = getattr(args, "epsilon", None)
     if epsilon is not None:
+        if not 0 <= epsilon < math.inf:
+            raise ValueError(f"--epsilon must be finite and at least 0, got {epsilon}")
         return False, MaxPlus(eps=epsilon)
     return not getattr(args, "approx", False), MAXPLUS
 
@@ -90,22 +93,22 @@ def _format_cell(value) -> str:
 
 
 def _schedule_summary(result) -> str:
+    """Text table of the schedule; each numeric column is at least ten
+    characters wide and one wider than its widest cell."""
     sf = result.initiation.sf
     names = result.activities
     width = max(8, max(len(n) for n in names) + 2)
+    columns = [
+        ["start"] + [_format_cell(v) for v in result.adjusted_start.entries],
+        ["finish"] + [_format_cell(v) for v in result.adjusted_finish.entries],
+        ["flow"] + [_format_cell(v) for v in result.flow_times],
+    ]
+    widths = [max(10, max(len(c) for c in col) + 1) for col in columns]
     lines = [f"largest flow time: {_format_cell(result.theta)}"]
-    header = (
-        f"{'activity':<{width}}{'start':>10}{'finish':>10}{'flow':>10}"
-    )
-    lines.append(header)
-    for i, name in enumerate(names):
-        flag = "  *" if sf.eq(result.flow_times[i], result.theta) else ""
-        lines.append(
-            f"{name:<{width}}"
-            f"{_format_cell(result.adjusted_start.entries[i]):>10}"
-            f"{_format_cell(result.adjusted_finish.entries[i]):>10}"
-            f"{_format_cell(result.flow_times[i]):>10}{flag}"
-        )
+    for i, name in enumerate(["activity"] + list(names)):
+        flag = "  *" if i and sf.eq(result.flow_times[i - 1], result.theta) else ""
+        cells = "".join(f"{col[i]:>{w}}" for col, w in zip(columns, widths))
+        lines.append(f"{name:<{width}}{cells}{flag}")
     lines.append("(* attains the largest flow time)")
     return "\n".join(lines)
 
@@ -181,7 +184,18 @@ def _cmd_star(args) -> int:
     return 0
 
 
-def _verify_window(problem: Problem, window: int, center: Optional[Vector]) -> GridSpec:
+def _parse_step(text: str) -> Fraction:
+    try:
+        step = Fraction(text)
+        if step > 0:
+            return step
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"--step must be a positive fraction such as 1/12, got {text!r}")
+
+
+def _verify_window(problem: Problem, window: int, center: Optional[Vector],
+                   step: Fraction) -> GridSpec:
     sf = problem.A.sf
     n = problem.dim
     if center is not None:
@@ -195,42 +209,33 @@ def _verify_window(problem: Problem, window: int, center: Optional[Vector]) -> G
                 low[i] = min(low[i], Fraction(problem.g.entries[i]))
             if problem.h is not None and not sf.is_zero(problem.h.entries[i]):
                 high[i] = max(high[i], Fraction(problem.h.entries[i]))
-    return GridSpec(
-        Vector(tuple(low), sf), Vector(tuple(high), sf), default_step(n)
-    )
+    return GridSpec(Vector(tuple(low), sf), Vector(tuple(high), sf), step)
 
 
 def _cmd_verify(args) -> int:
     data = serialize.loads(_read_text(args.problem), exact=True)
     problem = serialize.parse_problem(data, MAXPLUS, exact=True)
-    step = default_step(problem.dim)
-    if args.step is not None:
-        step = Fraction(args.step)
+    step = default_step(problem.dim) if args.step is None else _parse_step(args.step)
     try:
         closed = solve_problem(problem)
     except (NoRegularSolution, InfeasibleConstraints) as exc:
-        grid = _verify_window(problem, args.window, None)
-        if args.step is not None:
-            grid = GridSpec(grid.lower, grid.upper, step)
+        closed, infeasible = None, str(exc)
+    grid = _verify_window(
+        problem, args.window, None if closed is None else closed.canonical, step
+    )
+    if closed is None:
         try:
             grid_minimize(problem, grid)
+            found = True
         except NoFeasiblePoint:
-            doc = {
-                "closedForm": {"infeasible": str(exc)},
-                "grid": "noFeasiblePoint",
-                "agree": True,
-            }
-            _emit(doc, args)
-            return 2
+            found = False
         doc = {
-            "closedForm": {"infeasible": str(exc)},
-            "grid": "feasiblePointFound",
-            "agree": False,
+            "closedForm": {"infeasible": infeasible},
+            "grid": "feasiblePointFound" if found else "noFeasiblePoint",
+            "agree": not found,
         }
         _emit(doc, args)
-        return 1
-    grid = _verify_window(problem, args.window, closed.canonical)
-    grid = GridSpec(grid.lower, grid.upper, step)
+        return 1 if found else 2
     best, argmin = grid_minimize(problem, grid)
     sf = problem.A.sf
     minima_match = sf.eq(best, closed.minimum)
@@ -268,7 +273,7 @@ def _add_mode_flags(sub) -> None:
         "--epsilon",
         type=float,
         default=None,
-        help="comparison tolerance, implies --float (default 1e-9)",
+        help="comparison tolerance, finite and >= 0; implies --float (default 1e-9)",
     )
     sub.add_argument("--output", help="write the JSON result to a file")
 
@@ -323,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="half-width of the scan box around the canonical solution",
     )
     sub.add_argument(
-        "--step", default=None, help="grid step as a fraction, e.g. 1/12"
+        "--step", default=None, help="grid step, a positive fraction such as 1/12"
     )
     sub.add_argument("--output", help="write the JSON result to a file")
     sub.set_defaults(func=_cmd_verify)

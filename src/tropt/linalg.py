@@ -1,12 +1,12 @@
 """Matrices and vectors over the max-plus semifield.
 
 Objects are immutable; entries are raw scalars (int, Fraction, float)
-with the semifield's zero carried as a float -inf.  `+` is the
-idempotent addition applied entrywise and `@` is the max-plus product,
-computed by one inlined kernel over the finite entries.  `star` is one
-O(n^3) Floyd-Warshall pass.  Column vectors and row vectors are
-distinct types so that expressions read like the algebra they compute,
-e.g. ``h.conj() @ T @ g`` is a scalar.
+with the semifield's zero carried as a float -inf.  `+` is entrywise
+idempotent addition and `@` the max-plus product, one inlined kernel
+over the finite entries.  `star` is one O(n^3) Floyd-Warshall pass, and
+`trace_sum` reads Tr(A) = tr(A (x) A*) off it.  Column and row vectors
+share one core of entrywise operations but are distinct types, so that
+expressions read like the algebra: ``h.conj() @ T @ g`` is a scalar.
 
 All operands of a binary operation must share one semifield instance.
 """
@@ -221,13 +221,13 @@ class Matrix:
         return out
 
     def trace_sum(self) -> Scalar:
-        """tr A (+) tr A^2 (+) ... (+) tr A^n.
+        """Tr(A) = tr A (+) tr A^2 (+) ... (+) tr A^n = tr(A (x) A*).
 
-        At most one exactly when the weighted digraph of the matrix has
-        no cycle of positive total weight.
+        `star` is I (+) A (+) ... (+) A^(n-1) in value whether or not a
+        cycle is positive, so A A* is A (+) ... (+) A^n.  At most one
+        exactly when the weighted digraph has no cycle of positive weight.
         """
-        n = self._require_square()
-        return self.sf.sum(p.trace() for p in self.powers(n)[1:])
+        return (self @ self.star()).trace()
 
     def spectral_radius(self) -> Scalar:
         """Largest eigenvalue: (+) over k of tr(A^k)^(1/k).
@@ -306,22 +306,21 @@ class Matrix:
 
 
 @dataclass(frozen=True, eq=False)
-class Vector:
+class _Entries:
+    """What column and row vectors share: entrywise operations that
+    return the operand's own orientation.  The two orientations never
+    mix; `conj` is the only way from one to the other."""
+
     entries: tuple[Scalar, ...]
     sf: Semifield = MAXPLUS
+
+    _empty = "a vector needs at least one entry"
+    _all_zero = "conjugate of the all-zero vector"
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
         if not self.entries:
-            raise ShapeMismatch("a vector needs at least one entry")
-
-    @staticmethod
-    def zeros(n: int, sf: Semifield = MAXPLUS) -> "Vector":
-        return Vector((sf.zero,) * n, sf)
-
-    @staticmethod
-    def ones(n: int, sf: Semifield = MAXPLUS) -> "Vector":
-        return Vector((sf.one,) * n, sf)
+            raise ShapeMismatch(self._empty)
 
     @property
     def dim(self) -> int:
@@ -334,54 +333,55 @@ class Vector:
     def is_zero(self) -> bool:
         return all(self.sf.is_zero(v) for v in self.entries)
 
-    def conj(self) -> "RowVector":
-        """Conjugate transpose: the row with entrywise inverses, zero
-        entries staying zero.  Undefined on the all-zero vector."""
+    def conj(self):
+        """Conjugate transpose: the other orientation with entrywise
+        inverses, zero entries staying zero.  Undefined on the all-zero
+        vector."""
         if self.is_zero():
-            raise AllZeroVector("conjugate of the all-zero vector")
+            raise AllZeroVector(self._all_zero)
         sf = self.sf
-        return RowVector(
+        return self._transpose(
             tuple(sf.zero if sf.is_zero(v) else sf.inv(v) for v in self.entries), sf
         )
 
-    def __add__(self, other: "Vector") -> "Vector":
-        if not isinstance(other, Vector):
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
             return NotImplemented
         if self.dim != other.dim:
             raise ShapeMismatch(f"add dims {self.dim} and {other.dim}")
         sf = self.sf
-        return Vector(
+        return type(self)(
             tuple(sf.add(a, b) for a, b in zip(self.entries, other.entries)), sf
         )
 
-    def scale(self, c: Scalar) -> "Vector":
+    def scale(self, c: Scalar):
         sf = self.sf
-        return Vector(tuple(sf.mul(c, v) for v in self.entries), sf)
+        return type(self)(tuple(sf.mul(c, v) for v in self.entries), sf)
 
-    def __rmul__(self, c: Scalar) -> "Vector":
+    def __rmul__(self, c: Scalar):
         return self.scale(c)
 
-    def meet(self, other: "Vector") -> "Vector":
+    def meet(self, other):
         """Entrywise greatest lower bound."""
         if self.dim != other.dim:
             raise ShapeMismatch(f"meet dims {self.dim} and {other.dim}")
         sf = self.sf
-        return Vector(
+        return type(self)(
             tuple(sf.meet(a, b) for a, b in zip(self.entries, other.entries)), sf
         )
 
-    def leq(self, other: "Vector") -> bool:
+    def leq(self, other) -> bool:
         if self.dim != other.dim:
             raise ShapeMismatch("order on unequal dims")
         sf = self.sf
         return all(sf.leq(a, b) for a, b in zip(self.entries, other.entries))
 
-    def leq_tol(self, other: "Vector") -> bool:
+    def leq_tol(self, other) -> bool:
         sf = self.sf
         return all(sf.leq_tol(a, b) for a, b in zip(self.entries, other.entries))
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Vector):
+        if not isinstance(other, type(self)):
             return NotImplemented
         if self.dim != other.dim:
             return False
@@ -389,50 +389,27 @@ class Vector:
         return all(sf.eq(a, b) for a, b in zip(self.entries, other.entries))
 
     def __repr__(self) -> str:
-        return f"Vector({list(self.entries)!r})"
+        return f"{type(self).__name__}({list(self.entries)!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class RowVector:
-    entries: tuple[Scalar, ...]
-    sf: Semifield = MAXPLUS
+class Vector(_Entries):
+    """Column vector; `conj` gives a RowVector."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if not self.entries:
-            raise ShapeMismatch("a row vector needs at least one entry")
+    @staticmethod
+    def zeros(n: int, sf: Semifield = MAXPLUS) -> "Vector":
+        return Vector((sf.zero,) * n, sf)
 
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
+    @staticmethod
+    def ones(n: int, sf: Semifield = MAXPLUS) -> "Vector":
+        return Vector((sf.one,) * n, sf)
 
-    def is_regular(self) -> bool:
-        return all(not self.sf.is_zero(v) for v in self.entries)
 
-    def conj(self) -> Vector:
-        if all(self.sf.is_zero(v) for v in self.entries):
-            raise AllZeroVector("conjugate of the all-zero row")
-        sf = self.sf
-        return Vector(
-            tuple(sf.zero if sf.is_zero(v) else sf.inv(v) for v in self.entries), sf
-        )
+class RowVector(_Entries):
+    """Row vector; `conj` gives a Vector.  Not a Vector, so that
+    `Matrix @ RowVector` is a type error."""
 
-    def __add__(self, other: "RowVector") -> "RowVector":
-        if not isinstance(other, RowVector):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise ShapeMismatch(f"add dims {self.dim} and {other.dim}")
-        sf = self.sf
-        return RowVector(
-            tuple(sf.add(a, b) for a, b in zip(self.entries, other.entries)), sf
-        )
-
-    def scale(self, c: Scalar) -> "RowVector":
-        sf = self.sf
-        return RowVector(tuple(sf.mul(c, v) for v in self.entries), sf)
-
-    def __rmul__(self, c: Scalar) -> "RowVector":
-        return self.scale(c)
+    _empty = "a row vector needs at least one entry"
+    _all_zero = "conjugate of the all-zero row"
 
     def __matmul__(self, other: Union[Matrix, Vector]) -> Union["RowVector", Scalar]:
         """Max-plus product with a column (a scalar) or a matrix."""
@@ -449,16 +426,8 @@ class RowVector:
             return RowVector(_product((self.entries,), other.rows, sf.zero)[0], sf)
         return NotImplemented
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RowVector):
-            return NotImplemented
-        if self.dim != other.dim:
-            return False
-        sf = self.sf
-        return all(sf.eq(a, b) for a, b in zip(self.entries, other.entries))
 
-    def __repr__(self) -> str:
-        return f"RowVector({list(self.entries)!r})"
+Vector._transpose, RowVector._transpose = RowVector, Vector
 
 
 def outer(col: Vector, row: RowVector) -> Matrix:

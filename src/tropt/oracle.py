@@ -539,12 +539,9 @@ def random_trace_bounded(
     all-zero matrix after `cap` failures (degenerate but valid)."""
     for _ in range(cap):
         m = random_matrix(rng, n, zero_p=zero_p, sf=sf)
-        power = m
-        for _ in range(n):  # the trace sum, stopped at the first trace above one
-            if not sf.leq(power.trace(), sf.one):
-                break
-            power = power @ m
-        else:
+        # tr A <= Tr A: a positive diagonal rejects most draws before
+        # the star is built
+        if sf.leq(m.trace(), sf.one) and sf.leq(m.trace_sum(), sf.one):
             return m
     return Matrix.zeros(n, n, sf)
 

@@ -89,6 +89,8 @@ class Semifield:
     def inv(self, x: Scalar) -> Scalar:
         if x == self.zero:
             raise InversionOfZero("inverse of the zero element")
+        if x == float("inf"):
+            raise ValueError("float overflow: a result is +inf")
         return -x
 
     def power(self, x: Scalar, r: Scalar) -> Scalar:

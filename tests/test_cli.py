@@ -106,6 +106,35 @@ class TestSchedule:
         assert out == ""
         assert "activity names must be distinct" in err
 
+    def test_summary_columns_stay_apart(self, capsys, tmp_path):
+        # float values near 1e8 are wider than the ten-character minimum
+        f = tmp_path / "wide.json"
+        f.write_text(
+            json.dumps(
+                {
+                    "activities": ["a1", "a2"],
+                    "startFinish": [[400000000.25, 100000000.5], [None, 300000000.125]],
+                    "startStart": [[None, -100000000.75], [None, None]],
+                    "earliestStart": [0.5, 100000000.25],
+                    "latestStart": [200000000.5, 300000000.75],
+                    "windowLower": [300000000.5, 200000000.25],
+                    "windowUpper": [500000000.5, 400000000.25],
+                }
+            )
+        )
+        code, doc, err = run_json(capsys, "schedule", str(f), "--float")
+        assert code == 0
+        rows = [line.split() for line in err.splitlines() if line.startswith("a")]
+        assert [r[0] for r in rows] == ["activity", "a1", "a2"]
+        for i, cells in enumerate(rows[1:]):
+            assert cells[4:] in ([], ["*"])
+            assert [float(c) for c in cells[1:4]] == [
+                doc["adjustedStart"][i],
+                doc["adjustedFinish"][i],
+                doc["flowTimes"][i],
+            ]
+        assert any(len(c) >= 10 for r in rows[1:] for c in r[1:4])
+
     def test_output_file(self, capsys, fixtures_dir, tmp_path):
         target = tmp_path / "result.json"
         code, out, _ = run(
@@ -208,6 +237,57 @@ class TestSolve:
         assert code == 1
         assert out == ""
         assert err.startswith("error: float overflow")
+
+    def test_float_overflow_inside_a_solve_is_named(self, capsys, tmp_path):
+        # the data is finite; +inf first appears inside the solve
+        big = tmp_path / "overflow.json"
+        big.write_text(
+            json.dumps(
+                {
+                    "kind": "ExtendedUnconstrained",
+                    "A": [[1e308, -1e308], [1e308, 0]],
+                    "p": [1e308, 1e308],
+                    "q": [-1e308, 1e308],
+                    "r": 1e308,
+                }
+            )
+        )
+        code, out, err = run(capsys, "solve", str(big), "--float")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: float overflow") and "Traceback" not in err
+        code, doc, _ = run_json(capsys, "solve", str(big))
+        assert code == 0
+        assert doc["minimum"] == 10**308
+
+    def test_infinite_epsilon_is_rejected(self, capsys, tmp_path):
+        # Tr(B) = 1 > 0: infeasible, which an infinite tolerance would hide
+        f = tmp_path / "infeasible.json"
+        f.write_text(
+            json.dumps(
+                {
+                    "kind": "LinearConstrained",
+                    "A": [[1, 0], [0, 1]],
+                    "B": [[1, None], [None, 0]],
+                    "g": [0, 0],
+                }
+            )
+        )
+        assert run(capsys, "solve", str(f))[0] == 2
+        code, out, err = run(capsys, "solve", str(f), "--epsilon", "inf")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --epsilon must be finite")
+
+    @pytest.mark.parametrize("epsilon", ["nan", "-1e-9"])
+    def test_epsilon_out_of_range_is_rejected(self, capsys, fixtures_dir, epsilon):
+        code, out, err = run(
+            capsys, "solve", str(fixtures_dir / "general_problem.json"),
+            f"--epsilon={epsilon}",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --epsilon must be finite and at least 0")
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", str(tmp_path / "absent.json"))
@@ -328,6 +408,16 @@ class TestVerify:
         )
         assert code == 0
         assert doc["agree"] is True
+
+    @pytest.mark.parametrize("step", ["1/0", "0", "-1/2", "half"])
+    def test_step_must_be_a_positive_fraction(self, capsys, fixtures_dir, step):
+        code, out, err = run(
+            capsys, "verify", str(fixtures_dir / "general_problem.json"),
+            f"--step={step}",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --step must be a positive fraction")
 
     def test_infeasible_dichotomy(self, capsys, tmp_path):
         f = tmp_path / "empty_box.json"

@@ -350,11 +350,11 @@ def test_product_matches_semifield_reference():
         assert repr(got[3]) == repr(want_col[0][0])
 
 
-def _star_case(rng):
-    """A random square matrix: half with cycle weights at most zero
-    (arcs under a potential, ties and zero-weight cycles common), half
-    free, which mostly has positive cycles."""
-    n = rng.randint(1, 7)
+def _star_case(rng, top=7):
+    """A random square matrix of order 1..top: half with cycle weights
+    at most zero (arcs under a potential, ties and zero-weight cycles
+    common), half free, which mostly has positive cycles."""
+    n = rng.randint(1, top)
     kinds = rng.choice((("int", "fraction"), ("float",)))
     rows = _table(rng, n, n, kinds)
     if rng.random() < 0.5:
@@ -388,6 +388,57 @@ def test_star_matches_literal_sum():
                 d = got.rows[i][i]
                 assert d == a.sf.one and type(d) is type(a.sf.one)
     assert 200 < positive < 1000
+
+
+def _ref_trace_sum(a: Matrix):
+    """tr A (+) tr A^2 (+) ... (+) tr A^n from the definition."""
+    sf, n = a.sf, a.n_rows
+    acc, power = sf.zero, a.rows
+    for _ in range(n):
+        acc = sf.add(acc, sf.sum(power[i][i] for i in range(n)))
+        power = _ref_product(power, a.rows, sf)
+    return acc
+
+
+def test_trace_sum_matches_power_traces():
+    rng = random.Random(53)
+    positive = 0
+    for _ in range(1200):
+        a, exact = _star_case(rng, top=8)
+        got, want = a.trace_sum(), _ref_trace_sum(a)
+        if exact:
+            assert got == want
+        else:
+            assert a.sf.eq(got, want)
+        positive += _has_positive_cycle(a)
+    assert positive >= 200
+
+
+def test_vector_orientations_stay_apart(a):
+    col, row = Vector((1,)), RowVector((1,))
+    assert (col == row) is False and (row == col) is False
+    with pytest.raises(TypeError):
+        col + row
+    with pytest.raises(TypeError):
+        row + col
+    with pytest.raises(TypeError):
+        a @ RowVector((0, 0, 0))
+    x = Vector((3, NEG, Fraction(1, 2)))
+    assert type(x.conj()) is RowVector
+    assert type(x.conj().conj()) is Vector
+    assert type(x.conj().conj().conj()) is RowVector
+    assert repr(x) == "Vector([3, -inf, Fraction(1, 2)])"
+    assert repr(x.conj()) == "RowVector([-3, -inf, Fraction(-1, 2)])"
+    for cls, empty, all_zero in (
+        (Vector, "a vector needs at least one entry", "conjugate of the all-zero vector"),
+        (RowVector, "a row vector needs at least one entry", "conjugate of the all-zero row"),
+    ):
+        with pytest.raises(ShapeMismatch) as err:
+            cls(())
+        assert str(err.value) == empty
+        with pytest.raises(AllZeroVector) as err:
+            cls((NEG, NEG)).conj()
+        assert str(err.value) == all_zero
 
 
 def test_kernels_make_no_semifield_calls(monkeypatch):

@@ -40,6 +40,12 @@ class TestMaxPlus:
         with pytest.raises(InversionOfZero):
             MAXPLUS.inv(NEG)
 
+    def test_inv_of_overflow_is_named(self):
+        # +inf is no element of the carrier: it only arises from a float
+        # overflow, and inverting it would hide that as the zero element
+        with pytest.raises(ValueError, match="float overflow"):
+            MAXPLUS.inv(float("inf"))
+
     def test_power_scales(self):
         assert MAXPLUS.power(6, Fraction(1, 2)) == 3
         assert MAXPLUS.power(6, 2) == 12
