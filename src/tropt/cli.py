@@ -176,9 +176,10 @@ def _cmd_star(args) -> int:
     exact, sf = _mode(args)
     data = serialize.loads(_read_text(args.matrix), exact)
     a = serialize.parse_matrix(_matrix_payload(data), sf, exact)
+    star = a.star()
     doc = {
-        "star": serialize.encode_matrix(a.star()),
-        "traceSum": serialize.encode_scalar(a.trace_sum()),
+        "star": serialize.encode_matrix(star),
+        "traceSum": serialize.encode_scalar((a @ star).trace()),
     }
     _emit(doc, args)
     return 0
@@ -278,8 +279,18 @@ def _add_mode_flags(sub) -> None:
     sub.add_argument("--output", help="write the JSON result to a file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the code for bad input, not argparse's 2,
+    which this CLI keeps for infeasible instances.  Subparsers share
+    the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tropt",
         description="closed-form tropical optimization and scheduling",
     )

@@ -143,13 +143,13 @@ class Matrix:
             raise ShapeMismatch(
                 f"add {self.n_rows}x{self.n_cols} with {other.n_rows}x{other.n_cols}"
             )
-        sf = self.sf
+        # `MaxPlus.add` inlined: the left operand wins ties
         return Matrix(
             tuple(
-                tuple(sf.add(a, b) for a, b in zip(ra, rb))
+                tuple(x if y <= x else y for x, y in zip(ra, rb))
                 for ra, rb in zip(self.rows, other.rows)
             ),
-            sf,
+            self.sf,
         )
 
     def __matmul__(self, other: Union["Matrix", "Vector"]) -> Union["Matrix", "Vector"]:
@@ -253,7 +253,8 @@ class Matrix:
         they are the heaviest path weights, which is the truncated sum
         off the diagonal, and the diagonal is one.  A diagonal entry
         above one marks a positive cycle, where walks outgrow the
-        truncation, and the literal truncated sum is returned instead.
+        truncation, and the truncated sum is returned instead as
+        (I (+) A)^(n-1), equal to it by idempotency.
         """
         n = self._require_square()
         sf = self.sf
@@ -269,11 +270,7 @@ class Matrix:
                         if s > di[j]:
                             di[j] = s
         if any(d[i][i] > sf.one for i in range(n)):
-            eye = Matrix.identity(n, sf)
-            acc = eye
-            for _ in range(n - 1):
-                acc = eye + (self @ acc)
-            return acc
+            return (Matrix.identity(n, sf) + self).power(n - 1)
         for i in range(n):
             d[i][i] = sf.one
         return Matrix(tuple(tuple(r) for r in d), sf)
@@ -349,9 +346,9 @@ class _Entries:
             return NotImplemented
         if self.dim != other.dim:
             raise ShapeMismatch(f"add dims {self.dim} and {other.dim}")
-        sf = self.sf
         return type(self)(
-            tuple(sf.add(a, b) for a, b in zip(self.entries, other.entries)), sf
+            tuple(x if y <= x else y for x, y in zip(self.entries, other.entries)),
+            self.sf,
         )
 
     def scale(self, c: Scalar):
@@ -450,6 +447,10 @@ def outer(col: Vector, row: RowVector) -> Matrix:
 #
 # so that Tr(cA (+) B) collects tr of chains and (cA (+) B)* collects
 # closures by the power of c.  chain 0 = I, closure 0 = B*.
+#
+# Closure k is the coefficient of c^k in (I (+) B (+) cA)^(n-1): a word
+# of n-1 letters from {I, B, A} with k A's is, once its I's are dropped,
+# exactly one closure term.  Chain k+1 = A (closure k), one A in front.
 
 
 def _check_pair(a: Matrix, b: Matrix) -> int:
@@ -459,46 +460,28 @@ def _check_pair(a: Matrix, b: Matrix) -> int:
     return n
 
 
-def _chain_table(a: Matrix, b: Matrix) -> list[list[Matrix]]:
-    """table[k][m] = (+) over i1+...+ik <= m of A B^i1 ... A B^ik,
-    for k = 0..n with budgets m = 0..n-k."""
-    n = _check_pair(a, b)
-    bpow = b.powers(max(n - 1, 0))
-    prod = [a @ bp for bp in bpow]
-    eye = Matrix.identity(n, a.sf)
-    table: list[list[Matrix]] = [[eye for _ in range(n + 1)]]
-    for k in range(1, n + 1):
-        level = []
-        for m in range(n - k + 1):
-            acc = Matrix.zeros(n, n, a.sf)
-            for j in range(m + 1):
-                acc = acc + (table[k - 1][m - j] @ prod[j])
-            level.append(acc)
-        table.append(level)
-    return table
-
-
 def chain_sums(a: Matrix, b: Matrix) -> list[Matrix]:
     """Full-budget chains: entry k holds the k-chain family member with
-    budget n-k.  Entry 0 is I; entry n is A^n; with b the zero matrix
-    entry k is A^k."""
-    n = _check_pair(a, b)
-    table = _chain_table(a, b)
-    return [table[k][n - k] for k in range(n + 1)]
+    budget n-k, read off the closures as A (closure k-1).  Entry 0 is I;
+    entry n is A^n; with b the zero matrix entry k is A^k."""
+    return [Matrix.identity(a.n_rows, a.sf)] + [a @ t for t in closure_sums(a, b)]
 
 
 def closure_sums(a: Matrix, b: Matrix) -> list[Matrix]:
     """Closure family: entry k (k = 0..n-1) is the budget n-k-1 sum of
-    B^i0 (k-chain).  Entry 0 is B*."""
+    B^i0 (k-chain), the coefficient of c^k in (I (+) B (+) cA)^(n-1).
+    Each of the n-1 factors maps the coefficients T_k to
+    T_k (I (+) B) (+) T_(k-1) A.  Entry 0 is B*."""
     n = _check_pair(a, b)
-    table = _chain_table(a, b)
-    bpow = b.powers(max(n - 1, 0))
-    out = []
-    for k in range(n):
-        acc = Matrix.zeros(n, n, a.sf)
-        for i0 in range(n - k):
-            acc = acc + (bpow[i0] @ table[k][n - k - 1 - i0])
-        out.append(acc)
+    eye = Matrix.identity(n, a.sf)
+    step = eye + b
+    out = [eye]
+    for _ in range(n - 1):
+        out = (
+            [out[0] @ step]
+            + [t @ step + prev @ a for prev, t in zip(out, out[1:])]
+            + [out[-1] @ a]
+        )
     return out
 
 

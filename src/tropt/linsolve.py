@@ -136,9 +136,10 @@ def solve_fixpoint_lower(a: Matrix, b: Vector) -> SolutionSet:
     if b.dim != n:
         raise ShapeMismatch(f"lower bound dim {b.dim} against order {n}")
     sf = a.sf
-    if not sf.leq_tol(a.trace_sum(), sf.one):
+    star = a.star()
+    if not sf.leq_tol((a @ star).trace(), sf.one):
         raise NoRegularSolution("Tr(A) <= 1")
-    return SolutionSet(generator=a.star(), lower=b)
+    return SolutionSet(generator=star, lower=b)
 
 
 def solve_combined(a: Matrix, b: Vector, d: Vector) -> SolutionSet:
@@ -154,7 +155,7 @@ def solve_combined(a: Matrix, b: Vector, d: Vector) -> SolutionSet:
         raise NotRegularVector("upper bound must be regular")
     sf = a.sf
     star = a.star()
-    delta = sf.add(a.trace_sum(), d.conj() @ star @ b)
+    delta = sf.add((a @ star).trace(), d.conj() @ star @ b)
     if not sf.leq_tol(delta, sf.one):
         raise NoRegularSolution("Tr(A) (+) d^- A* b <= 1")
     return SolutionSet(generator=star, lower=b, upper=(d.conj() @ star).conj())

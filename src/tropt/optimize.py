@@ -234,10 +234,12 @@ def solve_problem(problem: Problem) -> OptResult:
     for name, vec in (("q", q), ("h", h)):
         if vec is not None and not vec.is_regular():
             raise NotRegularVector(f"{name} must be regular")
-    if b is not None and not sf.leq_tol(b.trace_sum(), sf.one):
+    # one B* serves both gates: Tr(B) = tr(B B*)
+    bstar = None if b is None else b.star()
+    if b is not None and not sf.leq_tol((b @ bstar).trace(), sf.one):
         raise InfeasibleConstraints("Tr(B) <= 1")
     if g is not None and h is not None:
-        row = h.conj() if b is None else h.conj() @ b.star()
+        row = h.conj() if b is None else h.conj() @ bstar
         if not sf.leq_tol(row @ g, sf.one):
             raise InfeasibleConstraints("h^- g <= 1" if b is None else "h^- B* g <= 1")
     if problem.kind in _NEEDS_CYCLE and sf.is_zero(a.spectral_radius()):

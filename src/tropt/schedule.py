@@ -30,7 +30,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InfeasibleConstraints, InfeasibleSchedule, SpecValidation
-from .linalg import Matrix, RowVector, Vector, chain_sums, closure_sums
+# chain_sums stays a name of this module, where tracers that patch names
+# where they are looked up find it; the ledger reads chains off closures
+from .linalg import Matrix, RowVector, Vector, chain_sums, closure_sums  # noqa: F401
 from .linsolve import SolutionSet
 from .optimize import Problem, ProblemKind, solve_problem
 from .semifield import Scalar
@@ -165,39 +167,35 @@ def _ledger(spec: ScheduleSpec, result: ScheduleResult) -> dict:
     qc, hc = q.conj(), h.conj()
 
     bstar = b.star()
-    chains = chain_sums(a, b)
     closures = closure_sums(a, b)
+    chains = [Matrix.identity(n, sf)] + [a @ t for t in closures]
     inter: dict = {
-        "A_pow": {str(k): a.power(k) for k in range(2, n + 1)},
-        "B_pow": {str(k): b.power(k) for k in range(2, n + 1)},
+        "A_pow": {str(k): m for k, m in enumerate(a.powers(n)) if k >= 2},
+        "B_pow": {str(k): m for k, m in enumerate(b.powers(n)) if k >= 2},
         "B_star": bstar,
-        "trace_sum_B": b.trace_sum(),
+        "trace_sum_B": (b @ bstar).trace(),
         "h_Bstar_g": hc @ bstar @ g,
-        "chain_sums": list(chains),
-        "closure_sums": list(closures),
+        "chain_sums": chains,
+        "closure_sums": closures,
     }
 
-    trace_roots = sf.sum(
-        sf.power(chains[k].trace(), Fraction(1, k)) for k in range(1, n + 1)
-    )
+    def roots(terms: dict, shift: int) -> Scalar:
+        """(+) over the keyed terms v_k of v_k^(1/(k+shift))."""
+        return sf.sum(
+            sf.power(v, Fraction(1, int(k) + shift)) for k, v in terms.items()
+        )
+
+    traces = {str(k): chains[k].trace() for k in range(1, n + 1)}
     h_closure_g = {str(k): hc @ closures[k] @ g for k in range(1, n)}
     q_chain_g = {str(k): qc @ chains[k] @ g for k in range(1, n + 1)}
     h_closure_p = {str(k): hc @ closures[k] @ p for k in range(n)}
     q_chain_p = {str(k): qc @ chains[k] @ p for k in range(n + 1)}
     sums = {
-        "sum_trace_roots": trace_roots,
-        "sum_h_closure_g": sf.sum(
-            sf.power(v, Fraction(1, int(k))) for k, v in h_closure_g.items()
-        ),
-        "sum_q_chain_g": sf.sum(
-            sf.power(v, Fraction(1, int(k))) for k, v in q_chain_g.items()
-        ),
-        "sum_h_closure_p": sf.sum(
-            sf.power(v, Fraction(1, int(k) + 1)) for k, v in h_closure_p.items()
-        ),
-        "sum_q_chain_p": sf.sum(
-            sf.power(v, Fraction(1, int(k) + 1)) for k, v in q_chain_p.items()
-        ),
+        "sum_trace_roots": roots(traces, 0),
+        "sum_h_closure_g": roots(h_closure_g, 0),
+        "sum_q_chain_g": roots(q_chain_g, 0),
+        "sum_h_closure_p": roots(h_closure_p, 1),
+        "sum_q_chain_p": roots(q_chain_p, 1),
     }
     scaled = a.scale(sf.inv(result.theta)) + b
     inter.update(
@@ -208,7 +206,9 @@ def _ledger(spec: ScheduleSpec, result: ScheduleResult) -> dict:
         **sums,
         theta=sf.sum(sums.values()),
         scaled_sum=scaled,
-        scaled_sum_pow={str(k): scaled.power(k) for k in range(2, n)},
+        scaled_sum_pow={
+            str(k): m for k, m in enumerate(scaled.powers(n - 1)) if k >= 2
+        },
         generator=result.solutions.generator,
         lower_u=result.solutions.lower,
         upper_u=result.solutions.upper,

@@ -448,3 +448,20 @@ class TestParser:
     def test_mode_flags_conflict(self, capsys):
         with pytest.raises(SystemExit):
             main(["solve", "x.json", "--exact", "--float"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "general_problem.json", "--epsilon", "-1e-9"],
+            [],
+            ["solve", "general_problem.json", "--exact", "--float"],
+        ],
+        ids=["separated-negative-epsilon", "no-subcommand", "exact-and-float"],
+    )
+    def test_usage_errors_exit_1(self, capsys, fixtures_dir, argv):
+        argv = [str(fixtures_dir / a) if a.endswith(".json") else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tropt") and "error:" in err

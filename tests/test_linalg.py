@@ -21,6 +21,7 @@ from tropt import (
     closure_sums,
     outer,
 )
+from tropt import oracle
 from tropt.oracle import max_cycle_mean, random_matrix
 from tropt.semifield import MAXPLUS, MaxPlus, Semifield
 
@@ -414,6 +415,43 @@ def test_trace_sum_matches_power_traces():
     assert positive >= 200
 
 
+def _family_pair(rng):
+    """(A, B) of one order 1..5, int and Fraction entries about 35%
+    zero; a tenth of the draws have B, a tenth A, all zero."""
+    n = rng.randint(1, 5)
+
+    def entry():
+        if rng.random() < 0.35:
+            return NEG
+        if rng.random() < 0.5:
+            return rng.randint(-6, 6)
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 5))
+
+    def draw():
+        return Matrix(tuple(tuple(entry() for _ in range(n)) for _ in range(n)))
+
+    a, b = draw(), draw()
+    roll = rng.random()
+    if roll < 0.1:
+        b = Matrix.zeros(n, n)
+    elif roll < 0.2:
+        a = Matrix.zeros(n, n)
+    return a, b
+
+
+def test_families_match_word_enumeration():
+    rng = random.Random(59)
+    for draw in range(520):
+        a, b = _family_pair(rng)
+        n = a.n_rows
+        chains, closures = chain_sums(a, b), closure_sums(a, b)
+        assert len(chains) == n + 1 and len(closures) == n
+        for k in range(n + 1):
+            assert chains[k].rows == oracle.enum_chain_sum(a, b, k).rows, (draw, k)
+        for k in range(n):
+            assert closures[k].rows == oracle.enum_closure_sum(a, b, k).rows, (draw, k)
+
+
 def test_vector_orientations_stay_apart(a):
     col, row = Vector((1,)), RowVector((1,))
     assert (col == row) is False and (row == col) is False
@@ -465,7 +503,8 @@ def test_kernels_make_no_semifield_calls(monkeypatch):
     b = Matrix(_table(rng, 6, 6, ("int", "fraction")))
     x = Vector(tuple(rng.randint(-9, 9) for _ in range(6)))
     y = x.conj()
+    z = Vector(tuple(rng.randint(-9, 9) for _ in range(6)))
     assert not _has_positive_cycle(a)
     calls.clear()
-    a @ b, a @ x, y @ a, y @ x, a.star()
+    a @ b, a @ x, y @ a, y @ x, a.star(), a + b, x + z
     assert calls == []
