@@ -2,8 +2,8 @@
 
 Everything here re-derives values the solvers produce in closed form:
 
-  grid_minimize            dense lattice scan of a span problem
-  grid_minimize_schedule   dense lattice scan of the literal flow times
+  grid_minimize            lattice scan of a span problem
+  grid_minimize_schedule   lattice scan of the literal flow times
   max_cycle_mean           spectral radius by simple-cycle enumeration
   critical_nodes           nodes on cycles attaining the maximum mean
   enum_chain_sum           chain family by literal composition listing
@@ -11,12 +11,20 @@ Everything here re-derives values the solvers produce in closed form:
   enum_cumulative_sum      power-sum expansion of (A (+) B) likewise
   enum_cumulative_trace    its trace twin
 
-The oracles run exact arithmetic only (int / Fraction inputs).  Grid
-scans multiply all data by the lcm of the denominators so every
-evaluation is plain integer max/+, with None standing in for the
-tropical zero in converted data.  None of this code calls the solver
-path: products, objectives and feasibility tests are re-implemented on
-raw lists.
+The oracles run exact arithmetic only (int / Fraction inputs), with
+None standing in for the tropical zero in converted data.  Grid scans
+multiply all data by the lcm of the denominators so every evaluation
+is plain integer max/+.  Both scanned objectives are maxima of
+difference terms c + x_j - x_i, and B x <= x is a set of such terms
+that must stay <= 0; a zero entry makes no term, so no zero takes part
+in any sum.  The scan is incremental: it cuts each axis to the bounds
+g <= x <= h it checks, then walks the prefixes x_0 .. x_(n-2) in
+lexicographic order, settling every term once per prefix, so each
+point of the inner loop over x_(n-1) costs O(1).  It visits the
+feasible points in the order of the full lattice and keeps the first
+strict minimum.  The point budget counts the uncut grid.  None of this
+code calls the solver path: products, objectives and feasibility tests
+are re-implemented on raw lists.
 """
 
 from __future__ import annotations
@@ -28,14 +36,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import GridTooLarge, NoFeasiblePoint, TooLarge
+from .errors import GridTooLarge, NoFeasiblePoint, NotRegularVector, TooLarge
 from .linalg import Matrix, Vector
 from .optimize import _FIELDS, Problem, ProblemKind
 from .schedule import ScheduleSpec
 from .semifield import MAXPLUS, Scalar, Semifield
 
 POINT_BUDGET = 10**7
-_SENTINEL = -(10**15)
 
 
 def default_step(n: int) -> Fraction:
@@ -99,53 +106,149 @@ def _denoms(*structures) -> int:
     return out
 
 
-def _scale_mat(m, scale: int):
-    if m is None:
-        return None
-    return [
-        [_SENTINEL if v is None else int(v * scale) for v in row] for row in m
-    ]
-
-
 def _scale_vec(v, scale: int):
     if v is None:
         return None
-    return [_SENTINEL if x is None else int(x * scale) for x in v]
+    return [None if x is None else int(x * scale) for x in v]
 
 
-def _axes(grid: GridSpec, scale: int) -> list[range]:
+def _terms(m, scale: int) -> list[tuple[int, int, int]]:
+    """(m_ij, j, i), scaled, for each finite entry of m: the difference
+    term m_ij + x_j - x_i.  A zero entry makes no term."""
+    if m is None:
+        return []
+    return [
+        (int(v * scale), j, i)
+        for i, row in enumerate(m)
+        for j, v in enumerate(row)
+        if v is not None
+    ]
+
+
+def _clip(axis: range, lo: Optional[int], hi: Optional[int]) -> range:
+    """The points of a lattice axis inside [lo, hi]; None leaves a side
+    open."""
+    first = 0 if lo is None else max(0, -((axis.start - lo) // axis.step))
+    stop = len(axis) if hi is None else max(0, (hi - axis.start) // axis.step + 1)
+    return axis[first:stop]
+
+
+def _lattice(grid: GridSpec, g, h, *data) -> tuple[int, list[range]]:
+    """The lcm of the denominators of the grid and the data, and the
+    grid's axes at that scale cut to g <= x <= h.  The point budget
+    counts the uncut grid.  A zero g_i bounds nothing; a zero h_i,
+    x_i <= -inf, admits no point."""
+    corners = [Fraction(v) for v in grid.lower.entries + grid.upper.entries]
+    scale = _denoms(grid.step, corners, g, h, *data)
     step = int(grid.step * scale)
+    lower, upper = _scale_vec(g, scale), _scale_vec(h, scale)
     axes = []
     total = 1
-    for lo, up in zip(grid.lower.entries, grid.upper.entries):
+    for i, (lo, up) in enumerate(zip(grid.lower.entries, grid.upper.entries)):
         lo_i = int(Fraction(lo) * scale)
         up_i = int(Fraction(up) * scale)
-        axes.append(range(lo_i, up_i + 1, step))
         total *= (up_i - lo_i) // step + 1
         if total > POINT_BUDGET:
             raise GridTooLarge(f"grid exceeds {POINT_BUDGET} points")
-    return axes
+        axis = range(lo_i, up_i + 1, step)
+        hi = None if upper is None else upper[i]
+        if upper is not None and hi is None:
+            axis = axis[:0]
+        axes.append(_clip(axis, None if lower is None else lower[i], hi))
+    return scale, axes
 
 
-def _span(a_rows, xs, n: int) -> int:
-    """max over i of ((A x)_i - x_i), integer data with sentinels."""
-    best = _SENTINEL
-    for i in range(n):
-        row = a_rows[i]
-        m = max(row[j] + xs[j] for j in range(n)) - xs[i]
-        if m > best:
-            best = m
-    return best
+def _split(terms, last: int):
+    """Terms (c, j, i) by their slope in x_last: constant ones as they
+    are, rising ones (j = last) as (c, i), falling ones as (c, j)."""
+    fixed, rising, falling = [], [], []
+    for c, j, i in terms:
+        if j == i or last not in (j, i):
+            fixed.append((c, j, i))
+        elif j == last:
+            rising.append((c, i))
+        else:
+            falling.append((c, j))
+    return fixed, rising, falling
 
 
-def grid_minimize(problem: Problem, grid: GridSpec) -> tuple[Fraction, Vector]:
+def _scan(axes: list[range], objective, constraints) -> tuple[int, tuple[int, ...]]:
+    """First strict minimum, in lexicographic order, of the largest
+    objective term over the lattice points where every constraint term
+    is <= 0.  Terms are (c, j, i) for c + x_j - x_i, index n standing
+    for no variable.  Returns (minimum, argmin), scaled.
+
+    The outer loop runs over the prefixes x_0 .. x_(n-2).  Each term is
+    constant in the last coordinate t, rises with it (j = n-1) or falls
+    with it (i = n-1).  So a prefix costs one pass over the terms, which
+    leaves the objective max(const, rise + t, fall - t) and the
+    constraints a floor and a cap on t, and each point of the inner
+    loop costs O(1).  A constant constraint term above 0 drops the
+    whole prefix: no t can mend it.
+    """
+    last = len(axes) - 1
+    fixed, rising, falling = _split(objective, last)
+    c_fixed, c_rising, c_falling = _split(constraints, last)
+    best: Optional[int] = None
+    arg: Optional[tuple[int, ...]] = None
+    for prefix in itertools.product(*axes[:last]):
+        # x[last] cancels in every constant term; x[n] is no variable
+        x = prefix + (0, 0)
+        if any(c + x[j] - x[i] > 0 for c, j, i in c_fixed):
+            continue
+        inner = _clip(
+            axes[last],
+            max((c + x[j] for c, j in c_falling), default=None),
+            min((x[i] - c for c, i in c_rising), default=None),
+        )
+        if not inner:
+            continue
+        const = max((c + x[j] - x[i] for c, j, i in fixed), default=None)
+        rise = max((c - x[i] for c, i in rising), default=None)
+        fall = max((c + x[j] for c, j in falling), default=None)
+        # Stand-ins that change no value on [lo, hi]: a slope term is at
+        # least its value at one end, and a missing slope term may be one
+        # that never exceeds the constant there.
+        lo, hi = inner[0], inner[-1]
+        if const is None:
+            const = rise + lo if rise is not None else fall - hi
+        if rise is None:
+            rise = const - hi
+        if fall is None:
+            fall = const + lo
+        for t in inner:
+            value = rise + t
+            down = fall - t
+            if down > value:
+                value = down
+            if const > value:
+                value = const
+            if best is None or value < best:
+                best = value
+                arg = prefix + (t,)
+    if best is None:
+        raise NoFeasiblePoint("no grid point satisfies the constraints")
+    return best, arg
+
+
+def grid_minimize(problem: Problem, grid: GridSpec) -> tuple[Scalar, Vector]:
     """Exhaustive minimum of the problem objective over the lattice of
-    grid points satisfying the problem's constraints."""
+    grid points satisfying the problem's constraints, B x <= x and
+    g <= x <= h for the data the kind carries.
+
+    The axes are cut to [g, h] before the scan; GridTooLarge counts the
+    uncut grid.  The objective is scanned as its difference terms:
+    a_ij + x_j - x_i, p_i - x_i, x_i - q_i and r, for finite entries
+    only.  q must be regular, as a zero q_i makes q^- x infinite.  When
+    no term is left (Basic or LinearConstrained with A all zero) the
+    objective is the semifield zero at every point: that is the
+    minimum, at the first feasible point.
+    """
     problem.validate()
     n = problem.dim
     if grid.lower.dim != n:
         raise ValueError("grid dimension differs from problem order")
-    kind = problem.kind
+    sf = problem.A.sf
     a = _mat(problem.A)
     b = _mat(problem.B)
     p = _vec(problem.p)
@@ -154,68 +257,21 @@ def grid_minimize(problem: Problem, grid: GridSpec) -> tuple[Fraction, Vector]:
     h = _vec(problem.h)
     r = None
     if problem.r is not None:
-        r = _exact(problem.r, problem.A.sf.zero)
-    step_and_corners = [
-        grid.step,
-        [Fraction(v) for v in grid.lower.entries],
-        [Fraction(v) for v in grid.upper.entries],
-    ]
-    scale = _denoms(a, b, p, q, g, h, r, *step_and_corners)
-    a_s = _scale_mat(a, scale)
-    b_s = _scale_mat(b, scale)
-    p_s = _scale_vec(p, scale)
-    q_s = _scale_vec(q, scale)
-    g_s = _scale_vec(g, scale)
-    h_s = _scale_vec(h, scale)
-    r_s = _SENTINEL if r is None else int(r * scale)
-    axes = _axes(grid, scale)
-
-    check_fix = kind in (
-        ProblemKind.LINEAR_CONSTRAINED,
-        ProblemKind.GENERAL,
-        ProblemKind.FIXPOINT_CONSTRAINED,
-    )
-    check_lower = g_s is not None and kind is not ProblemKind.FIXPOINT_CONSTRAINED
-    check_upper = h_s is not None
-    extended = kind not in (ProblemKind.BASIC, ProblemKind.LINEAR_CONSTRAINED)
-
-    best: Optional[int] = None
-    arg: Optional[tuple[int, ...]] = None
-    rng_n = range(n)
-    for xs in itertools.product(*axes):
-        if check_fix:
-            ok = True
-            for i in rng_n:
-                row = b_s[i]
-                if max(row[j] + xs[j] for j in rng_n) > xs[i]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-        if check_lower and any(g_s[i] > xs[i] for i in rng_n):
-            continue
-        if check_upper and any(xs[i] > h_s[i] for i in rng_n):
-            continue
-        value = _span(a_s, xs, n)
-        if extended:
-            for i in rng_n:
-                d = p_s[i] - xs[i]
-                if d > value:
-                    value = d
-                d = xs[i] - q_s[i]
-                if d > value:
-                    value = d
-            if r_s > value:
-                value = r_s
-        if best is None or value < best:
-            best = value
-            arg = xs
-    if best is None:
-        raise NoFeasiblePoint("no grid point satisfies the constraints")
-    sf = problem.A.sf
-    return Fraction(best, scale), Vector(
-        tuple(Fraction(x, scale) for x in arg), sf
-    )
+        r = _exact(problem.r, sf.zero)
+    if q is not None and None in q:
+        raise NotRegularVector("q must be regular")
+    scale, axes = _lattice(grid, g, h, a, b, p, q, r)
+    objective = _terms(a, scale)
+    if p is not None:  # the extended kinds carry p, q and r together
+        p_s = _scale_vec(p, scale)
+        objective += [(v, n, i) for i, v in enumerate(p_s) if v is not None]
+        objective += [(-v, i, n) for i, v in enumerate(_scale_vec(q, scale))]
+    if r is not None:
+        objective.append((int(r * scale), n, n))
+    # with no term, a constant 0 makes the first feasible point win
+    best, arg = _scan(axes, objective or [(0, n, n)], _terms(b, scale))
+    minimum = Fraction(best, scale) if objective else sf.zero
+    return minimum, Vector(tuple(Fraction(x, scale) for x in arg), sf)
 
 
 def grid_minimize_schedule(
@@ -223,7 +279,10 @@ def grid_minimize_schedule(
 ) -> tuple[Fraction, Vector]:
     """Exhaustive minimum of the literal largest flow time
     max_i (max((Ax)_i, p_i) - min(x_i, q_i)) over feasible grid points.
-    Constraints checked directly: B x <= x and g <= x <= h."""
+    Constraints checked directly: B x <= x and g <= x <= h, the latter
+    by cutting the axes (GridTooLarge counts the uncut grid).  Each flow
+    time is scanned as max((Ax)_i - x_i, (Ax)_i - q_i, p_i - x_i,
+    p_i - q_i), over the finite entries of A."""
     spec.validate()
     n = spec.dim
     a = _mat(spec.start_finish)
@@ -232,49 +291,15 @@ def grid_minimize_schedule(
     h = _vec(spec.latest_start)
     q = _vec(spec.window_lower)
     p = _vec(spec.window_upper)
-    corners = [
-        grid.step,
-        [Fraction(v) for v in grid.lower.entries],
-        [Fraction(v) for v in grid.upper.entries],
-    ]
-    scale = _denoms(a, b, g, h, q, p, *corners)
-    a_s = _scale_mat(a, scale)
-    b_s = _scale_mat(b, scale)
-    g_s = _scale_vec(g, scale)
-    h_s = _scale_vec(h, scale)
+    scale, axes = _lattice(grid, g, h, a, b, q, p)
     q_s = _scale_vec(q, scale)
     p_s = _scale_vec(p, scale)
-    axes = _axes(grid, scale)
-    rng_n = range(n)
-    best: Optional[int] = None
-    arg = None
-    for xs in itertools.product(*axes):
-        feasible = True
-        for i in rng_n:
-            row = b_s[i]
-            if max(row[j] + xs[j] for j in rng_n) > xs[i]:
-                feasible = False
-                break
-            if g_s[i] > xs[i] or xs[i] > h_s[i]:
-                feasible = False
-                break
-        if not feasible:
-            continue
-        worst = _SENTINEL
-        for i in rng_n:
-            row = a_s[i]
-            finish = max(row[j] + xs[j] for j in rng_n)
-            if p_s[i] > finish:
-                finish = p_s[i]
-            start = xs[i] if xs[i] < q_s[i] else q_s[i]
-            flow = finish - start
-            if flow > worst:
-                worst = flow
-        if best is None or worst < best:
-            best = worst
-            arg = xs
-    if best is None:
-        raise NoFeasiblePoint("no grid point satisfies the constraints")
+    objective = []
+    for c, j, i in _terms(a, scale):
+        objective += [(c, j, i), (c - q_s[i], j, n)]
+    for i in range(n):
+        objective += [(p_s[i], n, i), (p_s[i] - q_s[i], n, n)]
+    best, arg = _scan(axes, objective, _terms(b, scale))
     return Fraction(best, scale), Vector(
         tuple(Fraction(x, scale) for x in arg), spec.start_finish.sf
     )

@@ -439,6 +439,30 @@ class TestVerify:
         assert doc["agree"] is True
         assert doc["grid"] == "noFeasiblePoint"
 
+    def test_zero_entries_stay_zero_at_huge_coordinates(self, capsys, tmp_path):
+        # scaled coordinates near 10^16: a zero entry plus x_j must not
+        # pass for a finite term
+        f = tmp_path / "far_box.json"
+        big = 10**15
+        f.write_text(
+            json.dumps(
+                {
+                    "kind": "BoxConstrained",
+                    "A": {"rows": 2, "cols": 2, "data": [[0, None], [None, 0]]},
+                    "p": [0, big],
+                    "q": [0, big],
+                    "g": [0, big],
+                    "h": [1, big + 1],
+                    "r": 0,
+                }
+            )
+        )
+        code, doc, _ = run_json(capsys, "verify", str(f), "--window", "1")
+        assert code == 0
+        assert doc["agree"] is True
+        assert doc["grid"]["minimum"] == 0
+        assert doc["grid"]["argmin"] == [0, big]
+
 
 class TestParser:
     def test_requires_subcommand(self, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,12 +9,17 @@ from tropt import (
     GridTooLarge,
     Matrix,
     NoFeasiblePoint,
+    NotRegularVector,
     Problem,
     ProblemKind,
     ScheduleSpec,
     TooLarge,
+    TroptError,
     Vector,
+    solve_problem,
+    solve_schedule,
 )
+from tropt import oracle
 from tropt.oracle import (
     GridSpec,
     critical_nodes,
@@ -130,6 +136,89 @@ class TestGridMinimize:
                 ),
             )
 
+    def test_budget_counts_the_uncut_grid(self):
+        # g and h leave 101^3 points of the window, under the budget;
+        # the window itself has 5001^3, over it
+        prob = Problem(
+            ProblemKind.BOX_CONSTRAINED,
+            A=Matrix(frozen.A_ROWS),
+            p=Vector((0, 0, 0)),
+            q=Vector((0, 0, 0)),
+            g=Vector((0, 0, 0)),
+            h=Vector((1, 1, 1)),
+            r=0,
+        )
+        with pytest.raises(GridTooLarge):
+            grid_minimize(
+                prob,
+                GridSpec(
+                    Vector((0, 0, 0)),
+                    Vector((50, 50, 50)),
+                    Fraction(1, 100),
+                ),
+            )
+
+    def test_zero_entries_stay_zero_at_huge_coordinates(self):
+        big = 10**15
+        prob = Problem(
+            ProblemKind.BOX_CONSTRAINED,
+            A=Matrix(((0, NEG), (NEG, 0))),
+            p=Vector((0, big)),
+            q=Vector((0, big)),
+            g=Vector((0, big)),
+            h=Vector((1, big + 1)),
+            r=0,
+        )
+        best, arg = grid_minimize(
+            prob,
+            GridSpec(
+                Vector((-1, big - 1)), Vector((1, big + 1)), Fraction(1, 12)
+            ),
+        )
+        assert best == 0
+        assert arg.entries == (0, big)
+
+    def test_objective_without_finite_terms_is_zero(self):
+        # x^- A x with A all zero is the tropical zero at every point:
+        # the minimum is zero, at the first feasible point
+        prob = Problem(
+            ProblemKind.LINEAR_CONSTRAINED,
+            A=Matrix(((NEG, NEG), (NEG, NEG))),
+            B=Matrix(((NEG, 1), (NEG, NEG))),
+            g=Vector((NEG, -1)),
+        )
+        best, arg = grid_minimize(
+            prob, GridSpec(Vector((-2, -2)), Vector((2, 2)), Fraction(1))
+        )
+        assert best == NEG
+        assert arg.entries == (0, -1)
+
+    def test_zero_q_entry_is_rejected(self):
+        prob = Problem(
+            ProblemKind.EXTENDED,
+            A=Matrix(((0,),)),
+            p=Vector((0,)),
+            q=Vector((NEG,)),
+            r=0,
+        )
+        with pytest.raises(NotRegularVector):
+            grid_minimize(prob, GridSpec(Vector((0,)), Vector((1,)), Fraction(1)))
+
+    def test_zero_h_entry_admits_no_point(self):
+        prob = Problem(
+            ProblemKind.BOX_CONSTRAINED,
+            A=Matrix(((0, NEG), (NEG, 0))),
+            p=Vector((0, 0)),
+            q=Vector((0, 0)),
+            g=Vector((NEG, NEG)),
+            h=Vector((3, NEG)),
+            r=0,
+        )
+        with pytest.raises(NoFeasiblePoint):
+            grid_minimize(
+                prob, GridSpec(Vector((0, 0)), Vector((2, 2)), Fraction(1))
+            )
+
     def test_exact_scalars_required(self):
         prob = Problem(ProblemKind.BASIC, A=Matrix(((0.5,),)))
         with pytest.raises(TypeError):
@@ -239,3 +328,203 @@ class TestSamplers:
         rng = random.Random(2)
         for _ in range(40):
             sample_schedule(rng).validate()
+
+
+# -- the dense O(n^2)-per-point scan, kept as the reference -------------------
+#
+# A copy of the scan the incremental one replaced: every lattice point of
+# the uncut window, every row recomputed, zeros stood in for by a fixed
+# integer.  Data here stays far from that integer, so it is exact.
+
+_REF_SENTINEL = -(10**15)
+_SPAN_ONLY = (ProblemKind.BASIC, ProblemKind.LINEAR_CONSTRAINED)
+
+
+def _ref_scale_mat(m, scale):
+    if m is None:
+        return None
+    return [[_REF_SENTINEL if v is None else int(v * scale) for v in row] for row in m]
+
+
+def _ref_scale_vec(v, scale):
+    if v is None:
+        return None
+    return [_REF_SENTINEL if x is None else int(x * scale) for x in v]
+
+
+def _ref_axes(grid, scale):
+    step = int(grid.step * scale)
+    return [
+        range(int(Fraction(lo) * scale), int(Fraction(up) * scale) + 1, step)
+        for lo, up in zip(grid.lower.entries, grid.upper.entries)
+    ]
+
+
+def _ref_grid_minimize(problem, grid):
+    n = problem.dim
+    kind = problem.kind
+    a, b = oracle._mat(problem.A), oracle._mat(problem.B)
+    p, q = oracle._vec(problem.p), oracle._vec(problem.q)
+    g, h = oracle._vec(problem.g), oracle._vec(problem.h)
+    r = None if problem.r is None else oracle._exact(problem.r, problem.A.sf.zero)
+    corners = [
+        grid.step,
+        [Fraction(v) for v in grid.lower.entries],
+        [Fraction(v) for v in grid.upper.entries],
+    ]
+    scale = oracle._denoms(a, b, p, q, g, h, r, *corners)
+    a_s, b_s = _ref_scale_mat(a, scale), _ref_scale_mat(b, scale)
+    p_s, q_s = _ref_scale_vec(p, scale), _ref_scale_vec(q, scale)
+    g_s, h_s = _ref_scale_vec(g, scale), _ref_scale_vec(h, scale)
+    r_s = _REF_SENTINEL if r is None else int(r * scale)
+    check_fix = kind in (
+        ProblemKind.LINEAR_CONSTRAINED,
+        ProblemKind.GENERAL,
+        ProblemKind.FIXPOINT_CONSTRAINED,
+    )
+    check_lower = g_s is not None and kind is not ProblemKind.FIXPOINT_CONSTRAINED
+    check_upper = h_s is not None
+    extended = kind not in _SPAN_ONLY
+    rng_n = range(n)
+    best = arg = None
+    for xs in itertools.product(*_ref_axes(grid, scale)):
+        if check_fix and any(
+            max(b_s[i][j] + xs[j] for j in rng_n) > xs[i] for i in rng_n
+        ):
+            continue
+        if check_lower and any(g_s[i] > xs[i] for i in rng_n):
+            continue
+        if check_upper and any(xs[i] > h_s[i] for i in rng_n):
+            continue
+        value = max(max(a_s[i][j] + xs[j] for j in rng_n) - xs[i] for i in rng_n)
+        if extended:
+            for i in rng_n:
+                value = max(value, p_s[i] - xs[i], xs[i] - q_s[i])
+            value = max(value, r_s)
+        if best is None or value < best:
+            best, arg = value, xs
+    if best is None:
+        raise NoFeasiblePoint("reference: no feasible point")
+    return Fraction(best, scale), tuple(Fraction(x, scale) for x in arg)
+
+
+def _ref_grid_minimize_schedule(spec, grid):
+    n = spec.dim
+    a, b = oracle._mat(spec.start_finish), oracle._mat(spec.start_start)
+    g, h = oracle._vec(spec.earliest_start), oracle._vec(spec.latest_start)
+    q, p = oracle._vec(spec.window_lower), oracle._vec(spec.window_upper)
+    corners = [
+        grid.step,
+        [Fraction(v) for v in grid.lower.entries],
+        [Fraction(v) for v in grid.upper.entries],
+    ]
+    scale = oracle._denoms(a, b, g, h, q, p, *corners)
+    a_s, b_s = _ref_scale_mat(a, scale), _ref_scale_mat(b, scale)
+    g_s, h_s = _ref_scale_vec(g, scale), _ref_scale_vec(h, scale)
+    q_s, p_s = _ref_scale_vec(q, scale), _ref_scale_vec(p, scale)
+    rng_n = range(n)
+    best = arg = None
+    for xs in itertools.product(*_ref_axes(grid, scale)):
+        if any(
+            max(b_s[i][j] + xs[j] for j in rng_n) > xs[i]
+            or g_s[i] > xs[i]
+            or xs[i] > h_s[i]
+            for i in rng_n
+        ):
+            continue
+        worst = max(
+            max(max(a_s[i][j] + xs[j] for j in rng_n), p_s[i]) - min(xs[i], q_s[i])
+            for i in rng_n
+        )
+        if best is None or worst < best:
+            best, arg = worst, xs
+    if best is None:
+        raise NoFeasiblePoint("reference: no feasible point")
+    return Fraction(best, scale), tuple(Fraction(x, scale) for x in arg)
+
+
+# points per axis, so that the dense reference stays cheap at every order
+_AXIS_POINTS = {1: 24, 2: 11, 3: 6, 4: 4}
+
+
+def _random_window(rng, n, g, h, center):
+    """A lattice window of random step.  Half the windows hold the given
+    center (when there is one) and half have a random anchor; about one
+    in six lies wholly outside [g, h] on some axis, and the others often
+    stick out of it."""
+    step = rng.choice((Fraction(1), Fraction(1, 2), Fraction(1, 3)))
+    size = _AXIS_POINTS[n]
+    if center is not None and rng.random() < 0.5:
+        lower = [Fraction(c) - rng.randint(0, size // 2) * step for c in center]
+    else:
+        anchor = rng.choice((0, 0, Fraction(1, 4), Fraction(-2, 3)))
+        lower = [anchor + rng.randint(-6, 3) for _ in range(n)]
+    upper = [
+        lo + rng.randint(0, size) * step + rng.choice((0, Fraction(1, 5)))
+        for lo in lower
+    ]
+    if rng.random() < 1 / 6:
+        i = rng.randrange(n)
+        if h is not None and (g is None or g[i] is None or rng.random() < 0.5):
+            lower[i] = Fraction(h[i]) + rng.choice((Fraction(1, 3), 1, 2))
+            upper[i] = lower[i] + rng.randint(0, 3) * step
+        elif g is not None and g[i] is not None:
+            upper[i] = Fraction(g[i]) - rng.choice((Fraction(1, 3), 1, 2))
+            lower[i] = upper[i] - rng.randint(0, 3) * step
+    return GridSpec(Vector(tuple(lower)), Vector(tuple(upper)), step)
+
+
+def _outcome(scan, *args):
+    try:
+        best, arg = scan(*args)
+    except NoFeasiblePoint:
+        return "infeasible"
+    return best, tuple(getattr(arg, "entries", arg))
+
+
+def _bounds(*vectors):
+    """Entries of each vector with None for zero; None for no vector."""
+    return [
+        None if v is None else [None if x == NEG else x for x in v.entries]
+        for v in vectors
+    ]
+
+
+def _closed_form(solve):
+    """The closed-form point's entries, None when the draw has none."""
+    try:
+        return solve().entries
+    except TroptError:
+        return None
+
+
+def test_incremental_scan_matches_dense_reference():
+    """(minimum, argmin) and NoFeasiblePoint agree with the dense scan on
+    seeded draws of every kind and of schedules, n = 1..4."""
+    rng = random.Random(20261018)
+    outcomes = {"feasible": 0, "infeasible": 0}
+    draws = 0
+    for n in (1, 2, 3, 4):
+        for kind in list(ProblemKind) + ["schedule"]:
+            for _ in range(26):
+                if kind == "schedule":
+                    instance = sample_schedule(rng, n)
+                    g, h = _bounds(instance.earliest_start, instance.latest_start)
+                    scans = (grid_minimize_schedule, _ref_grid_minimize_schedule)
+                    center = _closed_form(lambda: solve_schedule(instance).initiation)
+                else:
+                    instance = sample_problem(rng, kind, n)
+                    g, h = _bounds(instance.g, instance.h)
+                    scans = (grid_minimize, _ref_grid_minimize)
+                    center = _closed_form(lambda: solve_problem(instance).canonical)
+                grid = _random_window(rng, n, g, h, center)
+                if kind in _SPAN_ONLY and all(
+                    v == NEG for row in instance.A.rows for v in row
+                ):
+                    continue  # no finite term: the reference scores the sentinel
+                got = _outcome(scans[0], instance, grid)
+                assert got == _outcome(scans[1], instance, grid), (instance, grid)
+                outcomes["infeasible" if got == "infeasible" else "feasible"] += 1
+                draws += 1
+    assert draws >= 600
+    assert outcomes["infeasible"] >= 60 and outcomes["feasible"] >= 400, outcomes
