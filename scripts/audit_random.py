@@ -25,7 +25,6 @@ from tropt.errors import (
     DegenerateProblem,
     InfeasibleConstraints,
     InfeasibleSchedule,
-    NoRegularSolution,
     ZeroSpectralRadius,
 )
 from tropt.linalg import Vector
@@ -37,7 +36,6 @@ SKIP = (
     ZeroSpectralRadius,
     DegenerateProblem,
     InfeasibleConstraints,
-    NoRegularSolution,
 )
 
 

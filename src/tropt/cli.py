@@ -219,7 +219,7 @@ def _cmd_verify(args) -> int:
     step = default_step(problem.dim) if args.step is None else _parse_step(args.step)
     try:
         closed = solve_problem(problem)
-    except (NoRegularSolution, InfeasibleConstraints) as exc:
+    except InfeasibleConstraints as exc:
         closed, infeasible = None, str(exc)
     grid = _verify_window(
         problem, args.window, None if closed is None else closed.canonical, step

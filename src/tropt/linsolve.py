@@ -9,15 +9,20 @@ Three systems, each solved exactly:
                          iff Delta = TrSum(A) (+) d^- A* b <= one
 
 Solution families are carried as SolutionSet objects: the image of a
-box of parameter vectors under a generator matrix.
+box of parameter vectors under a generator matrix.  A float box that
+rounding leaves empty by at most eps is widened to its lower corner,
+with a RuntimeWarning; here and in the optimizers alike.
 """
 
 from __future__ import annotations
 
+import sys
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
+    EmptyParameterBox,
     NoRegularSolution,
     NotColumnRegular,
     NotRegularVector,
@@ -104,11 +109,40 @@ class SolutionSet:
             return False
         return True
 
-    def __repr__(self) -> str:
-        return (
-            f"SolutionSet(generator={self.generator!r}, lower={self.lower!r}, "
-            f"upper={self.upper!r}, minimum={self.minimum!r})"
+
+def _caller_level() -> int:
+    """`stacklevel` for a warning issued by the calling function: it
+    names the first frame outside the tropt package, so the warning
+    points at user code whichever public entry point led there."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__", "").split(".")[0] == "tropt":
+        frame, level = frame.f_back, level + 1
+    return level
+
+
+def _tighten_box(lower: Vector, upper: Vector) -> Vector:
+    """Absorb float dust that pushed the upper parameter bound below the
+    lower one.  Exact arithmetic never triggers this; the closed forms
+    guarantee a nonempty box."""
+    sf = lower.sf
+    out = []
+    widened = False
+    for lo, up in zip(lower.entries, upper.entries):
+        if sf.leq(lo, up):
+            out.append(up)
+        elif sf.eq(lo, up):
+            out.append(lo)
+            widened = True
+        else:
+            raise EmptyParameterBox("parameter box empty beyond tolerance")
+    if widened:
+        warnings.warn(
+            "parameter box widened by eps to absorb float rounding",
+            RuntimeWarning,
+            stacklevel=_caller_level(),
         )
+        return Vector(tuple(out), sf)
+    return upper
 
 
 def solve_upper_bounded(a: Matrix, d: Vector) -> Vector:
@@ -158,4 +192,5 @@ def solve_combined(a: Matrix, b: Vector, d: Vector) -> SolutionSet:
     delta = sf.add((a @ star).trace(), d.conj() @ star @ b)
     if not sf.leq_tol(delta, sf.one):
         raise NoRegularSolution("Tr(A) (+) d^- A* b <= 1")
-    return SolutionSet(generator=star, lower=b, upper=(d.conj() @ star).conj())
+    upper = _tighten_box(b, (d.conj() @ star).conj())
+    return SolutionSet(generator=star, lower=b, upper=upper)

@@ -13,18 +13,17 @@ subject to none, some, or all of the constraints
 
 Each solver returns the exact minimum together with the complete family
 of minimizers, parameterized as x = G (x) u over a box of u.  One
-kernel serves all six kinds: A and B are bordered by one extra node,
+path serves all six kinds: A and B are bordered by one extra node,
 Ahat = [[A, p], [q^-, r]] and Bhat = [[B, g], [h^-, 0]] with absent
-pieces zero, and the minimum is theta = the spectral radius of
-Bhat* Ahat.  One gated path leads to it: `solve_problem` validates the
-problem and runs each feasibility gate whose data is present; the
-`minimize_*` functions only build a Problem and hand it over.
+pieces zero.  One star of Bhat serves twice: the constraints are
+solvable exactly when Tr(Bhat) = tr(Bhat Bhat*) <= 1, and the minimum
+is theta = the spectral radius of Bhat* Ahat.  `solve_problem` holds
+that path; the `minimize_*` functions only build a Problem and hand it
+over.
 """
 
 from __future__ import annotations
 
-import sys
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -32,14 +31,13 @@ from typing import Optional
 
 from .errors import (
     DegenerateProblem,
-    EmptyParameterBox,
     InfeasibleConstraints,
     NotRegularVector,
     ShapeMismatch,
     ZeroSpectralRadius,
 )
 from .linalg import Matrix, RowVector, Vector
-from .linsolve import SolutionSet
+from .linsolve import SolutionSet, _tighten_box
 from .semifield import Scalar
 
 
@@ -118,41 +116,6 @@ def objective_value(problem: Problem, x: Vector) -> Scalar:
     return sf.add(value, problem.r)
 
 
-def _caller_level() -> int:
-    """`stacklevel` for a warning issued by the calling function: it
-    names the first frame outside the tropt package, so the warning
-    points at user code whichever public entry point led there."""
-    frame, level = sys._getframe(1), 1
-    while frame is not None and frame.f_globals.get("__name__", "").split(".")[0] == "tropt":
-        frame, level = frame.f_back, level + 1
-    return level
-
-
-def _tighten_box(lower: Vector, upper: Vector) -> Vector:
-    """Absorb float dust that pushed the upper parameter bound below the
-    lower one.  Exact arithmetic never triggers this; the closed forms
-    guarantee a nonempty box."""
-    sf = lower.sf
-    out = []
-    widened = False
-    for lo, up in zip(lower.entries, upper.entries):
-        if sf.leq(lo, up):
-            out.append(up)
-        elif sf.eq(lo, up):
-            out.append(lo)
-            widened = True
-        else:
-            raise EmptyParameterBox("parameter box empty beyond tolerance")
-    if widened:
-        warnings.warn(
-            "parameter box widened by eps to absorb float rounding",
-            RuntimeWarning,
-            stacklevel=_caller_level(),
-        )
-        return Vector(tuple(out), sf)
-    return upper
-
-
 def _border(m: Optional[Matrix], n: int, sf, col: Optional[Vector],
             row: Optional[RowVector], corner: Optional[Scalar]) -> Matrix:
     """[[m, col], [row, corner]] of order n+1; absent pieces are zero."""
@@ -165,34 +128,60 @@ def _border(m: Optional[Matrix], n: int, sf, col: Optional[Vector],
     return Matrix(tuple(r + (c,) for r, c in zip(rows, col)) + (last,), sf)
 
 
-def _minimize(a: Matrix, b: Optional[Matrix] = None,
-              p: Optional[Vector] = None, q: Optional[Vector] = None,
-              g: Optional[Vector] = None, h: Optional[Vector] = None,
-              r: Optional[Scalar] = None) -> OptResult:
-    """The kernel every kind calls, absent data passed as None.
+# kinds whose optimum needs a cycle in A, and kinds that need only one
+# nonzero scale bound: lambda(A), (q^- p)^(1/2) or r; for Basic a zero
+# theta is the no-cycle gate
+_NEEDS_CYCLE = (ProblemKind.EXTENDED, ProblemKind.LINEAR_CONSTRAINED)
+_NEEDS_SCALE = (ProblemKind.BOX_CONSTRAINED, ProblemKind.FIXPOINT_CONSTRAINED,
+                ProblemKind.GENERAL)
+
+
+def solve_problem(problem: Problem) -> OptResult:
+    """Validate the problem, run its gates and solve it in closed form.
+
+    Every kind runs on the bordered pair Ahat = [[A, p], [q^-, r]] and
+    Bhat = [[B, g], [h^-, 0]], absent data zero.  The gates run in this
+    order: q and h regular; B x (+) g <= x <= h solvable, which holds
+    exactly when Bhat has no positive cycle, Tr(Bhat) <= 1; then the
+    kind's no-cycle rule.  A failed second gate is named by its part:
+    Tr(B) <= 1 when B alone has a positive cycle, else h^- B* g <= 1
+    (h^- g <= 1 without B).
 
     theta is the largest cycle mean of Bhat* Ahat: the maximum ratio of
-    weight to A-arc count over the cycles of Ahat (+) Bhat, where the
-    extra node n is entered through p or g and left through q^- or h^-.
-    solve_problem's gates rule out positive cycles of Bhat alone.  Node n
-    is left out when no cycle can pass through it.  The minimizers are
-    x = G u, G = (theta^-1 A (+) B)*, theta^-1 p (+) g <= u and, when q
-    or h is given, u <= ((theta^-1 q^- (+) h^-) G)^-.
+    weight to A-arc count over the cycles of Ahat (+) Bhat.  The
+    minimizers are x = G u, G = (theta^-1 A (+) B)*,
+    theta^-1 p (+) g <= u and, when q or h is given,
+    u <= ((theta^-1 q^- (+) h^-) G)^-.
     """
-    n = a.n_rows
-    sf = a.sf
+    problem.validate()
+    a, b, p, q = problem.A, problem.B, problem.p, problem.q
+    g, h, r = problem.g, problem.h, problem.r
+    n, sf = a.n_rows, a.sf
+    for name, vec in (("q", q), ("h", h)):
+        if vec is not None and not vec.is_regular():
+            raise NotRegularVector(f"{name} must be regular")
     qc = None if q is None else q.conj()
     hc = None if h is None else h.conj()
-    a_hat, b_hat = a, b
-    enters = p is not None or g is not None
-    leaves = q is not None or h is not None
-    if r is not None or (enters and leaves):
-        a_hat = _border(a, n, sf, p, qc, r)
-        if b is not None or g is not None or h is not None:
-            b_hat = _border(b, n, sf, g, hc, None)
-    if b_hat is not None:
-        a_hat = b_hat.star() @ a_hat
-    theta = a_hat.spectral_radius()
+    b_hat = _border(b, n, sf, g, hc, None)
+    b_star = b_hat.star()  # Tr(Bhat) = tr(Bhat Bhat*); theta needs it too
+    if not sf.leq_tol((b_hat @ b_star).trace(), sf.one):
+        if b is None:
+            raise InfeasibleConstraints("h^- g <= 1")
+        # the border node lies on a cycle only when both g and h are given
+        if g is None or h is None or not sf.leq_tol(b.trace_sum(), sf.one):
+            raise InfeasibleConstraints("Tr(B) <= 1")
+        raise InfeasibleConstraints("h^- B* g <= 1")
+    if problem.kind in _NEEDS_CYCLE and sf.is_zero(a.spectral_radius()):
+        raise ZeroSpectralRadius("matrix has no cycle")
+    if problem.kind in _NEEDS_SCALE:
+        root = sf.power(qc @ p, Fraction(1, 2))
+        # lambda(A) costs n matrix products: compute it only when r and
+        # the root leave the verdict open
+        if sf.is_zero(sf.add(root, r)) and sf.is_zero(a.spectral_radius()):
+            raise DegenerateProblem(
+                "every scale bound is zero: no cycle, q^- p zero, r zero"
+            )
+    theta = (b_star @ _border(a, n, sf, p, qc, r)).spectral_radius()
     if sf.is_zero(theta):
         raise ZeroSpectralRadius("matrix has no cycle")
 
@@ -210,49 +199,6 @@ def _minimize(a: Matrix, b: Optional[Matrix] = None,
     upper = None if w is None else _tighten_box(lower, (w @ gen).conj())
     sols = SolutionSet(generator=gen, lower=lower, upper=upper, minimum=theta)
     return OptResult(minimum=theta, solutions=sols, canonical=sols.canonical())
-
-
-# kinds whose optimum needs a cycle in A, and kinds that need only one
-# nonzero scale bound: lambda(A), (q^- p)^(1/2) or r; for Basic the
-# kernel's zero theta is the no-cycle gate
-_NEEDS_CYCLE = (ProblemKind.EXTENDED, ProblemKind.LINEAR_CONSTRAINED)
-_NEEDS_SCALE = (ProblemKind.BOX_CONSTRAINED, ProblemKind.FIXPOINT_CONSTRAINED,
-                ProblemKind.GENERAL)
-
-
-def solve_problem(problem: Problem) -> OptResult:
-    """Validate the problem, run its gates and call the kernel.
-
-    Each gate runs when its data is present, in this order: q and h
-    regular; Tr(B) <= 1; h^- B* g <= 1 (h^- g <= 1 without B); then
-    the kind's no-cycle rule.
-    """
-    problem.validate()
-    a, b, p, q = problem.A, problem.B, problem.p, problem.q
-    g, h, r = problem.g, problem.h, problem.r
-    sf = a.sf
-    for name, vec in (("q", q), ("h", h)):
-        if vec is not None and not vec.is_regular():
-            raise NotRegularVector(f"{name} must be regular")
-    # one B* serves both gates: Tr(B) = tr(B B*)
-    bstar = None if b is None else b.star()
-    if b is not None and not sf.leq_tol((b @ bstar).trace(), sf.one):
-        raise InfeasibleConstraints("Tr(B) <= 1")
-    if g is not None and h is not None:
-        row = h.conj() if b is None else h.conj() @ bstar
-        if not sf.leq_tol(row @ g, sf.one):
-            raise InfeasibleConstraints("h^- g <= 1" if b is None else "h^- B* g <= 1")
-    if problem.kind in _NEEDS_CYCLE and sf.is_zero(a.spectral_radius()):
-        raise ZeroSpectralRadius("matrix has no cycle")
-    if problem.kind in _NEEDS_SCALE:
-        root = sf.power(q.conj() @ p, Fraction(1, 2))
-        # lambda(A) costs n matrix products: compute it only when r and
-        # the root leave the verdict open
-        if sf.is_zero(sf.add(root, r)) and sf.is_zero(a.spectral_radius()):
-            raise DegenerateProblem(
-                "every scale bound is zero: no cycle, q^- p zero, r zero"
-            )
-    return _minimize(a, b, p, q, g, h, r)
 
 
 def minimize_basic(a: Matrix) -> OptResult:
@@ -293,7 +239,7 @@ def minimize_general(a: Matrix, b: Matrix, p: Vector, q: Vector, g: Vector,
 
     The minimum is the spectral radius of Bhat* Ahat with
     Ahat = [[A, p], [q^-, r]] and Bhat = [[B, g], [h^-, 0]], once the
-    gates Tr(B) <= 1 and h^- B* g <= 1 leave Bhat no positive cycle.
+    gate Tr(Bhat) <= 1 leaves Bhat no positive cycle.
     """
     return solve_problem(Problem(ProblemKind.GENERAL, a, b, p, q, g, h, r))
 

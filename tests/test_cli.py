@@ -335,6 +335,15 @@ class TestSolveIneq:
         assert code == 2
         assert "Tr" in err
 
+    def test_float_dust_widens_the_box(self, capsys, tmp_path):
+        # the upper bound (d^- A*)^- = 0.3 lies one ulp below b = 0.1 + 0.2
+        f = tmp_path / "dust.json"
+        f.write_text('{"A": [[null]], "b": [0.30000000000000004], "d": [0.3]}')
+        with pytest.warns(RuntimeWarning, match="parameter box widened"):
+            code, doc, _ = run_json(capsys, "solve-ineq", str(f), "--float")
+        assert code == 0
+        assert doc["lower"] == doc["upper"] == [0.30000000000000004]
+
     def test_needs_some_side(self, capsys, tmp_path):
         f = tmp_path / "none.json"
         f.write_text(json.dumps({"A": [[1]]}))

@@ -8,14 +8,18 @@ from tropt import (
     NoRegularSolution,
     NotColumnRegular,
     NotRegularVector,
+    Problem,
+    ProblemKind,
     ShapeMismatch,
     SolutionSet,
     Vector,
     solve_combined,
     solve_fixpoint_lower,
+    solve_problem,
     solve_upper_bounded,
 )
 from tropt.oracle import random_matrix, random_trace_bounded, random_vector
+from tropt.semifield import MaxPlus
 
 NEG = float("-inf")
 
@@ -124,6 +128,26 @@ class TestCombined:
             solve_combined(b, Vector((4, 4)), Vector((0, 0)))
         assert "d^-" in err.value.condition
 
+    def test_float_dust_widens_the_box(self):
+        # 0.1 + 0.2 lies one ulp above 0.3, so (d^- A*)^- falls below b
+        # by float dust; the box is widened, as solve does on the same
+        # system posed as a BoxConstrained problem
+        sf = MaxPlus()
+        a = Matrix(((NEG,),), sf)
+        b, d = Vector((0.1 + 0.2,), sf), Vector((0.3,), sf)
+        with pytest.warns(RuntimeWarning, match="parameter box widened") as record:
+            sol = solve_combined(a, b, d)
+        assert record[0].filename == __file__
+        assert sol.upper.entries == sol.lower.entries == (0.30000000000000004,)
+        box = Problem(
+            ProblemKind.BOX_CONSTRAINED, a, p=Vector((NEG,), sf),
+            q=Vector((100.0,), sf), g=b, h=d, r=0.0,
+        )
+        with pytest.warns(RuntimeWarning, match="parameter box widened"):
+            res = solve_problem(box)
+        assert res.solutions.lower == sol.lower
+        assert res.solutions.upper.entries == sol.upper.entries
+
 
 class TestSolutionSet:
     def test_contains_respects_bounds(self):
@@ -157,3 +181,10 @@ class TestSolutionSet:
         sol = solve_combined(b, Vector(frozen.G), Vector(frozen.H))
         x = sol.generator @ sol.upper
         assert sol.generator @ sol.residual(x) == x
+
+    def test_repr_is_the_dataclass_default(self):
+        sol = SolutionSet(Matrix.identity(1), Vector((0,)))
+        assert repr(sol) == (
+            "SolutionSet(generator=Matrix([[0]]), lower=Vector([0]), "
+            "upper=None, minimum=None)"
+        )

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,6 +34,7 @@ from tropt import (
 )
 from tropt.errors import TroptError
 from tropt.optimize import _FIELDS, _tighten_box
+from tropt.oracle import random_matrix, random_vector
 from tropt.semifield import MaxPlus
 
 NEG = float("-inf")
@@ -479,3 +482,155 @@ class TestParameterBox:
             with pytest.warns(RuntimeWarning, match="parameter box widened") as record:
                 solve()
             assert record[0].filename == __file__
+
+
+# -- one bordered gate against the three separate formulas ---------------
+
+GATED_KINDS = (
+    ProblemKind.LINEAR_CONSTRAINED,
+    ProblemKind.FIXPOINT_CONSTRAINED,
+    ProblemKind.BOX_CONSTRAINED,
+    ProblemKind.GENERAL,
+)
+
+
+def _failed_conditions(prob):
+    """Every one of the three separate gate formulas that fails, in the
+    order they were once checked: Tr(B) <= 1 on B*, then h^- B* g <= 1,
+    or h^- g <= 1 without B."""
+    sf = prob.A.sf
+    b, g, h = prob.B, prob.g, prob.h
+    bstar = None if b is None else b.star()
+    failed = []
+    if b is not None and not sf.leq_tol((b @ bstar).trace(), sf.one):
+        failed.append("Tr(B) <= 1")
+    if g is not None and h is not None:
+        row = h.conj() if b is None else h.conj() @ bstar
+        if not sf.leq_tol(row @ g, sf.one):
+            failed.append("h^- g <= 1" if b is None else "h^- B* g <= 1")
+    return failed
+
+
+def _reference_outcome(prob):
+    """(error class, condition) the separate gates and then the kind's
+    no-cycle rule give, or None when the problem passes them all."""
+    sf = prob.A.sf
+    failed = _failed_conditions(prob)
+    if failed:
+        return InfeasibleConstraints, failed[0]
+    if prob.kind is ProblemKind.LINEAR_CONSTRAINED:
+        if sf.is_zero(prob.A.spectral_radius()):
+            return ZeroSpectralRadius, None
+    elif sf.is_zero(sf.add(sf.power(prob.q.conj() @ prob.p, Fraction(1, 2)), prob.r)):
+        if sf.is_zero(prob.A.spectral_radius()):
+            return DegenerateProblem, None
+    return None
+
+
+def _outcome(prob):
+    try:
+        solve_problem(prob)
+    except (InfeasibleConstraints, ZeroSpectralRadius, DegenerateProblem) as err:
+        return type(err), getattr(err, "condition", None)
+    return None
+
+
+def _gate_draw(rng, kind):
+    """Integer draw with an untrimmed B (its cycles are often positive)
+    and g, h drawn apart, so that they often cross."""
+    n = rng.randint(1, 5)
+    need = _FIELDS[kind]
+    fields = {"A": random_matrix(rng, n, zero_p=0.3)}
+    if "B" in need:
+        fields["B"] = random_matrix(rng, n, zero_p=0.5, hi=rng.choice((5, 1, -1)))
+    for name, zero_p in (("p", 0.2), ("q", 0.0), ("g", 0.2), ("h", 0.0)):
+        if name in need:
+            fields[name] = random_vector(rng, n, zero_p=zero_p)
+    if "r" in need:
+        fields["r"] = rng.choice((NEG, rng.randint(-5, 5)))
+    return Problem(kind, **fields)
+
+
+def test_bordered_gate_matches_the_separate_formulas():
+    rng = random.Random(808)
+    seen = Counter()
+    for i in range(1200):
+        prob = _gate_draw(rng, GATED_KINDS[i % len(GATED_KINDS)])
+        want = _reference_outcome(prob)
+        assert _outcome(prob) == want, prob
+        seen[want] += 1
+    for condition in ("Tr(B) <= 1", "h^- B* g <= 1", "h^- g <= 1"):
+        assert seen[InfeasibleConstraints, condition] >= 50, seen
+    assert seen[None] >= 200, seen
+
+
+def test_both_conditions_failing_name_the_trace():
+    prob = Problem(
+        ProblemKind.GENERAL,
+        A=Matrix(((0, NEG, NEG), (NEG, 1, NEG), (NEG, NEG, 2))),
+        B=Matrix(((NEG, 1, NEG), (NEG, NEG, 1), (1, NEG, NEG))),
+        p=Vector((0, 0, 0)),
+        q=Vector((0, 0, 0)),
+        g=Vector((3, NEG, NEG)),
+        h=Vector((0, 0, 0)),
+        r=0,
+    )
+    assert _failed_conditions(prob) == ["Tr(B) <= 1", "h^- B* g <= 1"]
+    assert _outcome(prob) == (InfeasibleConstraints, "Tr(B) <= 1")
+
+
+def test_positive_cycle_through_every_node_of_the_border():
+    # the cycle border -> 0 -> 1 -> 2 -> border weighs -h_0 + 1 + 1 + g_2
+    # = 1; every shorter cycle through the border weighs at most 0, and
+    # B alone is acyclic
+    prob = Problem(
+        ProblemKind.GENERAL,
+        A=Matrix(((0, NEG, NEG), (NEG, 0, NEG), (NEG, NEG, 0))),
+        B=Matrix(((NEG, 1, NEG), (NEG, NEG, 1), (NEG, NEG, NEG))),
+        p=Vector((0, 0, 0)),
+        q=Vector((0, 0, 0)),
+        g=Vector((NEG, NEG, -1)),
+        h=Vector((0, 0, 0)),
+        r=0,
+    )
+    assert _failed_conditions(prob) == ["h^- B* g <= 1"]
+    assert _outcome(prob) == (InfeasibleConstraints, "h^- B* g <= 1")
+    # lowering h_0 by the cycle's weight makes it the heaviest, at 0
+    feasible = Problem(**{**prob.__dict__, "h": Vector((1, 0, 0))})
+    assert _failed_conditions(feasible) == []
+    assert _outcome(feasible) is None
+
+
+# a passing dust cycle leaves a parameter box that is empty by dust too
+@pytest.mark.filterwarnings("ignore:parameter box widened:RuntimeWarning")
+@pytest.mark.parametrize("weight, passes", [(1e-16, True), (1e-6, False)])
+def test_float_gate_tolerance(weight, passes):
+    # one cycle border -> 0 -> 1 -> border of weight -h_0 + B_01 + g_1
+    sf = MaxPlus(eps=1e-9)
+    prob = Problem(
+        ProblemKind.GENERAL,
+        A=Matrix(((0.0, NEG), (NEG, 0.0)), sf),
+        B=Matrix(((NEG, weight), (NEG, NEG)), sf),
+        p=Vector((0.0, 0.0), sf),
+        q=Vector((0.0, 0.0), sf),
+        g=Vector((NEG, 0.0), sf),
+        h=Vector((0.0, 0.0), sf),
+        r=0.0,
+    )
+    assert _failed_conditions(prob) == ([] if passes else ["h^- B* g <= 1"])
+    assert _outcome(prob) == (None if passes else (InfeasibleConstraints, "h^- B* g <= 1"))
+
+
+def test_feasible_general_solve_stars_twice(monkeypatch, general_problem):
+    # one star of Bhat serves the gate and theta; the other is G
+    calls = []
+    star = Matrix.star
+
+    def counted(self):
+        calls.append(self.n_rows)
+        return star(self)
+
+    monkeypatch.setattr(Matrix, "star", counted)
+    assert solve_problem(general_problem).minimum == frozen.THETA
+    assert calls == [general_problem.dim + 1, general_problem.dim]
+
