@@ -33,7 +33,7 @@ from .errors import (
     TroptError,
     ZeroSpectralRadius,
 )
-from .linalg import Vector
+from .linalg import Vector, _trace_product
 from .linsolve import solve_combined, solve_fixpoint_lower, solve_upper_bounded
 from .optimize import Problem, solve_problem
 from .oracle import GridSpec, default_step, grid_minimize
@@ -179,7 +179,7 @@ def _cmd_star(args) -> int:
     star = a.star()
     doc = {
         "star": serialize.encode_matrix(star),
-        "traceSum": serialize.encode_scalar((a @ star).trace()),
+        "traceSum": serialize.encode_scalar(_trace_product(a, star)),
     }
     _emit(doc, args)
     return 0

@@ -4,9 +4,11 @@ Objects are immutable; entries are raw scalars (int, Fraction, float)
 with the semifield's zero carried as a float -inf.  `+` is entrywise
 idempotent addition and `@` the max-plus product, one inlined kernel
 over the finite entries.  `star` is one O(n^3) Floyd-Warshall pass, and
-`trace_sum` reads Tr(A) = tr(A (x) A*) off it.  Column and row vectors
-share one core of entrywise operations but are distinct types, so that
-expressions read like the algebra: ``h.conj() @ T @ g`` is a scalar.
+`trace_sum` reads Tr(A) = tr(A (x) A*) off it in O(n^2), without the
+product.  `spectral_radius` is Karp's O(n^3) maximum cycle mean.
+Column and row vectors share one core of entrywise operations but are
+distinct types, so that expressions read like the algebra:
+``h.conj() @ T @ g`` is a scalar.
 
 All operands of a binary operation must share one semifield instance.
 """
@@ -227,22 +229,18 @@ class Matrix:
         cycle is positive, so A A* is A (+) ... (+) A^n.  At most one
         exactly when the weighted digraph has no cycle of positive weight.
         """
-        return (self @ self.star()).trace()
+        return _trace_product(self, self.star())
 
     def spectral_radius(self) -> Scalar:
-        """Largest eigenvalue: (+) over k of tr(A^k)^(1/k).
+        """Largest eigenvalue: (+) over k of tr(A^k)^(1/k), the maximum
+        cycle mean of the weighted digraph; zero when the matrix has no
+        cycle at all.
 
-        Equals the maximum cycle mean of the weighted digraph; zero when
-        the matrix has no cycle at all.
+        Karp's formula (`_max_cycle`) gives it from n vector-matrix
+        steps, O(n^3), with no matrix power.  An exact radius that is a
+        whole number is an int.
         """
-        n = self._require_square()
-        sf = self.sf
-        acc = sf.zero
-        for k, p in enumerate(self.powers(n)[1:], start=1):
-            t = p.trace()
-            if not sf.is_zero(t):
-                acc = sf.add(acc, sf.power(t, Fraction(1, k)))
-        return acc
+        return _max_cycle(self)[0]
 
     def star(self) -> "Matrix":
         """Kleene star truncated at the matrix order:
@@ -300,6 +298,117 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({[list(r) for r in self.rows]!r})"
+
+
+def _trace_product(left: Matrix, right: Matrix) -> Scalar:
+    """tr(left (x) right) in O(n^2), without the product: the largest
+    left[i][k] + right[k][i] over the finite pairs.  Terms are visited
+    in (i, k) order and only a strictly larger one replaces the running
+    maximum, as in `_product` and `trace`, so the result, Python type
+    included, is that of ``(left @ right).trace()``."""
+    zero = left.sf.zero
+    acc = zero
+    for i, row in enumerate(left.rows):
+        for a, r in zip(row, right.rows):
+            b = r[i]
+            if a != zero and b != zero:
+                s = a + b
+                if s > acc:
+                    acc = s
+    return acc
+
+
+_INFINITIES = (float("inf"), float("-inf"))
+
+
+def _overflow(x: float) -> ValueError:
+    """The named error for a float result past the range, x = +-inf."""
+    return ValueError(f"float overflow: a result is {x:+}")
+
+
+def _below(c: Scalar, m: int, num: Scalar, den: int) -> bool:
+    """c/m < num/den for arc counts m, den >= 1, by cross-multiplication.
+    Float products that overflow alike leave the order open: that is
+    named as an overflow, not guessed."""
+    x, y = c * den, num * m
+    if x == y and x in _INFINITIES:
+        raise _overflow(x)
+    return x < y
+
+
+def _max_cycle(a: Matrix) -> tuple[Scalar, tuple[int, ...]]:
+    """(lambda, nodes): the largest cycle mean of A and a cycle that
+    attains it, nodes in arc order; (zero, ()) when A has no cycle.
+
+    Karp's formula (Karp 1978) in O(n^3): with D_k(v) the heaviest
+    weight of a k-arc walk ending at v (D_0 = one, D_(k+1) = D_k (x) A,
+    one pass over the finite entries), lambda is the max over v of the
+    min over k < n of (D_n(v) - D_k(v)) / (n - k), finite terms only,
+    the means compared as (weight, arc count) pairs by
+    cross-multiplication.
+
+    Back-pointers give the heaviest n-arc walk to the v that attains
+    lambda.  Cutting a cycle of l arcs out of it leaves an (n-l)-arc
+    walk to v no heavier than D_(n-l)(v), so every cycle on it has mean
+    lambda.  The first one met walking back from v is returned, and
+    lambda is its weight, summed from its arcs, divided once by
+    `sf.power`: an exact whole number comes back as an int, and a float
+    carries no rounding from the long sums D_n(v) - D_k(v), unless the
+    running sum of the arcs leaves the float range.
+
+    Float sums can overflow where lambda does not.  That raises
+    ValueError rather than return +inf, the zero or a wrong mean: a
+    walk sum lost below the range (left zero though a finite walk
+    reaches its node), or a mean that is infinite or cannot be ordered.
+    """
+    n = a._require_square()
+    sf = a.sf
+    zero = sf.zero
+    nz = [[(j, w) for j, w in enumerate(row) if w != zero] for row in a.rows]
+    preds = [[u for u, row in enumerate(a.rows) if row[j] != zero] for j in range(n)]
+    walks, back = [[sf.one] * n], [None]
+    for _ in range(n):
+        prev, acc, arg = walks[-1], [zero] * n, [0] * n
+        for u, d in enumerate(prev):
+            if d != zero:
+                for j, w in nz[u]:
+                    s = d + w
+                    if s > acc[j]:
+                        acc[j] = s
+                        arg[j] = u
+        for j, d in enumerate(acc):
+            if d == zero and any(prev[u] != zero for u in preds[j]):
+                raise _overflow(zero)
+        walks.append(acc)
+        back.append(arg)
+    best = None
+    for v, dn in enumerate(walks[n]):
+        if dn == zero:
+            continue
+        num, den = dn - sf.one, n
+        for k in range(1, n):
+            dk = walks[k][v]
+            if dk != zero and _below(dn - dk, n - k, num, den):
+                num, den = dn - dk, n - k
+        if num in _INFINITIES:
+            raise _overflow(num)
+        if best is None or _below(best[0], best[1], num, den):
+            best = (num, den, v)
+    if best is None:
+        return zero, ()
+    v = best[2]
+    pos, walk, k = {}, [], n
+    while v not in pos:
+        pos[v] = len(walk)
+        walk.append(v)
+        v = back[k][v]
+        k -= 1
+    nodes = tuple(reversed(walk[pos[v]:]))
+    arcs = [a.rows[u][w] for u, w in zip(nodes, nodes[1:] + nodes[:1])]
+    weight, count = sum(arcs[1:], arcs[0]), len(nodes)
+    if weight in _INFINITIES:  # a running float sum left the range
+        weight, count = best[0], best[1]
+    return sf.power(weight, Fraction(1, count)), nodes
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,7 +28,7 @@ from .errors import (
     NotRegularVector,
     ShapeMismatch,
 )
-from .linalg import Matrix, Vector
+from .linalg import Matrix, Vector, _trace_product
 from .semifield import Scalar
 
 
@@ -171,7 +171,7 @@ def solve_fixpoint_lower(a: Matrix, b: Vector) -> SolutionSet:
         raise ShapeMismatch(f"lower bound dim {b.dim} against order {n}")
     sf = a.sf
     star = a.star()
-    if not sf.leq_tol((a @ star).trace(), sf.one):
+    if not sf.leq_tol(_trace_product(a, star), sf.one):
         raise NoRegularSolution("Tr(A) <= 1")
     return SolutionSet(generator=star, lower=b)
 
@@ -189,8 +189,9 @@ def solve_combined(a: Matrix, b: Vector, d: Vector) -> SolutionSet:
         raise NotRegularVector("upper bound must be regular")
     sf = a.sf
     star = a.star()
-    delta = sf.add((a @ star).trace(), d.conj() @ star @ b)
+    d_star = d.conj() @ star
+    delta = sf.add(_trace_product(a, star), d_star @ b)
     if not sf.leq_tol(delta, sf.one):
         raise NoRegularSolution("Tr(A) (+) d^- A* b <= 1")
-    upper = _tighten_box(b, (d.conj() @ star).conj())
+    upper = _tighten_box(b, d_star.conj())
     return SolutionSet(generator=star, lower=b, upper=upper)

@@ -36,7 +36,7 @@ from .errors import (
     ShapeMismatch,
     ZeroSpectralRadius,
 )
-from .linalg import Matrix, RowVector, Vector
+from .linalg import Matrix, RowVector, Vector, _trace_product
 from .linsolve import SolutionSet, _tighten_box
 from .semifield import Scalar
 
@@ -164,7 +164,7 @@ def solve_problem(problem: Problem) -> OptResult:
     hc = None if h is None else h.conj()
     b_hat = _border(b, n, sf, g, hc, None)
     b_star = b_hat.star()  # Tr(Bhat) = tr(Bhat Bhat*); theta needs it too
-    if not sf.leq_tol((b_hat @ b_star).trace(), sf.one):
+    if not sf.leq_tol(_trace_product(b_hat, b_star), sf.one):
         if b is None:
             raise InfeasibleConstraints("h^- g <= 1")
         # the border node lies on a cycle only when both g and h are given
@@ -175,7 +175,7 @@ def solve_problem(problem: Problem) -> OptResult:
         raise ZeroSpectralRadius("matrix has no cycle")
     if problem.kind in _NEEDS_SCALE:
         root = sf.power(qc @ p, Fraction(1, 2))
-        # lambda(A) costs n matrix products: compute it only when r and
+        # lambda(A) is a Karp pass of its own: compute it only when r and
         # the root leave the verdict open
         if sf.is_zero(sf.add(root, r)) and sf.is_zero(a.spectral_radius()):
             raise DegenerateProblem(

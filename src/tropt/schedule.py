@@ -32,7 +32,9 @@ from typing import Optional
 from .errors import InfeasibleConstraints, InfeasibleSchedule, SpecValidation
 # chain_sums stays a name of this module, where tracers that patch names
 # where they are looked up find it; the ledger reads chains off closures
-from .linalg import Matrix, RowVector, Vector, chain_sums, closure_sums  # noqa: F401
+from .linalg import (  # noqa: F401
+    Matrix, RowVector, Vector, _trace_product, chain_sums, closure_sums,
+)
 from .linsolve import SolutionSet
 from .optimize import Problem, ProblemKind, solve_problem
 from .semifield import Scalar
@@ -173,7 +175,7 @@ def _ledger(spec: ScheduleSpec, result: ScheduleResult) -> dict:
         "A_pow": {str(k): m for k, m in enumerate(a.powers(n)) if k >= 2},
         "B_pow": {str(k): m for k, m in enumerate(b.powers(n)) if k >= 2},
         "B_star": bstar,
-        "trace_sum_B": (b @ bstar).trace(),
+        "trace_sum_B": _trace_product(b, bstar),
         "h_Bstar_g": hc @ bstar @ g,
         "chain_sums": chains,
         "closure_sums": closures,

@@ -8,9 +8,12 @@ exist (x^r = r*x), so the structure is radicable.
 
 Scalars are plain Python numbers: int or fractions.Fraction in exact
 mode, float in float mode, with the zero element always carried as
-float -inf.  The two modes can mix; comparisons become approximate
-(absolute tolerance `eps`) as soon as a finite float is involved, and
-stay exact on int/Fraction operands.
+float -inf.  Ints stay ints: `add`, `mul` and `inv` of ints are ints,
+and a rational power that is a whole number is returned as an int, so
+whole-number data never enters Fraction arithmetic.  The two modes
+can mix; comparisons become approximate (absolute tolerance `eps`) as
+soon as a finite float is involved, and stay exact on int/Fraction
+operands.
 
 Any further instance must supply a linear (total) order compatible with
 the operations; the solvers rely on order totality throughout.
@@ -96,7 +99,10 @@ class Semifield:
     def power(self, x: Scalar, r: Scalar) -> Scalar:
         """Rational power x^r, i.e. r*x on the extended-real carrier.
 
-        zero^r = zero for r > 0; undefined (raises) for r <= 0.
+        zero^r = zero for r > 0; undefined (raises) for r <= 0.  An
+        exact power that is a whole number comes back as an int, as
+        `add`, `mul` and `inv` keep ints, so that whole-number data stays
+        out of Fraction arithmetic.
         """
         if x == self.zero:
             if r > 0:
@@ -104,7 +110,10 @@ class Semifield:
             raise UndefinedPower(f"zero element raised to {r!r}")
         if r == 0:
             return self.one
-        return r * x
+        v = r * x
+        if isinstance(v, Fraction) and v.denominator == 1:
+            return v.numerator
+        return v
 
     # -- reductions ----------------------------------------------------
 

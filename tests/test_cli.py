@@ -381,6 +381,32 @@ class TestMatrixCommands:
             assert out == ""
             assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "rows, sign, radius",
+        [
+            ([[1e308, None], [None, 0]], "+", 10**308),
+            ([[1e308, 1e308], [1e308, -1e308]], "+", 10**308),
+            ([[None, -1e308], [-1e308, None]], "-", -(10**308)),
+        ],
+    )
+    def test_eig_float_overflow_is_named(self, capsys, tmp_path, rows, sign, radius):
+        # the heaviest two-arc walk overflows: the radius is then a named
+        # error, never nan, -inf or a finite wrong value
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(rows))
+        code, out, err = run(capsys, "eig", str(f), "--float")
+        assert (code, out) == (1, "")
+        assert err == f"error: float overflow: a result is {sign}inf\n"
+        code, doc, _ = run_json(capsys, "eig", str(f))
+        assert code == 0 and doc["spectralRadius"] == radius
+
+    def test_solve_with_overflowing_theta_is_named(self, capsys, tmp_path):
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps({"kind": "Basic", "A": [[1e308, None], [None, 0]]}))
+        code, out, err = run(capsys, "solve", str(f), "--float")
+        assert (code, out) == (1, "")
+        assert err == "error: float overflow: a result is +inf\n"
+
     def test_star(self, capsys, fixtures_dir):
         code, doc, _ = run_json(capsys, "star", str(fixtures_dir / "B.json"))
         assert code == 0

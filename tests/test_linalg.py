@@ -21,8 +21,11 @@ from tropt import (
     closure_sums,
     outer,
 )
-from tropt import oracle
-from tropt.oracle import max_cycle_mean, random_matrix
+from tropt import linalg, oracle
+from tropt.errors import TroptError
+from tropt.linalg import _below, _max_cycle, _trace_product
+from tropt.optimize import ProblemKind, solve_problem
+from tropt.oracle import max_cycle_mean, random_matrix, sample_problem
 from tropt.semifield import MAXPLUS, MaxPlus, Semifield
 
 NEG = float("-inf")
@@ -508,3 +511,167 @@ def test_kernels_make_no_semifield_calls(monkeypatch):
     calls.clear()
     a @ b, a @ x, y @ a, y @ x, a.star(), a + b, x + z
     assert calls == []
+
+
+# -- spectral radius: Karp's formula against the former definition ---------
+
+
+def _ref_spectral_radius(a: Matrix):
+    """The former definition: (+) over k of tr(A^k)^(1/k), from the
+    matrix powers A, A^2, ..., A^n."""
+    sf, n = a.sf, a.n_rows
+    acc = sf.zero
+    for k, p in enumerate(a.powers(n)[1:], start=1):
+        t = p.trace()
+        if not sf.is_zero(t):
+            acc = sf.add(acc, sf.power(t, Fraction(1, k)))
+    return acc
+
+
+_MIXES = (("int",), ("int", "fraction"), ("float",), ("int", "float"))
+
+
+def _radius_case(rng, i):
+    """Order 1..8 (8 on every 40th draw, where cycle enumeration is
+    slow), about 40% zeros; exact draws hold ints or ints and
+    Fractions, float draws floats or floats and ints."""
+    n = 8 if i % 40 == 0 else rng.randint(1, 7)
+    kinds = rng.choice(_MIXES)
+    exact = "float" not in kinds
+    sf = MAXPLUS if exact else MaxPlus(eps=1e-9)
+    return Matrix(_table(rng, n, n, kinds), sf), exact
+
+
+def _as_fractions(a: Matrix) -> Matrix:
+    return Matrix(
+        tuple(tuple(v if v == NEG else Fraction(v) for v in r) for r in a.rows)
+    )
+
+
+def test_spectral_radius_matches_power_traces_and_cycle_enumeration():
+    rng = random.Random(61)
+    whole = 0
+    for i in range(1000):
+        a, exact = _radius_case(rng, i)
+        got = a.spectral_radius()
+        want, enum = _ref_spectral_radius(a), max_cycle_mean(_as_fractions(a))
+        if exact:
+            assert got == want == enum, (i, a)
+            if got != NEG and Fraction(got).denominator == 1:
+                assert type(got) is int, (i, a)
+                whole += 1
+        else:
+            assert (got == NEG) == (want == NEG) == (enum == NEG), (i, a)
+            assert a.sf.eq(got, want) and a.sf.eq(got, enum), (i, a)
+    assert whole > 200
+
+
+def test_witness_cycle_has_the_radius_as_its_mean():
+    rng = random.Random(67)
+    acyclic = 0
+    for i in range(1200):
+        a, exact = _radius_case(rng, i)
+        lam, nodes = _max_cycle(a)
+        assert lam == a.spectral_radius()
+        if not nodes:
+            assert lam == NEG
+            acyclic += 1
+            continue
+        assert len(set(nodes)) == len(nodes)
+        arcs = [a.rows[u][v] for u, v in zip(nodes, nodes[1:] + nodes[:1])]
+        assert NEG not in arcs
+        if exact:
+            assert Fraction(sum(arcs), len(arcs)) == lam, (i, a, nodes)
+        else:
+            assert a.sf.eq(sum(arcs) / len(arcs), lam), (i, a, nodes)
+    assert 50 < acyclic < 600
+
+
+def test_witness_of_the_bundled_project(a):
+    lam, nodes = _max_cycle(a)
+    assert lam == frozen.SPECTRAL_RADIUS_A and type(lam) is int
+    assert nodes and set(nodes) <= frozen.CRITICAL_NODES_A
+
+
+def test_spectral_radius_builds_no_matrix_product(monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(linalg, "_product", counting(linalg._product))
+    for name in ("__matmul__", "power"):
+        monkeypatch.setattr(Matrix, name, counting(getattr(Matrix, name)))
+    m = random_matrix(random.Random(71), 8, zero_p=0.4)
+    assert m.spectral_radius() == max_cycle_mean(m)
+    assert calls == []
+    m @ m
+    assert calls == ["__matmul__", "_product"]
+
+
+def test_float_overflow_in_walk_sums_is_named():
+    big = 1e308
+    for rows in (((big, NEG), (NEG, 0)), ((big, big), (big, -big))):
+        with pytest.raises(ValueError, match="float overflow: a result is \\+inf"):
+            Matrix(rows, MaxPlus()).spectral_radius()
+    # a two-arc walk below the float range would pass for the zero; a
+    # difference D_3(v) - D_k(v) below it would make v's mean the zero
+    for rows in (
+        ((-big, NEG), (NEG, NEG)),
+        ((NEG, -big), (-big, NEG)),
+        ((NEG, -big, -1.79e308), (big, NEG, NEG), (big, 1.5e308, NEG)),
+    ):
+        with pytest.raises(ValueError, match="float overflow: a result is -inf"):
+            Matrix(rows, MaxPlus()).spectral_radius()
+    # the witness (2, 1, 0) has weight -5e307, but its running sum
+    # -5e307 - 1.79e308 leaves the range: Karp's own pair gives the mean
+    rows = ((NEG, 0.0, 1.79e308), (-1.79e308, NEG, -1.5e308),
+            (NEG, -5e307, -1e308))
+    lam, nodes = _max_cycle(Matrix(rows, MaxPlus()))
+    assert nodes == (2, 1, 0) and lam == pytest.approx(-5e307 / 3, rel=1e-12)
+    # both cross-products overflow: the order of the two means is open
+    with pytest.raises(ValueError, match="float overflow"):
+        _below(big, 2, big, 3)
+    assert _below(big, 2, big, 1) and not _below(big, 1, big, 2)
+    assert Matrix(((big,),), MaxPlus()).spectral_radius() == big
+
+
+def test_whole_number_solve_stays_in_ints(general_problem):
+    result = solve_problem(general_problem)
+    assert result.minimum == frozen.THETA and type(result.minimum) is int
+    sols = result.solutions
+    entries = [v for r in sols.generator.rows for v in r]
+    entries += list(sols.lower.entries) + list(sols.upper.entries)
+    entries += list(result.canonical.entries)
+    assert not any(isinstance(v, Fraction) for v in entries)
+    rng = random.Random(73)
+    whole = 0
+    for _ in range(300):
+        prob = sample_problem(rng, rng.choice(list(ProblemKind)))
+        try:
+            result = solve_problem(prob)
+        except TroptError:
+            continue
+        if Fraction(result.minimum).denominator != 1:
+            continue
+        whole += 1
+        assert type(result.minimum) is int
+        gen = result.solutions.generator
+        assert not any(isinstance(v, Fraction) for r in gen.rows for v in r)
+    assert whole > 100
+
+
+def test_trace_product_matches_the_product_trace():
+    rng = random.Random(79)
+    for _ in range(800):
+        n = rng.randint(1, 7)
+        kinds = rng.choice(_MIXES)
+        left, right = (Matrix(_table(rng, n, n, kinds)) for _ in range(2))
+        if rng.random() < 0.1:
+            left = Matrix.zeros(n, n)
+        got = _trace_product(left, right)
+        assert repr(got) == repr((left @ right).trace())
