@@ -5,7 +5,9 @@ with the semifield's zero carried as a float -inf.  `+` is entrywise
 idempotent addition and `@` the max-plus product, one inlined kernel
 over the finite entries.  `star` is one O(n^3) Floyd-Warshall pass, and
 `trace_sum` reads Tr(A) = tr(A (x) A*) off it in O(n^2), without the
-product.  `spectral_radius` is Karp's O(n^3) maximum cycle mean.
+product.  `spectral_radius` is Karp's O(n^3) maximum cycle mean; float
+entries near the end of the range are scaled by a power of two first,
+so that its walk sums cannot overflow.
 Column and row vectors share one core of entrywise operations but are
 distinct types, so that expressions read like the algebra:
 ``h.conj() @ T @ g`` is a scalar.
@@ -15,6 +17,8 @@ All operands of a binary operation must share one semifield instance.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -88,17 +92,6 @@ class Matrix:
             sf,
         )
 
-    @staticmethod
-    def diagonal(values: Sequence[Scalar], sf: Semifield = MAXPLUS) -> "Matrix":
-        n = len(values)
-        return Matrix(
-            tuple(
-                tuple(values[i] if i == j else sf.zero for j in range(n))
-                for i in range(n)
-            ),
-            sf,
-        )
-
     # -- shape ----------------------------------------------------------
 
     @property
@@ -131,10 +124,6 @@ class Matrix:
             any(not sf.is_zero(self.rows[i][j]) for i in range(self.n_rows))
             for j in range(self.n_cols)
         )
-
-    def is_row_regular(self) -> bool:
-        sf = self.sf
-        return all(any(not sf.is_zero(v) for v in r) for r in self.rows)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -318,24 +307,6 @@ def _trace_product(left: Matrix, right: Matrix) -> Scalar:
     return acc
 
 
-_INFINITIES = (float("inf"), float("-inf"))
-
-
-def _overflow(x: float) -> ValueError:
-    """The named error for a float result past the range, x = +-inf."""
-    return ValueError(f"float overflow: a result is {x:+}")
-
-
-def _below(c: Scalar, m: int, num: Scalar, den: int) -> bool:
-    """c/m < num/den for arc counts m, den >= 1, by cross-multiplication.
-    Float products that overflow alike leave the order open: that is
-    named as an overflow, not guessed."""
-    x, y = c * den, num * m
-    if x == y and x in _INFINITIES:
-        raise _overflow(x)
-    return x < y
-
-
 def _max_cycle(a: Matrix) -> tuple[Scalar, tuple[int, ...]]:
     """(lambda, nodes): the largest cycle mean of A and a cycle that
     attains it, nodes in arc order; (zero, ()) when A has no cycle.
@@ -353,32 +324,42 @@ def _max_cycle(a: Matrix) -> tuple[Scalar, tuple[int, ...]]:
     lambda.  The first one met walking back from v is returned, and
     lambda is its weight, summed from its arcs, divided once by
     `sf.power`: an exact whole number comes back as an int, and a float
-    carries no rounding from the long sums D_n(v) - D_k(v), unless the
-    running sum of the arcs leaves the float range.
+    carries no rounding from the long sums D_n(v) - D_k(v).
 
-    Float sums can overflow where lambda does not.  That raises
-    ValueError rather than return +inf, the zero or a wrong mean: a
-    walk sum lost below the range (left zero though a finite walk
-    reaches its node), or a mean that is infinite or cannot be ordered.
+    Walk sums, their differences and the cross-products are at most
+    2n^2 times the largest |entry|, so they stay in the float range
+    while every float entry is at most M / (2n^2), M the largest float.
+    Past that, every finite entry is scaled by 2^-s, with 2^s > 2n^2,
+    and lambda is scaled back by 2^s.  A power of two is exact (short of
+    entries it pushes below the normal range), so lambda(2^k A) is
+    2^k lambda(A), bit for bit.  An entry of +inf, a product that
+    overflowed before it got here, raises ValueError.  Int and Fraction
+    entries never scale.
     """
     n = a._require_square()
     sf = a.sf
     zero = sf.zero
-    nz = [[(j, w) for j, w in enumerate(row) if w != zero] for row in a.rows]
-    preds = [[u for u, row in enumerate(a.rows) if row[j] != zero] for j in range(n)]
+    rows, shift = a.rows, 0
+    top = max(
+        (abs(w) for row in rows for w in row if isinstance(w, float) and w != zero),
+        default=0.0,
+    )
+    if top == math.inf:
+        raise ValueError("float overflow: a result is +inf")
+    if top > sys.float_info.max / (2 * n * n):
+        shift = (2 * n * n).bit_length()
+        rows = [[w if w == zero else math.ldexp(w, -shift) for w in r] for r in rows]
+    nz = [[(j, w) for j, w in enumerate(row) if w != zero] for row in rows]
     walks, back = [[sf.one] * n], [None]
     for _ in range(n):
-        prev, acc, arg = walks[-1], [zero] * n, [0] * n
-        for u, d in enumerate(prev):
+        acc, arg = [zero] * n, [0] * n
+        for u, d in enumerate(walks[-1]):
             if d != zero:
                 for j, w in nz[u]:
                     s = d + w
                     if s > acc[j]:
                         acc[j] = s
                         arg[j] = u
-        for j, d in enumerate(acc):
-            if d == zero and any(prev[u] != zero for u in preds[j]):
-                raise _overflow(zero)
         walks.append(acc)
         back.append(arg)
     best = None
@@ -388,11 +369,9 @@ def _max_cycle(a: Matrix) -> tuple[Scalar, tuple[int, ...]]:
         num, den = dn - sf.one, n
         for k in range(1, n):
             dk = walks[k][v]
-            if dk != zero and _below(dn - dk, n - k, num, den):
+            if dk != zero and (dn - dk) * den < num * (n - k):
                 num, den = dn - dk, n - k
-        if num in _INFINITIES:
-            raise _overflow(num)
-        if best is None or _below(best[0], best[1], num, den):
+        if best is None or best[0] * den < num * best[1]:
             best = (num, den, v)
     if best is None:
         return zero, ()
@@ -404,11 +383,9 @@ def _max_cycle(a: Matrix) -> tuple[Scalar, tuple[int, ...]]:
         v = back[k][v]
         k -= 1
     nodes = tuple(reversed(walk[pos[v]:]))
-    arcs = [a.rows[u][w] for u, w in zip(nodes, nodes[1:] + nodes[:1])]
-    weight, count = sum(arcs[1:], arcs[0]), len(nodes)
-    if weight in _INFINITIES:  # a running float sum left the range
-        weight, count = best[0], best[1]
-    return sf.power(weight, Fraction(1, count)), nodes
+    arcs = [rows[u][w] for u, w in zip(nodes, nodes[1:] + nodes[:1])]
+    lam = sf.power(sum(arcs[1:], arcs[0]), Fraction(1, len(nodes)))
+    return (math.ldexp(lam, shift) if shift else lam), nodes
 
 
 @dataclass(frozen=True, eq=False)
@@ -504,10 +481,6 @@ class Vector(_Entries):
     @staticmethod
     def zeros(n: int, sf: Semifield = MAXPLUS) -> "Vector":
         return Vector((sf.zero,) * n, sf)
-
-    @staticmethod
-    def ones(n: int, sf: Semifield = MAXPLUS) -> "Vector":
-        return Vector((sf.one,) * n, sf)
 
 
 class RowVector(_Entries):

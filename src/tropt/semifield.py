@@ -124,12 +124,6 @@ class Semifield:
             acc = self.add(acc, v)
         return acc
 
-    def prod(self, values: Iterable[Scalar]) -> Scalar:
-        acc: Scalar = self.one
-        for v in values:
-            acc = self.mul(acc, v)
-        return acc
-
 
 class MaxPlus(Semifield):
     """(R u {-inf}, max, +): the modeling semifield for schedules."""

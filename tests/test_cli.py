@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -228,37 +229,30 @@ class TestSolve:
         assert out == ""
         assert err.startswith("error: parameter box empty")
 
-    def test_float_overflow_is_input_error(self, capsys, tmp_path):
-        big = tmp_path / "overflow.json"
-        big.write_text(
-            json.dumps({"kind": "Basic", "A": [[1e308, 1e308], [1e308, 1e308]]})
-        )
-        code, out, err = run(capsys, "solve", str(big), "--float")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: float overflow")
+    def test_float_near_range_is_solved(self, capsys, tmp_path):
+        f = tmp_path / "near.json"
+        for a in ([[1e308, 1e308], [1e308, 1e308]], [[1e308, None], [None, 0]]):
+            f.write_text(json.dumps({"kind": "Basic", "A": a}))
+            code, doc, err = run_json(capsys, "solve", str(f), "--float")
+            assert (code, err) == (0, "")
+            assert doc["minimum"] == 1e308
 
     def test_float_overflow_inside_a_solve_is_named(self, capsys, tmp_path):
-        # the data is finite; +inf first appears inside the solve
-        big = tmp_path / "overflow.json"
-        big.write_text(
-            json.dumps(
-                {
-                    "kind": "ExtendedUnconstrained",
-                    "A": [[1e308, -1e308], [1e308, 0]],
-                    "p": [1e308, 1e308],
-                    "q": [-1e308, 1e308],
-                    "r": 1e308,
-                }
-            )
-        )
-        code, out, err = run(capsys, "solve", str(big), "--float")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: float overflow") and "Traceback" not in err
-        code, doc, _ = run_json(capsys, "solve", str(big))
-        assert code == 0
-        assert doc["minimum"] == 10**308
+        # the data is finite, but the exact minimum lies past the float
+        # range: +inf first appears inside the solve
+        f = tmp_path / "overflow.json"
+        problem = {
+            "kind": "LinearConstrained",
+            "A": [[None, 1e308], [1e308, None]],
+            "B": [[None, 1.7e308], [None, None]],
+            "g": [0, 0],
+        }
+        f.write_text(json.dumps(problem))
+        code, out, err = run(capsys, "solve", str(f), "--float")
+        assert (code, out) == (1, "")
+        assert err == "error: float overflow: a result is +inf\n"
+        code, doc, _ = run_json(capsys, "solve", str(f))
+        assert code == 0 and doc["minimum"] > sys.float_info.max
 
     def test_infinite_epsilon_is_rejected(self, capsys, tmp_path):
         # Tr(B) = 1 > 0: infeasible, which an infinite tolerance would hide
@@ -382,30 +376,42 @@ class TestMatrixCommands:
             assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "rows, sign, radius",
+        "rows, radius",
         [
-            ([[1e308, None], [None, 0]], "+", 10**308),
-            ([[1e308, 1e308], [1e308, -1e308]], "+", 10**308),
-            ([[None, -1e308], [-1e308, None]], "-", -(10**308)),
+            ([[1e308, None], [None, 0]], 10**308),
+            ([[1e308, 1e308], [1e308, -1e308]], 10**308),
+            ([[None, -1e308], [-1e308, None]], -(10**308)),
+            ([[-1.75e308, None], [None, None]], -175 * 10**306),
         ],
+        ids=["big-loop", "big-cycles", "neg-cycle", "neg-loop"],
     )
-    def test_eig_float_overflow_is_named(self, capsys, tmp_path, rows, sign, radius):
-        # the heaviest two-arc walk overflows: the radius is then a named
-        # error, never nan, -inf or a finite wrong value
+    def test_eig_float_near_range_is_the_exact_radius(self, capsys, tmp_path, rows, radius):
+        # walk sums of two arcs leave the float range, the radius does not
         f = tmp_path / "m.json"
         f.write_text(json.dumps(rows))
-        code, out, err = run(capsys, "eig", str(f), "--float")
-        assert (code, out) == (1, "")
-        assert err == f"error: float overflow: a result is {sign}inf\n"
+        code, doc, err = run_json(capsys, "eig", str(f), "--float")
+        assert (code, err) == (0, "")
+        assert doc["spectralRadius"] == float(radius)
         code, doc, _ = run_json(capsys, "eig", str(f))
         assert code == 0 and doc["spectralRadius"] == radius
 
     def test_solve_with_overflowing_theta_is_named(self, capsys, tmp_path):
+        # the exact theta lies past the float range
         f = tmp_path / "p.json"
-        f.write_text(json.dumps({"kind": "Basic", "A": [[1e308, None], [None, 0]]}))
+        problem = {
+            "kind": "FixpointConstrained",
+            "A": [[0, 1e308], [1e308, 1e308]],
+            "B": [[None, 1.5e308], [None, None]],
+            "p": [0, 0],
+            "q": [0, 0],
+            "r": 0,
+        }
+        f.write_text(json.dumps(problem))
         code, out, err = run(capsys, "solve", str(f), "--float")
         assert (code, out) == (1, "")
         assert err == "error: float overflow: a result is +inf\n"
+        code, doc, _ = run_json(capsys, "solve", str(f))
+        assert code == 0 and doc["minimum"] > sys.float_info.max
 
     def test_star(self, capsys, fixtures_dir):
         code, doc, _ = run_json(capsys, "star", str(fixtures_dir / "B.json"))
