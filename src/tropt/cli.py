@@ -12,11 +12,17 @@ Subcommands:
 Results go to stdout as JSON (or to --output); the schedule command adds
 a human summary on stderr.  Exit codes: 0 success, 2 a named feasibility
 or degeneracy condition failed, 1 anything wrong with the input.
+
+One parser serves a process: `main` builds it on its first call and
+reuses it after.  That is safe because `parse_args` returns a fresh
+Namespace each call, and usage errors and --help look up sys.stderr
+and sys.stdout when they print.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -214,6 +220,8 @@ def _verify_window(problem: Problem, window: int, center: Optional[Vector],
 
 
 def _cmd_verify(args) -> int:
+    if args.window < 0:
+        raise ValueError(f"--window must be at least 0, got {args.window}")
     data = serialize.loads(_read_text(args.problem), exact=True)
     problem = serialize.parse_problem(data, MAXPLUS, exact=True)
     step = default_step(problem.dim) if args.step is None else _parse_step(args.step)
@@ -288,6 +296,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # --epsilon implies --float, so it cannot join --exact
+        namespace, extras = super().parse_known_args(args, namespace)
+        if getattr(namespace, "exact", False) and getattr(namespace, "epsilon", None) is not None:
+            self.error("argument --epsilon: not allowed with argument --exact")
+        return namespace, extras
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -347,9 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except _DOMAIN_ERRORS as exc:

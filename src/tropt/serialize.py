@@ -31,10 +31,19 @@ from .schedule import ScheduleResult, ScheduleSpec
 from .semifield import MAXPLUS, Scalar, Semifield
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError("scalar too large for a float")
+    return value
+
+
 def loads(text: str, exact: bool = True):
+    """Parse JSON; in float mode a number literal that overflows is an
+    error, while null, "-inf" and -Infinity still mean the zero."""
     if exact:
         return json.loads(text, parse_float=Fraction)
-    return json.loads(text)
+    return json.loads(text, parse_float=_finite_float)
 
 
 def dumps(obj: Any) -> str:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import sys
 from fractions import Fraction
@@ -5,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 import _frozen as frozen
-from tropt.cli import main
+from tropt import cli
+from tropt.cli import build_parser, main
 
 NEG = float("-inf")
 
@@ -376,6 +379,20 @@ class TestMatrixCommands:
             assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "literal, radius",
+        [("1e400", 10**400), ("-1e400", -(10**400))],
+        ids=["positive", "negative"],
+    )
+    def test_float_literal_too_large_for_float(self, capsys, tmp_path, literal, radius):
+        # an overflowing number is neither +inf nor the tropical zero
+        f = tmp_path / "huge.json"
+        f.write_text(f"[[{literal}]]")
+        code, out, err = run(capsys, "eig", str(f), "--float")
+        assert (code, out, err) == (1, "", "error: scalar too large for a float\n")
+        code, doc, _ = run_json(capsys, "eig", str(f))
+        assert code == 0 and doc["spectralRadius"] == radius
+
+    @pytest.mark.parametrize(
         "rows, radius",
         [
             ([[1e308, None], [None, 0]], 10**308),
@@ -505,6 +522,15 @@ class TestVerify:
         assert doc["grid"]["argmin"] == [0, big]
 
 
+    def test_negative_window_is_named(self, capsys, fixtures_dir):
+        problem = str(fixtures_dir / "general_problem.json")
+        code, out, err = run(capsys, "verify", problem, "--window", "-1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --window must be at least 0")
+        code, doc, _ = run_json(capsys, "verify", problem, "--window", "0")
+        assert code == 0 and doc["agree"] is True
+
+
 class TestParser:
     def test_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit):
@@ -520,8 +546,16 @@ class TestParser:
             ["solve", "general_problem.json", "--epsilon", "-1e-9"],
             [],
             ["solve", "general_problem.json", "--exact", "--float"],
+            ["solve", "general_problem.json", "--exact", "--epsilon", "1e-6"],
+            ["schedule", "three_activity_project.json", "--epsilon=0", "--exact"],
         ],
-        ids=["separated-negative-epsilon", "no-subcommand", "exact-and-float"],
+        ids=[
+            "separated-negative-epsilon",
+            "no-subcommand",
+            "exact-and-float",
+            "exact-and-epsilon",
+            "epsilon-and-exact",
+        ],
     )
     def test_usage_errors_exit_1(self, capsys, fixtures_dir, argv):
         argv = [str(fixtures_dir / a) if a.endswith(".json") else a for a in argv]
@@ -530,3 +564,100 @@ class TestParser:
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert err.startswith("usage: tropt") and "error:" in err
+
+    def test_exact_with_epsilon_names_both_flags(self, capsys, fixtures_dir):
+        problem = str(fixtures_dir / "general_problem.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", problem, "--exact", "--epsilon", "1e-6"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: tropt solve")
+        assert captured.err.endswith(
+            "tropt solve: error: argument --epsilon: not allowed with argument --exact\n"
+        )
+
+    @pytest.mark.parametrize("flags", [["--float", "--epsilon", "1e-6"], ["--epsilon", "1e-6"]])
+    def test_epsilon_without_exact_runs_float(self, capsys, fixtures_dir, flags):
+        code, doc, _ = run_json(
+            capsys, "solve", str(fixtures_dir / "general_problem.json"), *flags
+        )
+        assert code == 0
+        assert doc["minimum"] == 4.0 and isinstance(doc["minimum"], float)
+
+
+@pytest.fixture
+def fresh_parser():
+    """Drop the process's shared parser before and after the test."""
+    cli._shared_parser.cache_clear()
+    yield
+    cli._shared_parser.cache_clear()
+
+
+class TestSharedParser:
+    """Back-to-back `main` calls share one parser and nothing else."""
+
+    def test_built_once_per_process(self, capsys, fixtures_dir, monkeypatch, fresh_parser):
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        matrix = str(fixtures_dir / "A.json")
+        for argv in (["eig", matrix], ["star", matrix, "--float"], []) * 4:
+            try:
+                main(argv)
+            except SystemExit:
+                pass
+        capsys.readouterr()
+        assert built == [1]
+
+    def test_float_then_exact(self, capsys, tmp_path):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps([[1, 3], [2, 0]]))
+        assert run_json(capsys, "eig", str(f), "--float")[1] == {"spectralRadius": 2.5}
+        assert run_json(capsys, "eig", str(f))[1] == {"spectralRadius": "5/2"}
+
+    def test_output_then_stdout(self, capsys, fixtures_dir, tmp_path):
+        target = tmp_path / "result.json"
+        matrix = str(fixtures_dir / "A.json")
+        assert run(capsys, "eig", matrix, "--output", str(target)) == (0, "", "")
+        code, out, _ = run(capsys, "eig", matrix)
+        assert code == 0 and out == target.read_text()
+
+    def test_intermediates_then_without(self, capsys, fixtures_dir):
+        spec = str(fixtures_dir / "three_activity_project.json")
+        code, doc, _ = run_json(capsys, "schedule", spec, "--emit-intermediates")
+        assert code == 0 and "intermediates" in doc
+        code, doc, _ = run_json(capsys, "schedule", spec)
+        assert code == 0 and "intermediates" not in doc
+
+    def test_usage_error_then_valid_call(self, capsys, fixtures_dir):
+        matrix = str(fixtures_dir / "A.json")
+        assert run(capsys, "eig", matrix)[0] == 0  # the parser exists now
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(["eig", matrix, "--exact", "--float"])
+        assert exc.value.code == 1
+        assert err.getvalue().startswith("usage: tropt eig")
+        code, doc, _ = run_json(capsys, "eig", matrix)
+        assert code == 0 and "spectralRadius" in doc
+
+    def test_window_then_default(self, capsys, tmp_path):
+        # x^- 0 x is 0 everywhere, so the grid argmin is the window's corner
+        f = tmp_path / "flat.json"
+        f.write_text(json.dumps({"kind": "Basic", "A": [[0]]}))
+        assert run_json(capsys, "verify", str(f), "--window", "1")[1]["grid"]["argmin"] == [-1]
+        assert run_json(capsys, "verify", str(f))[1]["grid"]["argmin"] == [-2]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_is_the_same_on_every_call(self, capsys, argv, fresh_parser):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].startswith("usage: tropt")

@@ -96,6 +96,18 @@ class TestLoads:
         doc = loads('{"x": 0.1}', exact=False)
         assert isinstance(doc["x"], float)
 
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400", "-1.5e309"])
+    def test_float_mode_rejects_an_overflowing_literal(self, literal):
+        with pytest.raises(ValueError, match="scalar too large for a float"):
+            loads(f"[[{literal}]]", exact=False)
+
+    def test_exact_mode_reads_an_overflowing_literal(self):
+        assert loads("[1e400, -1e400]", exact=True) == [10**400, -(10**400)]
+
+    def test_float_mode_keeps_the_spellings_of_zero(self):
+        rows = loads('[[null, "-inf", -Infinity, 1e-400]]', exact=False)
+        assert parse_matrix(rows, MAXPLUS, exact=False).rows == ((NEG, NEG, NEG, 0.0),)
+
     def test_dumps_is_deterministic(self):
         assert dumps({"b": 1, "a": 2}) == dumps({"a": 2, "b": 1})
 
