@@ -130,7 +130,7 @@ def _cmd_schedule(args) -> int:
     collapse = collapse_solution_line(result.solutions)
     doc = serialize.encode_schedule_result(result, collapse)
     if args.emit_intermediates:
-        doc["intermediates"] = serialize.encode_value(intermediates)
+        doc["intermediates"] = intermediates  # `dumps` writes matrices itself
     _emit(doc, args)
     print(_schedule_summary(result), file=sys.stderr)
     return 0

@@ -37,30 +37,37 @@ def _as_tuple_rows(rows: Iterable[Iterable[Scalar]]) -> tuple[tuple[Scalar, ...]
     return tuple(tuple(r) for r in rows)
 
 
-def _product(left: Sequence[Sequence[Scalar]], right: Sequence[Sequence[Scalar]],
-             zero: Scalar) -> list[tuple[Scalar, ...]]:
-    """Rows of the max-plus product of two row-major tables.
+def _finite(rows: Sequence[Sequence[Scalar]], zero: Scalar) -> list[list]:
+    """Each row's (column, entry) pairs where the entry is not `zero`."""
+    return [[(j, b) for j, b in enumerate(row) if b != zero] for row in rows]
 
-    Entry (i, j) is the largest left[i][k] + right[k][j] over the k
-    where neither factor is `zero`, or `zero` when there is none.  Terms
-    are visited in increasing k and only a strictly larger one replaces
-    the running maximum, so the first maximal term is kept: the result,
-    Python type included, is that of `sf.sum(sf.mul(a, b) ...)` under
-    `MaxPlus`, without a method call per scalar.
-    """
-    right_nz = [[(j, b) for j, b in enumerate(row) if b != zero] for row in right]
-    width = len(right[0])
-    out = []
-    for row in left:
-        acc = [zero] * width
+
+def _row_sum(zero: Scalar, width: int, *terms) -> list[Scalar]:
+    """One row of (+) row (x) right over the terms (row, right `_finite`
+    lists).  Terms go in order, each in increasing k, and only a strictly
+    larger sum replaces the running maximum: the first maximal term is
+    kept, so the result, Python type included, is that of `sf.sum` of
+    `sf.mul`s under `MaxPlus`, and an earlier term wins ties, as the
+    left operand of `+` does."""
+    acc = [zero] * width
+    for row, right_nz in terms:
         for a, nz in zip(row, right_nz):
             if a != zero:
                 for j, b in nz:
                     s = a + b
                     if s > acc[j]:
                         acc[j] = s
-        out.append(tuple(acc))
-    return out
+    return acc
+
+
+def _product(left: Sequence[Sequence[Scalar]], right: Sequence[Sequence[Scalar]],
+             zero: Scalar, right_nz: list[list] | None = None) -> list[list[Scalar]]:
+    """Rows of the max-plus product of two row-major tables (see
+    `_row_sum`).  A caller that multiplies by one right factor many
+    times passes its `_finite` lists once."""
+    if right_nz is None:
+        right_nz = _finite(right, zero)
+    return [_row_sum(zero, len(right[0]), (row, right_nz)) for row in left]
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +166,7 @@ class Matrix:
                 raise ShapeMismatch(
                     f"{self.n_rows}x{self.n_cols} times {other.n_rows}x{other.n_cols}"
                 )
-            return Matrix(tuple(_product(self.rows, other.rows, sf.zero)), sf)
+            return Matrix(_product(self.rows, other.rows, sf.zero), sf)
         return NotImplemented
 
     def scale(self, c: Scalar) -> "Matrix":
@@ -204,12 +211,13 @@ class Matrix:
         return result
 
     def powers(self, top: int) -> list["Matrix"]:
-        """[I, A, A^2, ..., A^top] by iterated products."""
-        n = self._require_square()
-        out = [Matrix.identity(n, self.sf)]
+        """[I, A, A^2, ..., A^top] by iterated products on A's finite entries."""
+        n, sf = self._require_square(), self.sf
+        nz = _finite(self.rows, sf.zero)
+        out = [Matrix.identity(n, sf).rows]
         for _ in range(top):
-            out.append(out[-1] @ self)
-        return out
+            out.append(_product(out[-1], self.rows, sf.zero, nz))
+        return [Matrix(t, sf) for t in out]
 
     def trace_sum(self) -> Scalar:
         """Tr(A) = tr A (+) tr A^2 (+) ... (+) tr A^n = tr(A (x) A*).
@@ -493,16 +501,28 @@ class RowVector(_Entries):
     def __matmul__(self, other: Union[Matrix, Vector]) -> Union["RowVector", Scalar]:
         """Max-plus product with a column (a scalar) or a matrix."""
         sf = self.sf
+        zero = sf.zero
         if isinstance(other, Vector):
             if self.dim != other.dim:
                 raise ShapeMismatch(f"row dim {self.dim} times vector dim {other.dim}")
-            return _product((self.entries,), [(x,) for x in other.entries], sf.zero)[0][0]
+            # `max` keeps the first maximal term, as `_row_sum` does
+            pairs = zip(self.entries, other.entries)
+            return max((a + b for a, b in pairs if a != zero and b != zero), default=zero)
         if isinstance(other, Matrix):
             if self.dim != other.n_rows:
                 raise ShapeMismatch(
                     f"row dim {self.dim} times {other.n_rows}x{other.n_cols}"
                 )
-            return RowVector(_product((self.entries,), other.rows, sf.zero)[0], sf)
+            # one row: walk the table itself, no `_finite` lists to build
+            acc = [zero] * other.n_cols
+            for a, row in zip(self.entries, other.rows):
+                if a != zero:
+                    for j, b in enumerate(row):
+                        if b != zero:
+                            s = a + b
+                            if s > acc[j]:
+                                acc[j] = s
+            return RowVector(acc, sf)
         return NotImplemented
 
 
@@ -555,16 +575,18 @@ def closure_sums(a: Matrix, b: Matrix) -> list[Matrix]:
     Each of the n-1 factors maps the coefficients T_k to
     T_k (I (+) B) (+) T_(k-1) A.  Entry 0 is B*."""
     n = _check_pair(a, b)
+    zero = a.sf.zero
     eye = Matrix.identity(n, a.sf)
-    step = eye + b
-    out = [eye]
+    step_nz, a_nz = _finite((eye + b).rows, zero), _finite(a.rows, zero)
+    zeros = [(zero,) * n] * n  # T_(-1) and T_n
+    out = [eye.rows]
     for _ in range(n - 1):
-        out = (
-            [out[0] @ step]
-            + [t @ step + prev @ a for prev, t in zip(out, out[1:])]
-            + [out[-1] @ a]
-        )
-    return out
+        # T_k (I (+) B) (+) T_(k-1) A, row by row in one accumulation
+        out = [
+            [_row_sum(zero, n, (t_row, step_nz), (p_row, a_nz)) for t_row, p_row in zip(t, prev)]
+            for prev, t in zip([zeros] + out, out + [zeros])
+        ]
+    return [Matrix(t, a.sf) for t in out]
 
 
 def chain_sum(a: Matrix, b: Matrix, k: int) -> Matrix:

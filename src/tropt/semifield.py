@@ -32,8 +32,9 @@ _EXACT_TYPES = (int, Fraction)
 
 
 def is_exact(value: Scalar) -> bool:
-    """True when the value carries no float rounding (int/Fraction)."""
-    return isinstance(value, _EXACT_TYPES)
+    """True when the value carries no float rounding (int/Fraction).
+    Floats are ruled out first, before the Fraction ABC check."""
+    return not isinstance(value, float) and isinstance(value, _EXACT_TYPES)
 
 
 class Semifield:
@@ -111,7 +112,7 @@ class Semifield:
         if r == 0:
             return self.one
         v = r * x
-        if isinstance(v, Fraction) and v.denominator == 1:
+        if not isinstance(v, float) and isinstance(v, Fraction) and v.denominator == 1:
             return v.numerator
         return v
 

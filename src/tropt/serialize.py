@@ -15,6 +15,10 @@ Exact mode parses JSON floats through Fraction so a value like 2.5 is
 read from its decimal spelling, not from a binary double.  Matrices
 travel as {"rows": r, "cols": c, "data": [[..]]}; a bare list of rows
 is accepted on input.  Vectors are plain arrays.
+
+`dumps` writes tropt objects directly, byte for byte as `json` writes
+their `encode_value` with indent=2 and sorted keys, but a matrix row at
+a time rather than through json's pure-Python indenting encoder.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 from .linalg import Matrix, RowVector, Vector
@@ -41,13 +46,66 @@ def _finite_float(text: str) -> float:
 def loads(text: str, exact: bool = True):
     """Parse JSON; in float mode a number literal that overflows is an
     error, while null, "-inf" and -Infinity still mean the zero."""
-    if exact:
-        return json.loads(text, parse_float=Fraction)
-    return json.loads(text, parse_float=_finite_float)
+    try:
+        return json.loads(text, parse_float=Fraction if exact else _finite_float)
+    except RecursionError:
+        raise ValueError("JSON input nested too deeply") from None
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """``json.dumps(encode_value(obj), sort_keys=True, indent=2)``,
+    written directly; dict keys are strings."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _texts(values) -> list[str]:
+    """Scalar texts: an int or a finite float is its repr (v - v is nan
+    for inf and nan); anything else goes through `encode_scalar`."""
+    return [
+        repr(v) if (t := type(v)) is int or (t is float and v - v == 0)
+        else _json_text(encode_scalar(v))
+        for v in values
+    ]
+
+
+def _json_text(v) -> str:
+    """`json`'s text for what `encode_scalar` returns, mostly strings."""
+    return encode_basestring_ascii(v) if type(v) is str else json.dumps(v)
+
+
+def _write(v, nl: str, out: list[str]) -> None:
+    """Append the text of v at the indent that `nl`, a newline and the
+    current indent, ends in."""
+    inner = nl + "  "
+    if isinstance(v, Matrix):
+        cell, row_nl = "," + inner + "    ", inner + "  "
+        rows = ("," + row_nl).join(
+            f"[{cell[1:]}{cell.join(_texts(row))}{row_nl}]" for row in v.rows
+        )
+        out.append(
+            f'{{{inner}"cols": {v.n_cols},{inner}"data": [{row_nl}{rows}'
+            f'{inner}],{inner}"rows": {v.n_rows}{nl}}}'
+        )
+    elif isinstance(v, (Vector, RowVector)):
+        out.append("[" + inner + ("," + inner).join(_texts(v.entries)) + nl + "]")
+    elif isinstance(v, dict):
+        sep = "{"
+        for key, value in sorted(v.items()):
+            out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _write(value, inner, out)
+            sep = ","
+        out.append(nl + "}" if v else "{}")
+    elif isinstance(v, (list, tuple)):
+        sep = "["
+        for value in v:
+            out.append(sep + inner)
+            _write(value, inner, out)
+            sep = ","
+        out.append(nl + "]" if v else "[]")
+    else:
+        out.append(_texts((v,))[0])
 
 
 def parse_scalar(value, sf: Semifield = MAXPLUS, exact: bool = True) -> Scalar:
@@ -59,9 +117,7 @@ def parse_scalar(value, sf: Semifield = MAXPLUS, exact: bool = True) -> Scalar:
         if exact:
             return value
         frac = value
-    elif isinstance(value, Fraction):
-        frac = value
-    elif isinstance(value, float):
+    elif isinstance(value, float):  # before Fraction, an ABC check
         if math.isnan(value):
             raise ValueError("NaN is not a scalar")
         if math.isinf(value):
@@ -71,6 +127,8 @@ def parse_scalar(value, sf: Semifield = MAXPLUS, exact: bool = True) -> Scalar:
         if not exact:
             return value
         frac = Fraction(repr(value))
+    elif isinstance(value, Fraction):
+        frac = value
     elif isinstance(value, str):
         text = value.strip()
         if text == "-inf":
@@ -90,14 +148,19 @@ def parse_scalar(value, sf: Semifield = MAXPLUS, exact: bool = True) -> Scalar:
 
 
 def encode_scalar(value: Scalar):
+    # int and float first: isinstance(value, Fraction) is an ABC check
+    if type(value) is int:
+        return value
+    if isinstance(value, float):
+        if math.isinf(value):
+            if value > 0:
+                raise ValueError("float overflow: a result is +inf")
+            return "-inf"
+        return value
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int(value)
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float) and math.isinf(value):
-        if value > 0:
-            raise ValueError("float overflow: a result is +inf")
-        return "-inf"
     return value
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -378,6 +379,15 @@ class TestMatrixCommands:
             assert out == ""
             assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", [[], ["--float"]], ids=["exact", "float"])
+    def test_deeply_nested_input_is_named(self, capsys, tmp_path, mode):
+        f = tmp_path / "deep.json"
+        f.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, "eig", str(f), *mode)
+        assert (code, out) == (1, "")
+        assert err == "error: JSON input nested too deeply\n"
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "literal, radius",
         [("1e400", 10**400), ("-1e400", -(10**400))],
@@ -661,3 +671,19 @@ class TestSharedParser:
             assert exc.value.code == 0
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1] and texts[0].startswith("usage: tropt")
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CASES))
+def test_golden_output(capsys, monkeypatch, name):
+    """stdout, stderr and exit code match the recording byte for byte;
+    `scripts/record_golden.py` re-records them."""
+    case = GOLDEN_CASES[name]
+    monkeypatch.chdir(GOLDEN.parent.parent)
+    code, out, err = run(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert err == case["stderr"]
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()

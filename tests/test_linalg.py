@@ -271,6 +271,74 @@ def test_identity_is_neutral(x):
     assert x @ eye == x
 
 
+def _reference_closure_sums(a: Matrix, b: Matrix) -> list[Matrix]:
+    """The closure recurrence at the Matrix level, one product per term."""
+    eye = Matrix.identity(a.n_rows, a.sf)
+    step = eye + b
+    out = [eye]
+    for _ in range(a.n_rows - 1):
+        out = (
+            [out[0] @ step]
+            + [t @ step + prev @ a for prev, t in zip(out, out[1:])]
+            + [out[-1] @ a]
+        )
+    return out
+
+
+def _reference_powers(a: Matrix, top: int) -> list[Matrix]:
+    out = [Matrix.identity(a.n_rows, a.sf)]
+    for _ in range(top):
+        out.append(out[-1] @ a)
+    return out
+
+
+def _typed(values) -> list:
+    """Each scalar with its type and repr, so that 3 and Fraction(3)
+    or 0.0 and -0.0 differ."""
+    return [(type(x), repr(x)) for x in values]
+
+
+def _typed_rows(m: Matrix) -> list:
+    return _typed(x for row in m.rows for x in row)
+
+
+# ints and Fractions (some whole, so that ties can mix the two types) or
+# floats, each with the tropical zero
+_exact_entries = st.one_of(
+    st.integers(-6, 6), st.fractions(-6, 6, max_denominator=3), st.just(NEG)
+)
+_float_entries = st.one_of(
+    st.floats(-6, 6).map(lambda x: round(x * 4) / 4), st.just(NEG)
+)
+square_pairs = st.tuples(
+    st.integers(1, 5), st.sampled_from([_exact_entries, _float_entries])
+).flatmap(
+    lambda nk: st.lists(
+        st.lists(st.lists(nk[1], min_size=nk[0], max_size=nk[0]),
+                 min_size=nk[0], max_size=nk[0]),
+        min_size=2, max_size=2,
+    ).map(lambda pair: (Matrix(pair[0]), Matrix(pair[1])))
+)
+
+
+@given(square_pairs)
+def test_table_kernels_match_matrix_level_recurrences(pair):
+    """closure_sums, powers and row-vector products on finite-entry
+    tables give the Matrix-level results entry for entry, types and
+    reprs included."""
+    a, b = pair
+    n = a.n_rows
+    for ours, ref in zip(closure_sums(a, b), _reference_closure_sums(a, b), strict=True):
+        assert _typed_rows(ours) == _typed_rows(ref)
+    for ours, ref in zip(a.powers(n), _reference_powers(a, n), strict=True):
+        assert _typed_rows(ours) == _typed_rows(ref)
+    for i in range(n):
+        row = b.row(i)
+        assert _typed((row @ a).entries) == _typed((Matrix((row.entries,)) @ a).rows[0])
+        col = a.column(i)
+        assert _typed([row @ col]) == _typed([(Matrix((row.entries,)) @ col).entries[0]])
+
+
 # -- differential tests of the product and star kernels --------------------
 #
 # The references below are the definitions, one Semifield call per

@@ -11,8 +11,12 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 @pytest.mark.parametrize(
     "argv",
-    [["walkthrough.py"], ["audit_random.py", "--count", "5"]],
-    ids=["walkthrough", "audit_random"],
+    [
+        ["walkthrough.py"],
+        ["audit_random.py", "--count", "5"],
+        ["record_golden.py", "--check"],
+    ],
+    ids=["walkthrough", "audit_random", "record_golden"],
 )
 def test_script_exits_cleanly(argv):
     done = subprocess.run(

@@ -2,9 +2,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import _frozen as frozen
 from tropt import MAXPLUS, Matrix, ProblemKind, Vector, solve_schedule
+from tropt.linalg import RowVector
 from tropt.serialize import (
     dumps,
     encode_matrix,
@@ -288,3 +291,66 @@ class TestResultEncoding:
         assert doc["list"][0] == [0, "1/2"]
         assert doc["plain"] == "7/2"
         json.dumps(doc)
+
+
+scalars = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=7),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([NEG, -0.0]),
+)
+entry_lists = st.integers(1, 3).flatmap(lambda k: st.lists(scalars, min_size=k, max_size=k))
+matrices = st.integers(1, 3).flatmap(
+    lambda k: st.lists(
+        st.lists(scalars, min_size=k, max_size=k), min_size=1, max_size=3
+    ).map(Matrix)
+)
+texts = st.one_of(st.text(), st.sampled_from(['"q"', "back\\slash", "\x00\x1f\t\n", "é ✓ 😀"]))
+leaves = st.one_of(
+    scalars,
+    texts,
+    st.none(),
+    st.booleans(),
+    matrices,
+    entry_lists.map(Vector),
+    entry_lists.map(RowVector),
+)
+documents = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(texts, children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+def reference_dumps(obj) -> str:
+    return json.dumps(encode_value(obj), sort_keys=True, indent=2)
+
+
+class TestWriter:
+    """`dumps` writes what `json` writes for the encoded document."""
+
+    @given(documents)
+    def test_same_text_as_json(self, doc):
+        assert dumps(doc) == reference_dumps(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            float("inf"),
+            [1, {"x": Vector((0, float("inf")))}],
+            Matrix(((0, float("inf")),)),
+            10**4301,
+            {"m": Matrix(((10**4301,),))},
+        ],
+        ids=["inf", "inf-in-vector", "inf-in-matrix", "long-int", "long-int-in-matrix"],
+    )
+    def test_same_error_as_json(self, doc):
+        with pytest.raises(ValueError) as ours:
+            dumps(doc)
+        with pytest.raises(ValueError) as theirs:
+            reference_dumps(doc)
+        assert str(ours.value) == str(theirs.value)
