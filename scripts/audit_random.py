@@ -96,6 +96,10 @@ def main(argv=None) -> int:
     parser.add_argument("--radius", type=int, default=1,
                         help="grid half-width around the optimum (default 1)")
     args = parser.parse_args(argv)
+    if args.count < 1:
+        parser.error("--count must be at least 1")
+    if args.radius < 0:
+        parser.error("--radius must be at least 0")
 
     failures = 0
     started = time.perf_counter()

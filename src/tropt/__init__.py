@@ -30,6 +30,7 @@ from .errors import (
     ShapeMismatch,
     SpecValidation,
     TooLarge,
+    TooManyDigits,
     TroptError,
     UndefinedPower,
     ZeroSpectralRadius,
@@ -104,6 +105,7 @@ __all__ = [
     "SolutionSet",
     "SpecValidation",
     "TooLarge",
+    "TooManyDigits",
     "TroptError",
     "UndefinedPower",
     "Vector",

@@ -36,6 +36,7 @@ from .errors import (
     InfeasibleSchedule,
     NoFeasiblePoint,
     NoRegularSolution,
+    TooManyDigits,
     TroptError,
     ZeroSpectralRadius,
 )
@@ -374,6 +375,9 @@ def main(argv=None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
+    except TooManyDigits as exc:
+        print(f"error: exact value longer than {exc.limit} digits", file=sys.stderr)
+        return 1
     except (TroptError, ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

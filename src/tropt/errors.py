@@ -93,6 +93,16 @@ class SpecValidation(TroptError):
         super().__init__("; ".join(self.problems))
 
 
+class TooManyDigits(TroptError, ValueError):
+    """An exact value is longer than the interpreter converts between
+    int and decimal text.  The message is Python's own, as `json` gives
+    it; `limit` is the limit in digits."""
+
+    def __init__(self, message: str, limit: int):
+        self.limit = limit
+        super().__init__(message)
+
+
 class GridTooLarge(TroptError):
     """The requested search grid exceeds the point budget."""
 

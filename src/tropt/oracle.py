@@ -17,14 +17,15 @@ multiply all data by the lcm of the denominators so every evaluation
 is plain integer max/+.  Both scanned objectives are maxima of
 difference terms c + x_j - x_i, and B x <= x is a set of such terms
 that must stay <= 0; a zero entry makes no term, so no zero takes part
-in any sum.  The scan is incremental: it cuts each axis to the bounds
-g <= x <= h it checks, then walks the prefixes x_0 .. x_(n-2) in
-lexicographic order, settling every term once per prefix, so each
-point of the inner loop over x_(n-1) costs O(1).  It visits the
-feasible points in the order of the full lattice and keeps the first
-strict minimum.  The point budget counts the uncut grid.  None of this
-code calls the solver path: products, objectives and feasibility tests
-are re-implemented on raw lists.
+in any sum.  The scan cuts each axis to the bounds g <= x <= h it
+checks, then walks the prefixes x_0 .. x_(n-3) in lexicographic order,
+settling every term once per prefix.  Along the last two axes it works
+in closed form: each value of x_(n-2) costs O(1), with the best
+x_(n-1) found without visiting the points.  It returns the minimum
+and the first strict minimiser in the order of the full lattice.  The
+point budget counts the uncut grid.  None of this code calls the
+solver path: products, objectives and feasibility tests are
+re-implemented on raw lists.
 """
 
 from __future__ import annotations
@@ -158,18 +159,39 @@ def _lattice(grid: GridSpec, g, h, *data) -> tuple[int, list[range]]:
     return scale, axes
 
 
-def _split(terms, last: int):
-    """Terms (c, j, i) by their slope in x_last: constant ones as they
-    are, rising ones (j = last) as (c, i), falling ones as (c, j)."""
-    fixed, rising, falling = [], [], []
+def _slopes(terms, n: int) -> dict:
+    """Terms (c, j, i) by their slope (ds, dt) in s = x_(n-2) and
+    t = x_(n-1).  x_j adds one to a slope and x_i takes one away, so
+    seven slopes occur."""
+    classes: dict = {}
     for c, j, i in terms:
-        if j == i or last not in (j, i):
-            fixed.append((c, j, i))
-        elif j == last:
-            rising.append((c, i))
-        else:
-            falling.append((c, j))
-    return fixed, rising, falling
+        key = ((j == n - 2) - (i == n - 2), (j == n - 1) - (i == n - 1))
+        classes.setdefault(key, []).append((c, j, i))
+    return classes
+
+
+def _lines(classes, x) -> tuple[list, list, list]:
+    """The largest term of each class at the prefix x, as a line
+    (ds, offset) in s.  The lines come in three groups, by their slope
+    0, +1 and -1 in t (the last one at index -1)."""
+    groups: tuple[list, list, list] = ([], [], [])
+    for (ds, dt), terms in classes.items():
+        groups[dt].append((ds, max(c + x[j] - x[i] for c, j, i in terms)))
+    return groups
+
+
+def _column(lines, ss: range):
+    """The largest of the lines at each s of ss; None at each when
+    there is no line."""
+    cols = [
+        range(off + ds * ss.start, off + ds * ss.stop, ds * ss.step)
+        if ds
+        else itertools.repeat(off)
+        for ds, off in lines
+    ]
+    if len(cols) < 2:
+        return cols[0] if cols else itertools.repeat(None)
+    return map(max, *cols)
 
 
 def _scan(axes: list[range], objective, constraints) -> tuple[int, tuple[int, ...]]:
@@ -178,57 +200,70 @@ def _scan(axes: list[range], objective, constraints) -> tuple[int, tuple[int, ..
     is <= 0.  Terms are (c, j, i) for c + x_j - x_i, index n standing
     for no variable.  Returns (minimum, argmin), scaled.
 
-    The outer loop runs over the prefixes x_0 .. x_(n-2).  Each term is
-    constant in the last coordinate t, rises with it (j = n-1) or falls
-    with it (i = n-1).  So a prefix costs one pass over the terms, which
-    leaves the objective max(const, rise + t, fall - t) and the
-    constraints a floor and a cap on t, and each point of the inner
-    loop costs O(1).  A constant constraint term above 0 drops the
-    whole prefix: no t can mend it.
+    Terms fall into seven classes by their slope in s = x_(n-2) and
+    t = x_(n-1).  The outer loop runs over the prefixes x_0 .. x_(n-3),
+    and a prefix costs one pass over the terms for each class's largest
+    one.  That leaves lines in s.  The constraints that hold no t clip
+    the s axis; the others give t a floor and a cap at each s.  The
+    objective at s is max(const, rise + t, fall - t), a convex function
+    of t.  Its least value on the lattice is at a neighbour of
+    (fall - rise) / 2, and its first minimiser is the first lattice
+    t >= fall - min, so each s costs O(1).  With n = 1 there is no s:
+    it runs over one point of slope 0.
     """
-    last = len(axes) - 1
-    fixed, rising, falling = _split(objective, last)
-    c_fixed, c_rising, c_falling = _split(constraints, last)
+    n = len(axes)
+    obj, con = _slopes(objective, n), _slopes(constraints, n)
+    s_axis = axes[n - 2] if n > 1 else range(1)
     best: Optional[int] = None
-    arg: Optional[tuple[int, ...]] = None
-    for prefix in itertools.product(*axes[:last]):
-        # x[last] cancels in every constant term; x[n] is no variable
-        x = prefix + (0, 0)
-        if any(c + x[j] - x[i] > 0 for c, j, i in c_fixed):
-            continue
-        inner = _clip(
-            axes[last],
-            max((c + x[j] for c, j in c_falling), default=None),
-            min((x[i] - c for c, i in c_rising), default=None),
-        )
-        if not inner:
-            continue
-        const = max((c + x[j] - x[i] for c, j, i in fixed), default=None)
-        rise = max((c - x[i] for c, i in rising), default=None)
-        fall = max((c + x[j] for c, j in falling), default=None)
-        # Stand-ins that change no value on [lo, hi]: a slope term is at
-        # least its value at one end, and a missing slope term may be one
-        # that never exceeds the constant there.
-        lo, hi = inner[0], inner[-1]
-        if const is None:
-            const = rise + lo if rise is not None else fall - hi
-        if rise is None:
-            rise = const - hi
-        if fall is None:
-            fall = const + lo
-        for t in inner:
-            value = rise + t
-            down = fall - t
-            if down > value:
-                value = down
-            if const > value:
-                value = const
+    arg: tuple[int, ...] = ()
+    for prefix in itertools.product(*axes[: max(n - 2, 0)]):
+        # s and t cancel in every class offset; x[n] is no variable
+        x = prefix + (0, 0, 0)
+        flat, cap, floor = _lines(con, x)
+        if any(ds == 0 and off > 0 for ds, off in flat):
+            continue  # a constant constraint term above 0: no s, t mends it
+        lower = upper = None
+        for ds, off in flat:  # off + s <= 0 or off - s <= 0
+            if ds > 0:
+                upper = -off
+            elif ds < 0:
+                lower = off
+        const, rise, fall = _lines(obj, x)
+        ss = _clip(s_axis, lower, upper)
+        columns = (_column(lines, ss) for lines in (cap, floor, const, rise, fall))
+        # line + t <= 0 caps t at -line; line - t <= 0 floors it at line
+        for s, up, low, c, r, f in zip(ss, *columns):
+            inner = _clip(axes[-1], low, None if up is None else -up)
+            if not inner:
+                continue
+            # Stand-ins that change no value on [lo, hi]: a slope term is
+            # at least its value at one end, and a missing slope term may
+            # be one that never exceeds the constant there.
+            lo, hi = inner[0], inner[-1]
+            if c is None:
+                c = r + lo if r is not None else f - hi
+            if r is None:
+                r = c - hi
+            if f is None:
+                f = c + lo
+            # max(r + t, f - t) falls up to (f - r) / 2 and rises after
+            # it, so its least value is at a lattice neighbour of that point
+            d = inner.step
+            t = lo + (f - r - 2 * lo) // (2 * d) * d
+            if t < lo:
+                value = r + lo
+            elif t >= hi:
+                value = f - hi
+            else:
+                value = min(f - t, r + t + d)
+            if c > value:
+                value = c
             if best is None or value < best:
                 best = value
-                arg = prefix + (t,)
+                arg = prefix + (s, _clip(inner, f - value, None)[0])
     if best is None:
         raise NoFeasiblePoint("no grid point satisfies the constraints")
-    return best, arg
+    return best, arg[-n:]  # with n = 1, without the stand-in s
 
 
 def grid_minimize(problem: Problem, grid: GridSpec) -> tuple[Scalar, Vector]:

@@ -9,7 +9,9 @@ Scalar conventions, both directions:
 
 Float mode reads every number, integers included, as a float; a value
 too large for a float, or a result that overflows to +inf, is a
-ValueError.
+ValueError.  An exact value longer than the interpreter's int-to-text
+limit can be neither read nor written: that is TooManyDigits, a
+ValueError with Python's message.
 
 Exact mode parses JSON floats through Fraction so a value like 2.5 is
 read from its decimal spelling, not from a binary double.  Matrices
@@ -25,10 +27,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
+from .errors import TooManyDigits
 from .linalg import Matrix, RowVector, Vector
 from .linsolve import SolutionSet
 from .optimize import OptResult, Problem, ProblemKind
@@ -50,14 +54,27 @@ def loads(text: str, exact: bool = True):
         return json.loads(text, parse_float=Fraction if exact else _finite_float)
     except RecursionError:
         raise ValueError("JSON input nested too deeply") from None
+    except ValueError as exc:
+        raise _digit_limit(exc) from None
 
 
 def dumps(obj: Any) -> str:
     """``json.dumps(encode_value(obj), sort_keys=True, indent=2)``,
     written directly; dict keys are strings."""
     out: list[str] = []
-    _write(obj, "\n", out)
+    try:
+        _write(obj, "\n", out)
+    except ValueError as exc:
+        raise _digit_limit(exc) from None
     return "".join(out)
+
+
+def _digit_limit(exc: ValueError) -> ValueError:
+    """Python's limit on the digits of an int as text, as TooManyDigits
+    with the same message; any other ValueError as it is."""
+    if "integer string conversion" not in str(exc):
+        return exc
+    return TooManyDigits(str(exc), sys.get_int_max_str_digits())
 
 
 def _texts(values) -> list[str]:

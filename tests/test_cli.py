@@ -379,6 +379,19 @@ class TestMatrixCommands:
             assert out == ""
             assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text", ["[[1e4400]]", "[[" + "1" * 4400 + "]]"], ids=["result", "input"]
+    )
+    def test_exact_value_past_the_digit_limit_is_named(self, capsys, tmp_path, text):
+        # 10^4400 parses through Fraction, but its int has too many digits
+        f = tmp_path / "long.json"
+        f.write_text(text)
+        code, out, err = run(capsys, "eig", str(f))
+        limit = sys.get_int_max_str_digits()
+        assert (code, out) == (1, "")
+        assert err == f"error: exact value longer than {limit} digits\n"
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("mode", [[], ["--float"]], ids=["exact", "float"])
     def test_deeply_nested_input_is_named(self, capsys, tmp_path, mode):
         f = tmp_path / "deep.json"

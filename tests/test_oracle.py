@@ -528,3 +528,67 @@ def test_incremental_scan_matches_dense_reference():
                 draws += 1
     assert draws >= 600
     assert outcomes["infeasible"] >= 60 and outcomes["feasible"] >= 400, outcomes
+
+
+# -- the closed-form scan against a literal one ------------------------------
+
+
+def _literal_scan(axes, objective, constraints):
+    """Every lattice point in lexicographic order, every term evaluated."""
+    best = arg = None
+    for point in itertools.product(*axes):
+        x = point + (0,)
+        if any(c + x[j] - x[i] > 0 for c, j, i in constraints):
+            continue
+        value = max(c + x[j] - x[i] for c, j, i in objective)
+        if best is None or value < best:
+            best, arg = value, point
+    if best is None:
+        raise NoFeasiblePoint("literal: no feasible point")
+    return best, arg
+
+
+def _slope(n, j, i):
+    """The slope of c + x_j - x_i in (x_(n-2), x_(n-1))."""
+    return ((j == n - 2) - (i == n - 2), (j == n - 1) - (i == n - 1))
+
+
+def _random_terms(rng, n, count):
+    """`count` terms (c, j, i), index n for no variable.  Half the time
+    they come from a random subset of the slope classes only, so that
+    whole classes go missing."""
+    pairs = list(itertools.product(range(n + 1), repeat=2))
+    if rng.random() < 0.5:
+        kept = {_slope(n, j, i) for j, i in pairs if rng.random() < 0.5}
+        pairs = [(j, i) for j, i in pairs if _slope(n, j, i) in kept] or [(n, n)]
+    return [(rng.randint(-6, 6), *rng.choice(pairs)) for _ in range(count)]
+
+
+def test_scan_matches_a_literal_scan():
+    """(minimum, argmin) and NoFeasiblePoint of `_scan` agree with a
+    point-by-point scan on random axes and terms, n = 1..4: empty and
+    single-point axes, steps 1..3, terms of no variable and self-terms
+    (c, i, i), constraints on x_(n-2) alone and empty slope classes."""
+    rng = random.Random(20261019)
+    points = {1: 16, 2: 9, 3: 6, 4: 4}
+    seen = {"feasible": 0, "infeasible": 0, "no rise": 0, "no fall": 0, "no const": 0}
+    for n in (1, 2, 3, 4):
+        for _ in range(750):
+            axes = []
+            for _ in range(n):
+                step, start = rng.randint(1, 3), rng.randint(-6, 4)
+                size = rng.choice((0, 1, points[n] // 2) + (points[n],) * 5)
+                axes.append(range(start, start + size * step, step))
+            objective = _random_terms(rng, n, rng.randint(1, 6))
+            constraints = _random_terms(rng, n, rng.choice((0, 1, 2, 4)))
+            if n > 1 and rng.random() < 0.3:  # x_(n-2) alone, from either side
+                constraints.append((rng.randint(-6, 6), n - 2, n))
+                constraints.append((rng.randint(-6, 6), n, n - 2))
+            got = _outcome(oracle._scan, axes, objective, constraints)
+            want = _outcome(_literal_scan, axes, objective, constraints)
+            assert got == want, (axes, objective, constraints)
+            seen["infeasible" if got == "infeasible" else "feasible"] += 1
+            slopes = {_slope(n, j, i)[1] for _, j, i in objective}
+            for name, dt in (("no rise", 1), ("no fall", -1), ("no const", 0)):
+                seen[name] += dt not in slopes
+    assert min(seen.values()) >= 300, seen

@@ -27,3 +27,21 @@ def test_script_exits_cleanly(argv):
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["--radius", "-1"], "--radius must be at least 0"),
+     (["--count", "0"], "--count must be at least 1")],
+    ids=["radius", "count"],
+)
+def test_audit_random_rejects_bad_arguments(argv, message):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "audit_random.py"), *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
