@@ -7,7 +7,13 @@ over the finite entries.  `star` is one O(n^3) Floyd-Warshall pass, and
 `trace_sum` reads Tr(A) = tr(A (x) A*) off it in O(n^2), without the
 product.  `spectral_radius` is Karp's O(n^3) maximum cycle mean; float
 entries near the end of the range are scaled by a power of two first,
-so that its walk sums cannot overflow.
+so that its walk sums cannot overflow.  Karp's walk stops at the first
+step k with D_k finite and D_k = c (x) D_(k-1): then x_u + a_uv <= c + x_v
+on every arc for x = D_(k-1), so no cycle has mean above c, and the
+back-pointers of step k are tight arcs closing a cycle of mean c.
+Entrywise helpers (`scale`, `conj`, `meet`, the zero and regularity
+tests) inline the MaxPlus rules, as `+` and `@` do: no Semifield call
+per entry.
 Column and row vectors share one core of entrywise operations but are
 distinct types, so that expressions read like the algebra:
 ``h.conj() @ T @ g`` is a scalar.
@@ -21,6 +27,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -31,6 +38,8 @@ from .errors import (
     UndefinedPower,
 )
 from .semifield import MAXPLUS, Scalar, Semifield
+
+_OVERFLOW = "float overflow: a result is +inf"
 
 
 def _as_tuple_rows(rows: Iterable[Iterable[Scalar]]) -> tuple[tuple[Scalar, ...], ...]:
@@ -61,13 +70,14 @@ def _row_sum(zero: Scalar, width: int, *terms) -> list[Scalar]:
 
 
 def _product(left: Sequence[Sequence[Scalar]], right: Sequence[Sequence[Scalar]],
-             zero: Scalar, right_nz: list[list] | None = None) -> list[list[Scalar]]:
+             zero: Scalar, right_nz: list[list] | None = None) -> tuple[tuple, ...]:
     """Rows of the max-plus product of two row-major tables (see
     `_row_sum`).  A caller that multiplies by one right factor many
     times passes its `_finite` lists once."""
     if right_nz is None:
         right_nz = _finite(right, zero)
-    return [_row_sum(zero, len(right[0]), (row, right_nz)) for row in left]
+    width = len(right[0])
+    return tuple(tuple(_row_sum(zero, width, (row, right_nz))) for row in left)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,6 +94,16 @@ class Matrix:
             raise ShapeMismatch("ragged rows")
 
     # -- construction --------------------------------------------------
+
+    @classmethod
+    def _built(cls, rows: tuple[tuple[Scalar, ...], ...], sf: Semifield) -> "Matrix":
+        """A matrix on a table this module built: a nonempty tuple of
+        equal-length, nonempty tuples, taken as it is, without the
+        re-tupling and shape checks of `Matrix(...)`."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "sf", sf)
+        return m
 
     @staticmethod
     def zeros(n_rows: int, n_cols: int, sf: Semifield = MAXPLUS) -> "Matrix":
@@ -126,11 +146,8 @@ class Matrix:
 
     def is_column_regular(self) -> bool:
         """Every column holds at least one nonzero entry."""
-        sf = self.sf
-        return all(
-            any(not sf.is_zero(self.rows[i][j]) for i in range(self.n_rows))
-            for j in range(self.n_cols)
-        )
+        zero = self.sf.zero
+        return all(any(v != zero for v in col) for col in zip(*self.rows))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -142,7 +159,7 @@ class Matrix:
                 f"add {self.n_rows}x{self.n_cols} with {other.n_rows}x{other.n_cols}"
             )
         # `MaxPlus.add` inlined: the left operand wins ties
-        return Matrix(
+        return Matrix._built(
             tuple(
                 tuple(x if y <= x else y for x, y in zip(ra, rb))
                 for ra, rb in zip(self.rows, other.rows)
@@ -166,28 +183,25 @@ class Matrix:
                 raise ShapeMismatch(
                     f"{self.n_rows}x{self.n_cols} times {other.n_rows}x{other.n_cols}"
                 )
-            return Matrix(_product(self.rows, other.rows, sf.zero), sf)
+            return Matrix._built(_product(self.rows, other.rows, sf.zero), sf)
         return NotImplemented
 
     def scale(self, c: Scalar) -> "Matrix":
-        sf = self.sf
-        return Matrix(tuple(tuple(sf.mul(c, v) for v in r) for r in self.rows), sf)
+        """c (x) A; `MaxPlus.mul` inlined, as in `_scaled_sum`."""
+        return _scaled_sum(c, self, None)
 
     def __rmul__(self, c: Scalar) -> "Matrix":
         return self.scale(c)
 
     def conj(self) -> "Matrix":
-        """Conjugate transpose: transpose with entrywise inversion."""
-        sf = self.sf
-        return Matrix(
-            tuple(
-                tuple(
-                    sf.zero if sf.is_zero(self.rows[i][j]) else sf.inv(self.rows[i][j])
-                    for i in range(self.n_rows)
-                )
-                for j in range(self.n_cols)
-            ),
-            sf,
+        """Conjugate transpose: transpose with entrywise inversion
+        (`MaxPlus.inv` inlined, zero entries staying zero)."""
+        zero = self.sf.zero
+        if any(math.inf in r for r in self.rows):
+            raise ValueError(_OVERFLOW)
+        return Matrix._built(
+            tuple(tuple(zero if v == zero else -v for v in col) for col in zip(*self.rows)),
+            self.sf,
         )
 
     # -- square-matrix functions -----------------------------------------
@@ -217,7 +231,7 @@ class Matrix:
         out = [Matrix.identity(n, sf).rows]
         for _ in range(top):
             out.append(_product(out[-1], self.rows, sf.zero, nz))
-        return [Matrix(t, sf) for t in out]
+        return [Matrix._built(t, sf) for t in out]
 
     def trace_sum(self) -> Scalar:
         """Tr(A) = tr A (+) tr A^2 (+) ... (+) tr A^n = tr(A (x) A*).
@@ -268,7 +282,7 @@ class Matrix:
             return (Matrix.identity(n, sf) + self).power(n - 1)
         for i in range(n):
             d[i][i] = sf.one
-        return Matrix(tuple(tuple(r) for r in d), sf)
+        return Matrix._built(tuple(tuple(r) for r in d), sf)
 
     # -- comparisons ------------------------------------------------------
 
@@ -295,6 +309,22 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({[list(r) for r in self.rows]!r})"
+
+
+def _scaled_sum(c: Scalar, a: Matrix, b: Matrix | None) -> Matrix:
+    """c (x) A (+) B, or c (x) A when b is None, with no Matrix in
+    between.  `MaxPlus.mul` and `add` inlined: a zero factor gives
+    zero, and the scaled entry, the left operand, wins ties."""
+    zero = a.sf.zero
+    if c == zero:
+        scaled = [[zero] * len(r) for r in a.rows]
+    else:
+        scaled = [[zero if v == zero else c + v for v in r] for r in a.rows]
+    if b is not None:
+        scaled = [
+            [x if y <= x else y for x, y in zip(ra, rb)] for ra, rb in zip(scaled, b.rows)
+        ]
+    return Matrix._built(tuple(map(tuple, scaled)), a.sf)
 
 
 def _trace_product(left: Matrix, right: Matrix) -> Scalar:
@@ -326,13 +356,23 @@ def _max_cycle(a: Matrix) -> tuple[Scalar, tuple[int, ...]]:
     the means compared as (weight, arc count) pairs by
     cross-multiplication.
 
+    The walk stops early at the first step k where D_k is finite
+    everywhere and D_k - D_(k-1) is one constant c.  D_(k-1) is then a
+    finite left eigenvector: x_u + a_uv <= D_k(v) = c + x_v on every arc
+    (u, v), so summed around any cycle its mean is at most c; the arcs
+    u = back[k][v] hold with equality, so following back[k] from any
+    node closes a cycle of mean exactly c = lambda (Butkovic,
+    Max-linear Systems, 2010, ch. 4).  Periodic and reducible matrices
+    may never reach such a step and take the full formula below.
+
     Back-pointers give the heaviest n-arc walk to the v that attains
     lambda.  Cutting a cycle of l arcs out of it leaves an (n-l)-arc
     walk to v no heavier than D_(n-l)(v), so every cycle on it has mean
-    lambda.  The first one met walking back from v is returned, and
-    lambda is its weight, summed from its arcs, divided once by
-    `sf.power`: an exact whole number comes back as an int, and a float
-    carries no rounding from the long sums D_n(v) - D_k(v).
+    lambda.  The first one met walking back from v is returned.  Either
+    way lambda is the witness's weight, summed from its arcs, divided
+    once by `sf.power` (`_cycle_mean`): an exact whole number comes back
+    as an int, and a float carries no rounding from the long sums
+    D_n(v) - D_k(v).
 
     Walk sums, their differences and the cross-products are at most
     2n^2 times the largest |entry|, so they stay in the float range
@@ -353,21 +393,28 @@ def _max_cycle(a: Matrix) -> tuple[Scalar, tuple[int, ...]]:
         default=0.0,
     )
     if top == math.inf:
-        raise ValueError("float overflow: a result is +inf")
+        raise ValueError(_OVERFLOW)
     if top > sys.float_info.max / (2 * n * n):
         shift = (2 * n * n).bit_length()
         rows = [[w if w == zero else math.ldexp(w, -shift) for w in r] for r in rows]
     nz = [[(j, w) for j, w in enumerate(row) if w != zero] for row in rows]
     walks, back = [[sf.one] * n], [None]
     for _ in range(n):
+        prev = walks[-1]
         acc, arg = [zero] * n, [0] * n
-        for u, d in enumerate(walks[-1]):
+        for u, d in enumerate(prev):
             if d != zero:
                 for j, w in nz[u]:
                     s = d + w
                     if s > acc[j]:
                         acc[j] = s
                         arg[j] = u
+        # a finite D_k has a finite entry in every column of A, so D_(k-1)
+        # is finite too: the early exit needs only D_k = c (x) D_(k-1)
+        if zero not in acc:
+            c = acc[0] - prev[0]
+            if all(d - e == c for d, e in zip(acc, prev)):
+                return _cycle_mean(rows, repeat(arg), 0, sf, shift)
         walks.append(acc)
         back.append(arg)
     best = None
@@ -383,13 +430,20 @@ def _max_cycle(a: Matrix) -> tuple[Scalar, tuple[int, ...]]:
             best = (num, den, v)
     if best is None:
         return zero, ()
-    v = best[2]
-    pos, walk, k = {}, [], n
+    return _cycle_mean(rows, reversed(back[1:]), best[2], sf, shift)
+
+
+def _cycle_mean(rows, steps, v: int, sf: Semifield,
+                shift: int) -> tuple[Scalar, tuple[int, ...]]:
+    """(lambda, nodes) for the cycle closed by walking back from v, one
+    back-pointer list from `steps` per arc, until a node repeats: its
+    weight, summed from its arcs, divided once by `sf.power` (an exact
+    whole number comes back as an int), then scaled back by 2^shift."""
+    pos, walk = {}, []
     while v not in pos:
         pos[v] = len(walk)
         walk.append(v)
-        v = back[k][v]
-        k -= 1
+        v = next(steps)[v]
     nodes = tuple(reversed(walk[pos[v]:]))
     arcs = [rows[u][w] for u, w in zip(nodes, nodes[1:] + nodes[:1])]
     lam = sf.power(sum(arcs[1:], arcs[0]), Fraction(1, len(nodes)))
@@ -419,10 +473,11 @@ class _Entries:
 
     def is_regular(self) -> bool:
         """No zero entries."""
-        return all(not self.sf.is_zero(v) for v in self.entries)
+        return self.sf.zero not in self.entries
 
     def is_zero(self) -> bool:
-        return all(self.sf.is_zero(v) for v in self.entries)
+        zero = self.sf.zero
+        return all(v == zero for v in self.entries)
 
     def conj(self):
         """Conjugate transpose: the other orientation with entrywise
@@ -430,9 +485,11 @@ class _Entries:
         vector."""
         if self.is_zero():
             raise AllZeroVector(self._all_zero)
-        sf = self.sf
+        if math.inf in self.entries:
+            raise ValueError(_OVERFLOW)
+        zero = self.sf.zero
         return self._transpose(
-            tuple(sf.zero if sf.is_zero(v) else sf.inv(v) for v in self.entries), sf
+            tuple(zero if v == zero else -v for v in self.entries), self.sf
         )
 
     def __add__(self, other):
@@ -446,19 +503,22 @@ class _Entries:
         )
 
     def scale(self, c: Scalar):
-        sf = self.sf
-        return type(self)(tuple(sf.mul(c, v) for v in self.entries), sf)
+        zero = self.sf.zero
+        return type(self)(
+            tuple(zero if v == zero or c == zero else c + v for v in self.entries),
+            self.sf,
+        )
 
     def __rmul__(self, c: Scalar):
         return self.scale(c)
 
     def meet(self, other):
-        """Entrywise greatest lower bound."""
+        """Entrywise greatest lower bound; the left operand wins ties."""
         if self.dim != other.dim:
             raise ShapeMismatch(f"meet dims {self.dim} and {other.dim}")
-        sf = self.sf
         return type(self)(
-            tuple(sf.meet(a, b) for a, b in zip(self.entries, other.entries)), sf
+            tuple(a if a <= b else b for a, b in zip(self.entries, other.entries)),
+            self.sf,
         )
 
     def leq(self, other) -> bool:
@@ -583,10 +643,13 @@ def closure_sums(a: Matrix, b: Matrix) -> list[Matrix]:
     for _ in range(n - 1):
         # T_k (I (+) B) (+) T_(k-1) A, row by row in one accumulation
         out = [
-            [_row_sum(zero, n, (t_row, step_nz), (p_row, a_nz)) for t_row, p_row in zip(t, prev)]
+            tuple(
+                tuple(_row_sum(zero, n, (t_row, step_nz), (p_row, a_nz)))
+                for t_row, p_row in zip(t, prev)
+            )
             for prev, t in zip([zeros] + out, out + [zeros])
         ]
-    return [Matrix(t, a.sf) for t in out]
+    return [Matrix._built(t, a.sf) for t in out]
 
 
 def chain_sum(a: Matrix, b: Matrix, k: int) -> Matrix:

@@ -36,7 +36,7 @@ from .errors import (
     ShapeMismatch,
     ZeroSpectralRadius,
 )
-from .linalg import Matrix, RowVector, Vector, _trace_product
+from .linalg import Matrix, RowVector, Vector, _scaled_sum, _trace_product
 from .linsolve import SolutionSet, _tighten_box
 from .semifield import Scalar
 
@@ -186,8 +186,7 @@ def solve_problem(problem: Problem) -> OptResult:
         raise ZeroSpectralRadius("matrix has no cycle")
 
     inv_t = sf.inv(theta)
-    scaled = a.scale(inv_t)
-    gen = (scaled if b is None else scaled + b).star()
+    gen = _scaled_sum(inv_t, a, b).star()
     lower = Vector.zeros(n, sf)
     if p is not None:
         lower = lower + p.scale(inv_t)

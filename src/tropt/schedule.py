@@ -33,7 +33,7 @@ from .errors import InfeasibleConstraints, InfeasibleSchedule, SpecValidation
 # chain_sums stays a name of this module, where tracers that patch names
 # where they are looked up find it; the ledger reads chains off closures
 from .linalg import (  # noqa: F401
-    Matrix, RowVector, Vector, _trace_product, chain_sums, closure_sums,
+    Matrix, RowVector, Vector, _scaled_sum, _trace_product, chain_sums, closure_sums,
 )
 from .linsolve import SolutionSet
 from .optimize import Problem, ProblemKind, solve_problem
@@ -199,7 +199,7 @@ def _ledger(spec: ScheduleSpec, result: ScheduleResult) -> dict:
         "sum_h_closure_p": roots(h_closure_p, 1),
         "sum_q_chain_p": roots(q_chain_p, 1),
     }
-    scaled = a.scale(sf.inv(result.theta)) + b
+    scaled = _scaled_sum(sf.inv(result.theta), a, b)
     inter.update(
         h_closure_g=h_closure_g,
         q_chain_g=q_chain_g,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -557,8 +558,10 @@ def test_kernels_make_no_semifield_calls(monkeypatch):
 
         return counted
 
-    for cls, name in ((MaxPlus, "add"), (Semifield, "mul"), (Semifield, "sum")):
-        monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
+    for cls in (Semifield, MaxPlus):
+        for name, fn in list(vars(cls).items()):
+            if callable(fn) and not name.startswith("__"):
+                monkeypatch.setattr(cls, name, counting(fn))
     rng = random.Random(47)
     pot = [rng.randint(-5, 5) for _ in range(6)]
     a = Matrix(
@@ -575,6 +578,8 @@ def test_kernels_make_no_semifield_calls(monkeypatch):
     assert not _has_positive_cycle(a)
     calls.clear()
     a @ b, a @ x, y @ a, y @ x, a.star(), a + b, x + z
+    x.scale(2), x.scale(NEG), x.conj(), x.meet(z), x.is_regular(), x.is_zero()
+    b.scale(-1), b.conj(), b.is_column_regular(), linalg._scaled_sum(3, a, b)
     assert calls == []
 
 
@@ -656,6 +661,112 @@ def test_witness_of_the_bundled_project(a):
     lam, nodes = _max_cycle(a)
     assert lam == frozen.SPECTRAL_RADIUS_A and type(lam) is int
     assert nodes and set(nodes) <= frozen.CRITICAL_NODES_A
+
+
+# -- Karp's early exit at a finite left eigenvector ------------------------
+
+
+def _eigen_step(a: Matrix):
+    """The first k <= n at which D_k is finite everywhere and
+    D_k - D_(k-1) is one constant, from plain maxima of walk sums
+    (entries scaled by 2^-s near the float range, as Karp's kernel
+    scales them); None when no step qualifies."""
+    rows, n = a.rows, a.n_rows
+    top = max((abs(w) for r in rows for w in r if isinstance(w, float) and w != NEG),
+              default=0.0)
+    if top > _M / (2 * n * n):
+        s = (2 * n * n).bit_length()
+        rows = [[w if w == NEG else math.ldexp(w, -s) for w in r] for r in rows]
+    d = [0] * n
+    for k in range(1, n + 1):
+        e = [
+            max((d[u] + rows[u][j] for u in range(n) if d[u] != NEG and rows[u][j] != NEG),
+                default=NEG)
+            for j in range(n)
+        ]
+        if NEG not in e and len({x - y for x, y in zip(e, d)}) == 1:
+            return k
+        d = e
+    return None
+
+
+def _near_range_case(rng):
+    """Order 1..6, entries of either sign within a factor 180 of the
+    largest float, about 30% zeros."""
+    n = rng.randint(1, 6)
+    rows = tuple(
+        tuple(NEG if rng.random() < 0.3 else rng.choice((-1, 1)) * rng.uniform(1e306, _M)
+              for _ in range(n))
+        for _ in range(n)
+    )
+    return Matrix(rows, MaxPlus())
+
+
+@pytest.fixture
+def karp_tails(monkeypatch):
+    """Records, per `_max_cycle` call that finds a cycle, whether the
+    witness came from the early exit (True) or the full formula."""
+    taken = []
+    tail = linalg._cycle_mean
+
+    def recording(rows, steps, v, sf, shift):
+        taken.append(isinstance(steps, itertools.repeat))
+        return tail(rows, steps, v, sf, shift)
+
+    monkeypatch.setattr(linalg, "_cycle_mean", recording)
+    return taken
+
+
+def test_early_exit_fires_where_an_eigenvector_is_found(karp_tails):
+    rng = random.Random(97)
+    branches = {True: 0, False: 0}
+    for i in range(1200):
+        # order at most 7, where cycle enumeration is fast
+        if i % 4 == 3:
+            a, exact, rel = _near_range_case(rng), False, Fraction(1, 10**12)
+        else:
+            (a, exact), rel = _radius_case(rng, 1), None
+        karp_tails.clear()
+        lam, nodes = _max_cycle(a)
+        enum = max_cycle_mean(_as_fractions(a))
+        if enum == NEG:
+            assert lam == NEG and nodes == () and karp_tails == [], (i, a)
+            continue
+        early = _eigen_step(a) is not None
+        assert karp_tails == [early], (i, a)
+        branches[early] += 1
+        assert len(set(nodes)) == len(nodes)
+        arcs = [Fraction(a.rows[u][v]) for u, v in zip(nodes, nodes[1:] + nodes[:1])]
+        mean = sum(arcs) / len(arcs)
+        if exact:
+            assert lam == enum == mean, (i, a, nodes)
+        elif rel is None:
+            assert a.sf.eq(lam, enum) and a.sf.eq(lam, float(mean)), (i, a, nodes)
+        else:
+            assert abs(Fraction(lam) - enum) <= rel * abs(enum), (i, a, lam)
+            assert abs(Fraction(lam) - mean) <= rel * abs(mean), (i, a, nodes)
+    assert branches[True] >= 100 and branches[False] >= 100, branches
+
+
+def test_periodic_and_reducible_matrices_take_the_full_formula(karp_tails):
+    # cyclicity 2: D_k alternates between (0, 1) and (1, 1) shapes and
+    # never grows by one constant
+    a = Matrix(((NEG, 1), (0, NEG)))
+    assert _eigen_step(a) is None
+    lam, nodes = _max_cycle(a)
+    assert lam == Fraction(1, 2) and set(nodes) == {0, 1}
+    assert karp_tails == [False]
+    # a column of zeros keeps D_k infinite there at every step
+    rng = random.Random(101)
+    for i in range(200):
+        a, _ = _radius_case(rng, 1)
+        j = rng.randrange(a.n_rows)
+        a = Matrix(tuple(r[:j] + (NEG,) + r[j + 1:] for r in a.rows), a.sf)
+        assert _eigen_step(a) is None
+        karp_tails.clear()
+        lam, nodes = _max_cycle(a)
+        assert karp_tails == ([False] if nodes else []), (i, a)
+        assert a.sf.eq(lam, max_cycle_mean(_as_fractions(a))) or lam == NEG
 
 
 def test_spectral_radius_builds_no_matrix_product(monkeypatch):
@@ -782,6 +893,77 @@ def test_whole_number_solve_stays_in_ints(general_problem):
         gen = result.solutions.generator
         assert not any(isinstance(v, Fraction) for r in gen.rows for v in r)
     assert whole > 100
+
+
+# -- entrywise helpers with the MaxPlus rules inlined ---------------------
+
+
+def test_conj_names_an_infinite_entry():
+    # the all-zero vector's AllZeroVector is pinned in
+    # test_vector_orientations_stay_apart
+    for value in (
+        Vector((1, INF)),
+        RowVector((INF, NEG)),
+        Matrix(((0, NEG), (INF, 2))),
+    ):
+        with pytest.raises(ValueError, match="^float overflow: a result is \\+inf$"):
+            value.conj()
+    assert Matrix(((NEG, NEG),)).conj().rows == ((NEG,), (NEG,))
+
+
+def test_scale_meet_and_regularity_keep_the_semifield_rules():
+    assert Vector((1, NEG, Fraction(1, 2))).scale(NEG).entries == (NEG,) * 3
+    assert RowVector((0, 2.5)).scale(NEG).entries == (NEG, NEG)
+    assert Matrix(((1, NEG), (0, 3))).scale(NEG).rows == ((NEG, NEG),) * 2
+    got = Vector((1, 2.0, NEG)).meet(Vector((1.0, 2, 0)))
+    assert repr(got) == "Vector([1, 2.0, -inf])"
+    got = RowVector((1.0, 3)).meet(RowVector((1, 2)))
+    assert repr(got) == "RowVector([1.0, 2])"
+    assert not Vector((0, NEG)).is_regular() and Vector((0, -0.0)).is_regular()
+    assert not Vector((1, NEG)).is_zero() and RowVector((NEG,)).is_zero()
+    assert not Matrix(((1, NEG, 2), (0, NEG, NEG))).is_column_regular()
+    assert Matrix(((NEG, NEG, 2), (0, -0.0, NEG))).is_column_regular()
+    assert Matrix(((NEG,),)).is_column_regular() is False
+
+
+def test_helpers_match_their_semifield_definitions():
+    rng = random.Random(103)
+    sf = MAXPLUS
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        x, y = (tuple(_scalar(rng) for _ in range(n)) for _ in range(2))
+        c = _scalar(rng)
+        col, other = Vector(x), Vector(y)
+        assert repr(col.scale(c)) == repr(Vector(tuple(sf.mul(c, v) for v in x)))
+        assert repr(col.meet(other)) == repr(Vector(tuple(map(sf.meet, x, y))))
+        assert col.is_regular() == all(not sf.is_zero(v) for v in x)
+        assert col.is_zero() == all(sf.is_zero(v) for v in x)
+        if not col.is_zero():
+            want = tuple(sf.zero if sf.is_zero(v) else sf.inv(v) for v in x)
+            assert repr(col.conj()) == repr(RowVector(want))
+        a, b = Matrix(_table(rng, n, n)), Matrix(_table(rng, n, n))
+        want = tuple(tuple(sf.mul(c, v) for v in r) for r in a.rows)
+        assert repr(a.scale(c)) == repr(Matrix(want))
+        summed = tuple(tuple(map(sf.add, r, s)) for r, s in zip(want, b.rows))
+        assert repr(linalg._scaled_sum(c, a, b)) == repr(Matrix(summed))
+        want = tuple(
+            tuple(sf.zero if sf.is_zero(v) else sf.inv(v) for v in col)
+            for col in zip(*a.rows)
+        )
+        assert repr(a.conj()) == repr(Matrix(want))
+        assert a.is_column_regular() == all(
+            any(not sf.is_zero(v) for v in col) for col in zip(*a.rows)
+        )
+
+
+def test_kernel_tables_are_built_rectangular(a, b):
+    # the kernels hand their tables to Matrix unchecked; each must be
+    # the tuple of equal-length tuples that Matrix(...) would make
+    results = [a @ b, a.star(), a + b, a.scale(2), a.conj(), linalg._scaled_sum(1, a, b)]
+    results += a.powers(3) + closure_sums(a, b)
+    for m in results:
+        assert type(m.rows) is tuple and all(type(r) is tuple for r in m.rows)
+        assert m.rows == Matrix(m.rows).rows and len({len(r) for r in m.rows}) == 1
 
 
 def test_trace_product_matches_the_product_trace():
