@@ -13,6 +13,11 @@ Results go to stdout as JSON (or to --output); the schedule command adds
 a human summary on stderr.  Exit codes: 0 success, 2 a named feasibility
 or degeneracy condition failed, 1 anything wrong with the input.
 
+Every handler reads its input through `_load`: the file named by the
+positional argument ('-' for stdin), parsed in the mode the flags pick.
+Handlers hand their documents to `serialize.dumps` as tropt values
+(matrices, vectors, scalars), which it encodes.
+
 One parser serves a process: `main` builds it on its first call and
 reuses it after.  That is safe because `parse_args` returns a fresh
 Namespace each call, and usage errors and --help look up sys.stderr
@@ -57,12 +62,6 @@ _DOMAIN_ERRORS = (
 )
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
-
-
 def _mode(args) -> tuple[bool, MaxPlus]:
     epsilon = getattr(args, "epsilon", None)
     if epsilon is not None:
@@ -70,6 +69,14 @@ def _mode(args) -> tuple[bool, MaxPlus]:
             raise ValueError(f"--epsilon must be finite and at least 0, got {epsilon}")
         return False, MaxPlus(eps=epsilon)
     return not getattr(args, "approx", False), MAXPLUS
+
+
+def _load(args) -> tuple[object, MaxPlus, bool]:
+    """The input document ('-' reads stdin), its semifield and mode;
+    without mode flags (verify) that is exact mode and MAXPLUS."""
+    exact, sf = _mode(args)
+    text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
+    return serialize.loads(text, exact), sf, exact
 
 
 def _emit(doc, args) -> None:
@@ -80,15 +87,8 @@ def _emit(doc, args) -> None:
         print(text)
 
 
-def _matrix_payload(data):
-    if isinstance(data, dict) and "A" in data:
-        return data["A"]
-    return data
-
-
 def _cmd_solve(args) -> int:
-    exact, sf = _mode(args)
-    data = serialize.loads(_read_text(args.problem), exact)
+    data, sf, exact = _load(args)
     problem = serialize.parse_problem(data, sf, exact)
     result = solve_problem(problem)
     _emit(serialize.encode_opt_result(result), args)
@@ -121,8 +121,7 @@ def _schedule_summary(result) -> str:
 
 
 def _cmd_schedule(args) -> int:
-    exact, sf = _mode(args)
-    data = serialize.loads(_read_text(args.spec), exact)
+    data, sf, exact = _load(args)
     spec = serialize.parse_schedule(data, sf, exact)
     if args.emit_intermediates:
         result, intermediates = solve_schedule_detailed(spec)
@@ -131,15 +130,14 @@ def _cmd_schedule(args) -> int:
     collapse = collapse_solution_line(result.solutions)
     doc = serialize.encode_schedule_result(result, collapse)
     if args.emit_intermediates:
-        doc["intermediates"] = intermediates  # `dumps` writes matrices itself
+        doc["intermediates"] = intermediates
     _emit(doc, args)
     print(_schedule_summary(result), file=sys.stderr)
     return 0
 
 
 def _cmd_solve_ineq(args) -> int:
-    exact, sf = _mode(args)
-    data = serialize.loads(_read_text(args.system), exact)
+    data, sf, exact = _load(args)
     if not isinstance(data, dict) or "A" not in data:
         raise ValueError("inequality system needs a matrix 'A'")
     a = serialize.parse_matrix(data["A"], sf, exact)
@@ -148,47 +146,36 @@ def _cmd_solve_ineq(args) -> int:
         b = serialize.parse_vector(data["b"], sf, exact)
     if data.get("d") is not None:
         d = serialize.parse_vector(data["d"], sf, exact)
-    if b is not None and d is not None:
-        sol = solve_combined(a, b, d)
-        doc = {
-            "generator": serialize.encode_matrix(sol.generator),
-            "lower": serialize.encode_vector(sol.lower),
-            "upper": serialize.encode_vector(sol.upper),
-        }
-    elif b is not None:
-        sol = solve_fixpoint_lower(a, b)
-        doc = {
-            "generator": serialize.encode_matrix(sol.generator),
-            "lower": serialize.encode_vector(sol.lower),
-        }
+    if b is not None:
+        sol = solve_fixpoint_lower(a, b) if d is None else solve_combined(a, b, d)
+        doc = {"generator": sol.generator, "lower": sol.lower}
+        if sol.upper is not None:
+            doc["upper"] = sol.upper
     elif d is not None:
-        greatest = solve_upper_bounded(a, d)
-        doc = {"greatest": serialize.encode_vector(greatest)}
+        doc = {"greatest": solve_upper_bounded(a, d)}
     else:
         raise ValueError("inequality system needs 'b' or 'd' (or both)")
     _emit(doc, args)
     return 0
 
 
+def _load_matrix(args):
+    """The input matrix, bare or as the 'A' of a wrapping object."""
+    data, sf, exact = _load(args)
+    if isinstance(data, dict) and "A" in data:
+        data = data["A"]
+    return serialize.parse_matrix(data, sf, exact)
+
+
 def _cmd_eig(args) -> int:
-    exact, sf = _mode(args)
-    data = serialize.loads(_read_text(args.matrix), exact)
-    a = serialize.parse_matrix(_matrix_payload(data), sf, exact)
-    doc = {"spectralRadius": serialize.encode_scalar(a.spectral_radius())}
-    _emit(doc, args)
+    _emit({"spectralRadius": _load_matrix(args).spectral_radius()}, args)
     return 0
 
 
 def _cmd_star(args) -> int:
-    exact, sf = _mode(args)
-    data = serialize.loads(_read_text(args.matrix), exact)
-    a = serialize.parse_matrix(_matrix_payload(data), sf, exact)
+    a = _load_matrix(args)
     star = a.star()
-    doc = {
-        "star": serialize.encode_matrix(star),
-        "traceSum": serialize.encode_scalar(_trace_product(a, star)),
-    }
-    _emit(doc, args)
+    _emit({"star": star, "traceSum": _trace_product(a, star)}, args)
     return 0
 
 
@@ -223,8 +210,8 @@ def _verify_window(problem: Problem, window: int, center: Optional[Vector],
 def _cmd_verify(args) -> int:
     if args.window < 0:
         raise ValueError(f"--window must be at least 0, got {args.window}")
-    data = serialize.loads(_read_text(args.problem), exact=True)
-    problem = serialize.parse_problem(data, MAXPLUS, exact=True)
+    data, sf, exact = _load(args)
+    problem = serialize.parse_problem(data, sf, exact)
     step = default_step(problem.dim) if args.step is None else _parse_step(args.step)
     try:
         closed = solve_problem(problem)
@@ -247,19 +234,11 @@ def _cmd_verify(args) -> int:
         _emit(doc, args)
         return 1 if found else 2
     best, argmin = grid_minimize(problem, grid)
-    sf = problem.A.sf
     minima_match = sf.eq(best, closed.minimum)
     member = closed.solutions.contains(argmin)
     doc = {
-        "closedForm": {
-            "minimum": serialize.encode_scalar(closed.minimum),
-            "canonical": serialize.encode_vector(closed.canonical),
-        },
-        "grid": {
-            "minimum": serialize.encode_scalar(best),
-            "argmin": serialize.encode_vector(argmin),
-            "argminInFamily": member,
-        },
+        "closedForm": {"minimum": closed.minimum, "canonical": closed.canonical},
+        "grid": {"minimum": best, "argmin": argmin, "argminInFamily": member},
         "agree": bool(minima_match and member),
     }
     _emit(doc, args)
@@ -313,12 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("solve", help="minimize a span objective")
-    sub.add_argument("problem", help="problem JSON file ('-' for stdin)")
+    sub.add_argument("input", metavar="problem", help="problem JSON file ('-' for stdin)")
     _add_mode_flags(sub)
     sub.set_defaults(func=_cmd_solve)
 
     sub = subs.add_parser("schedule", help="solve a project schedule")
-    sub.add_argument("spec", help="schedule JSON file ('-' for stdin)")
+    sub.add_argument("input", metavar="spec", help="schedule JSON file ('-' for stdin)")
     sub.add_argument(
         "--emit-intermediates",
         action="store_true",
@@ -330,24 +309,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser(
         "solve-ineq", help="solve A x <= x style inequality systems"
     )
-    sub.add_argument("system", help="JSON file with A and b and/or d")
+    sub.add_argument("input", metavar="system", help="JSON file with A and b and/or d")
     _add_mode_flags(sub)
     sub.set_defaults(func=_cmd_solve_ineq)
 
     sub = subs.add_parser("eig", help="spectral radius")
-    sub.add_argument("matrix", help="matrix JSON file")
+    sub.add_argument("input", metavar="matrix", help="matrix JSON file")
     _add_mode_flags(sub)
     sub.set_defaults(func=_cmd_eig)
 
     sub = subs.add_parser("star", help="matrix closure")
-    sub.add_argument("matrix", help="matrix JSON file")
+    sub.add_argument("input", metavar="matrix", help="matrix JSON file")
     _add_mode_flags(sub)
     sub.set_defaults(func=_cmd_star)
 
     sub = subs.add_parser(
         "verify", help="check the closed form against a grid scan"
     )
-    sub.add_argument("problem", help="problem JSON file")
+    sub.add_argument("input", metavar="problem", help="problem JSON file")
     sub.add_argument(
         "--window",
         type=int,

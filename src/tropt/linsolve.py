@@ -82,9 +82,10 @@ class SolutionSet:
         vectors.
         """
         sf = self.generator.sf
+        zero = sf.zero
         lifted = []
         for i, v in enumerate(self.lower.entries):
-            if not sf.is_zero(v):
+            if v != zero:
                 lifted.append(v)
             elif self.upper is not None:
                 lifted.append(self.upper.entries[i])
@@ -128,7 +129,7 @@ def _tighten_box(lower: Vector, upper: Vector) -> Vector:
     out = []
     widened = False
     for lo, up in zip(lower.entries, upper.entries):
-        if sf.leq(lo, up):
+        if lo <= up:
             out.append(up)
         elif sf.eq(lo, up):
             out.append(lo)

@@ -30,6 +30,7 @@ re-implemented on raw lists.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -438,8 +439,9 @@ def _lmat_eye(n):
     return [[Fraction(0) if i == j else None for j in range(n)] for i in range(n)]
 
 
-def _lmat_zero(n):
-    return [[None] * n for _ in range(n)]
+def _lmat_sum(terms, n):
+    """Entrywise (+) of n x n list matrices; all zero when there are none."""
+    return functools.reduce(_lmat_add, terms, [[None] * n for _ in range(n)])
 
 
 def _lmat_pows(m, top):
@@ -476,36 +478,32 @@ def _compositions(parts: int, budget: int):
     )
 
 
+def _words(am, bpow, k: int, budget: int, lead: bool):
+    """Each word B^i0 A B^i1 ... A B^ik with i0 + ... + ik <= budget,
+    as a list matrix; without `lead` the B^i0 block is left out, and
+    the empty word (k = 0) is the identity."""
+    for comp in _compositions(k + lead, budget):
+        term = bpow[comp[0]] if lead else None
+        for i in comp[lead:]:
+            block = _lmat_mul(am, bpow[i])
+            term = block if term is None else _lmat_mul(term, block)
+        yield _lmat_eye(len(am)) if term is None else term
+
+
 def enum_chain_sum(a: Matrix, b: Matrix, k: int) -> Matrix:
     """Literal sum over i1+...+ik <= n-k of A B^i1 ... A B^ik."""
     n = _guard_enum(a, b)
-    am, bm = _mat(a), _mat(b)
-    budget = n - k
-    bpow = _lmat_pows(bm, max(budget, 0))
-    acc = _lmat_eye(n) if k == 0 else _lmat_zero(n)
-    for comp in _compositions(k, budget):
-        term = None
-        for i in comp:
-            block = _lmat_mul(am, bpow[i])
-            term = block if term is None else _lmat_mul(term, block)
-        if term is not None:
-            acc = _lmat_add(acc, term)
-    return _to_matrix(acc, a.sf)
+    bpow = _lmat_pows(_mat(b), max(n - k, 0))
+    words = _words(_mat(a), bpow, k, n - k, lead=False)
+    return _to_matrix(_lmat_sum(words, n), a.sf)
 
 
 def enum_closure_sum(a: Matrix, b: Matrix, k: int) -> Matrix:
     """Literal sum over i0+i1+...+ik <= n-k-1 of B^i0 A B^i1 ... A B^ik."""
     n = _guard_enum(a, b)
-    am, bm = _mat(a), _mat(b)
-    budget = n - k - 1
-    bpow = _lmat_pows(bm, max(budget, 0))
-    acc = _lmat_zero(n)
-    for comp in _compositions(k + 1, budget):
-        term = bpow[comp[0]]
-        for i in comp[1:]:
-            term = _lmat_mul(term, _lmat_mul(am, bpow[i]))
-        acc = _lmat_add(acc, term)
-    return _to_matrix(acc, a.sf)
+    bpow = _lmat_pows(_mat(b), max(n - k - 1, 0))
+    words = _words(_mat(a), bpow, k, n - k - 1, lead=True)
+    return _to_matrix(_lmat_sum(words, n), a.sf)
 
 
 def enum_cumulative_sum(a: Matrix, b: Matrix, m: int) -> Matrix:
@@ -513,18 +511,11 @@ def enum_cumulative_sum(a: Matrix, b: Matrix, m: int) -> Matrix:
     (+) over k=1..m, i0+...+ik <= m-k of B^i0 A B^i1 ... A B^ik,
     joined with (+) over k=1..m of B^k."""
     n = _guard_enum(a, b)
-    am, bm = _mat(a), _mat(b)
-    bpow = _lmat_pows(bm, m)
-    acc = _lmat_zero(n)
-    for k in range(1, m + 1):
-        for comp in _compositions(k + 1, m - k):
-            term = bpow[comp[0]]
-            for i in comp[1:]:
-                term = _lmat_mul(term, _lmat_mul(am, bpow[i]))
-            acc = _lmat_add(acc, term)
-    for k in range(1, m + 1):
-        acc = _lmat_add(acc, bpow[k])
-    return _to_matrix(acc, a.sf)
+    am, bpow = _mat(a), _lmat_pows(_mat(b), m)
+    words = itertools.chain(
+        *(_words(am, bpow, k, m - k, lead=True) for k in range(1, m + 1)), bpow[1:]
+    )
+    return _to_matrix(_lmat_sum(words, n), a.sf)
 
 
 def enum_cumulative_trace(a: Matrix, b: Matrix, m: int) -> Scalar:
@@ -532,18 +523,11 @@ def enum_cumulative_trace(a: Matrix, b: Matrix, m: int) -> Scalar:
     (+) over k=1..m, i1+...+ik <= m-k of tr(A B^i1 ... A B^ik),
     joined with (+) over k=1..m of tr(B^k)."""
     n = _guard_enum(a, b)
-    am, bm = _mat(a), _mat(b)
-    bpow = _lmat_pows(bm, m)
-    acc: Optional[Fraction] = None
-    for k in range(1, m + 1):
-        for comp in _compositions(k, m - k):
-            term = None
-            for i in comp:
-                block = _lmat_mul(am, bpow[i])
-                term = block if term is None else _lmat_mul(term, block)
-            acc = _madd(acc, _madd_reduce(term[i][i] for i in range(n)))
-    for k in range(1, m + 1):
-        acc = _madd(acc, _madd_reduce(bpow[k][i][i] for i in range(n)))
+    am, bpow = _mat(a), _lmat_pows(_mat(b), m)
+    words = itertools.chain(
+        *(_words(am, bpow, k, m - k, lead=False) for k in range(1, m + 1)), bpow[1:]
+    )
+    acc = _madd_reduce(_madd_reduce(w[i][i] for i in range(n)) for w in words)
     return a.sf.zero if acc is None else acc
 
 
@@ -556,18 +540,17 @@ def random_matrix(
     zero_p: float = 0.35,
     lo: int = -5,
     hi: int = 5,
-    sf: Semifield = MAXPLUS,
 ) -> Matrix:
     """Integer matrix with entries in [lo, hi] or zero."""
     return Matrix(
         tuple(
             tuple(
-                sf.zero if rng.random() < zero_p else rng.randint(lo, hi)
+                MAXPLUS.zero if rng.random() < zero_p else rng.randint(lo, hi)
                 for _ in range(n)
             )
             for _ in range(n)
         ),
-        sf,
+        MAXPLUS,
     )
 
 
@@ -577,33 +560,26 @@ def random_vector(
     zero_p: float = 0.0,
     lo: int = -5,
     hi: int = 5,
-    sf: Semifield = MAXPLUS,
 ) -> Vector:
     return Vector(
         tuple(
-            sf.zero if rng.random() < zero_p else rng.randint(lo, hi)
+            MAXPLUS.zero if rng.random() < zero_p else rng.randint(lo, hi)
             for _ in range(n)
         ),
-        sf,
+        MAXPLUS,
     )
 
 
-def random_trace_bounded(
-    rng: random.Random,
-    n: int,
-    zero_p: float = 0.5,
-    cap: int = 500,
-    sf: Semifield = MAXPLUS,
-) -> Matrix:
+def random_trace_bounded(rng: random.Random, n: int, zero_p: float = 0.5) -> Matrix:
     """Random matrix with trace sum at most one, by rejection; the
-    all-zero matrix after `cap` failures (degenerate but valid)."""
-    for _ in range(cap):
-        m = random_matrix(rng, n, zero_p=zero_p, sf=sf)
+    all-zero matrix after 500 failures (degenerate but valid)."""
+    for _ in range(500):
+        m = random_matrix(rng, n, zero_p=zero_p)
         # tr A <= Tr A: a positive diagonal rejects most draws before
         # the star is built
-        if sf.leq(m.trace(), sf.one) and sf.leq(m.trace_sum(), sf.one):
+        if m.trace() <= 0 and m.trace_sum() <= 0:
             return m
-    return Matrix.zeros(n, n, sf)
+    return Matrix.zeros(n, n, MAXPLUS)
 
 
 def sample_problem(
@@ -637,8 +613,6 @@ def sample_problem(
                 ),
                 sf,
             )
-    elif "h" in need:
-        fields["h"] = random_vector(rng, n, lo=-1, hi=4)
     if "r" in need:
         fields["r"] = rng.randint(-5, 5)
     return Problem(**fields)

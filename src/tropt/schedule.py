@@ -135,15 +135,13 @@ def solve_schedule(spec: ScheduleSpec) -> ScheduleResult:
         opt = solve_problem(build_problem(spec))
     except InfeasibleConstraints as exc:
         raise InfeasibleSchedule(exc.condition) from None
-    a = spec.start_finish
-    sf = a.sf
     x = opt.canonical
-    y = a @ x
+    y = spec.start_finish @ x
     s = x.meet(spec.window_lower)
     t = y + spec.window_upper
-    flows = tuple(
-        sf.mul(ti, sf.inv(si)) for ti, si in zip(t.entries, s.entries)
-    )
+    # x, q and p are regular, so every t_i and s_i is finite and the
+    # flow time t_i (x) s_i^-1 is plain subtraction
+    flows = tuple(ti - si for ti, si in zip(t.entries, s.entries))
     return ScheduleResult(
         theta=opt.minimum,
         initiation=x,

@@ -15,8 +15,11 @@ can mix; comparisons become approximate (absolute tolerance `eps`) as
 soon as a finite float is involved, and stay exact on int/Fraction
 operands.
 
-Any further instance must supply a linear (total) order compatible with
-the operations; the solvers rely on order totality throughout.
+MaxPlus is the one instance the solvers support: the matrix kernels
+and the entrywise helpers inline its rules (max for (+), numeric order
+for <=, negation for the inverse), so a further instance would need
+them rewritten.  The methods here serve the scalar-level steps and the
+float tolerance `eps`.
 """
 
 from __future__ import annotations

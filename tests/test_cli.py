@@ -348,6 +348,14 @@ class TestSolveIneq:
         code, _, err = run(capsys, "solve-ineq", str(f))
         assert code == 1
 
+    @pytest.mark.parametrize("text", ['{"b": [0], "d": [1]}', "[[1]]"])
+    def test_needs_a_matrix(self, capsys, tmp_path, text):
+        f = tmp_path / "no_matrix.json"
+        f.write_text(text)
+        code, out, err = run(capsys, "solve-ineq", str(f))
+        assert (code, out) == (1, "")
+        assert err == "error: inequality system needs a matrix 'A'\n"
+
 
 class TestMatrixCommands:
     def test_eig(self, capsys, fixtures_dir):
@@ -465,6 +473,16 @@ class TestMatrixCommands:
         code, doc, _ = run_json(capsys, "eig", str(f))
         assert code == 0
         assert doc["spectralRadius"] == 0
+
+
+class TestStdin:
+    @pytest.mark.parametrize("command, flags", [("solve", ["--float"]), ("verify", [])])
+    def test_dash_reads_stdin(self, capsys, monkeypatch, fixtures_dir, command, flags):
+        path = fixtures_dir / "general_problem.json"
+        by_path = run(capsys, command, str(path), *flags)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
+        assert run(capsys, command, "-", *flags) == by_path
+        assert by_path[0] == 0 and by_path[1]
 
 
 class TestVerify:
