@@ -309,24 +309,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser(
         "solve-ineq", help="solve A x <= x style inequality systems"
     )
-    sub.add_argument("input", metavar="system", help="JSON file with A and b and/or d")
+    sub.add_argument(
+        "input", metavar="system", help="JSON file with A and b and/or d ('-' for stdin)"
+    )
     _add_mode_flags(sub)
     sub.set_defaults(func=_cmd_solve_ineq)
 
     sub = subs.add_parser("eig", help="spectral radius")
-    sub.add_argument("input", metavar="matrix", help="matrix JSON file")
+    sub.add_argument("input", metavar="matrix", help="matrix JSON file ('-' for stdin)")
     _add_mode_flags(sub)
     sub.set_defaults(func=_cmd_eig)
 
     sub = subs.add_parser("star", help="matrix closure")
-    sub.add_argument("input", metavar="matrix", help="matrix JSON file")
+    sub.add_argument("input", metavar="matrix", help="matrix JSON file ('-' for stdin)")
     _add_mode_flags(sub)
     sub.set_defaults(func=_cmd_star)
 
     sub = subs.add_parser(
         "verify", help="check the closed form against a grid scan"
     )
-    sub.add_argument("input", metavar="problem", help="problem JSON file")
+    sub.add_argument("input", metavar="problem", help="problem JSON file ('-' for stdin)")
     sub.add_argument(
         "--window",
         type=int,

@@ -5,12 +5,16 @@ with the semifield's zero carried as a float -inf.  `+` is entrywise
 idempotent addition and `@` the max-plus product, one inlined kernel
 over the finite entries.  `star` is one O(n^3) Floyd-Warshall pass, and
 `trace_sum` reads Tr(A) = tr(A (x) A*) off it in O(n^2), without the
-product.  `spectral_radius` is Karp's O(n^3) maximum cycle mean; float
-entries near the end of the range are scaled by a power of two first,
-so that its walk sums cannot overflow.  Karp's walk stops at the first
-step k with D_k finite and D_k = c (x) D_(k-1): then x_u + a_uv <= c + x_v
-on every arc for x = D_(k-1), so no cycle has mean above c, and the
-back-pointers of step k are tight arcs closing a cycle of mean c.
+product.  `spectral_radius` is Karp's O(n^3) maximum cycle mean.  Its
+kernel, `_max_cycle`, also takes a product of factors without forming
+it: each walk step is one pass over each factor's finite entries, so
+the optimizers read theta = lambda(Bhat* Ahat) with no Bhat* Ahat
+matrix.  Float entries near the end of the range are scaled by a power
+of two first, so that the walk sums cannot overflow.  Karp's walk stops
+at the first step k with D_k finite and D_k = c (x) D_(k-1): then
+x_u + a_uv <= c + x_v on every arc for x = D_(k-1), so no cycle has
+mean above c, and the back-pointers of step k are tight arcs closing a
+cycle of mean c.
 Entrywise helpers (`scale`, `conj`, `meet`, the zero and regularity
 tests) inline the MaxPlus rules, as `+` and `@` do: no Semifield call
 per entry.
@@ -176,8 +180,21 @@ class Matrix:
                 raise ShapeMismatch(
                     f"{self.n_rows}x{self.n_cols} times vector of dim {other.dim}"
                 )
-            rows = _product(self.rows, [(x,) for x in other.entries], sf.zero)
-            return Vector(tuple(r[0] for r in rows), sf)
+            # one sum per row over the finite entries of x, in increasing
+            # k; only a strictly larger term replaces the running maximum
+            zero = sf.zero
+            xs = [(k, b) for k, b in enumerate(other.entries) if b != zero]
+            out = []
+            for row in self.rows:
+                acc = zero
+                for k, b in xs:
+                    a = row[k]
+                    if a != zero:
+                        s = a + b
+                        if s > acc:
+                            acc = s
+                out.append(acc)
+            return Vector(out, sf)
         if isinstance(other, Matrix):
             if self.n_cols != other.n_rows:
                 raise ShapeMismatch(
@@ -345,25 +362,30 @@ def _trace_product(left: Matrix, right: Matrix) -> Scalar:
     return acc
 
 
-def _max_cycle(a: Matrix) -> tuple[Scalar, tuple[int, ...]]:
-    """(lambda, nodes): the largest cycle mean of A and a cycle that
-    attains it, nodes in arc order; (zero, ()) when A has no cycle.
+def _max_cycle(*factors: Matrix) -> tuple[Scalar, tuple[int, ...]]:
+    """(lambda, nodes): the largest cycle mean of the product
+    F_1 (x) ... (x) F_m of the square factors, all of one order, and a
+    cycle of the product that attains it, nodes in arc order; (zero, ())
+    when the product has no cycle.  The product is never formed:
+    `Matrix.spectral_radius` passes one factor, and the optimizers pass
+    Bhat* and Ahat for theta.
 
-    Karp's formula (Karp 1978) in O(n^3): with D_k(v) the heaviest
-    weight of a k-arc walk ending at v (D_0 = one, D_(k+1) = D_k (x) A,
-    one pass over the finite entries), lambda is the max over v of the
-    min over k < n of (D_n(v) - D_k(v)) / (n - k), finite terms only,
-    the means compared as (weight, arc count) pairs by
-    cross-multiplication.
+    Karp's formula (Karp 1978) in O(m n^3): with D_k(v) the heaviest
+    weight of a k-arc walk of the product ending at v (D_0 = one,
+    D_(k+1) = (...(D_k (x) F_1)...) (x) F_m, one pass over each
+    factor's finite entries), lambda is the max over v of the min over
+    k < n of (D_n(v) - D_k(v)) / (n - k), finite terms only, the means
+    compared as (weight, arc count) pairs by cross-multiplication.
 
     The walk stops early at the first step k where D_k is finite
     everywhere and D_k - D_(k-1) is one constant c.  D_(k-1) is then a
     finite left eigenvector: x_u + a_uv <= D_k(v) = c + x_v on every arc
-    (u, v), so summed around any cycle its mean is at most c; the arcs
-    u = back[k][v] hold with equality, so following back[k] from any
-    node closes a cycle of mean exactly c = lambda (Butkovic,
-    Max-linear Systems, 2010, ch. 4).  Periodic and reducible matrices
-    may never reach such a step and take the full formula below.
+    (u, v) of the product, so summed around any cycle its mean is at
+    most c; the arcs u = back[k][v] hold with equality, so following
+    back[k] from any node closes a cycle of mean exactly c = lambda
+    (Butkovic, Max-linear Systems, 2010, ch. 4).  Periodic and reducible
+    matrices may never reach such a step and take the full formula
+    below.
 
     Back-pointers give the heaviest n-arc walk to the v that attains
     lambda.  Cutting a cycle of l arcs out of it leaves an (n-l)-arc
@@ -372,51 +394,63 @@ def _max_cycle(a: Matrix) -> tuple[Scalar, tuple[int, ...]]:
     way lambda is the witness's weight, summed from its arcs, divided
     once by `sf.power` (`_cycle_mean`): an exact whole number comes back
     as an int, and a float carries no rounding from the long sums
-    D_n(v) - D_k(v).
+    D_n(v) - D_k(v).  A step's back-pointers hold one list per factor,
+    so each arc u -> v of the product is read as the factor path
+    u -> m_1 -> ... -> v that attains it, and its weight is that path's
+    entries summed left to right, as the product's own entry would be.
 
-    Walk sums, their differences and the cross-products are at most
-    2n^2 times the largest |entry|, so they stay in the float range
-    while every float entry is at most M / (2n^2), M the largest float.
-    Past that, every finite entry is scaled by 2^-s, with 2^s > 2n^2,
-    and lambda is scaled back by 2^s.  A power of two is exact (short of
-    entries it pushes below the normal range), so lambda(2^k A) is
-    2^k lambda(A), bit for bit.  An entry of +inf, a product that
-    overflowed before it got here, raises ValueError.  Int and Fraction
-    entries never scale.
+    Float entries near the end of the range are scaled (`_float_shift`).
+    The entries are scanned for that once, when a finite float enters a
+    walk value in the first step.  From D_0 = one, finite everywhere,
+    that step meets every entry that any later step can, and with float
+    data its maxima are floats.  If the entries need scaling, the walk
+    starts over on scaled copies.  Only float entries set the scale, so
+    exact data never pays for the scan, only for one type test per walk
+    value of the first step.
     """
-    n = a._require_square()
-    sf = a.sf
+    first = factors[0]
+    n = first._require_square()
+    return _karp([f.rows for f in factors], n, first.sf, None)
+
+
+def _karp(tables, n: int, sf: Semifield,
+          shift: int | None) -> tuple[Scalar, tuple[int, ...]]:
+    """`_max_cycle` on row-major factor tables whose entries are scaled
+    by 2^-shift; shift None before the float range is settled."""
     zero = sf.zero
-    rows, shift = a.rows, 0
-    top = max(
-        (abs(w) for row in rows for w in row if isinstance(w, float) and w != zero),
-        default=0.0,
-    )
-    if top == math.inf:
-        raise ValueError(_OVERFLOW)
-    if top > sys.float_info.max / (2 * n * n):
-        shift = (2 * n * n).bit_length()
-        rows = [[w if w == zero else math.ldexp(w, -shift) for w in r] for r in rows]
-    nz = [[(j, w) for j, w in enumerate(row) if w != zero] for row in rows]
+    nzs = [_finite(t, zero) for t in tables]
     walks, back = [[sf.one] * n], [None]
     for _ in range(n):
-        prev = walks[-1]
-        acc, arg = [zero] * n, [0] * n
-        for u, d in enumerate(prev):
-            if d != zero:
-                for j, w in nz[u]:
-                    s = d + w
-                    if s > acc[j]:
-                        acc[j] = s
-                        arg[j] = u
-        # a finite D_k has a finite entry in every column of A, so D_(k-1)
-        # is finite too: the early exit needs only D_k = c (x) D_(k-1)
+        prev = acc = walks[-1]
+        args = []
+        for nz in nzs:
+            cur, arg = [zero] * n, [0] * n
+            for u, d in enumerate(acc):
+                if d != zero:
+                    for j, w in nz[u]:
+                        s = d + w
+                        if s > cur[j]:
+                            cur[j] = s
+                            arg[j] = u
+            if shift is None and any(type(v) is float and v != zero for v in cur):
+                shift = _float_shift(tables, zero, 2 * len(tables) * n * n)
+                if shift:
+                    scaled = [[[w if w == zero else math.ldexp(w, -shift) for w in r]
+                               for r in t] for t in tables]
+                    return _karp(scaled, n, sf, shift)
+            acc = cur
+            args.append(arg)
+        if shift is None:
+            shift = 0
+        # a finite D_k has a finite entry in every column of the product,
+        # so D_(k-1) is finite too: the early exit needs only
+        # D_k = c (x) D_(k-1)
         if zero not in acc:
             c = acc[0] - prev[0]
             if all(d - e == c for d, e in zip(acc, prev)):
-                return _cycle_mean(rows, repeat(arg), 0, sf, shift)
+                return _cycle_mean(tables, repeat(args), 0, sf, shift)
         walks.append(acc)
-        back.append(arg)
+        back.append(args)
     best = None
     for v, dn in enumerate(walks[n]):
         if dn == zero:
@@ -430,24 +464,64 @@ def _max_cycle(a: Matrix) -> tuple[Scalar, tuple[int, ...]]:
             best = (num, den, v)
     if best is None:
         return zero, ()
-    return _cycle_mean(rows, reversed(back[1:]), best[2], sf, shift)
+    return _cycle_mean(tables, reversed(back[1:]), best[2], sf, shift)
 
 
-def _cycle_mean(rows, steps, v: int, sf: Semifield,
+def _float_shift(tables, zero: Scalar, bound: int) -> int:
+    """The s of the power of two 2^-s that every float entry of the
+    tables is scaled by, or 0 when none needs it.
+
+    Walk sums, their differences and the cross-products are at most
+    `bound` = 2 m n^2 times the largest |entry| (m factors of order n),
+    so they stay in the float range while every float entry is at most
+    M / bound, M the largest float.  Past that, 2^s > bound.  A power
+    of two is exact (short of entries it pushes below the normal range),
+    so lambda(2^k A) is 2^k lambda(A), bit for bit.  An entry of +inf, a
+    product that overflowed before it got here, raises ValueError.
+    """
+    top = max(
+        (abs(w) for t in tables for row in t for w in row
+         if isinstance(w, float) and w != zero),
+        default=0.0,
+    )
+    if top == math.inf:
+        raise ValueError(_OVERFLOW)
+    return bound.bit_length() if top > sys.float_info.max / bound else 0
+
+
+def _cycle_mean(tables, steps, v: int, sf: Semifield,
                 shift: int) -> tuple[Scalar, tuple[int, ...]]:
     """(lambda, nodes) for the cycle closed by walking back from v, one
-    back-pointer list from `steps` per arc, until a node repeats: its
-    weight, summed from its arcs, divided once by `sf.power` (an exact
-    whole number comes back as an int), then scaled back by 2^shift."""
-    pos, walk = {}, []
+    step of back-pointers (a list per factor) from `steps` per arc,
+    until a node repeats: its weight, summed from its arcs, divided once
+    by `sf.power` (an exact whole number comes back as an int), then
+    scaled back by 2^shift; ValueError when that leaves the float
+    range."""
+    pos, walk, into = {}, [], {}
     while v not in pos:
         pos[v] = len(walk)
         walk.append(v)
-        v = next(steps)[v]
+        path = [v]
+        for arg in reversed(next(steps)):
+            path.append(arg[path[-1]])
+        into[v] = path[::-1]
+        v = path[-1]
     nodes = tuple(reversed(walk[pos[v]:]))
-    arcs = [rows[u][w] for u, w in zip(nodes, nodes[1:] + nodes[:1])]
+    arcs = []
+    for head in nodes[1:] + nodes[:1]:
+        path = into[head]
+        w = tables[0][path[0]][path[1]]
+        for t, i, j in zip(tables[1:], path[1:], path[2:]):
+            w = w + t[i][j]
+        arcs.append(w)
     lam = sf.power(sum(arcs[1:], arcs[0]), Fraction(1, len(nodes)))
-    return (math.ldexp(lam, shift) if shift else lam), nodes
+    if shift:
+        # a mean of sums of m entries may lie past the float range
+        try:
+            lam = math.ldexp(lam, shift)
+        except OverflowError:
+            raise ValueError(_OVERFLOW) from None
+    return lam, nodes
 
 
 @dataclass(frozen=True, eq=False)

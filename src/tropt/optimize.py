@@ -17,9 +17,13 @@ path serves all six kinds: A and B are bordered by one extra node,
 Ahat = [[A, p], [q^-, r]] and Bhat = [[B, g], [h^-, 0]] with absent
 pieces zero.  One star of Bhat serves twice: the constraints are
 solvable exactly when Tr(Bhat) = tr(Bhat Bhat*) <= 1, and the minimum
-is theta = the spectral radius of Bhat* Ahat.  `solve_problem` holds
-that path; the `minimize_*` functions only build a Problem and hand it
-over.
+is theta = the spectral radius of Bhat* Ahat, which Karp's walk reads
+off the two factors without forming their product.  When an exact
+theta is a fraction w/l, the generator star, the parameter box and the
+canonical point are computed for the data scaled by l, where theta is
+the int w, and divided by l once: with whole-number data that star runs
+in ints.  `solve_problem` holds that path; the `minimize_*` functions
+only build a Problem and hand it over.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .errors import (
     ShapeMismatch,
     ZeroSpectralRadius,
 )
-from .linalg import Matrix, RowVector, Vector, _scaled_sum, _trace_product
+from .linalg import Matrix, RowVector, Vector, _max_cycle, _scaled_sum, _trace_product
 from .linsolve import SolutionSet, _tighten_box
 from .semifield import Scalar
 
@@ -181,10 +185,30 @@ def solve_problem(problem: Problem) -> OptResult:
             raise DegenerateProblem(
                 "every scale bound is zero: no cycle, q^- p zero, r zero"
             )
-    theta = (b_star @ _border(a, n, sf, p, qc, r)).spectral_radius()
+    theta = _max_cycle(b_star, _border(a, n, sf, p, qc, r))[0]
     if sf.is_zero(theta):
         raise ZeroSpectralRadius("matrix has no cycle")
+    # theta = w / l with l > 1: the family at data scale l, where theta
+    # is the int w, divided by l once (a scale that makes decimal data
+    # whole would multiply in here)
+    scale = theta.denominator if type(theta) is Fraction else 1
+    if scale == 1:
+        family = _family(theta, a, b, p, qc, g, hc)
+    else:
+        data = _rescaled((a, b, p, qc, g, hc), scale.__mul__)
+        family = _rescaled(_family(theta.numerator, *data), lambda v: _divide(v, scale))
+    gen, lower, upper, canonical = family
+    sols = SolutionSet(generator=gen, lower=lower, upper=upper, minimum=theta)
+    return OptResult(minimum=theta, solutions=sols, canonical=canonical)
 
+
+def _family(theta: Scalar, a: Matrix, b: Optional[Matrix], p: Optional[Vector],
+            qc: Optional[RowVector], g: Optional[Vector], hc: Optional[RowVector]
+            ) -> tuple[Matrix, Vector, Optional[Vector], Vector]:
+    """(G, lower, upper, canonical point): G = (theta^-1 A (+) B)* and
+    the parameter box theta^-1 p (+) g <= u <= ((theta^-1 q^- (+) h^-) G)^-,
+    upper None when neither q nor h is given."""
+    n, sf = a.n_rows, a.sf
     inv_t = sf.inv(theta)
     gen = _scaled_sum(inv_t, a, b).star()
     lower = Vector.zeros(n, sf)
@@ -196,8 +220,31 @@ def solve_problem(problem: Problem) -> OptResult:
     if hc is not None:
         w = hc if w is None else w + hc
     upper = None if w is None else _tighten_box(lower, (w @ gen).conj())
-    sols = SolutionSet(generator=gen, lower=lower, upper=upper, minimum=theta)
-    return OptResult(minimum=theta, solutions=sols, canonical=sols.canonical())
+    canonical = SolutionSet(generator=gen, lower=lower, upper=upper).canonical()
+    return gen, lower, upper, canonical
+
+
+def _rescaled(items, f) -> tuple:
+    """The Matrix, Vector and RowVector items with f applied to each
+    finite entry; None items stay None."""
+    out = []
+    for x in items:
+        if x is not None:
+            zero = x.sf.zero
+            if isinstance(x, Matrix):
+                x = Matrix._built(
+                    tuple(tuple(v if v == zero else f(v) for v in r) for r in x.rows), x.sf
+                )
+            else:
+                x = type(x)(tuple(v if v == zero else f(v) for v in x.entries), x.sf)
+        out.append(x)
+    return tuple(out)
+
+
+def _divide(v: Scalar, scale: int) -> Scalar:
+    """v / scale, exact: an int when it is whole."""
+    whole, rest = divmod(v, scale)
+    return whole if not rest else Fraction(v, scale)
 
 
 def minimize_basic(a: Matrix) -> OptResult:

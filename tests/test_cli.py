@@ -241,6 +241,26 @@ class TestSolve:
             assert (code, err) == (0, "")
             assert doc["minimum"] == 1e308
 
+    def test_float_near_range_bordered_pair_is_solved(self, capsys, tmp_path):
+        # an entry of Bhat* Ahat would be 1e308 + 1e308; theta is read off
+        # the two factors, which one power-of-two scale keeps in range
+        f = tmp_path / "pair.json"
+        problem = {
+            "kind": "FixpointConstrained",
+            "A": [[0, None], [None, 1e308]],
+            "B": [[None, 1e308], [None, None]],
+            "p": [0, 0],
+            "q": [0, 0],
+            "r": 0,
+        }
+        f.write_text(json.dumps(problem))
+        code, doc, err = run_json(capsys, "solve", str(f), "--float")
+        assert (code, err) == (0, "")
+        assert doc["minimum"] == 1e308 and doc["canonical"] == [0, -1e308]
+        code, doc, _ = run_json(capsys, "solve", str(f))
+        assert code == 0 and doc["minimum"] == 10**308
+        assert doc["canonical"] == [0, -(10**308)]
+
     def test_float_overflow_inside_a_solve_is_named(self, capsys, tmp_path):
         # the data is finite, but the exact minimum lies past the float
         # range: +inf first appears inside the solve
@@ -702,6 +722,15 @@ class TestSharedParser:
             assert exc.value.code == 0
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1] and texts[0].startswith("usage: tropt")
+
+    @pytest.mark.parametrize(
+        "command", ["solve", "schedule", "solve-ineq", "eig", "star", "verify"]
+    )
+    def test_help_says_dash_reads_stdin(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "('-' for stdin)" in " ".join(capsys.readouterr().out.split())
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

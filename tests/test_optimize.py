@@ -32,9 +32,10 @@ from tropt import (
     solve_schedule,
     verify_solution,
 )
+from tropt import linalg, optimize
 from tropt.errors import TroptError
 from tropt.optimize import _FIELDS, _tighten_box
-from tropt.oracle import random_matrix, random_vector
+from tropt.oracle import random_matrix, random_vector, sample_problem, sample_schedule
 from tropt.semifield import MaxPlus
 
 NEG = float("-inf")
@@ -430,16 +431,18 @@ def test_gate_order(prob, error, condition):
 
 
 def test_scale_gate_skips_spectral_radius_when_r_is_finite(monkeypatch, general_problem):
-    # a finite r already decides the scale gate, so the only spectral
-    # radius a General solve computes is the kernel's theta
+    # a finite r already decides the scale gate, so the only Karp pass a
+    # General solve makes is theta's, on the bordered pair of order n+1;
+    # lambda(A) would be a pass of order n through Matrix.spectral_radius
     calls = []
-    radius = Matrix.spectral_radius
+    kernel = linalg._max_cycle
 
-    def counted(self):
-        calls.append(self.n_rows)
-        return radius(self)
+    def counted(*factors):
+        calls.append(factors[0].n_rows)
+        return kernel(*factors)
 
-    monkeypatch.setattr(Matrix, "spectral_radius", counted)
+    monkeypatch.setattr(linalg, "_max_cycle", counted)
+    monkeypatch.setattr(optimize, "_max_cycle", counted)
     solve_problem(general_problem)
     assert calls == [general_problem.dim + 1]
 
@@ -634,3 +637,100 @@ def test_feasible_general_solve_stars_twice(monkeypatch, general_problem):
     assert solve_problem(general_problem).minimum == frozen.THETA
     assert calls == [general_problem.dim + 1, general_problem.dim]
 
+
+# -- theta from the factored pair; the family at theta's scale -------------
+
+
+def _bordered_pair(prob: Problem) -> tuple[Matrix, Matrix]:
+    """Bhat* and Ahat, as `solve_problem` builds them."""
+    n, sf = prob.dim, prob.A.sf
+    qc = None if prob.q is None else prob.q.conj()
+    hc = None if prob.h is None else prob.h.conj()
+    b_star = optimize._border(prob.B, n, sf, prob.g, hc, None).star()
+    return b_star, optimize._border(prob.A, n, sf, prob.p, qc, prob.r)
+
+
+def _in_floats(prob: Problem) -> Problem:
+    """The same problem read as float mode reads it."""
+    sf = MaxPlus(eps=1e-9)
+
+    def conv(x):
+        if x is None:
+            return None
+        if isinstance(x, Matrix):
+            return Matrix(tuple(tuple(map(float, r)) for r in x.rows), sf)
+        if isinstance(x, Vector):
+            return Vector(tuple(map(float, x.entries)), sf)
+        return float(x)
+
+    fields = ("A", "B", "p", "q", "g", "h", "r")
+    return Problem(prob.kind, *(conv(getattr(prob, f)) for f in fields))
+
+
+def test_theta_from_the_factored_pair_matches_the_product():
+    rng = random.Random(109)
+    kinds = list(ProblemKind)
+    fractional = 0
+    for i in range(600):
+        prob = sample_problem(rng, kinds[i % len(kinds)], rng.randint(2, 6))
+        for p in (prob, _in_floats(prob)):
+            b_star, a_hat = _bordered_pair(p)
+            got = linalg._max_cycle(b_star, a_hat)[0]
+            want = (b_star @ a_hat).spectral_radius()
+            # exact: equal values of equal type; float: the same bits
+            assert repr(got) == repr(want), (i, p)
+        fractional += type(got) is float and not float(got).is_integer()
+    assert fractional > 50
+
+
+def _unscaled_family(prob: Problem, theta):
+    """G, the parameter box and the canonical point in the data's own
+    arithmetic, theta^-1 (x) A (+) B with a Fraction theta, as the
+    solvers built them before the family ran at theta's scale."""
+    n, sf = prob.dim, prob.A.sf
+    inv_t = sf.inv(theta)
+    scaled = prob.A.scale(inv_t)
+    gen = (scaled if prob.B is None else scaled + prob.B).star()
+    lower = Vector.zeros(n, sf)
+    if prob.p is not None:
+        lower = lower + prob.p.scale(inv_t)
+    if prob.g is not None:
+        lower = lower + prob.g
+    w = None if prob.q is None else prob.q.conj().scale(inv_t)
+    if prob.h is not None:
+        w = prob.h.conj() if w is None else w + prob.h.conj()
+    upper = None if w is None else _tighten_box(lower, (w @ gen).conj())
+    canonical = SolutionSet(generator=gen, lower=lower, upper=upper).canonical()
+    return gen, lower, upper, canonical
+
+
+@pytest.mark.parametrize("kind", [k.value for k in ProblemKind] + ["schedule"])
+def test_fractional_theta_family_matches_the_unscaled_path(kind):
+    rng = random.Random(f"fractional/{kind}")
+    found = 0
+    for _ in range(2000):
+        n = rng.randint(2, 6)
+        if kind == "schedule":
+            prob = build_problem(sample_schedule(rng, n))
+        else:
+            prob = sample_problem(rng, ProblemKind(kind), n)
+        try:
+            result = solve_problem(prob)
+        except TroptError:
+            continue
+        if type(result.minimum) is not Fraction:
+            continue
+        sols = result.solutions
+        gen, lower, upper, canonical = _unscaled_family(prob, result.minimum)
+        assert sols.generator.rows == gen.rows, prob
+        assert sols.lower.entries == lower.entries, prob
+        assert (sols.upper is None) == (upper is None), prob
+        assert upper is None or sols.upper.entries == upper.entries, prob
+        assert result.canonical.entries == canonical.entries, prob
+        # the scaled star ran in ints: no entry carries a whole Fraction
+        entries = [v for r in sols.generator.rows for v in r] + list(result.canonical.entries)
+        assert not any(isinstance(v, Fraction) and v.denominator == 1 for v in entries)
+        found += 1
+        if found == 8:
+            break
+    assert found == 8
