@@ -48,7 +48,6 @@ from .errors import (
 from .linalg import Vector, _trace_product
 from .linsolve import solve_combined, solve_fixpoint_lower, solve_upper_bounded
 from .optimize import Problem, solve_problem
-from .oracle import GridSpec, default_step, grid_minimize
 from .schedule import collapse_solution_line, solve_schedule, solve_schedule_detailed
 from .semifield import MAXPLUS, MaxPlus
 
@@ -189,8 +188,8 @@ def _parse_step(text: str) -> Fraction:
     raise ValueError(f"--step must be a positive fraction such as 1/12, got {text!r}")
 
 
-def _verify_window(problem: Problem, window: int, center: Optional[Vector],
-                   step: Fraction) -> GridSpec:
+def _verify_window(problem: Problem, window: int,
+                   center: Optional[Vector]) -> tuple[Vector, Vector]:
     sf = problem.A.sf
     n = problem.dim
     if center is not None:
@@ -204,10 +203,11 @@ def _verify_window(problem: Problem, window: int, center: Optional[Vector],
                 low[i] = min(low[i], Fraction(problem.g.entries[i]))
             if problem.h is not None and not sf.is_zero(problem.h.entries[i]):
                 high[i] = max(high[i], Fraction(problem.h.entries[i]))
-    return GridSpec(Vector(tuple(low), sf), Vector(tuple(high), sf), step)
+    return Vector(tuple(low), sf), Vector(tuple(high), sf)
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import GridSpec, default_step, grid_minimize  # only verify scans
     if args.window < 0:
         raise ValueError(f"--window must be at least 0, got {args.window}")
     data, sf, exact = _load(args)
@@ -217,8 +217,8 @@ def _cmd_verify(args) -> int:
         closed = solve_problem(problem)
     except InfeasibleConstraints as exc:
         closed, infeasible = None, str(exc)
-    grid = _verify_window(
-        problem, args.window, None if closed is None else closed.canonical, step
+    grid = GridSpec(
+        *_verify_window(problem, args.window, None if closed is None else closed.canonical), step
     )
     if closed is None:
         try:

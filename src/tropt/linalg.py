@@ -3,18 +3,19 @@
 Objects are immutable; entries are raw scalars (int, Fraction, float)
 with the semifield's zero carried as a float -inf.  `+` is entrywise
 idempotent addition and `@` the max-plus product, one inlined kernel
-over the finite entries.  `star` is one O(n^3) Floyd-Warshall pass, and
-`trace_sum` reads Tr(A) = tr(A (x) A*) off it in O(n^2), without the
-product.  `spectral_radius` is Karp's O(n^3) maximum cycle mean.  Its
-kernel, `_max_cycle`, also takes a product of factors without forming
-it: each walk step is one pass over each factor's finite entries, so
-the optimizers read theta = lambda(Bhat* Ahat) with no Bhat* Ahat
-matrix.  Float entries near the end of the range are scaled by a power
-of two first, so that the walk sums cannot overflow.  Karp's walk stops
-at the first step k with D_k finite and D_k = c (x) D_(k-1): then
-x_u + a_uv <= c + x_v on every arc for x = D_(k-1), so no cycle has
-mean above c, and the back-pointers of step k are tight arcs closing a
-cycle of mean c.
+over the finite entries.  `_closure` is one O(n^3) Floyd-Warshall pass
+giving A* and the heaviest cycle weight, which every solver's gate
+reads, so no solver builds a power sum; `star` adds the fallback past a
+positive cycle, and `trace_sum` reads Tr(A) off it in O(n^2).
+`spectral_radius` is Karp's O(n^3) maximum cycle mean.  Its kernel,
+`_max_cycle`, also takes a product of factors without forming it: each
+walk step is one pass over each factor's finite entries, so the
+optimizers read theta = lambda(Bhat* Ahat) with no Bhat* Ahat matrix.
+Float entries near the end of the range are scaled by a power of two
+first, so that the walk sums cannot overflow.  Karp's walk stops at the
+first step k with D_k finite and D_k = c (x) D_(k-1): then x_u + a_uv
+<= c + x_v on every arc for x = D_(k-1), so no cycle has mean above c,
+and the back-pointers of step k are tight arcs closing a cycle of mean c.
 Entrywise helpers (`scale`, `conj`, `meet`, the zero and regularity
 tests) inline the MaxPlus rules, as `+` and `@` do: no Semifield call
 per entry.
@@ -212,12 +213,12 @@ class Matrix:
 
     def conj(self) -> "Matrix":
         """Conjugate transpose: transpose with entrywise inversion
-        (`MaxPlus.inv` inlined, zero entries staying zero)."""
+        (`MaxPlus.inv` inlined: 0 - v, never -0.0; zero stays zero)."""
         zero = self.sf.zero
         if any(math.inf in r for r in self.rows):
             raise ValueError(_OVERFLOW)
         return Matrix._built(
-            tuple(tuple(zero if v == zero else -v for v in col) for col in zip(*self.rows)),
+            tuple(tuple(zero if v == zero else 0 - v for v in col) for col in zip(*self.rows)),
             self.sf,
         )
 
@@ -274,14 +275,21 @@ class Matrix:
         """Kleene star truncated at the matrix order:
         I (+) A (+) A^2 (+) ... (+) A^(n-1).
 
-        One O(n^3) Floyd-Warshall pass gives the heaviest walk weights;
-        with no cycle weight above one (the only regime the solvers use)
-        they are the heaviest path weights, which is the truncated sum
-        off the diagonal, and the diagonal is one.  A diagonal entry
-        above one marks a positive cycle, where walks outgrow the
+        With no cycle weight above one (the only regime the solvers use)
+        it is `_closure`'s A*.  A heavier cycle makes walks outgrow the
         truncation, and the truncated sum is returned instead as
         (I (+) A)^(n-1), equal to it by idempotency.
         """
+        star, c = self._closure()
+        if c > self.sf.one:
+            return (Matrix.identity(self.n_rows, self.sf) + self).power(self.n_rows - 1)
+        return star
+
+    def _closure(self) -> tuple["Matrix", Scalar]:
+        """(A*, c) from one O(n^3) Floyd-Warshall pass, no power sum: c is
+        the heaviest cycle weight, the largest diagonal entry of the pass
+        (zero with no cycle), equal to Tr(A) whenever c <= one; A* is the
+        pass's rows with the diagonal set to one, the solvers' star."""
         n = self._require_square()
         sf = self.sf
         zero = sf.zero
@@ -295,11 +303,10 @@ class Matrix:
                         s = a + v
                         if s > di[j]:
                             di[j] = s
-        if any(d[i][i] > sf.one for i in range(n)):
-            return (Matrix.identity(n, sf) + self).power(n - 1)
+        c = max(d[i][i] for i in range(n))
         for i in range(n):
             d[i][i] = sf.one
-        return Matrix._built(tuple(tuple(r) for r in d), sf)
+        return Matrix._built(tuple(tuple(r) for r in d), sf), c
 
     # -- comparisons ------------------------------------------------------
 
@@ -563,7 +570,7 @@ class _Entries:
             raise ValueError(_OVERFLOW)
         zero = self.sf.zero
         return self._transpose(
-            tuple(zero if v == zero else -v for v in self.entries), self.sf
+            tuple(zero if v == zero else 0 - v for v in self.entries), self.sf
         )
 
     def __add__(self, other):

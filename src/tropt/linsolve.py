@@ -28,7 +28,7 @@ from .errors import (
     NotRegularVector,
     ShapeMismatch,
 )
-from .linalg import Matrix, Vector, _trace_product
+from .linalg import Matrix, Vector
 from .semifield import Scalar
 
 
@@ -171,8 +171,8 @@ def solve_fixpoint_lower(a: Matrix, b: Vector) -> SolutionSet:
     if b.dim != n:
         raise ShapeMismatch(f"lower bound dim {b.dim} against order {n}")
     sf = a.sf
-    star = a.star()
-    if not sf.leq_tol(_trace_product(a, star), sf.one):
+    star, cycle = a._closure()
+    if not sf.leq_tol(cycle, sf.one):
         raise NoRegularSolution("Tr(A) <= 1")
     return SolutionSet(generator=star, lower=b)
 
@@ -189,9 +189,9 @@ def solve_combined(a: Matrix, b: Vector, d: Vector) -> SolutionSet:
     if not d.is_regular():
         raise NotRegularVector("upper bound must be regular")
     sf = a.sf
-    star = a.star()
+    star, cycle = a._closure()
     d_star = d.conj() @ star
-    delta = sf.add(_trace_product(a, star), d_star @ b)
+    delta = sf.add(cycle, d_star @ b)
     if not sf.leq_tol(delta, sf.one):
         raise NoRegularSolution("Tr(A) (+) d^- A* b <= 1")
     upper = _tighten_box(b, d_star.conj())

@@ -15,15 +15,15 @@ Each solver returns the exact minimum together with the complete family
 of minimizers, parameterized as x = G (x) u over a box of u.  One
 path serves all six kinds: A and B are bordered by one extra node,
 Ahat = [[A, p], [q^-, r]] and Bhat = [[B, g], [h^-, 0]] with absent
-pieces zero.  One star of Bhat serves twice: the constraints are
-solvable exactly when Tr(Bhat) = tr(Bhat Bhat*) <= 1, and the minimum
-is theta = the spectral radius of Bhat* Ahat, which Karp's walk reads
-off the two factors without forming their product.  When an exact
-theta is a fraction w/l, the generator star, the parameter box and the
-canonical point are computed for the data scaled by l, where theta is
-the int w, and divided by l once: with whole-number data that star runs
-in ints.  `solve_problem` holds that path; the `minimize_*` functions
-only build a Problem and hand it over.
+pieces zero.  One Floyd-Warshall pass of Bhat, no power sum, serves
+twice: the constraints are solvable exactly when its heaviest cycle,
+Tr(Bhat), is at most 1, and the minimum is theta = the spectral radius
+of Bhat* Ahat, read off the two factors without their product.  When
+an exact theta is a fraction w/l, the generator star, the parameter
+box and the canonical point are computed for the data scaled by l,
+where theta is the int w, and divided by l once: with whole-number data
+that star runs in ints.  `solve_problem` holds that path; the
+`minimize_*` functions only build a Problem and hand it over.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import (
     ShapeMismatch,
     ZeroSpectralRadius,
 )
-from .linalg import Matrix, RowVector, Vector, _max_cycle, _scaled_sum, _trace_product
+from .linalg import Matrix, RowVector, Vector, _max_cycle, _scaled_sum
 from .linsolve import SolutionSet, _tighten_box
 from .semifield import Scalar
 
@@ -167,12 +167,12 @@ def solve_problem(problem: Problem) -> OptResult:
     qc = None if q is None else q.conj()
     hc = None if h is None else h.conj()
     b_hat = _border(b, n, sf, g, hc, None)
-    b_star = b_hat.star()  # Tr(Bhat) = tr(Bhat Bhat*); theta needs it too
-    if not sf.leq_tol(_trace_product(b_hat, b_star), sf.one):
+    b_star, cycle = b_hat._closure()  # Tr(Bhat) = cycle; theta needs Bhat*
+    if not sf.leq_tol(cycle, sf.one):
         if b is None:
             raise InfeasibleConstraints("h^- g <= 1")
         # the border node lies on a cycle only when both g and h are given
-        if g is None or h is None or not sf.leq_tol(b.trace_sum(), sf.one):
+        if g is None or h is None or not sf.leq_tol(b._closure()[1], sf.one):
             raise InfeasibleConstraints("Tr(B) <= 1")
         raise InfeasibleConstraints("h^- B* g <= 1")
     if problem.kind in _NEEDS_CYCLE and sf.is_zero(a.spectral_radius()):
@@ -210,7 +210,7 @@ def _family(theta: Scalar, a: Matrix, b: Optional[Matrix], p: Optional[Vector],
     upper None when neither q nor h is given."""
     n, sf = a.n_rows, a.sf
     inv_t = sf.inv(theta)
-    gen = _scaled_sum(inv_t, a, b).star()
+    gen = _scaled_sum(inv_t, a, b)._closure()[0]
     lower = Vector.zeros(n, sf)
     if p is not None:
         lower = lower + p.scale(inv_t)

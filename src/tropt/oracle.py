@@ -575,9 +575,7 @@ def random_trace_bounded(rng: random.Random, n: int, zero_p: float = 0.5) -> Mat
     all-zero matrix after 500 failures (degenerate but valid)."""
     for _ in range(500):
         m = random_matrix(rng, n, zero_p=zero_p)
-        # tr A <= Tr A: a positive diagonal rejects most draws before
-        # the star is built
-        if m.trace() <= 0 and m.trace_sum() <= 0:
+        if m._closure()[1] <= 0:
             return m
     return Matrix.zeros(n, n, MAXPLUS)
 

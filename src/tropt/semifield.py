@@ -98,7 +98,7 @@ class Semifield:
             raise InversionOfZero("inverse of the zero element")
         if x == float("inf"):
             raise ValueError("float overflow: a result is +inf")
-        return -x
+        return 0 - x  # not -x: the inverse of 0.0 is 0.0, never -0.0
 
     def power(self, x: Scalar, r: Scalar) -> Scalar:
         """Rational power x^r, i.e. r*x on the extended-real carrier.

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -260,6 +262,23 @@ class TestSolve:
         code, doc, _ = run_json(capsys, "solve", str(f))
         assert code == 0 and doc["minimum"] == 10**308
         assert doc["canonical"] == [0, -(10**308)]
+
+    def test_float_answers_print_no_negative_zero(self, capsys, tmp_path):
+        # the conjugate of a 0.0 entry is 0.0, as exact mode's is 0
+        f = tmp_path / "pair.json"
+        problem = {
+            "kind": "FixpointConstrained",
+            "A": [[0, None], [None, 1e308]],
+            "B": [[None, 1e308], [None, None]],
+            "p": [0, 0],
+            "q": [0, 0],
+            "r": 0,
+        }
+        f.write_text(json.dumps(problem))
+        code, out, err = run(capsys, "solve", str(f), "--float")
+        assert (code, err) == (0, "")
+        assert "-0.0" not in out
+        assert '"upperU": [\n      1e+308,\n      0.0\n    ]' in out
 
     def test_float_overflow_inside_a_solve_is_named(self, capsys, tmp_path):
         # the data is finite, but the exact minimum lies past the float
@@ -747,3 +766,16 @@ def test_golden_output(capsys, monkeypatch, name):
     assert code == case["exit"]
     assert err == case["stderr"]
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_cli_import_leaves_the_oracle_unloaded():
+    # only `verify` scans a grid, so only it imports the oracle
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, tropt.cli; print('tropt.oracle' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")

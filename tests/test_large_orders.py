@@ -10,13 +10,24 @@ depend on how the test runner sets `sys.path`.
 
 import importlib.util
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from tropt import solve_problem, solve_schedule
-from tropt.serialize import parse_problem, parse_schedule
+from tropt import (
+    DegenerateProblem,
+    InfeasibleConstraints,
+    NoRegularSolution,
+    ZeroSpectralRadius,
+    solve_combined,
+    solve_fixpoint_lower,
+    solve_problem,
+    solve_schedule,
+    solve_upper_bounded,
+)
+from tropt.serialize import parse_matrix, parse_problem, parse_schedule, parse_vector
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -69,3 +80,62 @@ def test_fractional_benchmark_draws_are_certified():
         rngs = [gen.instance_rng("large-n12-exact", seed, i) for i in range(20)]
         thetas = [_certify_schedule(gen.feasible_schedule(rng, 12)) for rng in rngs]
         assert any(type(t) is Fraction for t in thetas), seed
+
+
+def _verdict(solve, *args):
+    """The condition a solve names, or None when it returns."""
+    try:
+        solve(*args)
+    except (InfeasibleConstraints, NoRegularSolution, ZeroSpectralRadius,
+            DegenerateProblem) as err:
+        return str(err)
+    return None
+
+
+def test_free_draws_name_the_checker_verdict():
+    # free draws are often infeasible: every named condition, and every
+    # success, is the one the Bellman-Ford checker finds
+    seen = Counter()
+    for n in (8, 16, 32, 48):
+        for index in range(18):
+            kind = gen.KINDS[index % len(gen.KINDS)]
+            doc = gen.random_problem(gen.instance_rng("large-orders-free", n, index), kind, n)
+            want = check.solve_verdict(doc)
+            assert _verdict(solve_problem, parse_problem(doc)) == want, doc
+            seen[want] += 1
+    for want in (None, "Tr(B) <= 1", "h^- B* g <= 1", "h^- g <= 1"):
+        assert seen[want] > 0, seen
+
+
+def _raw(values) -> list:
+    """Entries as the checker writes them, None for the tropical zero."""
+    return [None if v == float("-inf") else v for v in values]
+
+
+def test_inequality_draws_match_the_literal_star():
+    # the checker sums the star literally, so it stops at order 12
+    seen = Counter()
+    for n in (4, 8, 12):
+        for index in range(12):
+            variant = ("b", "d", "bd")[index % 3]
+            doc = gen.inequality_system(gen.instance_rng("large-orders-ineq", n, index), variant, n)
+            a = parse_matrix(doc["A"])
+            b = parse_vector(doc["b"]) if "b" in doc else None
+            d = parse_vector(doc["d"]) if "d" in doc else None
+            want, fields = check.inequality_expectation(doc)
+            if b is None:
+                assert _raw(solve_upper_bounded(a, d).entries) == fields["greatest"], doc
+                continue
+            solve = solve_fixpoint_lower if d is None else solve_combined
+            args = (a, b) if d is None else (a, b, d)
+            assert _verdict(solve, *args) == want, doc
+            seen[want] += 1
+            if want is None:
+                sol = solve(*args)
+                got = {"generator": [_raw(r) for r in sol.generator.rows],
+                       "lower": _raw(sol.lower.entries)}
+                if sol.upper is not None:
+                    got["upper"] = _raw(sol.upper.entries)
+                assert got == fields, doc
+    for want in (None, "Tr(A) <= 1", "Tr(A) (+) d^- A* b <= 1"):
+        assert seen[want] > 0, seen

@@ -10,6 +10,7 @@ from tropt import (
     EmptyParameterBox,
     InfeasibleConstraints,
     Matrix,
+    NoRegularSolution,
     NotRegularVector,
     NotSquare,
     OptResult,
@@ -28,6 +29,8 @@ from tropt import (
     minimize_general,
     minimize_linear_constrained,
     objective_value,
+    solve_combined,
+    solve_fixpoint_lower,
     solve_problem,
     solve_schedule,
     verify_solution,
@@ -35,7 +38,13 @@ from tropt import (
 from tropt import linalg, optimize
 from tropt.errors import TroptError
 from tropt.optimize import _FIELDS, _tighten_box
-from tropt.oracle import random_matrix, random_vector, sample_problem, sample_schedule
+from tropt.oracle import (
+    random_matrix,
+    random_trace_bounded,
+    random_vector,
+    sample_problem,
+    sample_schedule,
+)
 from tropt.semifield import MaxPlus
 
 NEG = float("-inf")
@@ -625,17 +634,56 @@ def test_float_gate_tolerance(weight, passes):
 
 
 def test_feasible_general_solve_stars_twice(monkeypatch, general_problem):
-    # one star of Bhat serves the gate and theta; the other is G
+    # one closure pass of Bhat serves the gate and theta; the other is G
     calls = []
-    star = Matrix.star
+    closure = Matrix._closure
 
     def counted(self):
         calls.append(self.n_rows)
-        return star(self)
+        return closure(self)
 
-    monkeypatch.setattr(Matrix, "star", counted)
+    monkeypatch.setattr(Matrix, "_closure", counted)
     assert solve_problem(general_problem).minimum == frozen.THETA
     assert calls == [general_problem.dim + 1, general_problem.dim]
+
+
+class _PowerSum(Exception):
+    pass
+
+
+# the dust cycle passes its gate, and leaves a parameter box empty by dust
+@pytest.mark.filterwarnings("ignore:parameter box widened:RuntimeWarning")
+def test_no_solver_reaches_the_power_sum(monkeypatch):
+    # every positive-cycle gate reads the Floyd-Warshall pass itself
+    def refused(self, m):
+        raise _PowerSum
+
+    monkeypatch.setattr(Matrix, "power", refused)
+    a, zeros = Matrix(((0, NEG), (NEG, 0))), Vector((0, 0))
+
+    def general(b, g):
+        return Problem(ProblemKind.GENERAL, a, Matrix(b), zeros, zeros, g, zeros, 0)
+
+    cases = [
+        (general(((NEG, 1), (1, NEG)), zeros), "Tr(B) <= 1"),
+        (Problem(ProblemKind.LINEAR_CONSTRAINED, a, Matrix(((1, NEG), (NEG, NEG))), g=zeros),
+         "Tr(B) <= 1"),
+        (general(((NEG, 1), (NEG, NEG)), Vector((NEG, 0))), "h^- B* g <= 1"),
+        (Problem(ProblemKind.BOX_CONSTRAINED, a, None, zeros, zeros, Vector((1, 0)), zeros, 0),
+         "h^- g <= 1"),
+    ]
+    for prob, condition in cases:
+        assert _outcome(prob) == (InfeasibleConstraints, condition)
+    cyclic = Matrix(((NEG, 1), (0, NEG)))
+    with pytest.raises(NoRegularSolution, match=r"^Tr\(A\) <= 1$"):
+        solve_fixpoint_lower(cyclic, zeros)
+    with pytest.raises(NoRegularSolution, match=r"^Tr\(A\) \(\+\) d\^- A\* b <= 1$"):
+        solve_combined(cyclic, zeros, zeros)
+    test_float_gate_tolerance(1e-16, True)
+    assert random_trace_bounded(random.Random(17), 4)._closure()[1] <= 0
+    # the public truncated star still takes the power sum past a positive cycle
+    with pytest.raises(_PowerSum):
+        cyclic.star()
 
 
 # -- theta from the factored pair; the family at theta's scale -------------
