@@ -195,7 +195,7 @@ def solve_problem(problem: Problem) -> OptResult:
     if scale == 1:
         family = _family(theta, a, b, p, qc, g, hc)
     else:
-        data = _rescaled((a, b, p, qc, g, hc), scale.__mul__)
+        data = _rescaled((a, b, p, qc, g, hc), lambda v: v * scale)
         family = _rescaled(_family(theta.numerator, *data), lambda v: _divide(v, scale))
     gen, lower, upper, canonical = family
     sols = SolutionSet(generator=gen, lower=lower, upper=upper, minimum=theta)

@@ -5,7 +5,9 @@ benchmark's independent checker.
 problem's difference-constraint graph, and the returned point against
 the raw data; `perfbench/gen.py` draws instances that are feasible by
 construction.  Both are loaded from their files, so the test does not
-depend on how the test runner sets `sys.path`.
+depend on how the test runner sets `sys.path`.  The same draws also
+carry a metamorphic check that needs no oracle: scaling the data
+scales the answer.
 """
 
 import importlib.util
@@ -80,6 +82,55 @@ def test_fractional_benchmark_draws_are_certified():
         rngs = [gen.instance_rng("large-n12-exact", seed, i) for i in range(20)]
         thetas = [_certify_schedule(gen.feasible_schedule(rng, 12)) for rng in rngs]
         assert any(type(t) is Fraction for t in thetas), seed
+
+
+K = 3
+
+
+def _times(value, k):
+    """The raw document with every number multiplied by k; None (the
+    tropical zero) and strings stay as they are."""
+    if isinstance(value, dict):
+        return {key: _times(v, k) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_times(v, k) for v in value]
+    return value * k if isinstance(value, (int, Fraction)) else value
+
+
+def _entries(values, k) -> tuple:
+    return tuple(v * k for v in values)  # -inf * k stays -inf
+
+
+def _answer(result, k=1) -> tuple:
+    """theta, the generator, both bounds and the canonical point, each
+    finite entry multiplied by k."""
+    sol = result.solutions
+    upper = None if sol.upper is None else _entries(sol.upper.entries, k)
+    return (
+        result.minimum * k,
+        tuple(_entries(row, k) for row in sol.generator.rows),
+        _entries(sol.lower.entries, k),
+        upper,
+        _entries(result.canonical.entries, k),
+    )
+
+
+@pytest.mark.parametrize("n", (8, 16, 32, 48))
+def test_scaled_data_scales_the_answer(n):
+    # k times all finite data gives k times theta, the generator's finite
+    # entries, both bounds and the canonical point; k = 1/K makes the
+    # data Fractions, which cost far more, so only the smaller orders
+    factors = (K, Fraction(1, K)) if n <= 16 else (K,)
+    for index, kind in enumerate(gen.KINDS):
+        doc = gen.feasible_problem(gen.instance_rng("large-orders", n, index), kind, n)
+        base = solve_problem(parse_problem(doc))
+        for k in factors:
+            scaled = solve_problem(parse_problem(_times(doc, k)))
+            assert _answer(scaled) == _answer(base, k), (doc, k)
+    raw = gen.feasible_schedule(gen.instance_rng("large-orders", n, -1), n).to_json()
+    theta = solve_schedule(parse_schedule(raw)).theta
+    for k in factors:
+        assert solve_schedule(parse_schedule(_times(raw, k))).theta == theta * k, (raw, k)
 
 
 def _verdict(solve, *args):

@@ -182,6 +182,35 @@ class TestSolutionSet:
         x = sol.generator @ sol.upper
         assert sol.generator @ sol.residual(x) == x
 
+    def test_equality_compares_every_field(self):
+        g = Matrix(((0, 1), (NEG, 0)))
+        assert 2 * g == g.scale(2)
+        assert (2 * g).rows == ((2, 3), (NEG, 2))
+
+        def family(gen=g, lower=(0, 1), upper=(2, 3), minimum=4):
+            up = None if upper is None else Vector(upper)
+            return SolutionSet(gen, Vector(lower), up, minimum)
+
+        base = family()
+        assert base == family()
+        assert base != family(gen=2 * g)
+        assert base != family(lower=(0, 2))
+        assert base != family(upper=(2, 4))
+        assert base != family(minimum=5)
+        for other in (family(upper=None), family(minimum=None)):
+            assert base != other and other != base
+        assert family(upper=None, minimum=None) == family(upper=None, minimum=None)
+        dust = 1e-12
+        near = family(
+            gen=Matrix(((0.0, 1.0 + dust), (NEG, -dust))),
+            lower=(dust, 1.0),
+            upper=(2.0, 3.0 - dust),
+            minimum=4.0 + dust,
+        )
+        assert near == base and base == near
+        assert base != family(upper=(2.0, 3.001)) and base != family(minimum=4.001)
+        assert (base == "family") is False and base != g
+
     def test_repr_is_the_dataclass_default(self):
         sol = SolutionSet(Matrix.identity(1), Vector((0,)))
         assert repr(sol) == (
