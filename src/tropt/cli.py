@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -83,14 +84,14 @@ def _emit(doc, args) -> None:
     if getattr(args, "output", None):
         Path(args.output).write_text(text + "\n")
     else:
-        print(text)
+        print(text, flush=True)  # a closed pipe shows here, not at exit
 
 
 def _cmd_solve(args) -> int:
     data, sf, exact = _load(args)
     problem = serialize.parse_problem(data, sf, exact)
     result = solve_problem(problem)
-    _emit(serialize.encode_opt_result(result), args)
+    _emit(serialize.opt_document(result), args)
     return 0
 
 
@@ -127,7 +128,7 @@ def _cmd_schedule(args) -> int:
     else:
         result = solve_schedule(spec)
     collapse = collapse_solution_line(result.solutions)
-    doc = serialize.encode_schedule_result(result, collapse)
+    doc = serialize.schedule_document(result, collapse)
     if args.emit_intermediates:
         doc["intermediates"] = intermediates
     _emit(doc, args)
@@ -349,10 +350,27 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _drop_stdout() -> None:
+    """Point stdout's descriptor at devnull, so that the interpreter's
+    final flush of what a closed pipe refused is silent (the recipe of
+    the `signal` docs).  An in-memory stdout has no descriptor."""
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader stopped early, which is not a failed request
+        _drop_stdout()
+        return 0
     except _DOMAIN_ERRORS as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2

@@ -18,9 +18,11 @@ read from its decimal spelling, not from a binary double.  Matrices
 travel as {"rows": r, "cols": c, "data": [[..]]}; a bare list of rows
 is accepted on input.  Vectors are plain arrays.
 
-`dumps` writes tropt objects directly, byte for byte as `json` writes
-their `encode_value` with indent=2 and sorted keys, but a matrix row at
-a time rather than through json's pure-Python indenting encoder.
+Each answer is a document of tropt values (`opt_document`,
+`schedule_document`, or a CLI handler's dict).  `dumps` writes it
+directly, byte for byte as `json` writes its `encode_value` with
+indent=2 and sorted keys, a matrix row at a time; the `encode_*`
+functions are `encode_value` of the same documents.
 """
 
 from __future__ import annotations
@@ -273,16 +275,11 @@ def parse_problem(obj, sf: Semifield = MAXPLUS, exact: bool = True) -> Problem:
 
 
 def encode_problem(problem: Problem) -> dict:
-    out: dict[str, Any] = {"kind": problem.kind.value, "A": encode_matrix(problem.A)}
-    if problem.B is not None:
-        out["B"] = encode_matrix(problem.B)
-    for key in ("p", "q", "g", "h"):
-        v = getattr(problem, key)
-        if v is not None:
-            out[key] = encode_vector(v)
-    if problem.r is not None:
-        out["r"] = encode_scalar(problem.r)
-    return out
+    doc: dict[str, Any] = {"kind": problem.kind.value, "A": problem.A}
+    for key in ("B", "p", "q", "g", "h", "r"):
+        if (v := getattr(problem, key)) is not None:
+            doc[key] = v
+    return encode_value(doc)
 
 
 _SCHEDULE_KEYS = {
@@ -336,46 +333,48 @@ def parse_schedule(obj, sf: Semifield = MAXPLUS, exact: bool = True) -> Schedule
     )
 
 
-def encode_solutions(s: SolutionSet) -> dict:
-    out = {
-        "generator": encode_matrix(s.generator),
-        "lowerU": encode_vector(s.lower),
-    }
+def _solutions_document(s: SolutionSet) -> dict:
+    doc = {"generator": s.generator, "lowerU": s.lower}
     if s.upper is not None:
-        out["upperU"] = encode_vector(s.upper)
-    return out
+        doc["upperU"] = s.upper
+    return doc
+
+
+def opt_document(res: OptResult) -> dict:
+    """What `solve` prints, as tropt values for `dumps`."""
+    return {
+        "minimum": res.minimum,
+        "canonical": res.canonical,
+        "solutions": _solutions_document(res.solutions),
+    }
+
+
+def schedule_document(res: ScheduleResult, collapse=None) -> dict:
+    """What `schedule` prints, as tropt values for `dumps`; `collapse`
+    is `collapse_solution_line`'s (direction, (low, high)) or None."""
+    return {
+        "theta": res.theta,
+        "initiation": res.initiation,
+        "completion": res.completion,
+        "adjustedStart": res.adjusted_start,
+        "adjustedFinish": res.adjusted_finish,
+        "flowTimes": res.flow_times,
+        "activities": res.activities,
+        "solutions": _solutions_document(res.solutions),
+        "collapse": collapse and {"direction": collapse[0], "interval": collapse[1]},
+    }
+
+
+def encode_solutions(s: SolutionSet) -> dict:
+    return encode_value(_solutions_document(s))
 
 
 def encode_opt_result(res: OptResult) -> dict:
-    return {
-        "minimum": encode_scalar(res.minimum),
-        "canonical": encode_vector(res.canonical),
-        "solutions": encode_solutions(res.solutions),
-    }
+    return encode_value(opt_document(res))
 
 
 def encode_schedule_result(res: ScheduleResult, collapse=None) -> dict:
-    out = {
-        "theta": encode_scalar(res.theta),
-        "initiation": encode_vector(res.initiation),
-        "completion": encode_vector(res.completion),
-        "adjustedStart": encode_vector(res.adjusted_start),
-        "adjustedFinish": encode_vector(res.adjusted_finish),
-        "flowTimes": [encode_scalar(v) for v in res.flow_times],
-        "activities": list(res.activities),
-        "solutions": encode_solutions(res.solutions),
-        "collapse": None,
-    }
-    if collapse is not None:
-        direction, (low, high) = collapse
-        out["collapse"] = {
-            "direction": encode_vector(direction),
-            "interval": [
-                encode_scalar(low),
-                None if high is None else encode_scalar(high),
-            ],
-        }
-    return out
+    return encode_value(schedule_document(res, collapse))
 
 
 def encode_value(v):

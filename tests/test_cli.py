@@ -779,3 +779,63 @@ def test_cli_import_leaves_the_oracle_unloaded():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+ONE_PATH_CASES = [n for n in GOLDEN_CASES if n.startswith(("solve-box", "solve-general", "schedule-"))]
+ENCODERS = ("encode_matrix", "encode_vector", "encode_solutions", "encode_opt_result",
+            "encode_schedule_result", "encode_value")
+
+
+@pytest.mark.parametrize("name", ONE_PATH_CASES)
+def test_answers_are_encoded_once_by_dumps(capsys, monkeypatch, name):
+    # solve and schedule hand tropt values to `dumps`, which writes
+    # them itself: no JSON-ready copy of the answer is built first
+    def refuse(*args, **kwargs):
+        raise AssertionError("an answer went through a result encoder")
+
+    for encoder in ENCODERS:
+        monkeypatch.setattr(cli.serialize, encoder, refuse)
+    case = GOLDEN_CASES[name]
+    monkeypatch.chdir(GOLDEN.parent.parent)
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, err) == (case["exit"], case["stderr"])
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [["eig", "fixtures/A.json"],
+                                  ["solve", "fixtures/general_problem.json"]])
+def test_a_reader_that_stops_early_is_not_an_error(argv, unbuffered):
+    # stdout's read end closes before tropt writes: exit 0, nothing on
+    # stderr, and no complaint from the interpreter's final flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parent.parent)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tropt.cli", *argv],
+        cwd=GOLDEN.parent.parent,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (0, b"")
+
+
+def test_a_closed_in_memory_stdout_is_not_an_error(capsys, monkeypatch, fixtures_dir):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    code = main(["eig", str(fixtures_dir / "A.json")])
+    assert (code, capsys.readouterr().err) == (0, "")
+
+
+def test_an_unwritable_output_is_still_an_error(capsys, fixtures_dir, tmp_path):
+    code, out, err = run(capsys, "eig", str(fixtures_dir / "A.json"), "--output", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")

@@ -6,8 +6,9 @@ problem's difference-constraint graph, and the returned point against
 the raw data; `perfbench/gen.py` draws instances that are feasible by
 construction.  Both are loaded from their files, so the test does not
 depend on how the test runner sets `sys.path`.  The same draws also
-carry a metamorphic check that needs no oracle: scaling the data
-scales the answer.
+carry metamorphic checks that need no oracle: scaling the data scales
+the answer, relabelling the variables permutes it, and a lag that the
+canonical point already meets leaves theta as it was.
 """
 
 import importlib.util
@@ -190,3 +191,88 @@ def test_inequality_draws_match_the_literal_star():
                 assert got == fields, doc
     for want in (None, "Tr(A) <= 1", "Tr(A) (+) d^- A* b <= 1"):
         assert seen[want] > 0, seen
+
+
+def _relabelled(doc: dict, perm: list) -> dict:
+    """The raw document with new variable i standing for old variable
+    perm[i]: matrices permute rows and columns, every list its entries
+    (activity names too), and scalars stay."""
+    out = {}
+    for key, value in doc.items():
+        if isinstance(value, list) and isinstance(value[0], list):
+            out[key] = [[value[i][j] for j in perm] for i in perm]
+        elif isinstance(value, list):
+            out[key] = [value[i] for i in perm]
+        else:
+            out[key] = value
+    return out
+
+
+def _family(sol, canonical) -> tuple:
+    upper = None if sol.upper is None else sol.upper.entries
+    return sol.generator.rows, sol.lower.entries, upper, canonical.entries
+
+
+def _family_relabelled(sol, canonical, perm) -> tuple:
+    """`_family` of the answer to the relabelled instance, read back
+    in the old labels' places."""
+    def back(values):
+        return None if values is None else tuple(values[i] for i in perm)
+
+    rows, lower, upper, point = _family(sol, canonical)
+    return tuple(tuple(rows[i][j] for j in perm) for i in perm), back(lower), back(upper), back(point)
+
+
+@pytest.mark.parametrize("n", (8, 16, 32, 48))
+def test_relabelling_permutes_the_answer(n):
+    # a seeded permutation of the variables leaves theta equal, and the
+    # generator, both bounds and the canonical point follow it
+    for index, kind in enumerate(gen.KINDS + ("schedule",)):
+        rng = gen.instance_rng("large-orders-relabel", n, index)
+        perm = rng.sample(range(n), n)
+        if kind == "schedule":
+            raw = gen.feasible_schedule(rng, n).to_json()
+            base = solve_schedule(parse_schedule(raw))
+            moved = solve_schedule(parse_schedule(_relabelled(raw, perm)))
+            got = moved.theta, _family(moved.solutions, moved.initiation)
+            want = base.theta, _family_relabelled(base.solutions, base.initiation, perm)
+        else:
+            doc = gen.feasible_problem(rng, kind, n)
+            base = solve_problem(parse_problem(doc))
+            moved = solve_problem(parse_problem(_relabelled(doc, perm)))
+            got = moved.minimum, _family(moved.solutions, moved.canonical)
+            want = base.minimum, _family_relabelled(base.solutions, base.canonical, perm)
+        assert got == want, (kind, perm)
+
+
+def _met_lag(rng, lags: list, x) -> tuple:
+    """A copy of `lags` with one absent off-diagonal lag set to
+    x_i - x_j - s, s in 0..3, a constraint b_ij + x_j <= x_i that x
+    already meets; and the (i, j, s) chosen."""
+    n = len(lags)
+    free = [(i, j) for i in range(n) for j in range(n) if i != j and lags[i][j] is None]
+    i, j = rng.choice(free)
+    s = rng.randrange(4)
+    out = [list(row) for row in lags]
+    out[i][j] = x[i] - x[j] - s
+    return out, (i, j, s)
+
+
+@pytest.mark.parametrize("n", (8, 16, 32, 48))
+def test_a_constraint_the_point_meets_keeps_theta(n):
+    # the canonical point stays feasible and still attains theta, and
+    # the smaller feasible set cannot go below it
+    for index, kind in enumerate(gen.KINDS + ("schedule",)):
+        rng = gen.instance_rng("large-orders-met", n, index)
+        if kind == "schedule":
+            raw = gen.feasible_schedule(rng, n).to_json()
+            base = solve_schedule(parse_schedule(raw))
+            lags, where = _met_lag(rng, raw["startStart"], base.initiation.entries)
+            tighter = solve_schedule(parse_schedule({**raw, "startStart": lags}))
+            assert tighter.theta == base.theta, (raw, where)
+        elif "B" in gen.KIND_FIELDS[kind]:
+            doc = gen.feasible_problem(rng, kind, n)
+            base = solve_problem(parse_problem(doc))
+            lags, where = _met_lag(rng, doc["B"], base.canonical.entries)
+            tighter = solve_problem(parse_problem({**doc, "B": lags}))
+            assert tighter.minimum == base.minimum, (doc, where)
