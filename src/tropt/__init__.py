@@ -33,6 +33,7 @@ from .errors import (
     TooManyDigits,
     TroptError,
     UndefinedPower,
+    Unsolvable,
     ZeroSpectralRadius,
 )
 from .linalg import (
@@ -108,6 +109,7 @@ __all__ = [
     "TooManyDigits",
     "TroptError",
     "UndefinedPower",
+    "Unsolvable",
     "Vector",
     "ZeroSpectralRadius",
     "build_problem",

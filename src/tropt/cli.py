@@ -10,13 +10,14 @@ Subcommands:
   verify      closed form against an exhaustive grid scan
 
 Results go to stdout as JSON (or to --output); the schedule command adds
-a human summary on stderr.  Exit codes: 0 success, 2 a named feasibility
-or degeneracy condition failed, 1 anything wrong with the input.
+a human summary on stderr.  Exit codes: 0 success, 2 the instance is
+`Unsolvable` (a named feasibility or degeneracy condition failed), 1
+anything wrong with the input.
 
-Every handler reads its input through `_load`: the file named by the
-positional argument ('-' for stdin), parsed in the mode the flags pick.
-Handlers hand their documents to `serialize.dumps` as tropt values
-(matrices, vectors, scalars), which it encodes.
+The CLI only dispatches.  Every handler reads its input through `_load`:
+the file named by the positional argument ('-' for stdin), parsed in the
+mode the flags pick; `serialize` turns it into tropt values, the library
+answers, and `serialize.dumps` encodes the handler's document.
 
 One parser serves a process: `main` builds it on its first call and
 reuses it after.  That is safe because `parse_args` returns a fresh
@@ -37,29 +38,17 @@ from typing import Optional
 
 from . import serialize
 from .errors import (
-    DegenerateProblem,
     InfeasibleConstraints,
-    InfeasibleSchedule,
     NoFeasiblePoint,
-    NoRegularSolution,
     TooManyDigits,
     TroptError,
-    ZeroSpectralRadius,
+    Unsolvable,
 )
 from .linalg import Vector, _trace_product
 from .linsolve import solve_combined, solve_fixpoint_lower, solve_upper_bounded
 from .optimize import Problem, solve_problem
 from .schedule import collapse_solution_line, solve_schedule, solve_schedule_detailed
 from .semifield import MAXPLUS, MaxPlus
-
-_DOMAIN_ERRORS = (
-    NoRegularSolution,
-    InfeasibleConstraints,
-    InfeasibleSchedule,
-    ZeroSpectralRadius,
-    DegenerateProblem,
-    NoFeasiblePoint,
-)
 
 
 def _mode(args) -> tuple[bool, MaxPlus]:
@@ -88,9 +77,7 @@ def _emit(doc, args) -> None:
 
 
 def _cmd_solve(args) -> int:
-    data, sf, exact = _load(args)
-    problem = serialize.parse_problem(data, sf, exact)
-    result = solve_problem(problem)
+    result = solve_problem(serialize.parse_problem(*_load(args)))
     _emit(serialize.opt_document(result), args)
     return 0
 
@@ -121,8 +108,7 @@ def _schedule_summary(result) -> str:
 
 
 def _cmd_schedule(args) -> int:
-    data, sf, exact = _load(args)
-    spec = serialize.parse_schedule(data, sf, exact)
+    spec = serialize.parse_schedule(*_load(args))
     if args.emit_intermediates:
         result, intermediates = solve_schedule_detailed(spec)
     else:
@@ -137,43 +123,26 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_solve_ineq(args) -> int:
-    data, sf, exact = _load(args)
-    if not isinstance(data, dict) or "A" not in data:
-        raise ValueError("inequality system needs a matrix 'A'")
-    a = serialize.parse_matrix(data["A"], sf, exact)
-    b = d = None
-    if data.get("b") is not None:
-        b = serialize.parse_vector(data["b"], sf, exact)
-    if data.get("d") is not None:
-        d = serialize.parse_vector(data["d"], sf, exact)
-    if b is not None:
+    a, b, d = serialize.parse_system(*_load(args))
+    if b is None:
+        doc = {"greatest": solve_upper_bounded(a, d)}
+    else:
         sol = solve_fixpoint_lower(a, b) if d is None else solve_combined(a, b, d)
         doc = {"generator": sol.generator, "lower": sol.lower}
         if sol.upper is not None:
             doc["upper"] = sol.upper
-    elif d is not None:
-        doc = {"greatest": solve_upper_bounded(a, d)}
-    else:
-        raise ValueError("inequality system needs 'b' or 'd' (or both)")
     _emit(doc, args)
     return 0
 
 
-def _load_matrix(args):
-    """The input matrix, bare or as the 'A' of a wrapping object."""
-    data, sf, exact = _load(args)
-    if isinstance(data, dict) and "A" in data:
-        data = data["A"]
-    return serialize.parse_matrix(data, sf, exact)
-
-
 def _cmd_eig(args) -> int:
-    _emit({"spectralRadius": _load_matrix(args).spectral_radius()}, args)
+    a = serialize.parse_operand(*_load(args))
+    _emit({"spectralRadius": a.spectral_radius()}, args)
     return 0
 
 
 def _cmd_star(args) -> int:
-    a = _load_matrix(args)
+    a = serialize.parse_operand(*_load(args))
     star = a.star()
     _emit({"star": star, "traceSum": _trace_product(a, star)}, args)
     return 0
@@ -208,42 +177,41 @@ def _verify_window(problem: Problem, window: int,
 
 
 def _cmd_verify(args) -> int:
+    """One solve and one scan, then one verdict on the pair: they agree
+    when both find no feasible point (exit 2), or when the scan's
+    minimum is the closed form's and its argmin lies in the family
+    (exit 0); anything else is a disagreement (exit 1)."""
     from .oracle import GridSpec, default_step, grid_minimize  # only verify scans
     if args.window < 0:
         raise ValueError(f"--window must be at least 0, got {args.window}")
-    data, sf, exact = _load(args)
-    problem = serialize.parse_problem(data, sf, exact)
+    problem = serialize.parse_problem(*_load(args))
     step = default_step(problem.dim) if args.step is None else _parse_step(args.step)
     try:
         closed = solve_problem(problem)
     except InfeasibleConstraints as exc:
         closed, infeasible = None, str(exc)
-    grid = GridSpec(
-        *_verify_window(problem, args.window, None if closed is None else closed.canonical), step
-    )
+    center = None if closed is None else closed.canonical
+    grid_spec = GridSpec(*_verify_window(problem, args.window, center), step)
+    try:
+        scan = grid_minimize(problem, grid_spec)
+    except NoFeasiblePoint:
+        scan = None
     if closed is None:
-        try:
-            grid_minimize(problem, grid)
-            found = True
-        except NoFeasiblePoint:
-            found = False
-        doc = {
-            "closedForm": {"infeasible": infeasible},
-            "grid": "feasiblePointFound" if found else "noFeasiblePoint",
-            "agree": not found,
-        }
-        _emit(doc, args)
-        return 1 if found else 2
-    best, argmin = grid_minimize(problem, grid)
-    minima_match = sf.eq(best, closed.minimum)
-    member = closed.solutions.contains(argmin)
-    doc = {
-        "closedForm": {"minimum": closed.minimum, "canonical": closed.canonical},
-        "grid": {"minimum": best, "argmin": argmin, "argminInFamily": member},
-        "agree": bool(minima_match and member),
-    }
-    _emit(doc, args)
-    return 0 if doc["agree"] else 1
+        form = {"infeasible": infeasible}
+        grid = "noFeasiblePoint" if scan is None else "feasiblePointFound"
+        agree = scan is None
+    else:
+        form = {"minimum": closed.minimum, "canonical": closed.canonical}
+        grid, agree = "noFeasiblePoint", False
+        if scan is not None:
+            best, argmin = scan
+            member = closed.solutions.contains(argmin)
+            grid = {"minimum": best, "argmin": argmin, "argminInFamily": member}
+            agree = bool(problem.A.sf.eq(best, closed.minimum) and member)
+    _emit({"closedForm": form, "grid": grid, "agree": agree}, args)
+    if not agree:
+        return 1
+    return 2 if closed is None else 0
 
 
 def _add_mode_flags(sub) -> None:
@@ -371,7 +339,7 @@ def main(argv=None) -> int:
         # the reader stopped early, which is not a failed request
         _drop_stdout()
         return 0
-    except _DOMAIN_ERRORS as exc:
+    except Unsolvable as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
     except TooManyDigits as exc:

@@ -2,7 +2,8 @@
 
 Every error raised on purpose derives from TroptError so callers can
 distinguish domain failures from plain bugs.  Infeasibility errors carry
-a `condition` string naming the violated requirement.
+a `condition` string naming the violated requirement.  The CLI exits 2
+on exactly the `Unsolvable` ones.
 """
 
 from __future__ import annotations
@@ -46,7 +47,12 @@ class NotRegularVector(TroptError):
     required."""
 
 
-class _ConditionError(TroptError):
+class Unsolvable(TroptError):
+    """Base for an instance that is infeasible or outside the closed
+    form's scope; the input itself is well formed."""
+
+
+class _ConditionError(Unsolvable):
     """Base for errors that name a violated feasibility condition."""
 
     def __init__(self, condition: str, message: str | None = None):
@@ -66,12 +72,12 @@ class InfeasibleSchedule(_ConditionError):
     """Schedule constraints admit no feasible initiation vector."""
 
 
-class ZeroSpectralRadius(TroptError):
+class ZeroSpectralRadius(Unsolvable):
     """The matrix has no cycle, so the objective has no positive
     lower bound of the required form."""
 
 
-class DegenerateProblem(TroptError):
+class DegenerateProblem(Unsolvable):
     """Every scale bound in the optimum formula is zero; the problem
     degenerates and the closed form does not apply."""
 

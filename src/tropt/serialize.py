@@ -1,4 +1,5 @@
-"""JSON input and output for problems, schedules and results.
+"""JSON input and output for problems, schedules, inequality systems
+and results.
 
 Scalar conventions, both directions:
 
@@ -16,7 +17,9 @@ ValueError with Python's message.
 Exact mode parses JSON floats through Fraction so a value like 2.5 is
 read from its decimal spelling, not from a binary double.  Matrices
 travel as {"rows": r, "cols": c, "data": [[..]]}; a bare list of rows
-is accepted on input.  Vectors are plain arrays.
+is accepted on input.  Vectors are plain arrays.  Every JSON object
+read (problem, schedule, inequality system, matrix) rejects a field it
+does not know.
 
 Each answer is a document of tropt values (`opt_document`,
 `schedule_document`, or a CLI handler's dict).  `dumps` writes it
@@ -183,9 +186,29 @@ def encode_scalar(value: Scalar):
     return value
 
 
+def _object(obj, keys: set, what: str) -> None:
+    """Check that obj is a JSON object whose fields all lie in `keys`:
+    the one rule for every object tropt reads."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = set(obj) - keys
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+
+
+def _optional(parse, obj: dict, key: str, sf: Semifield, exact: bool):
+    """`parse` of obj[key], or None when the field is absent or null."""
+    raw = obj.get(key)
+    return None if raw is None else parse(raw, sf, exact)
+
+
+_MATRIX_KEYS = {"rows", "cols", "data"}
+
+
 def parse_matrix(obj, sf: Semifield = MAXPLUS, exact: bool = True) -> Matrix:
     declared_rows = declared_cols = None
     if isinstance(obj, dict):
+        _object(obj, _MATRIX_KEYS, "matrix")
         if "data" not in obj:
             raise ValueError("matrix object needs a 'data' field")
         data = obj["data"]
@@ -234,11 +257,7 @@ _PROBLEM_KEYS = {"kind", "A", "B", "p", "q", "g", "h", "r"}
 
 
 def parse_problem(obj, sf: Semifield = MAXPLUS, exact: bool = True) -> Problem:
-    if not isinstance(obj, dict):
-        raise ValueError("problem must be a JSON object")
-    unknown = set(obj) - _PROBLEM_KEYS
-    if unknown:
-        raise ValueError(f"unknown problem fields: {sorted(unknown)}")
+    _object(obj, _PROBLEM_KEYS, "problem")
     if "kind" not in obj:
         raise ValueError("problem needs a 'kind'")
     try:
@@ -250,28 +269,11 @@ def parse_problem(obj, sf: Semifield = MAXPLUS, exact: bool = True) -> Problem:
         ) from None
     if obj.get("A") is None:
         raise ValueError("problem needs matrix 'A'")
-
-    def mat(key) -> Optional[Matrix]:
-        raw = obj.get(key)
-        return None if raw is None else parse_matrix(raw, sf, exact)
-
-    def vec(key) -> Optional[Vector]:
-        raw = obj.get(key)
-        return None if raw is None else parse_vector(raw, sf, exact)
-
-    r = None
-    if obj.get("r") is not None:
-        r = parse_scalar(obj["r"], sf, exact)
-    return Problem(
-        kind=kind,
-        A=parse_matrix(obj["A"], sf, exact),
-        B=mat("B"),
-        p=vec("p"),
-        q=vec("q"),
-        g=vec("g"),
-        h=vec("h"),
-        r=r,
-    )
+    r = _optional(parse_scalar, obj, "r", sf, exact)
+    a = parse_matrix(obj["A"], sf, exact)
+    b = _optional(parse_matrix, obj, "B", sf, exact)
+    p, q, g, h = (_optional(parse_vector, obj, key, sf, exact) for key in ("p", "q", "g", "h"))
+    return Problem(kind=kind, A=a, B=b, p=p, q=q, g=g, h=h, r=r)
 
 
 def encode_problem(problem: Problem) -> dict:
@@ -297,24 +299,14 @@ def parse_schedule(obj, sf: Semifield = MAXPLUS, exact: bool = True) -> Schedule
     """Read a schedule.  startStart defaults to no precedence lags and
     earliestStart to no release times; null entries inside matrices mean
     an absent lag."""
-    if not isinstance(obj, dict):
-        raise ValueError("schedule must be a JSON object")
-    unknown = set(obj) - _SCHEDULE_KEYS
-    if unknown:
-        raise ValueError(f"unknown schedule fields: {sorted(unknown)}")
+    _object(obj, _SCHEDULE_KEYS, "schedule")
     for required in ("startFinish", "latestStart", "windowLower", "windowUpper"):
         if obj.get(required) is None:
             raise ValueError(f"schedule needs '{required}'")
     a = parse_matrix(obj["startFinish"], sf, exact)
     n = a.n_rows
-    if obj.get("startStart") is not None:
-        b = parse_matrix(obj["startStart"], sf, exact)
-    else:
-        b = Matrix.zeros(n, n, sf)
-    if obj.get("earliestStart") is not None:
-        g = parse_vector(obj["earliestStart"], sf, exact)
-    else:
-        g = Vector.zeros(n, sf)
+    b = _optional(parse_matrix, obj, "startStart", sf, exact)
+    g = _optional(parse_vector, obj, "earliestStart", sf, exact)
     names = obj.get("activities")
     if names is not None:
         if not (
@@ -324,13 +316,41 @@ def parse_schedule(obj, sf: Semifield = MAXPLUS, exact: bool = True) -> Schedule
         names = tuple(names)
     return ScheduleSpec(
         start_finish=a,
-        start_start=b,
-        earliest_start=g,
+        start_start=Matrix.zeros(n, n, sf) if b is None else b,
+        earliest_start=Vector.zeros(n, sf) if g is None else g,
         latest_start=parse_vector(obj["latestStart"], sf, exact),
         window_lower=parse_vector(obj["windowLower"], sf, exact),
         window_upper=parse_vector(obj["windowUpper"], sf, exact),
         activities=names,
     )
+
+
+_SYSTEM_KEYS = {"A", "b", "d"}
+
+
+def parse_system(
+    obj, sf: Semifield = MAXPLUS, exact: bool = True
+) -> tuple[Matrix, Optional[Vector], Optional[Vector]]:
+    """Read a `solve-ineq` system {"A", "b", "d"} as (A, b, d); b or d
+    may be absent (or null), not both."""
+    if not isinstance(obj, dict) or "A" not in obj:
+        raise ValueError("inequality system needs a matrix 'A'")
+    _object(obj, _SYSTEM_KEYS, "inequality system")
+    a = parse_matrix(obj["A"], sf, exact)
+    b = _optional(parse_vector, obj, "b", sf, exact)
+    d = _optional(parse_vector, obj, "d", sf, exact)
+    if b is None and d is None:
+        raise ValueError("inequality system needs 'b' or 'd' (or both)")
+    return a, b, d
+
+
+def parse_operand(obj, sf: Semifield = MAXPLUS, exact: bool = True) -> Matrix:
+    """The matrix of `eig` and `star`: a bare matrix, a matrix object,
+    or the 'A' of any other object, whose other fields are not read
+    (so a problem file serves)."""
+    if isinstance(obj, dict) and "A" in obj:
+        obj = obj["A"]
+    return parse_matrix(obj, sf, exact)
 
 
 def _solutions_document(s: SolutionSet) -> dict:

@@ -387,6 +387,14 @@ class TestSolveIneq:
         code, _, err = run(capsys, "solve-ineq", str(f))
         assert code == 1
 
+    def test_unknown_field_is_named(self, capsys, tmp_path):
+        # a misspelled bound is an error, not a system without it
+        f = tmp_path / "misspelled.json"
+        f.write_text(json.dumps({"A": [[0, -1], [-2, 0]], "b": [0, 0], "D": [-5, -5]}))
+        code, out, err = run(capsys, "solve-ineq", str(f))
+        assert (code, out) == (1, "")
+        assert err == "error: unknown inequality system fields: ['D']\n"
+
     @pytest.mark.parametrize("text", ['{"b": [0], "d": [1]}', "[[1]]"])
     def test_needs_a_matrix(self, capsys, tmp_path, text):
         f = tmp_path / "no_matrix.json"
@@ -513,6 +521,15 @@ class TestMatrixCommands:
         assert code == 0
         assert doc["spectralRadius"] == 0
 
+    @pytest.mark.parametrize("command", ["eig", "star"])
+    def test_unknown_matrix_field_is_named(self, capsys, tmp_path, command):
+        # a misspelled "cols" would skip the column-count check
+        f = tmp_path / "colz.json"
+        f.write_text(json.dumps({"data": [[1, 2], [0, 1]], "rows": 2, "colz": 3}))
+        code, out, err = run(capsys, command, str(f))
+        assert (code, out) == (1, "")
+        assert err == "error: unknown matrix fields: ['colz']\n"
+
 
 class TestStdin:
     @pytest.mark.parametrize("command, flags", [("solve", ["--float"]), ("verify", [])])
@@ -601,6 +618,32 @@ class TestVerify:
         assert doc["grid"]["minimum"] == 0
         assert doc["grid"]["argmin"] == [0, big]
 
+
+    def test_a_lattice_that_misses_the_only_point_disagrees(self, capsys, tmp_path):
+        # the box is the point 0; the lattice -1, -1/3, 1/3, 1 steps past
+        # it, so the scan finds nothing where the closed form solves
+        f = tmp_path / "point_box.json"
+        f.write_text(
+            json.dumps(
+                {
+                    "kind": "BoxConstrained",
+                    "A": [[0, 1], [1, 0]],
+                    "p": [0, 0],
+                    "q": [0, 0],
+                    "g": [0, 0],
+                    "h": [0, 0],
+                    "r": 0,
+                }
+            )
+        )
+        assert run_json(capsys, "solve", str(f))[1]["minimum"] == 1
+        code, doc, err = run_json(capsys, "verify", str(f), "--window", "1", "--step", "2/3")
+        assert (code, err) == (1, "")
+        assert doc == {
+            "closedForm": {"minimum": 1, "canonical": [0, 0]},
+            "grid": "noFeasiblePoint",
+            "agree": False,
+        }
 
     def test_negative_window_is_named(self, capsys, fixtures_dir):
         problem = str(fixtures_dir / "general_problem.json")
@@ -766,6 +809,28 @@ def test_golden_output(capsys, monkeypatch, name):
     assert code == case["exit"]
     assert err == case["stderr"]
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_exit_2_is_exactly_unsolvable():
+    # main exits 2 on Unsolvable; a grid that finds no point, an empty
+    # float box and every input error stay outside it
+    import tropt
+
+    classes = [getattr(tropt, name) for name in tropt.__all__]
+    errors = [c for c in classes if isinstance(c, type) and issubclass(c, Exception)]
+    below = {
+        c.__name__ for c in errors if c is not tropt.Unsolvable and issubclass(c, tropt.Unsolvable)
+    }
+    assert below == {
+        "NoRegularSolution",
+        "InfeasibleConstraints",
+        "InfeasibleSchedule",
+        "ZeroSpectralRadius",
+        "DegenerateProblem",
+    }
+    assert not issubclass(tropt.NoFeasiblePoint, tropt.Unsolvable)
+    assert not issubclass(tropt.EmptyParameterBox, tropt.Unsolvable)
+    assert not issubclass(tropt.SpecValidation, tropt.Unsolvable)
 
 
 def test_cli_import_leaves_the_oracle_unloaded():

@@ -8,9 +8,11 @@ construction.  Both are loaded from their files, so the test does not
 depend on how the test runner sets `sys.path`.  The same draws also
 carry metamorphic checks that need no oracle: scaling the data scales
 the answer, relabelling the variables permutes it, and a lag that the
-canonical point already meets leaves theta as it was.
+canonical point already meets leaves theta as it was, as does a g
+raised toward the canonical point.
 """
 
+import dataclasses
 import importlib.util
 import sys
 from collections import Counter
@@ -30,7 +32,13 @@ from tropt import (
     solve_schedule,
     solve_upper_bounded,
 )
-from tropt.serialize import parse_matrix, parse_problem, parse_schedule, parse_vector
+from tropt.serialize import (
+    encode_scalar,
+    parse_matrix,
+    parse_problem,
+    parse_schedule,
+    parse_vector,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -46,7 +54,7 @@ def _load(name: str):
 check, gen = _load("check"), _load("gen")
 
 
-def _certify_problem(doc: dict) -> None:
+def _certify_problem(doc: dict):
     result = solve_problem(parse_problem(doc))
     theta = result.minimum
     assert type(theta) in (int, Fraction), doc
@@ -54,6 +62,7 @@ def _certify_problem(doc: dict) -> None:
     assert check.problem_violation(doc, x) is None, doc
     assert check.objective(doc, x) == theta, doc
     assert check.span_graph(doc).minimum_violation(theta) is None, doc
+    return result
 
 
 def _certify_schedule(draw) -> Fraction:
@@ -276,3 +285,43 @@ def test_a_constraint_the_point_meets_keeps_theta(n):
             lags, where = _met_lag(rng, doc["B"], base.canonical.entries)
             tighter = solve_problem(parse_problem({**doc, "B": lags}))
             assert tighter.minimum == base.minimum, (doc, where)
+
+
+def _raised_floor(rng, g: list, x) -> list:
+    """g with each entry raised to x_i - s, s in 0..3, or kept where it
+    already lies higher; an absent entry becomes x_i - s.  The entries
+    are written as the checker reads them."""
+    out = []
+    for old, point in zip(g, x):
+        new = point - rng.randrange(4)
+        if old is not None and Fraction(old) > new:
+            new = old
+        out.append(encode_scalar(new))
+    return out
+
+
+@pytest.mark.parametrize("n", (8, 16, 32, 48))
+def test_a_g_raised_toward_the_point_keeps_theta(n):
+    # x meets the higher floor, so it stays feasible and attains theta,
+    # and the smaller feasible set cannot go below it; the new family
+    # holds x, and the checker certifies the new instance
+    for index, kind in enumerate(("LinearConstrained", "General", "BoxConstrained", "schedule")):
+        rng = gen.instance_rng("large-orders-floor", n, index)
+        if kind == "schedule":
+            draw = gen.feasible_schedule(rng, n)
+            base = solve_schedule(parse_schedule(draw.to_json()))
+            x = base.initiation
+            g = _raised_floor(rng, draw.earliest_start, x.entries)
+            witness = [Fraction(v) for v in x.entries]
+            raised = dataclasses.replace(draw, earliest_start=g, witness=witness)
+            assert _certify_schedule(raised) == base.theta, (draw, g)
+            family = solve_schedule(parse_schedule(raised.to_json())).solutions
+        else:
+            doc = gen.feasible_problem(rng, kind, n)
+            base = solve_problem(parse_problem(doc))
+            x = base.canonical
+            raised = {**doc, "g": _raised_floor(rng, doc["g"], x.entries)}
+            result = _certify_problem(raised)
+            assert result.minimum == base.minimum, (doc, raised["g"])
+            family = result.solutions
+        assert family.contains(x), (kind, n)

@@ -18,9 +18,11 @@ from tropt.serialize import (
     encode_vector,
     loads,
     parse_matrix,
+    parse_operand,
     parse_problem,
     parse_scalar,
     parse_schedule,
+    parse_system,
     parse_vector,
 )
 
@@ -145,6 +147,11 @@ class TestMatrices:
         with pytest.raises(ValueError):
             parse_matrix({"rows": 1, "cols": 1})
 
+    def test_unknown_field(self):
+        # "colz" is not "cols": the column count would go unchecked
+        with pytest.raises(ValueError, match=r"unknown matrix fields: \['colz'\]"):
+            parse_matrix({"data": [[1, 2], [0, 1]], "rows": 2, "colz": 3})
+
 
 class TestVectors:
     def test_round_trip(self):
@@ -193,6 +200,31 @@ class TestProblems:
             parse_problem({"kind": "Basic"})
         with pytest.raises(ValueError):
             parse_problem([1, 2])
+
+
+class TestSystemsAndOperands:
+    def test_system_fields(self):
+        a, b, d = parse_system({"A": [[0, None], [1, 0]], "b": [0, "1/2"], "d": None})
+        assert a.rows == ((0, NEG), (1, 0))
+        assert b.entries == (0, Fraction(1, 2))
+        assert d is None
+
+    def test_system_rejects_what_it_cannot_read(self):
+        with pytest.raises(ValueError, match="needs a matrix 'A'"):
+            parse_system({"b": [0], "bogus": 1})
+        with pytest.raises(ValueError, match=r"unknown inequality system fields: \['D'\]"):
+            parse_system({"A": [[0]], "b": [0], "D": [1]})
+        with pytest.raises(ValueError, match="needs 'b' or 'd'"):
+            parse_system({"A": [[0]], "b": None})
+
+    def test_operand_forms(self):
+        # bare rows, a matrix object, or the 'A' of any object (a
+        # problem file, say), whose other fields are not read
+        bare = parse_operand([[0, 1], [2, None]])
+        assert parse_operand(encode_matrix(bare)) == bare
+        assert parse_operand({"kind": "Basic", "A": [[0, 1], [2, None]], "note": 1}) == bare
+        with pytest.raises(ValueError, match="unknown matrix fields"):
+            parse_operand({"A": {"data": [[0]], "colz": 1}})
 
 
 class TestSchedules:
