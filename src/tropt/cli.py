@@ -158,16 +158,20 @@ def _parse_step(text: str) -> Fraction:
     raise ValueError(f"--step must be a positive fraction such as 1/12, got {text!r}")
 
 
-def _verify_window(problem: Problem, window: int,
+def _verify_window(problem: Problem, window: int, step: Fraction,
                    center: Optional[Vector]) -> tuple[Vector, Vector]:
+    """The scan box: `window` rounded out to whole steps on each side of
+    the canonical point, so that the point lies on the lattice, or of 0
+    widened to g and h when there is none."""
     sf = problem.A.sf
     n = problem.dim
+    reach = math.ceil(window / step) * step
     if center is not None:
-        low = [Fraction(v) - window for v in center.entries]
-        high = [Fraction(v) + window for v in center.entries]
+        low = [Fraction(v) - reach for v in center.entries]
+        high = [Fraction(v) + reach for v in center.entries]
     else:
-        low = [Fraction(-window)] * n
-        high = [Fraction(window)] * n
+        low = [-reach] * n
+        high = [reach] * n
         for i in range(n):
             if problem.g is not None and not sf.is_zero(problem.g.entries[i]):
                 low[i] = min(low[i], Fraction(problem.g.entries[i]))
@@ -191,7 +195,7 @@ def _cmd_verify(args) -> int:
     except InfeasibleConstraints as exc:
         closed, infeasible = None, str(exc)
     center = None if closed is None else closed.canonical
-    grid_spec = GridSpec(*_verify_window(problem, args.window, center), step)
+    grid_spec = GridSpec(*_verify_window(problem, args.window, step, center), step)
     try:
         scan = grid_minimize(problem, grid_spec)
     except NoFeasiblePoint:

@@ -4,13 +4,17 @@ Objects are immutable; entries are raw scalars (int, Fraction, float)
 with the semifield's zero carried as a float -inf.  `+` is entrywise
 idempotent addition and `@` the max-plus product, one inlined kernel
 over the finite entries.  `_closure` is one O(n^3) Floyd-Warshall pass
-giving A* and the heaviest cycle weight, which every solver's gate
-reads, so no solver builds a power sum; `star` adds the fallback past a
-positive cycle, and `trace_sum` reads Tr(A) off it in O(n^2).
+giving A* and the heaviest cycle weight, which the inequality solvers'
+gates read, so no solver builds a power sum; `star` adds the fallback
+past a positive cycle, and `trace_sum` reads Tr(A) off it in O(n^2).
 `spectral_radius` is Karp's O(n^3) maximum cycle mean.  Its kernel,
 `_max_cycle`, also takes a product of factors without forming it: each
-walk step is one pass over each factor's finite entries, so the
-optimizers read theta = lambda(Bhat* Ahat) with no Bhat* Ahat matrix.
+walk step is one pass over each factor's finite entries.  A first
+factor can stand for its star: the step then relaxes the walk vector
+through that factor's finite entries (Bellman-Ford, `_relax`) until
+nothing rises, so the optimizers read theta = lambda(Bhat* Ahat) with
+neither Bhat* nor Bhat* Ahat, and the first step is the positive-cycle
+gate of Bhat.
 Float entries near the end of the range are scaled by a power of two
 first, so that the walk sums cannot overflow.  Karp's walk stops at the
 first step k with D_k finite and D_k = c (x) D_(k-1): then x_u + a_uv
@@ -369,13 +373,15 @@ def _trace_product(left: Matrix, right: Matrix) -> Scalar:
     return acc
 
 
-def _max_cycle(*factors: Matrix) -> tuple[Scalar, tuple[int, ...]]:
+def _max_cycle(*factors: Matrix,
+               starred: bool = False) -> tuple[Scalar, tuple[int, ...]] | None:
     """(lambda, nodes): the largest cycle mean of the product
     F_1 (x) ... (x) F_m of the square factors, all of one order, and a
     cycle of the product that attains it, nodes in arc order; (zero, ())
     when the product has no cycle.  The product is never formed:
     `Matrix.spectral_radius` passes one factor, and the optimizers pass
-    Bhat* and Ahat for theta.
+    Bhat and Ahat with `starred`, which reads the first factor as its
+    Kleene star, for theta = lambda(Bhat* Ahat).
 
     Karp's formula (Karp 1978) in O(m n^3): with D_k(v) the heaviest
     weight of a k-arc walk of the product ending at v (D_0 = one,
@@ -384,15 +390,28 @@ def _max_cycle(*factors: Matrix) -> tuple[Scalar, tuple[int, ...]]:
     k < n of (D_n(v) - D_k(v)) / (n - k), finite terms only, the means
     compared as (weight, arc count) pairs by cross-multiplication.
 
+    A starred first factor is never closed either: D_k (x) F_1* is a
+    Bellman-Ford relaxation of D_k through F_1 (`_relax`), with a
+    back-pointer from each node it raises to its F_1 predecessor.  It
+    settles exactly when no cycle of F_1 that D_k reaches has positive
+    weight (Butkovic, Max-linear Systems, 2010), so the first step,
+    from D_0 = one, is the gate: None comes back when a relaxation does
+    not settle, and the caller decides on F_1's closure instead.  In
+    float arithmetic a relaxation may also fail to settle, or leave its
+    pointers in a loop, on a cycle that is positive only by rounding;
+    that is None too.  A relaxation makes at most n rounds, so such a
+    walk is O(n^4) at worst; on random feasible schedules of order 12
+    to 64 one settles in 2 to 8 rounds, each scanning only the nodes
+    the round before raised.
+
     The walk stops early at the first step k where D_k is finite
     everywhere and D_k - D_(k-1) is one constant c.  D_(k-1) is then a
     finite left eigenvector: x_u + a_uv <= D_k(v) = c + x_v on every arc
     (u, v) of the product, so summed around any cycle its mean is at
     most c; the arcs u = back[k][v] hold with equality, so following
     back[k] from any node closes a cycle of mean exactly c = lambda
-    (Butkovic, Max-linear Systems, 2010, ch. 4).  Periodic and reducible
-    matrices may never reach such a step and take the full formula
-    below.
+    (Butkovic 2010, ch. 4).  Periodic and reducible matrices may never
+    reach such a step and take the full formula below, on the same walk.
 
     Back-pointers give the heaviest n-arc walk to the v that attains
     lambda.  Cutting a cycle of l arcs out of it leaves an (n-l)-arc
@@ -403,8 +422,9 @@ def _max_cycle(*factors: Matrix) -> tuple[Scalar, tuple[int, ...]]:
     as an int, and a float carries no rounding from the long sums
     D_n(v) - D_k(v).  A step's back-pointers hold one list per factor,
     so each arc u -> v of the product is read as the factor path
-    u -> m_1 -> ... -> v that attains it, and its weight is that path's
-    entries summed left to right, as the product's own entry would be.
+    u -> m_1 -> ... -> v that attains it (a starred factor's part is a
+    path of its own arcs, possibly empty), and its weight is one plus
+    that path's raw entries, summed left to right.
 
     Float entries near the end of the range are scaled (`_float_shift`).
     The entries are scanned for that once, when a finite float enters a
@@ -417,34 +437,48 @@ def _max_cycle(*factors: Matrix) -> tuple[Scalar, tuple[int, ...]]:
     """
     first = factors[0]
     n = first._require_square()
-    return _karp([f.rows for f in factors], n, first.sf, None)
+    return _karp([f.rows for f in factors], n, first.sf, None, starred)
 
 
-def _karp(tables, n: int, sf: Semifield,
-          shift: int | None) -> tuple[Scalar, tuple[int, ...]]:
+def _karp(tables, n: int, sf: Semifield, shift: int | None,
+          starred: bool) -> tuple[Scalar, tuple[int, ...]] | None:
     """`_max_cycle` on row-major factor tables whose entries are scaled
     by 2^-shift; shift None before the float range is settled."""
     zero = sf.zero
-    nzs = [_finite(t, zero) for t in tables]
+    # `_finite` lists, each made when first walked: a relaxation that
+    # does not settle needs no other
+    nzs = [None] * len(tables)
     walks, back = [[sf.one] * n], [None]
     for _ in range(n):
         prev = acc = walks[-1]
         args = []
-        for nz in nzs:
-            cur, arg = [zero] * n, [0] * n
-            for u, d in enumerate(acc):
-                if d != zero:
-                    for j, w in nz[u]:
-                        s = d + w
-                        if s > cur[j]:
-                            cur[j] = s
-                            arg[j] = u
+        for i, t in enumerate(tables):
+            nz = nzs[i]
+            if nz is None:
+                nz = nzs[i] = _finite(t, zero)
+            if starred and not i:
+                cur = list(acc)
+                arg = _relax(cur, nz, zero)
+            else:
+                cur, arg = [zero] * n, [0] * n
+                for u, d in enumerate(acc):
+                    if d != zero:
+                        for j, w in nz[u]:
+                            s = d + w
+                            if s > cur[j]:
+                                cur[j] = s
+                                arg[j] = u
             if shift is None and any(type(v) is float and v != zero for v in cur):
-                shift = _float_shift(tables, zero, 2 * len(tables) * n * n)
+                # a step walks at most n arcs of a starred factor and one
+                # of any other (see `_float_shift`)
+                arcs = n if starred else len(tables)
+                shift = _float_shift(tables, zero, 2 * arcs * n * n)
                 if shift:
                     scaled = [[[w if w == zero else math.ldexp(w, -shift) for w in r]
                                for r in t] for t in tables]
-                    return _karp(scaled, n, sf, shift)
+                    return _karp(scaled, n, sf, shift, starred)
+            if arg is None:
+                return None
             acc = cur
             args.append(arg)
         if shift is None:
@@ -474,17 +508,67 @@ def _karp(tables, n: int, sf: Semifield,
     return _cycle_mean(tables, reversed(back[1:]), best[2], sf, shift)
 
 
+def _relax(y: list, nz: list[list], zero: Scalar) -> tuple[int, ...] | None:
+    """y (x) F* in place, by Bellman-Ford rounds over F's finite entries
+    (`_finite` lists), and the back-pointers: each raised node's F
+    predecessor on a heaviest path to it, -1 where y was not raised.
+
+    The first round scans every finite node, each later one the nodes
+    the round before raised, in place, so after round k every walk of
+    k arcs is counted.  Without a positive cycle every heaviest path is
+    simple, at most n-1 arcs for order n, and round n raises nothing.
+    None when round n still raises a value, or when the pointers close
+    a loop, which in exact arithmetic only a positive cycle can (its
+    last raise was strict).  A node is scanned after its last rise, so
+    once the rounds settle every pointer arc is tight: y_v = y_u + f_uv
+    for u = pred[v].  A round extends a walk by at most n arcs.
+    """
+    n = len(y)
+    pred = [-1] * n
+    active = [u for u, d in enumerate(y) if d != zero]
+    for _ in range(n):
+        raised, seen = [], [False] * n
+        for u in active:
+            d = y[u]
+            for v, w in nz[u]:
+                s = d + w
+                if s > y[v]:
+                    y[v] = s
+                    pred[v] = u
+                    if not seen[v]:
+                        seen[v] = True
+                        raised.append(v)
+        if not raised:
+            return tuple(pred)
+        # a new loop runs through a node this round raised
+        mark = [-1] * n
+        for v in raised:
+            u = v
+            while u >= 0 and mark[u] < 0:
+                mark[u] = v
+                u = pred[u]
+            if u >= 0 and mark[u] == v:
+                return None
+        active = raised
+    return None
+
+
 def _float_shift(tables, zero: Scalar, bound: int) -> int:
     """The s of the power of two 2^-s that every float entry of the
     tables is scaled by, or 0 when none needs it.
 
-    Walk sums, their differences and the cross-products are at most
-    `bound` = 2 m n^2 times the largest |entry| (m factors of order n),
-    so they stay in the float range while every float entry is at most
-    M / bound, M the largest float.  Past that, 2^s > bound.  A power
-    of two is exact (short of entries it pushes below the normal range),
-    so lambda(2^k A) is 2^k lambda(A), bit for bit.  An entry of +inf, a
-    product that overflowed before it got here, raises ValueError.
+    A walk step adds at most a entries of order n tables: one per
+    factor, or for a starred pair n, the n-1 arcs of a simple heaviest
+    path and the second factor's arc.  So n steps sum at most a n
+    entries, their differences at most 2 a n, and the cross-products
+    with arc counts at most `bound` = 2 a n^2 entries' worth; a
+    relaxation that does not settle adds at most n rounds of n arcs to
+    D_k, well below that.  All of them stay in the float range while
+    every float entry is at most M / bound, M the largest float.  Past
+    that, 2^s > bound.  A power of two is exact (short of entries it
+    pushes below the normal range), so lambda(2^k A) is 2^k lambda(A),
+    bit for bit.  An entry of +inf, a product that overflowed before it
+    got here, raises ValueError.
     """
     top = max(
         (abs(w) for t in tables for row in t for w in row
@@ -499,27 +583,36 @@ def _float_shift(tables, zero: Scalar, bound: int) -> int:
 def _cycle_mean(tables, steps, v: int, sf: Semifield,
                 shift: int) -> tuple[Scalar, tuple[int, ...]]:
     """(lambda, nodes) for the cycle closed by walking back from v, one
-    step of back-pointers (a list per factor) from `steps` per arc,
-    until a node repeats: its weight, summed from its arcs, divided once
-    by `sf.power` (an exact whole number comes back as an int), then
-    scaled back by 2^shift; ValueError when that leaves the float
-    range."""
+    step of back-pointers (a list per factor, a tuple for a starred one)
+    from `steps` per arc, until a node repeats: its weight, summed from
+    its arcs, divided once by `sf.power` (an exact whole number comes
+    back as an int), then scaled back by 2^shift; ValueError when that
+    leaves the float range."""
     pos, walk, into = {}, [], {}
     while v not in pos:
         pos[v] = len(walk)
         walk.append(v)
-        path = [v]
-        for arg in reversed(next(steps)):
-            path.append(arg[path[-1]])
-        into[v] = path[::-1]
-        v = path[-1]
+        entries = []  # the raw entries of the arc into v, last first
+        x = v
+        for t, arg in zip(reversed(tables), reversed(next(steps))):
+            u = arg[x]
+            if type(arg) is tuple:
+                # `_relax`'s pointers: back along the factor's own arcs
+                # to a node the relaxation did not raise
+                while u >= 0:
+                    entries.append(t[u][x])
+                    x, u = u, arg[u]
+            else:
+                entries.append(t[u][x])
+                x = u
+        into[v] = entries
+        v = x
     nodes = tuple(reversed(walk[pos[v]:]))
     arcs = []
     for head in nodes[1:] + nodes[:1]:
-        path = into[head]
-        w = tables[0][path[0]][path[1]]
-        for t, i, j in zip(tables[1:], path[1:], path[2:]):
-            w = w + t[i][j]
+        w = sf.one  # the weight of an empty path: a starred factor's own
+        for e in reversed(into[head]):
+            w = w + e
         arcs.append(w)
     lam = sf.power(sum(arcs[1:], arcs[0]), Fraction(1, len(nodes)))
     if shift:
@@ -718,18 +811,20 @@ def closure_sums(a: Matrix, b: Matrix) -> list[Matrix]:
     n = _check_pair(a, b)
     zero = a.sf.zero
     eye = Matrix.identity(n, a.sf)
-    step_nz, a_nz = _finite((eye + b).rows, zero), _finite(a.rows, zero)
-    zeros = [(zero,) * n] * n  # T_(-1) and T_n
+    step = (eye + b).rows
+    step_nz, a_nz = _finite(step, zero), _finite(a.rows, zero)
     out = [eye.rows]
     for _ in range(n - 1):
-        # T_k (I (+) B) (+) T_(k-1) A, row by row in one accumulation
-        out = [
+        # T_k (I (+) B) (+) T_(k-1) A, row by row in one accumulation;
+        # T_(-1) and the T_k above the top are zero, so the first and
+        # the last coefficient take one term each
+        out = [_product(out[0], step, zero, step_nz)] + [
             tuple(
                 tuple(_row_sum(zero, n, (t_row, step_nz), (p_row, a_nz)))
                 for t_row, p_row in zip(t, prev)
             )
-            for prev, t in zip([zeros] + out, out + [zeros])
-        ]
+            for prev, t in zip(out, out[1:])
+        ] + [_product(out[-1], a.rows, zero, a_nz)]
     return [Matrix._built(t, a.sf) for t in out]
 
 

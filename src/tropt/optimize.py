@@ -15,15 +15,20 @@ Each solver returns the exact minimum together with the complete family
 of minimizers, parameterized as x = G (x) u over a box of u.  One
 path serves all six kinds: A and B are bordered by one extra node,
 Ahat = [[A, p], [q^-, r]] and Bhat = [[B, g], [h^-, 0]] with absent
-pieces zero.  One Floyd-Warshall pass of Bhat, no power sum, serves
-twice: the constraints are solvable exactly when its heaviest cycle,
-Tr(Bhat), is at most 1, and the minimum is theta = the spectral radius
-of Bhat* Ahat, read off the two factors without their product.  When
-an exact theta is a fraction w/l, the generator star, the parameter
-box and the canonical point are computed for the data scaled by l,
-where theta is the int w, and divided by l once: with whole-number data
-that star runs in ints.  `solve_problem` holds that path; the
-`minimize_*` functions only build a Problem and hand it over.
+pieces zero.  The minimum is theta = the spectral radius of Bhat* Ahat,
+and the constraints are solvable exactly when Bhat has no positive
+cycle, Tr(Bhat) <= 1.  Karp's walk gives both without Bhat* or the
+product: each step relaxes its vector through Bhat (Bellman-Ford, the
+product with Bhat*) and then passes over Ahat, and the first step
+settles exactly when Bhat has no positive cycle.  Only when a
+relaxation does not settle does a Floyd-Warshall pass of Bhat decide
+the gate, with the float tolerance, and give Bhat*; a feasible solve
+otherwise makes one such pass, the generator's.  When an exact theta
+is a fraction w/l, the generator star, the parameter box and the
+canonical point are computed for the data scaled by l, where theta is
+the int w, and divided by l once: with whole-number data that star
+runs in ints.  `solve_problem` holds that path; the `minimize_*`
+functions only build a Problem and hand it over.
 """
 
 from __future__ import annotations
@@ -129,7 +134,7 @@ def _border(m: Optional[Matrix], n: int, sf, col: Optional[Vector],
     last = (zeros if row is None else row.entries) + (
         sf.zero if corner is None else corner,
     )
-    return Matrix(tuple(r + (c,) for r, c in zip(rows, col)) + (last,), sf)
+    return Matrix._built(tuple(r + (c,) for r, c in zip(rows, col)) + (last,), sf)
 
 
 # kinds whose optimum needs a cycle in A, and kinds that need only one
@@ -147,9 +152,12 @@ def solve_problem(problem: Problem) -> OptResult:
     Bhat = [[B, g], [h^-, 0]], absent data zero.  The gates run in this
     order: q and h regular; B x (+) g <= x <= h solvable, which holds
     exactly when Bhat has no positive cycle, Tr(Bhat) <= 1; then the
-    kind's no-cycle rule.  A failed second gate is named by its part:
-    Tr(B) <= 1 when B alone has a positive cycle, else h^- B* g <= 1
-    (h^- g <= 1 without B).
+    kind's no-cycle rule.  The second gate passes when the first step
+    of theta's walk, relaxed through Bhat, settles; otherwise Bhat's
+    closure decides it, up to the float tolerance (a dust cycle passes
+    there), and theta is read off Bhat* instead.  A failed second gate
+    is named by its part: Tr(B) <= 1 when B alone has a positive cycle,
+    else h^- B* g <= 1 (h^- g <= 1 without B).
 
     theta is the largest cycle mean of Bhat* Ahat: the maximum ratio of
     weight to A-arc count over the cycles of Ahat (+) Bhat.  The
@@ -167,14 +175,23 @@ def solve_problem(problem: Problem) -> OptResult:
     qc = None if q is None else q.conj()
     hc = None if h is None else h.conj()
     b_hat = _border(b, n, sf, g, hc, None)
-    b_star, cycle = b_hat._closure()  # Tr(Bhat) = cycle; theta needs Bhat*
-    if not sf.leq_tol(cycle, sf.one):
-        if b is None:
-            raise InfeasibleConstraints("h^- g <= 1")
-        # the border node lies on a cycle only when both g and h are given
-        if g is None or h is None or not sf.leq_tol(b._closure()[1], sf.one):
-            raise InfeasibleConstraints("Tr(B) <= 1")
-        raise InfeasibleConstraints("h^- B* g <= 1")
+    a_hat = _border(a, n, sf, p, qc, r)
+    # Karp's walk relaxes through Bhat, and its first step settles
+    # exactly when Bhat has no positive cycle; one that does not settle,
+    # or a float overflow, goes to Bhat's closure and the gates' order
+    try:
+        found = _max_cycle(b_hat, a_hat, starred=True)
+    except ValueError:
+        found = None
+    if found is None:
+        b_star, cycle = b_hat._closure()  # Tr(Bhat) = cycle
+        if not sf.leq_tol(cycle, sf.one):
+            if b is None:
+                raise InfeasibleConstraints("h^- g <= 1")
+            # the border node lies on a cycle only when both g and h are given
+            if g is None or h is None or not sf.leq_tol(b._closure()[1], sf.one):
+                raise InfeasibleConstraints("Tr(B) <= 1")
+            raise InfeasibleConstraints("h^- B* g <= 1")
     if problem.kind in _NEEDS_CYCLE and sf.is_zero(a.spectral_radius()):
         raise ZeroSpectralRadius("matrix has no cycle")
     if problem.kind in _NEEDS_SCALE:
@@ -185,7 +202,9 @@ def solve_problem(problem: Problem) -> OptResult:
             raise DegenerateProblem(
                 "every scale bound is zero: no cycle, q^- p zero, r zero"
             )
-    theta = _max_cycle(b_star, _border(a, n, sf, p, qc, r))[0]
+    if found is None:  # theta on the closure that passed the gate
+        found = _max_cycle(b_star, a_hat)
+    theta = found[0]
     if sf.is_zero(theta):
         raise ZeroSpectralRadius("matrix has no cycle")
     # theta = w / l with l > 1: the family at data scale l, where theta

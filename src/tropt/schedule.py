@@ -186,10 +186,13 @@ def _ledger(spec: ScheduleSpec, result: ScheduleResult) -> dict:
         )
 
     traces = {str(k): chains[k].trace() for k in range(1, n + 1)}
-    h_closure_g = {str(k): hc @ closures[k] @ g for k in range(1, n)}
-    q_chain_g = {str(k): qc @ chains[k] @ g for k in range(1, n + 1)}
-    h_closure_p = {str(k): hc @ closures[k] @ p for k in range(n)}
-    q_chain_p = {str(k): qc @ chains[k] @ p for k in range(n + 1)}
+    # the rows h^- T_k and q^- C_k serve both the g and the p family
+    h_closures = [hc @ t for t in closures]
+    q_chains = [qc @ c for c in chains]
+    h_closure_g = {str(k): h_closures[k] @ g for k in range(1, n)}
+    q_chain_g = {str(k): q_chains[k] @ g for k in range(1, n + 1)}
+    h_closure_p = {str(k): h_closures[k] @ p for k in range(n)}
+    q_chain_p = {str(k): q_chains[k] @ p for k in range(n + 1)}
     sums = {
         "sum_trace_roots": roots(traces, 0),
         "sum_h_closure_g": roots(h_closure_g, 0),

@@ -45,6 +45,9 @@ from .schedule import ScheduleResult, ScheduleSpec
 from .semifield import MAXPLUS, Scalar, Semifield
 
 
+_ZERO = MAXPLUS.zero
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if math.isinf(value):
@@ -84,9 +87,11 @@ def _digit_limit(exc: ValueError) -> ValueError:
 
 def _texts(values) -> list[str]:
     """Scalar texts: an int or a finite float is its repr (v - v is nan
-    for inf and nan); anything else goes through `encode_scalar`."""
+    for inf and nan), the zero is "-inf"; anything else goes through
+    `encode_scalar`."""
     return [
         repr(v) if (t := type(v)) is int or (t is float and v - v == 0)
+        else '"-inf"' if t is float and v == _ZERO
         else _json_text(encode_scalar(v))
         for v in values
     ]

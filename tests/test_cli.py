@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -619,9 +620,10 @@ class TestVerify:
         assert doc["grid"]["argmin"] == [0, big]
 
 
-    def test_a_lattice_that_misses_the_only_point_disagrees(self, capsys, tmp_path):
-        # the box is the point 0; the lattice -1, -1/3, 1/3, 1 steps past
-        # it, so the scan finds nothing where the closed form solves
+    @staticmethod
+    def _point_box(tmp_path):
+        """BoxConstrained data whose box is the point 0; solve gives
+        minimum 1 there."""
         f = tmp_path / "point_box.json"
         f.write_text(
             json.dumps(
@@ -636,12 +638,37 @@ class TestVerify:
                 }
             )
         )
-        assert run_json(capsys, "solve", str(f))[1]["minimum"] == 1
-        code, doc, err = run_json(capsys, "verify", str(f), "--window", "1", "--step", "2/3")
-        assert (code, err) == (1, "")
+        return str(f)
+
+    def test_a_step_that_does_not_divide_the_window_keeps_the_point(self, capsys, tmp_path):
+        # the window rounds out to two steps of 2/3 on each side of the
+        # canonical point: the lattice -4/3, -2/3, 0, 2/3, 4/3 holds it
+        f = self._point_box(tmp_path)
+        assert run_json(capsys, "solve", f)[1]["minimum"] == 1
+        code, doc, err = run_json(capsys, "verify", f, "--window", "1", "--step", "2/3")
+        assert (code, err) == (0, "")
         assert doc == {
             "closedForm": {"minimum": 1, "canonical": [0, 0]},
-            "grid": "noFeasiblePoint",
+            "grid": {"minimum": 1, "argmin": [0, 0], "argminInFamily": True},
+            "agree": True,
+        }
+
+    def test_a_wrong_minimum_disagrees(self, capsys, monkeypatch, tmp_path):
+        # a closed form patched to a wrong minimum: the scan finds the
+        # point and its true minimum, and the pair disagrees
+        solve = cli.solve_problem
+
+        def wrong(problem):
+            res = solve(problem)
+            return dataclasses.replace(res, minimum=res.minimum + 1)
+
+        monkeypatch.setattr(cli, "solve_problem", wrong)
+        f = self._point_box(tmp_path)
+        code, doc, err = run_json(capsys, "verify", f, "--window", "1", "--step", "2/3")
+        assert (code, err) == (1, "")
+        assert doc == {
+            "closedForm": {"minimum": 2, "canonical": [0, 0]},
+            "grid": {"minimum": 1, "argmin": [0, 0], "argminInFamily": True},
             "agree": False,
         }
 

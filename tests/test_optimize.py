@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -441,19 +442,20 @@ def test_gate_order(prob, error, condition):
 
 def test_scale_gate_skips_spectral_radius_when_r_is_finite(monkeypatch, general_problem):
     # a finite r already decides the scale gate, so the only Karp pass a
-    # General solve makes is theta's, on the bordered pair of order n+1;
-    # lambda(A) would be a pass of order n through Matrix.spectral_radius
+    # General solve makes is theta's, relaxed through Bhat, on the
+    # bordered pair of order n+1; lambda(A) would be a pass of order n
+    # through Matrix.spectral_radius
     calls = []
     kernel = linalg._max_cycle
 
-    def counted(*factors):
-        calls.append(factors[0].n_rows)
-        return kernel(*factors)
+    def counted(*factors, **kwargs):
+        calls.append((factors[0].n_rows, kwargs))
+        return kernel(*factors, **kwargs)
 
     monkeypatch.setattr(linalg, "_max_cycle", counted)
     monkeypatch.setattr(optimize, "_max_cycle", counted)
     solve_problem(general_problem)
-    assert calls == [general_problem.dim + 1]
+    assert calls == [(general_problem.dim + 1, {"starred": True})]
 
 
 class TestParameterBox:
@@ -633,8 +635,9 @@ def test_float_gate_tolerance(weight, passes):
     assert _outcome(prob) == (None if passes else (InfeasibleConstraints, "h^- B* g <= 1"))
 
 
-def test_feasible_general_solve_stars_twice(monkeypatch, general_problem):
-    # one closure pass of Bhat serves the gate and theta; the other is G
+def test_feasible_general_solve_stars_once(monkeypatch, general_problem):
+    # Karp's walk relaxes through Bhat, which settles: no closure of
+    # Bhat; the one closure pass is G's
     calls = []
     closure = Matrix._closure
 
@@ -644,7 +647,7 @@ def test_feasible_general_solve_stars_twice(monkeypatch, general_problem):
 
     monkeypatch.setattr(Matrix, "_closure", counted)
     assert solve_problem(general_problem).minimum == frozen.THETA
-    assert calls == [general_problem.dim + 1, general_problem.dim]
+    assert calls == [general_problem.dim]
 
 
 class _PowerSum(Exception):
@@ -729,6 +732,105 @@ def test_theta_from_the_factored_pair_matches_the_product():
             assert repr(got) == repr(want), (i, p)
         fractional += type(got) is float and not float(got).is_integer()
     assert fractional > 50
+
+
+def _answer(prob: Problem):
+    """What `solve_problem` gives, as text: the error and its message,
+    or the minimum and the family, types included."""
+    try:
+        res = solve_problem(prob)
+    except (TroptError, ValueError) as err:
+        return type(err).__name__, str(err)
+    sols = res.solutions
+    return repr((res.minimum, sols.generator.rows, sols.lower, sols.upper, res.canonical))
+
+
+def _two_pass_answer(prob: Problem, monkeypatch):
+    """`_answer` with the relaxed walk refused: Bhat's closure gates and
+    Karp runs on (Bhat*, Ahat), the path of two Floyd-Warshall passes."""
+    kernel = linalg._max_cycle
+
+    def refused(*factors, starred=False):
+        return None if starred else kernel(*factors)
+
+    with monkeypatch.context() as m:
+        m.setattr(optimize, "_max_cycle", refused)
+        return _answer(prob)
+
+
+@pytest.mark.filterwarnings("ignore:parameter box widened:RuntimeWarning")
+def test_theta_relaxed_through_bhat_matches_the_closure_path(monkeypatch):
+    # 600 sample draws and 200 untrimmed-B gate draws, which add
+    # infeasible ones, in both modes; the dust cycle passes only the
+    # closure's gate, and the near-range pair needs the power-of-two scale
+    sf_float = MaxPlus(eps=1e-9)
+    rng = random.Random(113)
+    kinds = list(ProblemKind)
+    draws = [sample_problem(rng, kinds[i % 6], rng.randint(2, 6)) for i in range(600)]
+    draws += [_gate_draw(rng, GATED_KINDS[i % len(GATED_KINDS)]) for i in range(200)]
+    cases = [p for prob in draws for p in (prob, _in_floats(prob))]
+    zeros = Vector((0.0, 0.0), sf_float)
+    cases.append(Problem(
+        ProblemKind.GENERAL, Matrix(((0.0, NEG), (NEG, 0.0)), sf_float),
+        Matrix(((NEG, 1e-16), (NEG, NEG)), sf_float), zeros, zeros,
+        Vector((NEG, 0.0), sf_float), zeros, 0.0))
+    near = Problem(
+        ProblemKind.FIXPOINT_CONSTRAINED, Matrix(((0.0, NEG), (NEG, 1e308)), sf_float),
+        Matrix(((NEG, 1e308), (NEG, NEG)), sf_float), zeros, zeros, r=0.0)
+    cases.append(near)
+    early = []
+    tail = linalg._cycle_mean
+
+    def recording(tables, steps, v, sf, shift):
+        early.append(isinstance(steps, itertools.repeat))
+        return tail(tables, steps, v, sf, shift)
+
+    monkeypatch.setattr(linalg, "_cycle_mean", recording)
+    seen = Counter()
+    for i, prob in enumerate(cases):
+        assert _answer(prob) == _two_pass_answer(prob, monkeypatch), (i, prob)
+        sf, n = prob.A.sf, prob.dim
+        qc = None if prob.q is None else prob.q.conj()
+        hc = None if prob.h is None else prob.h.conj()
+        b_hat = optimize._border(prob.B, n, sf, prob.g, hc, None)
+        a_hat = optimize._border(prob.A, n, sf, prob.p, qc, prob.r)
+        b_star, cycle = b_hat._closure()
+        del early[:]
+        found = linalg._max_cycle(b_hat, a_hat, starred=True)
+        full = early == [False]
+        if found is None:
+            # settling decides the gate exactly; a float dust cycle fails
+            # to settle and passes only the closure's eps gate
+            assert cycle > 0, (i, prob)
+            seen["infeasible" if not sf.leq_tol(cycle, sf.one) else "dust"] += 1
+            continue
+        assert cycle <= 0, (i, prob)
+        lam, nodes = found
+        assert repr(lam) == repr(linalg._max_cycle(b_star, a_hat)[0]), (i, prob)
+        if prob is not near:
+            # the witness is a cycle of Bhat* Ahat with mean theta
+            prod = (b_star @ a_hat).rows
+            arcs = [prod[u][v] for u, v in zip(nodes, nodes[1:] + nodes[:1])]
+            mean = sf.power(sum(arcs[1:], arcs[0]), Fraction(1, len(nodes))) if nodes else NEG
+            assert repr(mean) == repr(lam), (i, prob, nodes)
+        seen["fractional"] += Fraction(lam).denominator > 1 if nodes else 0
+        seen["full formula"] += full
+        seen["scaled"] += prob is near
+    assert seen["infeasible"] > 100 and seen["dust"] == 1 and seen["scaled"] == 1, seen
+    assert seen["fractional"] > 100 and seen["full formula"] > 50, seen
+
+
+def test_a_pointer_loop_left_by_rounding_goes_to_the_closure(monkeypatch):
+    # 0.2 + 0.1 - 0.1 rounds above 0.2: the relaxation raises node 1
+    # again around the zero cycle 1 -> 2 -> 1, and its pointers close a
+    # loop that no positive cycle made; Bhat's closure decides instead
+    sf = MaxPlus(eps=1e-9)
+    b = Matrix(((NEG, 0.2, NEG), (NEG, NEG, 0.1), (NEG, -0.1, NEG)), sf)
+    assert linalg._relax([0.0, 0.0, 0.0], linalg._finite(b.rows, NEG), NEG) is None
+    a = Matrix(((NEG, NEG, NEG), (NEG, 5.0, NEG), (NEG, NEG, NEG)), sf)
+    prob = Problem(ProblemKind.LINEAR_CONSTRAINED, a, b, g=Vector((0.0, 0.0, 0.0), sf))
+    assert _answer(prob) == _two_pass_answer(prob, monkeypatch)
+    assert solve_problem(prob).minimum == 5.0
 
 
 def _unscaled_family(prob: Problem, theta):
