@@ -306,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--window",
         type=int,
         default=2,
-        help="half-width of the scan box around the canonical solution",
+        help="half-width of the scan box around the canonical solution, "
+        "rounded up to a whole number of steps",
     )
     sub.add_argument(
         "--step", default=None, help="grid step, a positive fraction such as 1/12"

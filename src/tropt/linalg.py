@@ -10,11 +10,11 @@ past a positive cycle, and `trace_sum` reads Tr(A) off it in O(n^2).
 `spectral_radius` is Karp's O(n^3) maximum cycle mean.  Its kernel,
 `_max_cycle`, also takes a product of factors without forming it: each
 walk step is one pass over each factor's finite entries.  A first
-factor can stand for its star: the step then relaxes the walk vector
-through that factor's finite entries (Bellman-Ford, `_relax`) until
-nothing rises, so the optimizers read theta = lambda(Bhat* Ahat) with
-neither Bhat* nor Bhat* Ahat, and the first step is the positive-cycle
-gate of Bhat.
+factor of exact data can stand for its star: the step then relaxes the
+walk vector through that factor's finite entries (Bellman-Ford,
+`_relax`) until nothing rises, so the optimizers read
+theta = lambda(Bhat* Ahat) with neither Bhat* nor Bhat* Ahat, and the
+first step is the positive-cycle gate of Bhat.
 Float entries near the end of the range are scaled by a power of two
 first, so that the walk sums cannot overflow.  Karp's walk stops at the
 first step k with D_k finite and D_k = c (x) D_(k-1): then x_u + a_uv
@@ -157,6 +157,15 @@ class Matrix:
         """Every column holds at least one nonzero entry."""
         zero = self.sf.zero
         return all(any(v != zero for v in col) for col in zip(*self.rows))
+
+    def is_exact(self) -> bool:
+        """No finite entry is a float, so every sum of entries is exact."""
+        zero = self.sf.zero
+        for r in self.rows:
+            for v in r:
+                if isinstance(v, float) and v != zero:
+                    return False
+        return True
 
     # -- arithmetic ------------------------------------------------------
 
@@ -395,14 +404,17 @@ def _max_cycle(*factors: Matrix,
     back-pointer from each node it raises to its F_1 predecessor.  It
     settles exactly when no cycle of F_1 that D_k reaches has positive
     weight (Butkovic, Max-linear Systems, 2010), so the first step,
-    from D_0 = one, is the gate: None comes back when a relaxation does
-    not settle, and the caller decides on F_1's closure instead.  In
-    float arithmetic a relaxation may also fail to settle, or leave its
-    pointers in a loop, on a cycle that is positive only by rounding;
-    that is None too.  A relaxation makes at most n rounds, so such a
-    walk is O(n^4) at worst; on random feasible schedules of order 12
-    to 64 one settles in 2 to 8 rounds, each scanning only the nodes
-    the round before raised.
+    from D_0 = one, is the gate: None comes back exactly when F_1 has
+    a positive cycle.  That needs exact factors (`Matrix.is_exact`):
+    in float arithmetic a walk value with a large offset absorbs a
+    small cycle's gain (1e16 + 1 rounds to 1e16), and the relaxation
+    would settle on a positive cycle.  A relaxation makes at most n
+    rounds, each scanning only the nodes the round before raised, so a
+    starred walk is O(n^4) at worst, against the O(n^3) of closing
+    F_1 first.  The rounds grow with the arcs of a heaviest F_1-path
+    that run against the index order: random feasible schedules of
+    order 12 take 2 to 7, a tight precedence chain listed backwards
+    about n, but each of those rounds raises only a few nodes.
 
     The walk stops early at the first step k where D_k is finite
     everywhere and D_k - D_(k-1) is one constant c.  D_(k-1) is then a
@@ -445,17 +457,12 @@ def _karp(tables, n: int, sf: Semifield, shift: int | None,
     """`_max_cycle` on row-major factor tables whose entries are scaled
     by 2^-shift; shift None before the float range is settled."""
     zero = sf.zero
-    # `_finite` lists, each made when first walked: a relaxation that
-    # does not settle needs no other
-    nzs = [None] * len(tables)
+    nzs = [_finite(t, zero) for t in tables]
     walks, back = [[sf.one] * n], [None]
     for _ in range(n):
         prev = acc = walks[-1]
         args = []
-        for i, t in enumerate(tables):
-            nz = nzs[i]
-            if nz is None:
-                nz = nzs[i] = _finite(t, zero)
+        for i, nz in enumerate(nzs):
             if starred and not i:
                 cur = list(acc)
                 arg = _relax(cur, nz, zero)
@@ -469,10 +476,7 @@ def _karp(tables, n: int, sf: Semifield, shift: int | None,
                                 cur[j] = s
                                 arg[j] = u
             if shift is None and any(type(v) is float and v != zero for v in cur):
-                # a step walks at most n arcs of a starred factor and one
-                # of any other (see `_float_shift`)
-                arcs = n if starred else len(tables)
-                shift = _float_shift(tables, zero, 2 * arcs * n * n)
+                shift = _float_shift(tables, zero, 2 * len(tables) * n * n)
                 if shift:
                     scaled = [[[w if w == zero else math.ldexp(w, -shift) for w in r]
                                for r in t] for t in tables]
@@ -518,10 +522,10 @@ def _relax(y: list, nz: list[list], zero: Scalar) -> tuple[int, ...] | None:
     k arcs is counted.  Without a positive cycle every heaviest path is
     simple, at most n-1 arcs for order n, and round n raises nothing.
     None when round n still raises a value, or when the pointers close
-    a loop, which in exact arithmetic only a positive cycle can (its
-    last raise was strict).  A node is scanned after its last rise, so
-    once the rounds settle every pointer arc is tight: y_v = y_u + f_uv
-    for u = pred[v].  A round extends a walk by at most n arcs.
+    a loop, which only a positive cycle can (its last raise was strict).
+    Exact entries only (see `_max_cycle`).  A node is scanned after its
+    last rise, so once the rounds settle every pointer arc is tight:
+    y_v = y_u + f_uv for u = pred[v].
     """
     n = len(y)
     pred = [-1] * n
@@ -557,18 +561,14 @@ def _float_shift(tables, zero: Scalar, bound: int) -> int:
     """The s of the power of two 2^-s that every float entry of the
     tables is scaled by, or 0 when none needs it.
 
-    A walk step adds at most a entries of order n tables: one per
-    factor, or for a starred pair n, the n-1 arcs of a simple heaviest
-    path and the second factor's arc.  So n steps sum at most a n
-    entries, their differences at most 2 a n, and the cross-products
-    with arc counts at most `bound` = 2 a n^2 entries' worth; a
-    relaxation that does not settle adds at most n rounds of n arcs to
-    D_k, well below that.  All of them stay in the float range while
-    every float entry is at most M / bound, M the largest float.  Past
-    that, 2^s > bound.  A power of two is exact (short of entries it
-    pushes below the normal range), so lambda(2^k A) is 2^k lambda(A),
-    bit for bit.  An entry of +inf, a product that overflowed before it
-    got here, raises ValueError.
+    Walk sums, their differences and the cross-products are at most
+    `bound` = 2 m n^2 times the largest |entry| (m factors of order n),
+    so they stay in the float range while every float entry is at most
+    M / bound, M the largest float.  Past that, 2^s > bound.  A power
+    of two is exact (short of entries it pushes below the normal range),
+    so lambda(2^k A) is 2^k lambda(A), bit for bit.  An entry of +inf, a
+    product that overflowed before it got here, raises ValueError.
+    A starred walk never gets here: its factors are exact.
     """
     top = max(
         (abs(w) for t in tables for row in t for w in row

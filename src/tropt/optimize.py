@@ -17,17 +17,18 @@ path serves all six kinds: A and B are bordered by one extra node,
 Ahat = [[A, p], [q^-, r]] and Bhat = [[B, g], [h^-, 0]] with absent
 pieces zero.  The minimum is theta = the spectral radius of Bhat* Ahat,
 and the constraints are solvable exactly when Bhat has no positive
-cycle, Tr(Bhat) <= 1.  Karp's walk gives both without Bhat* or the
-product: each step relaxes its vector through Bhat (Bellman-Ford, the
-product with Bhat*) and then passes over Ahat, and the first step
-settles exactly when Bhat has no positive cycle.  Only when a
-relaxation does not settle does a Floyd-Warshall pass of Bhat decide
-the gate, with the float tolerance, and give Bhat*; a feasible solve
-otherwise makes one such pass, the generator's.  When an exact theta
-is a fraction w/l, the generator star, the parameter box and the
-canonical point are computed for the data scaled by l, where theta is
-the int w, and divided by l once: with whole-number data that star
-runs in ints.  `solve_problem` holds that path; the `minimize_*`
+cycle, Tr(Bhat) <= 1.  On exact data Karp's walk gives both without
+Bhat* or the product: each step relaxes its vector through Bhat
+(Bellman-Ford, the product with Bhat*) and then passes over Ahat, and
+the first step settles exactly when Bhat has no positive cycle, so a
+feasible solve makes one Floyd-Warshall pass, the generator's.
+Rounding can hide a positive cycle from a relaxation, so float data
+keep a second pass, of Bhat: its heaviest cycle decides the gate, with
+the float tolerance, and theta is read off Bhat* and Ahat.  When an
+exact theta is a fraction w/l, the generator star, the parameter box
+and the canonical point are computed for the data scaled by l, where
+theta is the int w, and divided by l once: with whole-number data that
+star runs in ints.  `solve_problem` holds that path; the `minimize_*`
 functions only build a Problem and hand it over.
 """
 
@@ -152,10 +153,10 @@ def solve_problem(problem: Problem) -> OptResult:
     Bhat = [[B, g], [h^-, 0]], absent data zero.  The gates run in this
     order: q and h regular; B x (+) g <= x <= h solvable, which holds
     exactly when Bhat has no positive cycle, Tr(Bhat) <= 1; then the
-    kind's no-cycle rule.  The second gate passes when the first step
-    of theta's walk, relaxed through Bhat, settles; otherwise Bhat's
-    closure decides it, up to the float tolerance (a dust cycle passes
-    there), and theta is read off Bhat* instead.  A failed second gate
+    kind's no-cycle rule.  On exact data the second gate passes when
+    the first step of theta's walk, relaxed through Bhat, settles; on
+    float data Bhat's closure decides it, up to the float tolerance (a
+    dust cycle passes), and theta is read off Bhat*.  A failed second gate
     is named by its part: Tr(B) <= 1 when B alone has a positive cycle,
     else h^- B* g <= 1 (h^- g <= 1 without B).
 
@@ -176,22 +177,24 @@ def solve_problem(problem: Problem) -> OptResult:
     hc = None if h is None else h.conj()
     b_hat = _border(b, n, sf, g, hc, None)
     a_hat = _border(a, n, sf, p, qc, r)
-    # Karp's walk relaxes through Bhat, and its first step settles
-    # exactly when Bhat has no positive cycle; one that does not settle,
-    # or a float overflow, goes to Bhat's closure and the gates' order
-    try:
+    if b_hat.is_exact() and a_hat.is_exact():
+        # Karp's walk relaxes through Bhat, and its first step settles
+        # exactly when Bhat has no positive cycle: None is the failed gate
         found = _max_cycle(b_hat, a_hat, starred=True)
-    except ValueError:
+        feasible = found is not None
+    else:
+        # a walk value with a large offset can absorb a positive cycle's
+        # gain, so float data close Bhat: Tr(Bhat) = cycle
         found = None
-    if found is None:
-        b_star, cycle = b_hat._closure()  # Tr(Bhat) = cycle
-        if not sf.leq_tol(cycle, sf.one):
-            if b is None:
-                raise InfeasibleConstraints("h^- g <= 1")
-            # the border node lies on a cycle only when both g and h are given
-            if g is None or h is None or not sf.leq_tol(b._closure()[1], sf.one):
-                raise InfeasibleConstraints("Tr(B) <= 1")
-            raise InfeasibleConstraints("h^- B* g <= 1")
+        b_star, cycle = b_hat._closure()
+        feasible = sf.leq_tol(cycle, sf.one)
+    if not feasible:
+        if b is None:
+            raise InfeasibleConstraints("h^- g <= 1")
+        # the border node lies on a cycle only when both g and h are given
+        if g is None or h is None or not sf.leq_tol(b._closure()[1], sf.one):
+            raise InfeasibleConstraints("Tr(B) <= 1")
+        raise InfeasibleConstraints("h^- B* g <= 1")
     if problem.kind in _NEEDS_CYCLE and sf.is_zero(a.spectral_radius()):
         raise ZeroSpectralRadius("matrix has no cycle")
     if problem.kind in _NEEDS_SCALE:
@@ -202,7 +205,7 @@ def solve_problem(problem: Problem) -> OptResult:
             raise DegenerateProblem(
                 "every scale bound is zero: no cycle, q^- p zero, r zero"
             )
-    if found is None:  # theta on the closure that passed the gate
+    if found is None:  # float data: theta on the closure that passed the gate
         found = _max_cycle(b_star, a_hat)
     theta = found[0]
     if sf.is_zero(theta):

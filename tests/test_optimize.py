@@ -745,39 +745,57 @@ def _answer(prob: Problem):
     return repr((res.minimum, sols.generator.rows, sols.lower, sols.upper, res.canonical))
 
 
-def _two_pass_answer(prob: Problem, monkeypatch):
-    """`_answer` with the relaxed walk refused: Bhat's closure gates and
-    Karp runs on (Bhat*, Ahat), the path of two Floyd-Warshall passes."""
-    kernel = linalg._max_cycle
-
-    def refused(*factors, starred=False):
-        return None if starred else kernel(*factors)
-
+def _closure_path_answer(prob: Problem, monkeypatch):
+    """`_answer` on the path float data take, in the data's own
+    arithmetic: Bhat's closure gates, and Karp runs on (Bhat*, Ahat)."""
     with monkeypatch.context() as m:
-        m.setattr(optimize, "_max_cycle", refused)
+        m.setattr(Matrix, "is_exact", lambda self: False)
         return _answer(prob)
+
+
+def _mapped(prob: Problem, f) -> Problem:
+    """The problem with f(field, i, j, entry) applied to each finite
+    entry (j None for vectors, i and j None for r)."""
+    zero = prob.A.sf.zero
+
+    def conv(name, x):
+        if x is None:
+            return None
+        if isinstance(x, Matrix):
+            return Matrix(tuple(
+                tuple(w if w == zero else f(name, i, j, w) for j, w in enumerate(r))
+                for i, r in enumerate(x.rows)), x.sf)
+        if isinstance(x, Vector):
+            return Vector(tuple(w if w == zero else f(name, i, None, w)
+                                for i, w in enumerate(x.entries)), x.sf)
+        return x if x == zero else f(name, None, None, x)
+
+    fields = ("A", "B", "p", "q", "g", "h", "r")
+    return Problem(prob.kind, *(conv(name, getattr(prob, name)) for name in fields))
+
+
+def _shifted(prob: Problem, d) -> Problem:
+    """The problem in the variables x_i + d_i: a_ij and b_ij gain
+    d_i - d_j, and p, q, g, h gain d_i.  Every cycle of Ahat (+) Bhat
+    keeps its weight, so the verdict and theta stay, while the walk
+    values through Bhat carry offsets the size of d."""
+    def f(name, i, j, w):
+        if name == "r":
+            return w
+        return w + d[i] - (0 if j is None else d[j])
+
+    return _mapped(prob, f)
 
 
 @pytest.mark.filterwarnings("ignore:parameter box widened:RuntimeWarning")
 def test_theta_relaxed_through_bhat_matches_the_closure_path(monkeypatch):
     # 600 sample draws and 200 untrimmed-B gate draws, which add
-    # infeasible ones, in both modes; the dust cycle passes only the
-    # closure's gate, and the near-range pair needs the power-of-two scale
-    sf_float = MaxPlus(eps=1e-9)
+    # infeasible ones; each also in turn with its data divided by 3 or
+    # by 10, or moved to offsets of 1e9 or 1e16 by a change of variables
     rng = random.Random(113)
     kinds = list(ProblemKind)
     draws = [sample_problem(rng, kinds[i % 6], rng.randint(2, 6)) for i in range(600)]
     draws += [_gate_draw(rng, GATED_KINDS[i % len(GATED_KINDS)]) for i in range(200)]
-    cases = [p for prob in draws for p in (prob, _in_floats(prob))]
-    zeros = Vector((0.0, 0.0), sf_float)
-    cases.append(Problem(
-        ProblemKind.GENERAL, Matrix(((0.0, NEG), (NEG, 0.0)), sf_float),
-        Matrix(((NEG, 1e-16), (NEG, NEG)), sf_float), zeros, zeros,
-        Vector((NEG, 0.0), sf_float), zeros, 0.0))
-    near = Problem(
-        ProblemKind.FIXPOINT_CONSTRAINED, Matrix(((0.0, NEG), (NEG, 1e308)), sf_float),
-        Matrix(((NEG, 1e308), (NEG, NEG)), sf_float), zeros, zeros, r=0.0)
-    cases.append(near)
     early = []
     tail = linalg._cycle_mean
 
@@ -787,50 +805,130 @@ def test_theta_relaxed_through_bhat_matches_the_closure_path(monkeypatch):
 
     monkeypatch.setattr(linalg, "_cycle_mean", recording)
     seen = Counter()
-    for i, prob in enumerate(cases):
-        assert _answer(prob) == _two_pass_answer(prob, monkeypatch), (i, prob)
-        sf, n = prob.A.sf, prob.dim
-        qc = None if prob.q is None else prob.q.conj()
-        hc = None if prob.h is None else prob.h.conj()
-        b_hat = optimize._border(prob.B, n, sf, prob.g, hc, None)
-        a_hat = optimize._border(prob.A, n, sf, prob.p, qc, prob.r)
-        b_star, cycle = b_hat._closure()
-        del early[:]
-        found = linalg._max_cycle(b_hat, a_hat, starred=True)
-        full = early == [False]
-        if found is None:
-            # settling decides the gate exactly; a float dust cycle fails
-            # to settle and passes only the closure's eps gate
-            assert cycle > 0, (i, prob)
-            seen["infeasible" if not sf.leq_tol(cycle, sf.one) else "dust"] += 1
-            continue
-        assert cycle <= 0, (i, prob)
-        lam, nodes = found
-        assert repr(lam) == repr(linalg._max_cycle(b_star, a_hat)[0]), (i, prob)
-        if prob is not near:
+    for i, base in enumerate(draws):
+        n = base.dim
+        big = rng.choice((10**9, 10**16))
+        d = [rng.choice((0, big, -big, 3 * big)) + rng.randint(-5, 5) for _ in range(n)]
+        label, moved = (
+            ("thirds", lambda: _mapped(base, lambda *a: Fraction(a[-1], 3))),
+            ("tenths", lambda: _mapped(base, lambda *a: Fraction(a[-1], 10))),
+            ("offset", lambda: _shifted(base, d)),
+        )[i % 3]
+        for label, prob in (("whole", base), (label, moved())):
+            got = _answer(prob)
+            assert got == _closure_path_answer(prob, monkeypatch), (i, label, prob)
+            # a change of variables keeps the verdict, its condition and theta
+            if label == "offset":
+                assert _outcome(prob) == _outcome(base), (i, prob)
+            sf = prob.A.sf
+            qc = None if prob.q is None else prob.q.conj()
+            hc = None if prob.h is None else prob.h.conj()
+            b_hat = optimize._border(prob.B, n, sf, prob.g, hc, None)
+            a_hat = optimize._border(prob.A, n, sf, prob.p, qc, prob.r)
+            b_star, cycle = b_hat._closure()
+            del early[:]
+            found = linalg._max_cycle(b_hat, a_hat, starred=True)
+            full = early == [False]
+            if found is None:
+                # settling decides the gate exactly
+                assert cycle > 0, (i, label, prob)
+                seen["infeasible"] += 1
+                continue
+            assert cycle <= 0, (i, label, prob)
+            lam, nodes = found
+            assert repr(lam) == repr(linalg._max_cycle(b_star, a_hat)[0]), (i, label, prob)
             # the witness is a cycle of Bhat* Ahat with mean theta
             prod = (b_star @ a_hat).rows
             arcs = [prod[u][v] for u, v in zip(nodes, nodes[1:] + nodes[:1])]
             mean = sf.power(sum(arcs[1:], arcs[0]), Fraction(1, len(nodes))) if nodes else NEG
-            assert repr(mean) == repr(lam), (i, prob, nodes)
-        seen["fractional"] += Fraction(lam).denominator > 1 if nodes else 0
-        seen["full formula"] += full
-        seen["scaled"] += prob is near
-    assert seen["infeasible"] > 100 and seen["dust"] == 1 and seen["scaled"] == 1, seen
-    assert seen["fractional"] > 100 and seen["full formula"] > 50, seen
+            assert repr(mean) == repr(lam), (i, label, prob, nodes)
+            seen["fractional"] += Fraction(lam).denominator > 1 if nodes else 0
+            seen["full formula"] += full
+            seen[label] += 1
+    assert seen["infeasible"] > 300 and seen["fractional"] > 400, seen
+    assert seen["full formula"] > 600, seen
+    assert min(seen["thirds"], seen["tenths"], seen["offset"]) > 150, seen
 
 
-def test_a_pointer_loop_left_by_rounding_goes_to_the_closure(monkeypatch):
-    # 0.2 + 0.1 - 0.1 rounds above 0.2: the relaxation raises node 1
-    # again around the zero cycle 1 -> 2 -> 1, and its pointers close a
-    # loop that no positive cycle made; Bhat's closure decides instead
+@pytest.mark.filterwarnings("ignore:parameter box widened:RuntimeWarning")
+def test_float_data_gate_on_the_closure(monkeypatch):
     sf = MaxPlus(eps=1e-9)
-    b = Matrix(((NEG, 0.2, NEG), (NEG, NEG, 0.1), (NEG, -0.1, NEG)), sf)
-    assert linalg._relax([0.0, 0.0, 0.0], linalg._finite(b.rows, NEG), NEG) is None
+    zeros = Vector((0.0, 0.0, 0.0), sf)
     a = Matrix(((NEG, NEG, NEG), (NEG, 5.0, NEG), (NEG, NEG, NEG)), sf)
-    prob = Problem(ProblemKind.LINEAR_CONSTRAINED, a, b, g=Vector((0.0, 0.0, 0.0), sf))
-    assert _answer(prob) == _two_pass_answer(prob, monkeypatch)
-    assert solve_problem(prob).minimum == 5.0
+
+    def linear(b01, b12, b21=0.0):
+        b = Matrix(((NEG, b01, NEG), (NEG, NEG, b12), (NEG, b21, NEG)), sf)
+        return Problem(ProblemKind.LINEAR_CONSTRAINED, a, b, g=zeros)
+
+    # the cycle 1 -> 2 -> 1 gains less than half a unit in the last place
+    # of the walk value 1e16 (or 1e9) that reaches it: a relaxation would
+    # round the gain away and settle, the closure sums the cycle alone
+    for offset, weight in ((1e16, 1.0), (1e9, 3e-8)):
+        assert _outcome(linear(offset, weight)) == (InfeasibleConstraints, "Tr(B) <= 1")
+    # 0.2 + 0.1 - 0.1 rounds above 0.2, so a relaxation would raise node 1
+    # around the zero cycle 1 -> 2 -> 1 again and again; the closure's
+    # gate passes it
+    zero_cycle = linear(0.2, 0.1, -0.1)
+    assert linalg._relax([0.0] * 3, linalg._finite(zero_cycle.B.rows, NEG), NEG) is None
+    assert solve_problem(zero_cycle).minimum == 5.0
+    # the starred flag of each Karp walk the solver starts
+    kernel, starred = linalg._max_cycle, []
+
+    def counted(*factors, **kwargs):
+        starred.append(kwargs.get("starred", False))
+        return kernel(*factors, **kwargs)
+
+    def theta(prob):
+        try:
+            return solve_problem(prob).minimum
+        except EmptyParameterBox:
+            return None
+        except (InfeasibleConstraints, ZeroSpectralRadius, DegenerateProblem) as err:
+            return type(err), getattr(err, "condition", None)
+
+    monkeypatch.setattr(optimize, "_max_cycle", counted)
+    # the dust cycle passes the closure's gate, and the near-range pair
+    # needs Karp's power-of-two scale
+    two = Vector((0.0, 0.0), sf)
+    dust = Problem(
+        ProblemKind.GENERAL, Matrix(((0.0, NEG), (NEG, 0.0)), sf),
+        Matrix(((NEG, 1e-16), (NEG, NEG)), sf), two, two, Vector((NEG, 0.0), sf), two, 0.0)
+    near = Problem(
+        ProblemKind.FIXPOINT_CONSTRAINED, Matrix(((0.0, NEG), (NEG, 1e308)), sf),
+        Matrix(((NEG, 1e308), (NEG, NEG)), sf), two, two, r=0.0)
+    assert theta(dust) == 2e-16 and theta(near) == 1e308
+    assert starred == [False, False]
+    # no float draw, whole at offsets of 1e9 or in tenths, takes the
+    # relaxed walk, and every one gets the exact draw's verdict; whole
+    # data at 1e9 sum exactly in floats, so theta is the exact one, up
+    # to its last division (theta^-1 A rounds at that scale, and may
+    # empty the parameter box past the gates)
+    rng = random.Random(131)
+    kinds = list(ProblemKind)
+    seen = Counter()
+    for i in range(400):
+        if i % 2:
+            base = sample_problem(rng, kinds[i % 6], rng.randint(2, 5))
+        else:
+            base = _gate_draw(rng, GATED_KINDS[i % len(GATED_KINDS)])
+        d = [rng.choice((0, 10**9, -10**9)) + rng.randint(-5, 5) for _ in range(base.dim)]
+        want = theta(base)
+        del starred[:]
+        offset = theta(_in_floats(_shifted(base, d)))
+        tenths = theta(_mapped(_in_floats(base), lambda *a: a[-1] / 10))
+        assert True not in starred, (i, base)
+        if type(want) is tuple:
+            assert offset == tenths == want, (i, base)
+            seen["gated"] += 1
+            continue
+        assert type(offset) is not tuple and type(tenths) is not tuple, (i, base)
+        if offset is not None:
+            assert abs(offset - want) < 1e-12, (i, base)
+            seen["offset"] += 1
+        if tenths is not None:
+            assert abs(tenths * 10 - want) < 1e-9, (i, base)
+            seen["tenths"] += 1
+    assert min(seen.values()) > 100, seen
 
 
 def _unscaled_family(prob: Problem, theta):
