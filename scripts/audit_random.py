@@ -5,13 +5,17 @@ Draws random integer instances for each problem kind plus the scheduling
 front end, solves them in exact rational mode, and re-minimizes each one
 by brute force on a rational lattice around the reported optimum.  Any
 disagreement (different minimum, or a grid argmin outside the reported
-solution family) is a bug and flips the exit code.
+solution family) is a bug and flips the exit code.  Each kept draw is
+also solved with its data as floats divided by 10: its minimum and
+canonical point must be the exact answer on those floats' own (dyadic)
+values, rounded once to floats.
 
 Usage:
     python3 scripts/audit_random.py [--count N] [--seed S] [--radius R]
 """
 
 import argparse
+import dataclasses
 import random
 import sys
 import time
@@ -27,16 +31,54 @@ from tropt.errors import (
     InfeasibleSchedule,
     ZeroSpectralRadius,
 )
-from tropt.linalg import Vector
+from tropt.linalg import Matrix, Vector
 from tropt.optimize import ProblemKind, solve_problem
 from tropt.oracle import GridSpec, default_step, grid_minimize, grid_minimize_schedule
-from tropt.schedule import solve_schedule
+from tropt.schedule import build_problem, solve_schedule
 
 SKIP = (
     ZeroSpectralRadius,
     DegenerateProblem,
     InfeasibleConstraints,
 )
+
+
+def _mapped(item, f):
+    """The Problem or ScheduleSpec with f applied to each finite entry."""
+    zero = float("-inf")
+
+    def conv(x):
+        if isinstance(x, Matrix):
+            return Matrix(tuple(tuple(v if v == zero else f(v) for v in r) for r in x.rows), x.sf)
+        if isinstance(x, Vector):
+            return Vector(tuple(v if v == zero else f(v) for v in x.entries), x.sf)
+        if isinstance(x, (int, float, Fraction)) and x != zero:
+            return f(x)
+        return x
+
+    return dataclasses.replace(
+        item, **{fld.name: conv(getattr(item, fld.name)) for fld in dataclasses.fields(item)}
+    )
+
+
+def tenth(v) -> float:
+    """v / 10 as the float nearest to it."""
+    return v / 10
+
+
+def float_mismatch(floats):
+    """None when the float problem solves to the exact answer on its
+    floats' own values, rounded once (or the exact solve fails); else
+    (float answer, rounded exact answer), each its minimum and canonical
+    point."""
+    try:
+        want = solve_problem(_mapped(floats, Fraction))
+    except SKIP:
+        return None  # rounding by 10 can turn a zero cycle positive
+    got = solve_problem(floats)
+    got = (got.minimum, got.canonical.entries)
+    want = (float(want.minimum), tuple(map(float, want.canonical.entries)))
+    return None if repr(got) == repr(want) else (got, want)
 
 
 def window(center: Vector, radius: int) -> GridSpec:
@@ -63,6 +105,9 @@ def audit_kind(kind: ProblemKind, count: int, seed: int, radius: int):
             mismatches.append((problem, "minimum", res.minimum, best))
         elif not res.solutions.contains(argmin):
             mismatches.append((problem, "membership", res.minimum, argmin))
+        found = float_mismatch(_mapped(problem, tenth))
+        if found is not None:
+            mismatches.append((problem, "float tenths", *found))
     return kept, skipped, mismatches
 
 
@@ -84,6 +129,11 @@ def audit_schedule(count: int, seed: int, radius: int):
             mismatches.append((spec, "minimum", res.theta, best))
         elif not res.solutions.contains(argmin):
             mismatches.append((spec, "membership", res.theta, argmin))
+        # the General rewrite in floats: `build_problem` rounds q^- A and
+        # q^- p before the solve
+        found = float_mismatch(build_problem(_mapped(spec, tenth)))
+        if found is not None:
+            mismatches.append((spec, "float tenths", *found))
     return kept, skipped, mismatches
 
 

@@ -229,7 +229,7 @@ def _add_mode_flags(sub) -> None:
         "--float",
         dest="approx",
         action="store_true",
-        help="floating point arithmetic with tolerant comparisons",
+        help="float input and answers, with tolerant comparisons",
     )
     sub.add_argument(
         "--epsilon",

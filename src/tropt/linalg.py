@@ -10,16 +10,17 @@ past a positive cycle, and `trace_sum` reads Tr(A) off it in O(n^2).
 `spectral_radius` is Karp's O(n^3) maximum cycle mean.  Its kernel,
 `_max_cycle`, also takes a product of factors without forming it: each
 walk step is one pass over each factor's finite entries.  A first
-factor of exact data can stand for its star: the step then relaxes the
-walk vector through that factor's finite entries (Bellman-Ford,
-`_relax`) until nothing rises, so the optimizers read
-theta = lambda(Bhat* Ahat) with neither Bhat* nor Bhat* Ahat, and the
-first step is the positive-cycle gate of Bhat.
-Float entries near the end of the range are scaled by a power of two
-first, so that the walk sums cannot overflow.  Karp's walk stops at the
-first step k with D_k finite and D_k = c (x) D_(k-1): then x_u + a_uv
-<= c + x_v on every arc for x = D_(k-1), so no cycle has mean above c,
-and the back-pointers of step k are tight arcs closing a cycle of mean c.
+factor can stand for its star: the step then relaxes the walk vector
+through that factor's finite entries (Bellman-Ford, `_relax`) until
+nothing rises, so the optimizers read theta = lambda(Bhat* Ahat) with
+neither Bhat* nor Bhat* Ahat, and the first step is the positive-cycle
+gate of Bhat.  The walk runs on ints: `_integral` scales every entry
+m/d by D, the lcm of the denominators (a power of two for floats), and
+`_unscale` divides an answer by D once, so a float answer is rounded
+once.  Karp's walk stops at the first step k with D_k finite and
+D_k = c (x) D_(k-1): then x_u + a_uv <= c + x_v on every arc for
+x = D_(k-1), so no cycle has mean above c, and the back-pointers of
+step k are tight arcs closing a cycle of mean c.
 Entrywise helpers (`scale`, `conj`, `meet`, the zero and regularity
 tests) inline the MaxPlus rules, as `+` and `@` do: no Semifield call
 per entry.
@@ -33,10 +34,10 @@ All operands of a binary operation must share one semifield instance.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from operator import truediv
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -157,15 +158,6 @@ class Matrix:
         """Every column holds at least one nonzero entry."""
         zero = self.sf.zero
         return all(any(v != zero for v in col) for col in zip(*self.rows))
-
-    def is_exact(self) -> bool:
-        """No finite entry is a float, so every sum of entries is exact."""
-        zero = self.sf.zero
-        for r in self.rows:
-            for v in r:
-                if isinstance(v, float) and v != zero:
-                    return False
-        return True
 
     # -- arithmetic ------------------------------------------------------
 
@@ -405,10 +397,10 @@ def _max_cycle(*factors: Matrix,
     settles exactly when no cycle of F_1 that D_k reaches has positive
     weight (Butkovic, Max-linear Systems, 2010), so the first step,
     from D_0 = one, is the gate: None comes back exactly when F_1 has
-    a positive cycle.  That needs exact factors (`Matrix.is_exact`):
-    in float arithmetic a walk value with a large offset absorbs a
-    small cycle's gain (1e16 + 1 rounds to 1e16), and the relaxation
-    would settle on a positive cycle.  A relaxation makes at most n
+    a positive cycle.  That needs exact sums, which the ints give: in
+    float arithmetic a walk value with a large offset absorbs a small
+    cycle's gain (1e16 + 1 rounds to 1e16), and the relaxation would
+    settle on a positive cycle.  A relaxation makes at most n
     rounds, each scanning only the nodes the round before raised, so a
     starred walk is O(n^4) at worst, against the O(n^3) of closing
     F_1 first.  The rounds grow with the arcs of a heaviest F_1-path
@@ -430,32 +422,28 @@ def _max_cycle(*factors: Matrix,
     walk to v no heavier than D_(n-l)(v), so every cycle on it has mean
     lambda.  The first one met walking back from v is returned.  Either
     way lambda is the witness's weight, summed from its arcs, divided
-    once by `sf.power` (`_cycle_mean`): an exact whole number comes back
-    as an int, and a float carries no rounding from the long sums
-    D_n(v) - D_k(v).  A step's back-pointers hold one list per factor,
-    so each arc u -> v of the product is read as the factor path
+    once by its arc count and D (`_cycle_mean`, `_unscale`): an exact
+    whole number comes back as an int, and a float is the correctly
+    rounded mean of the data's own values, past the float range a
+    ValueError.  A step's back-pointers hold one list per factor, so
+    each arc u -> v of the product is read as the factor path
     u -> m_1 -> ... -> v that attains it (a starred factor's part is a
     path of its own arcs, possibly empty), and its weight is one plus
     that path's raw entries, summed left to right.
-
-    Float entries near the end of the range are scaled (`_float_shift`).
-    The entries are scanned for that once, when a finite float enters a
-    walk value in the first step.  From D_0 = one, finite everywhere,
-    that step meets every entry that any later step can, and with float
-    data its maxima are floats.  If the entries need scaling, the walk
-    starts over on scaled copies.  Only float entries set the scale, so
-    exact data never pays for the scan, only for one type test per walk
-    value of the first step.
     """
     first = factors[0]
-    n = first._require_square()
-    return _karp([f.rows for f in factors], n, first.sf, None, starred)
+    n, zero = first._require_square(), first.sf.zero
+    factors, scale, floating = _integral(factors, zero)
+    found = _karp([f.rows for f in factors], n, first.sf, starred)
+    if found is None or not found[1]:
+        return found
+    w, length = found[0].as_integer_ratio()
+    return _unscale((w,), length * scale, floating, zero)[0], found[1]
 
 
-def _karp(tables, n: int, sf: Semifield, shift: int | None,
+def _karp(tables, n: int, sf: Semifield,
           starred: bool) -> tuple[Scalar, tuple[int, ...]] | None:
-    """`_max_cycle` on row-major factor tables whose entries are scaled
-    by 2^-shift; shift None before the float range is settled."""
+    """`_max_cycle` on row-major factor tables of ints, lambda exact."""
     zero = sf.zero
     nzs = [_finite(t, zero) for t in tables]
     walks, back = [[sf.one] * n], [None]
@@ -475,25 +463,17 @@ def _karp(tables, n: int, sf: Semifield, shift: int | None,
                             if s > cur[j]:
                                 cur[j] = s
                                 arg[j] = u
-            if shift is None and any(type(v) is float and v != zero for v in cur):
-                shift = _float_shift(tables, zero, 2 * len(tables) * n * n)
-                if shift:
-                    scaled = [[[w if w == zero else math.ldexp(w, -shift) for w in r]
-                               for r in t] for t in tables]
-                    return _karp(scaled, n, sf, shift, starred)
             if arg is None:
                 return None
             acc = cur
             args.append(arg)
-        if shift is None:
-            shift = 0
         # a finite D_k has a finite entry in every column of the product,
         # so D_(k-1) is finite too: the early exit needs only
         # D_k = c (x) D_(k-1)
         if zero not in acc:
             c = acc[0] - prev[0]
             if all(d - e == c for d, e in zip(acc, prev)):
-                return _cycle_mean(tables, repeat(args), 0, sf, shift)
+                return _cycle_mean(tables, repeat(args), 0, sf)
         walks.append(acc)
         back.append(args)
     best = None
@@ -509,7 +489,7 @@ def _karp(tables, n: int, sf: Semifield, shift: int | None,
             best = (num, den, v)
     if best is None:
         return zero, ()
-    return _cycle_mean(tables, reversed(back[1:]), best[2], sf, shift)
+    return _cycle_mean(tables, reversed(back[1:]), best[2], sf)
 
 
 def _relax(y: list, nz: list[list], zero: Scalar) -> tuple[int, ...] | None:
@@ -523,7 +503,7 @@ def _relax(y: list, nz: list[list], zero: Scalar) -> tuple[int, ...] | None:
     simple, at most n-1 arcs for order n, and round n raises nothing.
     None when round n still raises a value, or when the pointers close
     a loop, which only a positive cycle can (its last raise was strict).
-    Exact entries only (see `_max_cycle`).  A node is scanned after its
+    Int entries only (see `_max_cycle`).  A node is scanned after its
     last rise, so once the rounds settle every pointer arc is tight:
     y_v = y_u + f_uv for u = pred[v].
     """
@@ -557,37 +537,12 @@ def _relax(y: list, nz: list[list], zero: Scalar) -> tuple[int, ...] | None:
     return None
 
 
-def _float_shift(tables, zero: Scalar, bound: int) -> int:
-    """The s of the power of two 2^-s that every float entry of the
-    tables is scaled by, or 0 when none needs it.
-
-    Walk sums, their differences and the cross-products are at most
-    `bound` = 2 m n^2 times the largest |entry| (m factors of order n),
-    so they stay in the float range while every float entry is at most
-    M / bound, M the largest float.  Past that, 2^s > bound.  A power
-    of two is exact (short of entries it pushes below the normal range),
-    so lambda(2^k A) is 2^k lambda(A), bit for bit.  An entry of +inf, a
-    product that overflowed before it got here, raises ValueError.
-    A starred walk never gets here: its factors are exact.
-    """
-    top = max(
-        (abs(w) for t in tables for row in t for w in row
-         if isinstance(w, float) and w != zero),
-        default=0.0,
-    )
-    if top == math.inf:
-        raise ValueError(_OVERFLOW)
-    return bound.bit_length() if top > sys.float_info.max / bound else 0
-
-
-def _cycle_mean(tables, steps, v: int, sf: Semifield,
-                shift: int) -> tuple[Scalar, tuple[int, ...]]:
+def _cycle_mean(tables, steps, v: int, sf: Semifield) -> tuple[Scalar, tuple[int, ...]]:
     """(lambda, nodes) for the cycle closed by walking back from v, one
     step of back-pointers (a list per factor, a tuple for a starred one)
     from `steps` per arc, until a node repeats: its weight, summed from
-    its arcs, divided once by `sf.power` (an exact whole number comes
-    back as an int), then scaled back by 2^shift; ValueError when that
-    leaves the float range."""
+    its arcs, divided by its arc count (a whole number comes back as an
+    int)."""
     pos, walk, into = {}, [], {}
     while v not in pos:
         pos[v] = len(walk)
@@ -614,14 +569,83 @@ def _cycle_mean(tables, steps, v: int, sf: Semifield,
         for e in reversed(into[head]):
             w = w + e
         arcs.append(w)
-    lam = sf.power(sum(arcs[1:], arcs[0]), Fraction(1, len(nodes)))
-    if shift:
-        # a mean of sums of m entries may lie past the float range
-        try:
-            lam = math.ldexp(lam, shift)
-        except OverflowError:
-            raise ValueError(_OVERFLOW) from None
-    return lam, nodes
+    w, length = sum(arcs[1:], arcs[0]), len(nodes)
+    return (Fraction(w, length) if w % length else w // length), nodes
+
+
+def _integral(matrices, zero: Scalar) -> tuple[tuple, int, bool]:
+    """(matrices, D, floating): the matrices with each finite entry m/d,
+    read exactly off `as_integer_ratio`, replaced by the int m (D/d).
+    D is the lcm of every d: 1 for ints, a power of two of at most
+    2^1074 for floats.  floating is True when a finite entry is a float.
+    Int matrices come back as they are, at one type test per entry.  A
+    +inf entry, a product that overflowed before it got here, raises
+    ValueError."""
+    dens, floating = set(), False
+    try:
+        for m in matrices:
+            for row in m.rows:
+                for v in row:
+                    if type(v) is not int and v != zero:
+                        if type(v) is float:
+                            floating = True
+                            if v.is_integer():
+                                continue
+                        dens.add(v.as_integer_ratio()[1])
+    except OverflowError:  # the ratio of +inf
+        raise ValueError(_OVERFLOW) from None
+    if not (floating or dens):
+        return tuple(matrices), 1, False
+    scale = math.lcm(*dens)
+
+    def whole(row):
+        if scale == 1:
+            return tuple(v if v == zero else int(v) for v in row)
+        out = []
+        for v in row:
+            if v != zero:
+                m, d = v.as_integer_ratio()
+                v = m * (scale // d)
+            out.append(v)
+        return tuple(out)
+
+    return _rescaled(matrices, whole), scale, floating
+
+
+def _unscale(items, scale: int, floating: bool, zero: Scalar) -> tuple:
+    """The items of `_integral`'s ints divided by scale, each entry
+    once: for float data the correctly rounded float (int true
+    division), else an int where the quotient is whole and a Fraction
+    elsewhere.  A quotient past the float range raises ValueError."""
+    if floating:
+        def divide(row):  # zero / scale is zero
+            return tuple(map(truediv, row, repeat(scale)))
+    elif scale == 1:
+        return tuple(items)
+    else:
+        def divide(row):
+            return tuple(v if v == zero else Fraction(v, scale) if v % scale else v // scale
+                         for v in row)
+    try:
+        return _rescaled(items, divide)
+    except OverflowError:
+        raise ValueError(_OVERFLOW) from None
+
+
+def _rescaled(items, row) -> tuple:
+    """The Matrix, vector and scalar items with `row` applied to each
+    row of entries (a vector's entries, a scalar as a 1-tuple); None
+    items stay None."""
+    out = []
+    for x in items:
+        if isinstance(x, Matrix):
+            x = Matrix._built(tuple(map(row, x.rows)), x.sf)
+        elif isinstance(x, _Entries):
+            x = type(x)(row(x.entries), x.sf)
+        elif x is not None:
+            x = row((x,))[0]
+        out.append(x)
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)

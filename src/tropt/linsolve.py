@@ -11,7 +11,8 @@ Three systems, each solved exactly:
 Solution families are carried as SolutionSet objects: the image of a
 box of parameter vectors under a generator matrix.  A float box that
 rounding leaves empty by at most eps is widened to its lower corner,
-with a RuntimeWarning; here and in the optimizers alike.
+with a RuntimeWarning; so is one that a dust cycle of the optimizers'
+exact ints leaves empty.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .errors import (
@@ -121,17 +123,18 @@ def _caller_level() -> int:
     return level
 
 
-def _tighten_box(lower: Vector, upper: Vector) -> Vector:
+def _tighten_box(lower: Vector, upper: Vector, unit: int | None = None) -> Vector:
     """Absorb float dust that pushed the upper parameter bound below the
-    lower one.  Exact arithmetic never triggers this; the closed forms
-    guarantee a nonempty box."""
+    lower one: up to eps, or, on ints that stand for their values times
+    `unit`, up to eps (x) unit, compared exactly.  Without a positive
+    cycle the closed forms guarantee a nonempty box."""
     sf = lower.sf
     out = []
     widened = False
     for lo, up in zip(lower.entries, upper.entries):
         if lo <= up:
             out.append(up)
-        elif sf.eq(lo, up):
+        elif sf.eq(lo, up) if unit is None else lo - up <= Fraction(sf.eps) * unit:
             out.append(lo)
             widened = True
         else:

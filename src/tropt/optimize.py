@@ -17,18 +17,19 @@ path serves all six kinds: A and B are bordered by one extra node,
 Ahat = [[A, p], [q^-, r]] and Bhat = [[B, g], [h^-, 0]] with absent
 pieces zero.  The minimum is theta = the spectral radius of Bhat* Ahat,
 and the constraints are solvable exactly when Bhat has no positive
-cycle, Tr(Bhat) <= 1.  On exact data Karp's walk gives both without
-Bhat* or the product: each step relaxes its vector through Bhat
-(Bellman-Ford, the product with Bhat*) and then passes over Ahat, and
-the first step settles exactly when Bhat has no positive cycle, so a
-feasible solve makes one Floyd-Warshall pass, the generator's.
-Rounding can hide a positive cycle from a relaxation, so float data
-keep a second pass, of Bhat: its heaviest cycle decides the gate, with
-the float tolerance, and theta is read off Bhat* and Ahat.  When an
-exact theta is a fraction w/l, the generator star, the parameter box
-and the canonical point are computed for the data scaled by l, where
-theta is the int w, and divided by l once: with whole-number data that
-star runs in ints.  `solve_problem` holds that path; the `minimize_*`
+cycle, Tr(Bhat) <= 1.  Every datum is first scaled to an int by one D,
+the lcm of the denominators of the finite entries (1 for ints, a power
+of two for floats), so float and decimal data take the exact path too.
+Karp's walk gives both without Bhat* or the product: each step relaxes
+its vector through Bhat (Bellman-Ford, the product with Bhat*) and then
+passes over Ahat, and the first step settles exactly when Bhat has no
+positive cycle, so a feasible solve makes one Floyd-Warshall pass, the
+generator's.  When theta is a fraction w/l of the ints, the generator
+star, the parameter box and the canonical point are computed for the
+ints scaled by l, where theta is the int w.  theta and the family are
+then divided by l D once, so a float answer is the correctly rounded
+value of the exact answer on the data's own values.
+`solve_problem` holds that path; the `minimize_*`
 functions only build a Problem and hand it over.
 """
 
@@ -37,6 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
+from operator import mul
 from typing import Optional
 
 from .errors import (
@@ -46,7 +49,9 @@ from .errors import (
     ShapeMismatch,
     ZeroSpectralRadius,
 )
-from .linalg import Matrix, RowVector, Vector, _max_cycle, _scaled_sum
+from .linalg import (
+    Matrix, RowVector, Vector, _integral, _max_cycle, _rescaled, _scaled_sum, _unscale,
+)
 from .linsolve import SolutionSet, _tighten_box
 from .semifield import Scalar
 
@@ -153,12 +158,12 @@ def solve_problem(problem: Problem) -> OptResult:
     Bhat = [[B, g], [h^-, 0]], absent data zero.  The gates run in this
     order: q and h regular; B x (+) g <= x <= h solvable, which holds
     exactly when Bhat has no positive cycle, Tr(Bhat) <= 1; then the
-    kind's no-cycle rule.  On exact data the second gate passes when
-    the first step of theta's walk, relaxed through Bhat, settles; on
-    float data Bhat's closure decides it, up to the float tolerance (a
-    dust cycle passes), and theta is read off Bhat*.  A failed second gate
-    is named by its part: Tr(B) <= 1 when B alone has a positive cycle,
-    else h^- B* g <= 1 (h^- g <= 1 without B).
+    kind's no-cycle rule.  The second gate passes when the first step
+    of theta's walk, relaxed through Bhat, settles.  When it does not,
+    float data close Bhat, which passes a dust cycle of weight at most
+    the float tolerance eps (compared exactly), theta then read off
+    Bhat*.  A failed gate is named by its part: Tr(B) <= 1 when B alone
+    has a positive cycle, else h^- B* g <= 1 (h^- g <= 1 without B).
 
     theta is the largest cycle mean of Bhat* Ahat: the maximum ratio of
     weight to A-arc count over the cycles of Ahat (+) Bhat.  The
@@ -175,98 +180,61 @@ def solve_problem(problem: Problem) -> OptResult:
             raise NotRegularVector(f"{name} must be regular")
     qc = None if q is None else q.conj()
     hc = None if h is None else h.conj()
-    b_hat = _border(b, n, sf, g, hc, None)
-    a_hat = _border(a, n, sf, p, qc, r)
-    if b_hat.is_exact() and a_hat.is_exact():
-        # Karp's walk relaxes through Bhat, and its first step settles
-        # exactly when Bhat has no positive cycle: None is the failed gate
-        found = _max_cycle(b_hat, a_hat, starred=True)
-        feasible = found is not None
-    else:
-        # a walk value with a large offset can absorb a positive cycle's
-        # gain, so float data close Bhat: Tr(Bhat) = cycle
-        found = None
-        b_star, cycle = b_hat._closure()
-        feasible = sf.leq_tol(cycle, sf.one)
-    if not feasible:
-        if b is None:
-            raise InfeasibleConstraints("h^- g <= 1")
-        # the border node lies on a cycle only when both g and h are given
-        if g is None or h is None or not sf.leq_tol(b._closure()[1], sf.one):
-            raise InfeasibleConstraints("Tr(B) <= 1")
-        raise InfeasibleConstraints("h^- B* g <= 1")
-    if problem.kind in _NEEDS_CYCLE and sf.is_zero(a.spectral_radius()):
-        raise ZeroSpectralRadius("matrix has no cycle")
-    if problem.kind in _NEEDS_SCALE:
-        root = sf.power(qc @ p, Fraction(1, 2))
-        # lambda(A) is a Karp pass of its own: compute it only when r and
-        # the root leave the verdict open
-        if sf.is_zero(sf.add(root, r)) and sf.is_zero(a.spectral_radius()):
-            raise DegenerateProblem(
-                "every scale bound is zero: no cycle, q^- p zero, r zero"
-            )
-    if found is None:  # float data: theta on the closure that passed the gate
+    zero = sf.zero
+    (b_hat, a_hat), scale, floating = _integral(
+        (_border(b, n, sf, g, hc, None), _border(a, n, sf, p, qc, r)), zero
+    )
+    # Karp's walk relaxes through Bhat, and its first step settles
+    # exactly when Bhat has no positive cycle: None is the failed gate
+    found = _max_cycle(b_hat, a_hat, starred=True)
+    if found is None:
+        # a positive cycle; float data pass a dust one, Tr(Bhat) <= eps
+        # at scale D, which only Bhat's closure weighs
+        dust = Fraction(sf.eps) * scale if floating else 0
+        if floating:
+            b_star, cycle = b_hat._closure()
+        if not floating or cycle > dust:
+            if b is None:
+                raise InfeasibleConstraints("h^- g <= 1")
+            # the border node lies on a cycle only when both g and h are given
+            if g is None or h is None or _corner(b_hat)._closure()[1] > dust:
+                raise InfeasibleConstraints("Tr(B) <= 1")
+            raise InfeasibleConstraints("h^- B* g <= 1")
         found = _max_cycle(b_star, a_hat)
-    theta = found[0]
-    if sf.is_zero(theta):
+    if problem.kind in _NEEDS_CYCLE and sf.is_zero(_corner(a_hat).spectral_radius()):
         raise ZeroSpectralRadius("matrix has no cycle")
-    # theta = w / l with l > 1: the family at data scale l, where theta
-    # is the int w, divided by l once (a scale that makes decimal data
-    # whole would multiply in here)
-    scale = theta.denominator if type(theta) is Fraction else 1
-    if scale == 1:
-        family = _family(theta, a, b, p, qc, g, hc)
-    else:
-        data = _rescaled((a, b, p, qc, g, hc), lambda v: v * scale)
-        family = _rescaled(_family(theta.numerator, *data), lambda v: _divide(v, scale))
-    gen, lower, upper, canonical = family
+    # lambda(A) is a Karp pass of its own: compute it only when r and
+    # q^- p leave the verdict open
+    if (problem.kind in _NEEDS_SCALE and sf.is_zero(sf.add(qc @ p, r))
+            and sf.is_zero(_corner(a_hat).spectral_radius())):
+        raise DegenerateProblem("every scale bound is zero: no cycle, q^- p zero, r zero")
+    if sf.is_zero(found[0]):
+        raise ZeroSpectralRadius("matrix has no cycle")
+    # theta = w / l: the family at data scale l, where theta is the int
+    # w, read off theta^-1 Ahat (+) Bhat = [[theta^-1 A (+) B,
+    # theta^-1 p (+) g], [theta^-1 q^- (+) h^-, theta^-1 r]]; theta and
+    # the family are then divided by l D once
+    w, ell = found[0].as_integer_ratio()
+    if ell > 1:
+        a_hat, b_hat = _rescaled((a_hat, b_hat), lambda row: tuple(map(mul, row, repeat(ell))))
+    m = _scaled_sum(sf.inv(w), a_hat, b_hat)
+    gen = _corner(m)._closure()[0]
+    lower = Vector(tuple(v[-1] for v in m.rows[:-1]), sf)
+    row = RowVector(m.rows[-1][:-1], sf)  # zero when neither q nor h is given
+    # a passing dust cycle can leave float dust in the box: eps at scale l D
+    unit = ell * scale if floating else None
+    upper = None if row.is_zero() else _tighten_box(lower, (row @ gen).conj(), unit)
+    canonical = SolutionSet(generator=gen, lower=lower, upper=upper).canonical()
+    theta, gen, lower, upper, canonical = _unscale(
+        (w, gen, lower, upper, canonical), ell * scale, floating, zero
+    )
     sols = SolutionSet(generator=gen, lower=lower, upper=upper, minimum=theta)
     return OptResult(minimum=theta, solutions=sols, canonical=canonical)
 
 
-def _family(theta: Scalar, a: Matrix, b: Optional[Matrix], p: Optional[Vector],
-            qc: Optional[RowVector], g: Optional[Vector], hc: Optional[RowVector]
-            ) -> tuple[Matrix, Vector, Optional[Vector], Vector]:
-    """(G, lower, upper, canonical point): G = (theta^-1 A (+) B)* and
-    the parameter box theta^-1 p (+) g <= u <= ((theta^-1 q^- (+) h^-) G)^-,
-    upper None when neither q nor h is given."""
-    n, sf = a.n_rows, a.sf
-    inv_t = sf.inv(theta)
-    gen = _scaled_sum(inv_t, a, b)._closure()[0]
-    lower = Vector.zeros(n, sf)
-    if p is not None:
-        lower = lower + p.scale(inv_t)
-    if g is not None:
-        lower = lower + g
-    w = None if qc is None else qc.scale(inv_t)
-    if hc is not None:
-        w = hc if w is None else w + hc
-    upper = None if w is None else _tighten_box(lower, (w @ gen).conj())
-    canonical = SolutionSet(generator=gen, lower=lower, upper=upper).canonical()
-    return gen, lower, upper, canonical
-
-
-def _rescaled(items, f) -> tuple:
-    """The Matrix, Vector and RowVector items with f applied to each
-    finite entry; None items stay None."""
-    out = []
-    for x in items:
-        if x is not None:
-            zero = x.sf.zero
-            if isinstance(x, Matrix):
-                x = Matrix._built(
-                    tuple(tuple(v if v == zero else f(v) for v in r) for r in x.rows), x.sf
-                )
-            else:
-                x = type(x)(tuple(v if v == zero else f(v) for v in x.entries), x.sf)
-        out.append(x)
-    return tuple(out)
-
-
-def _divide(v: Scalar, scale: int) -> Scalar:
-    """v / scale, exact: an int when it is whole."""
-    whole, rest = divmod(v, scale)
-    return whole if not rest else Fraction(v, scale)
+def _corner(m: Matrix) -> Matrix:
+    """The bordered matrix without its border."""
+    return Matrix._built(tuple(r[:-1] for r in m.rows[:-1]), m.sf)
 
 
 def minimize_basic(a: Matrix) -> OptResult:

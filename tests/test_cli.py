@@ -28,6 +28,30 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def _dyadic(doc):
+    """The JSON document with each float replaced by its exact value,
+    as an "m/d" string that exact mode reads."""
+    if isinstance(doc, float):
+        return str(Fraction(doc))
+    if isinstance(doc, list):
+        return [_dyadic(v) for v in doc]
+    if isinstance(doc, dict):
+        return {k: _dyadic(v) for k, v in doc.items()}
+    return doc
+
+
+def _float_and_exact(capsys, tmp_path, command, doc):
+    """(code, out, err) of `command` on doc with --float, the float
+    document (None past an error), and (code, document) in exact mode
+    on the floats' exact values."""
+    floats, exact = tmp_path / "floats.json", tmp_path / "exact.json"
+    floats.write_text(json.dumps(doc))
+    exact.write_text(json.dumps(_dyadic(json.loads(floats.read_text(), parse_int=float))))
+    got = run(capsys, command, str(floats), "--float")
+    code, out, _ = run(capsys, command, str(exact))
+    return got, json.loads(got[1]) if got[0] == 0 else None, (code, json.loads(out))
+
+
 class TestSchedule:
     def test_fixture_solves(self, capsys, fixtures_dir):
         code, doc, err = run_json(
@@ -212,29 +236,63 @@ class TestSolve:
             assert out == ""
             assert err.startswith("error:")
 
-    def test_empty_parameter_box_is_input_error(self, capsys, tmp_path):
-        # float data near 1e8: rounding pushes the upper parameter bound
-        # below the lower one by more than the tolerance
-        bad = tmp_path / "rounding.json"
-        bad.write_text(
-            json.dumps(
-                {
-                    "kind": "ExtendedUnconstrained",
-                    "A": [
-                        [-139999999.18921995, 700000000.0051234, -559999999.2340894],
-                        [-139999999.63895628, -559999999.9835922, -699999999.7491463],
-                        ["-inf", -139999999.5417691, -559999999.6171821],
-                    ],
-                    "p": ["-inf", 420000000.5167682, -419999999.9468733],
-                    "q": [140000000.21858656, -279999999.0256975, 0.4426428602054533],
-                    "r": -419999999.52811086,
-                }
-            )
-        )
-        code, out, err = run(capsys, "solve", str(bad), "--float")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: parameter box empty")
+    def test_float_data_near_1e8_keep_their_parameter_box(self, capsys, tmp_path):
+        # float data near 1e8 are solved on their exact values and the
+        # answer rounded once, so rounding cannot push the upper
+        # parameter bound below the lower one
+        problem = {
+            "kind": "ExtendedUnconstrained",
+            "A": [
+                [-139999999.18921995, 700000000.0051234, -559999999.2340894],
+                [-139999999.63895628, -559999999.9835922, -699999999.7491463],
+                ["-inf", -139999999.5417691, -559999999.6171821],
+            ],
+            "p": ["-inf", 420000000.5167682, -419999999.9468733],
+            "q": [140000000.21858656, -279999999.0256975, 0.4426428602054533],
+            "r": -419999999.52811086,
+        }
+        floats, doc, exact = _float_and_exact(capsys, tmp_path, "solve", problem)
+        assert (floats[0], floats[2], exact[0]) == (0, "", 0)
+        assert doc["minimum"] == float(Fraction(exact[1]["minimum"])) == 349999999.77123284
+
+    def test_float_answer_past_the_float_range_is_named(self, capsys, tmp_path):
+        # the exact generator entry (0, 1) and upperU[1] have 309 digits
+        problem = {
+            "kind": "ExtendedUnconstrained",
+            "A": [[1e308, -1e308], [1e308, 0]],
+            "p": [1e308, 1e308],
+            "q": [-1e308, 1e308],
+            "r": 1e308,
+        }
+        floats, _, exact = _float_and_exact(capsys, tmp_path, "solve", problem)
+        assert floats == (1, "", "error: float overflow: a result is +inf\n")
+        sols = exact[1]["solutions"]
+        for v in (sols["generator"]["data"][0][1], sols["upperU"][1]):
+            assert abs(Fraction(v)) > sys.float_info.max
+
+    @pytest.mark.parametrize("command", ["solve", "eig"])
+    def test_float_answer_is_rounded_once(self, capsys, tmp_path, command):
+        # a 3-cycle of weight 5: theta = 5/3, which rounds to ...67
+        problem = {"kind": "Basic", "A": [[None, 2, None], [None, None, 2], [1, None, None]]}
+        floats, doc, _ = _float_and_exact(capsys, tmp_path, command, problem)
+        assert floats[0] == 0
+        key = "minimum" if command == "solve" else "spectralRadius"
+        assert repr(doc[key]) == "1.6666666666666667" == repr(5 / 3)
+
+    def test_float_solve_prints_only_floats(self, capsys, fixtures_dir):
+        # the generator's diagonal, one, is 0.0 among floats, not 0; a
+        # matrix's shape is not a number of the answer
+        def numbers(v):
+            if isinstance(v, dict):
+                return [x for k, w in v.items() if k not in ("cols", "rows") for x in numbers(w)]
+            if isinstance(v, list):
+                return [x for w in v for x in numbers(w)]
+            return [v] if isinstance(v, (int, float)) else []
+
+        for stem in ("general_problem", "box_problem"):
+            code, doc, _ = run_json(capsys, "solve", str(fixtures_dir / f"{stem}.json"), "--float")
+            found = numbers(doc)
+            assert code == 0 and found and all(type(v) is float for v in found), stem
 
     def test_float_near_range_is_solved(self, capsys, tmp_path):
         f = tmp_path / "near.json"
@@ -246,7 +304,7 @@ class TestSolve:
 
     def test_float_near_range_bordered_pair_is_solved(self, capsys, tmp_path):
         # an entry of Bhat* Ahat would be 1e308 + 1e308; theta is read off
-        # the two factors, which one power-of-two scale keeps in range
+        # the two factors, whose exact ints have no range to leave
         f = tmp_path / "pair.json"
         problem = {
             "kind": "FixpointConstrained",

@@ -14,6 +14,7 @@ raised toward the canonical point.
 
 import dataclasses
 import importlib.util
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -325,3 +326,69 @@ def test_a_g_raised_toward_the_point_keeps_theta(n):
             assert result.minimum == base.minimum, (doc, raised["g"])
             family = result.solutions
         assert family.contains(x), (kind, n)
+
+
+_OBJECTIVE = {"A", "p", "q", "r", "startFinish", "windowLower", "windowUpper"}
+
+
+def _decimal(value, label, rng, field=None):
+    """The raw document with each int v replaced by the Fraction v/d:
+    d is 10 for tenths and 100 for hundredths; for mixed, each objective
+    entry takes its own d, and the constraint data, whose feasibility
+    the draw guarantees, stay in tenths."""
+    if isinstance(value, dict):
+        return {key: _decimal(v, label, rng, key) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_decimal(v, label, rng, field) for v in value]
+    if type(value) is not int:
+        return value
+    d = 10
+    if label == "hundredths":
+        d = 100
+    elif label == "mixed" and field in _OBJECTIVE:
+        d = rng.choice((2, 3, 7, 12, 100))
+    return Fraction(value, d)
+
+
+def _whole(value):
+    """The document with each whole Fraction as an int, which the
+    checker's Bellman-Ford runs add far faster."""
+    if isinstance(value, dict):
+        return {key: _whole(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_whole(v) for v in value]
+    return int(value) if isinstance(value, Fraction) and value.denominator == 1 else value
+
+
+_DECIMALS = {"tenths": 10, "hundredths": 100, "mixed": 2100}
+
+
+@pytest.mark.parametrize("n, labels", [(8, tuple(_DECIMALS)), (16, tuple(_DECIMALS)),
+                                       (32, ("hundredths",)), (48, ("mixed",))],
+                         ids=("8-all", "16-all", "32-hundredths", "48-mixed"))
+def test_decimal_draws_are_certified(n, labels):
+    # decimal data run on the integer path at the lcm of their
+    # denominators; the checker certifies each answer in Fractions, its
+    # minimum on the data times a common denominator d, since the
+    # checker's ratio bound is for whole data; its Fraction runs are
+    # slow, so the larger orders take one kind of decimal each
+    rng = random.Random(f"decimal/{n}")
+    for label in labels:
+        d = _DECIMALS[label]
+        for index, kind in enumerate(gen.KINDS):
+            doc = _decimal(gen.feasible_problem(gen.instance_rng("large-orders", n, index), kind, n),
+                           label, rng)
+            result = solve_problem(parse_problem(doc))
+            x = [Fraction(v) for v in result.canonical.entries]
+            assert check.problem_violation(doc, x) is None, doc
+            assert check.objective(doc, x) == result.minimum, doc
+            graph = check.span_graph(_whole(_times(doc, d)))
+            assert graph.minimum_violation(result.minimum * d) is None, doc
+        raw = _decimal(gen.feasible_schedule(gen.instance_rng("large-orders", n, -1), n).to_json(),
+                       label, rng)
+        result = solve_schedule(parse_schedule(raw))
+        x = [Fraction(v) for v in result.initiation.entries]
+        assert check.schedule_violation(raw, x) is None, raw
+        assert check.flow_time(raw, x) == result.theta, raw
+        graph = check.schedule_graph(_whole(_times(raw, d)))
+        assert graph.minimum_violation(result.theta * d) is None, raw

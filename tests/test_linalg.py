@@ -669,15 +669,10 @@ def test_witness_of_the_bundled_project(a):
 
 def _eigen_step(a: Matrix):
     """The first k <= n at which D_k is finite everywhere and
-    D_k - D_(k-1) is one constant, from plain maxima of walk sums
-    (entries scaled by 2^-s near the float range, as Karp's kernel
-    scales them); None when no step qualifies."""
-    rows, n = a.rows, a.n_rows
-    top = max((abs(w) for r in rows for w in r if isinstance(w, float) and w != NEG),
-              default=0.0)
-    if top > _M / (2 * n * n):
-        s = (2 * n * n).bit_length()
-        rows = [[w if w == NEG else math.ldexp(w, -s) for w in r] for r in rows]
+    D_k - D_(k-1) is one constant, from plain maxima of walk sums on the
+    exact values of the entries, as Karp's kernel sums them; None when
+    no step qualifies."""
+    rows, n = _as_fractions(a).rows, a.n_rows
     d = [0] * n
     for k in range(1, n + 1):
         e = [
@@ -710,9 +705,9 @@ def karp_tails(monkeypatch):
     taken = []
     tail = linalg._cycle_mean
 
-    def recording(rows, steps, v, sf, shift):
+    def recording(rows, steps, v, sf):
         taken.append(isinstance(steps, itertools.repeat))
-        return tail(rows, steps, v, sf, shift)
+        return tail(rows, steps, v, sf)
 
     monkeypatch.setattr(linalg, "_cycle_mean", recording)
     return taken
@@ -790,7 +785,7 @@ def test_spectral_radius_builds_no_matrix_product(monkeypatch):
     assert calls == ["__matmul__", "_product"]
 
 
-# -- float range: near M the entries are scaled by a power of two ---------
+# -- float range: near M the walk runs on the entries' exact ints -------
 
 _M = sys.float_info.max
 
@@ -818,7 +813,7 @@ def test_near_range_walk_sums_get_the_exact_radius():
     ):
         _assert_near_exact(Matrix(rows, MaxPlus()))
     # the witness (2, 1, 0) has weight -5e307: its running sum
-    # -5e307 - 1.79e308 leaves the range unless the entries are scaled
+    # -5e307 - 1.79e308 leaves the float range, not the int one
     rows = ((NEG, 0.0, 1.79e308), (-1.79e308, NEG, -1.5e308),
             (NEG, -5e307, -1e308))
     lam, nodes = _max_cycle(Matrix(rows, MaxPlus()))
@@ -837,9 +832,9 @@ def test_infinite_entry_is_named():
 
 def test_radius_scales_by_powers_of_two():
     # lambda(2^k A) = 2^k lambda(A), bit for bit and with the same
-    # witness, whether or not 2^k A is scaled first
+    # witness, also where 2^k A nears the end of the float range
     rng = random.Random(83)
-    scaled = 0
+    near = 0
     for _ in range(1000):
         n = rng.randint(1, 6)
         e = rng.randint(4, 16)
@@ -851,11 +846,11 @@ def test_radius_scales_by_powers_of_two():
         lam, nodes = _max_cycle(Matrix(rows, MaxPlus()))
         k = rng.randint(0, e - 1)
         top = max((abs(w) for r in rows for w in r if w != NEG), default=0.0)
-        scaled += math.ldexp(top, k) > _M / (2 * n * n)
+        near += math.ldexp(top, k) > _M / (2 * n * n)
         big = tuple(tuple(math.ldexp(w, k) for w in r) for r in rows)
         got = _max_cycle(Matrix(big, MaxPlus()))
         assert repr(got) == repr((math.ldexp(lam, k), nodes)), (rows, k)
-    assert scaled > 300
+    assert near > 300
 
 
 def test_extreme_range_matches_exact_karp():

@@ -40,6 +40,7 @@ from tropt import linalg, optimize
 from tropt.errors import TroptError
 from tropt.optimize import _FIELDS, _tighten_box
 from tropt.oracle import (
+    max_cycle_mean,
     random_matrix,
     random_trace_bounded,
     random_vector,
@@ -473,18 +474,18 @@ class TestParameterBox:
         assert isinstance(err.value, TroptError)
 
     def test_widening_warning_names_the_caller(self):
-        # float data near 1e8 whose upper parameter bound rounds to just
-        # below the lower one; every entry point reports the line here
+        # the dust cycle of `test_float_gate_tolerance` passes its gate
+        # and leaves the parameter box empty by dust; every entry point
+        # reports the line here
         sf = MaxPlus(eps=1e-9)
+        zeros = Vector((0.0, 0.0), sf)
         spec = ScheduleSpec(
-            start_finish=Matrix(
-                ((280000000.9101924, 420000000.9589238), (NEG, 420000000.1159132)), sf
-            ),
-            start_start=Matrix(((NEG, NEG), (NEG, NEG)), sf),
-            earliest_start=Vector((-279999999.58247805, 0.5736672878536785), sf),
-            latest_start=Vector((-139999999.22216937, 140000000.48389688), sf),
-            window_lower=Vector((420000000.3231373, -279999999.0496417), sf),
-            window_upper=Vector((420000000.38515985, 140000000.49170455), sf),
+            start_finish=Matrix(((0.0, NEG), (NEG, 0.0)), sf),
+            start_start=Matrix(((NEG, 1e-16), (NEG, NEG)), sf),
+            earliest_start=Vector((NEG, 0.0), sf),
+            latest_start=zeros,
+            window_lower=zeros,
+            window_upper=zeros,
         )
         prob = build_problem(spec)
         args = [getattr(prob, name) for name in ("A",) + _FIELDS[prob.kind]]
@@ -746,10 +747,18 @@ def _answer(prob: Problem):
 
 
 def _closure_path_answer(prob: Problem, monkeypatch):
-    """`_answer` on the path float data take, in the data's own
-    arithmetic: Bhat's closure gates, and Karp runs on (Bhat*, Ahat)."""
+    """`_answer` with theta's relaxed walk replaced by the closure path:
+    Bhat's closure gates, and Karp runs on (Bhat*, Ahat)."""
+    kernel = linalg._max_cycle
+
+    def closed(b_hat, a_hat, starred=False):
+        if not starred:
+            return kernel(b_hat, a_hat)
+        b_star, cycle = b_hat._closure()
+        return None if cycle > 0 else kernel(b_star, a_hat)
+
     with monkeypatch.context() as m:
-        m.setattr(Matrix, "is_exact", lambda self: False)
+        m.setattr(optimize, "_max_cycle", closed)
         return _answer(prob)
 
 
@@ -799,9 +808,9 @@ def test_theta_relaxed_through_bhat_matches_the_closure_path(monkeypatch):
     early = []
     tail = linalg._cycle_mean
 
-    def recording(tables, steps, v, sf, shift):
+    def recording(tables, steps, v, sf):
         early.append(isinstance(steps, itertools.repeat))
-        return tail(tables, steps, v, sf, shift)
+        return tail(tables, steps, v, sf)
 
     monkeypatch.setattr(linalg, "_cycle_mean", recording)
     seen = Counter()
@@ -861,13 +870,14 @@ def test_float_data_gate_on_the_closure(monkeypatch):
         return Problem(ProblemKind.LINEAR_CONSTRAINED, a, b, g=zeros)
 
     # the cycle 1 -> 2 -> 1 gains less than half a unit in the last place
-    # of the walk value 1e16 (or 1e9) that reaches it: a relaxation would
-    # round the gain away and settle, the closure sums the cycle alone
+    # of the walk value 1e16 (or 1e9) that reaches it: a relaxation in
+    # floats would round the gain away and settle, one on the exact ints
+    # does not
     for offset, weight in ((1e16, 1.0), (1e9, 3e-8)):
         assert _outcome(linear(offset, weight)) == (InfeasibleConstraints, "Tr(B) <= 1")
-    # 0.2 + 0.1 - 0.1 rounds above 0.2, so a relaxation would raise node 1
-    # around the zero cycle 1 -> 2 -> 1 again and again; the closure's
-    # gate passes it
+    # 0.2 + 0.1 - 0.1 rounds above 0.2, so a relaxation in floats would
+    # raise node 1 around the zero cycle 1 -> 2 -> 1 again and again; on
+    # the exact ints the cycle weighs 0 and the walk settles
     zero_cycle = linear(0.2, 0.1, -0.1)
     assert linalg._relax([0.0] * 3, linalg._finite(zero_cycle.B.rows, NEG), NEG) is None
     assert solve_problem(zero_cycle).minimum == 5.0
@@ -887,8 +897,9 @@ def test_float_data_gate_on_the_closure(monkeypatch):
             return type(err), getattr(err, "condition", None)
 
     monkeypatch.setattr(optimize, "_max_cycle", counted)
-    # the dust cycle passes the closure's gate, and the near-range pair
-    # needs Karp's power-of-two scale
+    # the dust cycle stops the relaxed walk and passes the closure's
+    # gate, and Karp then runs on (Bhat*, Ahat); the near-range pair
+    # settles in the relaxed walk
     two = Vector((0.0, 0.0), sf)
     dust = Problem(
         ProblemKind.GENERAL, Matrix(((0.0, NEG), (NEG, 0.0)), sf),
@@ -897,12 +908,11 @@ def test_float_data_gate_on_the_closure(monkeypatch):
         ProblemKind.FIXPOINT_CONSTRAINED, Matrix(((0.0, NEG), (NEG, 1e308)), sf),
         Matrix(((NEG, 1e308), (NEG, NEG)), sf), two, two, r=0.0)
     assert theta(dust) == 2e-16 and theta(near) == 1e308
-    assert starred == [False, False]
-    # no float draw, whole at offsets of 1e9 or in tenths, takes the
+    assert starred == [True, False, True]
+    # every float draw, whole at offsets of 1e9 or in tenths, starts the
     # relaxed walk, and every one gets the exact draw's verdict; whole
-    # data at 1e9 sum exactly in floats, so theta is the exact one, up
-    # to its last division (theta^-1 A rounds at that scale, and may
-    # empty the parameter box past the gates)
+    # data at 1e9 are exact in floats, so theta is the exact one, up to
+    # its one rounding
     rng = random.Random(131)
     kinds = list(ProblemKind)
     seen = Counter()
@@ -916,7 +926,7 @@ def test_float_data_gate_on_the_closure(monkeypatch):
         del starred[:]
         offset = theta(_in_floats(_shifted(base, d)))
         tenths = theta(_mapped(_in_floats(base), lambda *a: a[-1] / 10))
-        assert True not in starred, (i, base)
+        assert starred.count(True) == 2, (i, base)
         if type(want) is tuple:
             assert offset == tenths == want, (i, base)
             seen["gated"] += 1
@@ -982,3 +992,107 @@ def test_fractional_theta_family_matches_the_unscaled_path(kind):
         if found == 8:
             break
     assert found == 8
+
+
+# -- decimal and float data on the one integer path ------------------------
+
+
+def _draw(rng, source, n):
+    """A sample draw of one of the six kinds, or a schedule's General
+    rewrite."""
+    if source == "schedule":
+        return build_problem(sample_schedule(rng, n))
+    return sample_problem(rng, ProblemKind(source), n)
+
+
+def _unscaled_answer(prob: Problem):
+    """The answer in the data's own arithmetic, with no common scale:
+    Bhat's closure gates, theta is the best cycle mean of Bhat* Ahat by
+    cycle enumeration, and the family is `_unscaled_family`'s; the gate
+    condition alone for an infeasible draw."""
+    n, sf = prob.dim, prob.A.sf
+    qc = None if prob.q is None else prob.q.conj()
+    hc = None if prob.h is None else prob.h.conj()
+    b_star, cycle = optimize._border(prob.B, n, sf, prob.g, hc, None)._closure()
+    if cycle > 0:
+        return InfeasibleConstraints
+    theta = max_cycle_mean(b_star @ optimize._border(prob.A, n, sf, prob.p, qc, prob.r))
+    gen, lower, upper, canonical = _unscaled_family(prob, theta)
+    return theta, gen.rows, lower.entries, upper and upper.entries, canonical.entries
+
+
+def test_decimal_data_match_the_unscaled_path():
+    # tenths, hundredths, and each objective entry over its own
+    # denominator with the constraints in tenths: every value is the one
+    # the data's own Fractions give
+    sources = [k.value for k in ProblemKind] + ["schedule"]
+    rng = random.Random(137)
+    seen = Counter()
+    for i in range(420):
+        base = _draw(rng, sources[i % 7], rng.randint(2, 6))
+        label = ("tenths", "hundredths", "mixed")[i % 3]
+        if label == "mixed":
+            # B, g and h keep their feasibility in tenths
+            prob = _mapped(base, lambda f, i, j, w: Fraction(
+                w, rng.choice((2, 3, 7, 12, 100)) if f in "Apqr" else 10))
+        else:
+            prob = _mapped(base, lambda *a: Fraction(a[-1], 10 if label == "tenths" else 100))
+        try:
+            res = solve_problem(prob)
+        except InfeasibleConstraints:
+            assert _unscaled_answer(prob) is InfeasibleConstraints, (i, prob)
+            seen["infeasible"] += 1
+            continue
+        except TroptError:
+            continue
+        sols = res.solutions
+        got = (res.minimum, sols.generator.rows, sols.lower.entries,
+               sols.upper and sols.upper.entries, res.canonical.entries)
+        assert got == _unscaled_answer(prob), (i, label, prob)
+        seen[label] += 1
+        seen["fractional"] += Fraction(res.minimum).denominator > 1
+    assert min(seen.values()) > 30, seen
+
+
+def _exact_values(prob: Problem) -> Problem:
+    """The float problem with each finite entry as the Fraction it is."""
+    return _mapped(prob, lambda *a: Fraction(a[-1]))
+
+
+def _rounded(res) -> tuple:
+    """minimum, generator, box and canonical point of an exact answer,
+    each finite value rounded to the nearest float once."""
+    def f(values):
+        return tuple(v if v == NEG else float(v) for v in values)
+
+    sols = res.solutions
+    return (float(res.minimum), tuple(map(f, sols.generator.rows)), f(sols.lower.entries),
+            sols.upper and f(sols.upper.entries), f(res.canonical.entries))
+
+
+@pytest.mark.filterwarnings("ignore:parameter box widened:RuntimeWarning")
+def test_float_data_give_the_rounded_exact_answer():
+    # each finite entry times S plus a random fraction, in floats: the
+    # float answer is the exact answer on those floats' values, rounded
+    # once, and the float verdict is the exact one
+    sources = [k.value for k in ProblemKind] + ["schedule"]
+    rng = random.Random(139)
+    seen = Counter()
+    for i in range(1050):
+        scale = (1e-1, 1e3, 1.4e8)[i % 3]
+        base = _draw(rng, sources[i // 3 % 7], rng.randint(2, 6))
+        floats = _mapped(_in_floats(base), lambda *a: a[-1] * scale + rng.random())
+        exact = _exact_values(floats)
+        radius = floats.A.spectral_radius()
+        want = exact.A.spectral_radius()
+        assert repr(radius) == repr(NEG if want == NEG else float(want)), (i, floats)
+        try:
+            res = solve_problem(exact)
+        except TroptError as err:
+            assert _outcome(floats) == (type(err), getattr(err, "condition", None)), (i, floats)
+            seen["error"] += 1
+            continue
+        got = solve_problem(floats)
+        assert repr(_rounded(got)) == repr(_rounded(res)), (i, floats)
+        seen[scale] += 1
+    assert min(seen.values()) > 100 and seen[1e-1] + seen[1e3] + seen[1.4e8] > 500, seen
