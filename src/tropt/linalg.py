@@ -3,10 +3,11 @@
 Objects are immutable; entries are raw scalars (int, Fraction, float)
 with the semifield's zero carried as a float -inf.  `+` is entrywise
 idempotent addition and `@` the max-plus product, one inlined kernel
-over the finite entries.  `_closure` is one O(n^3) Floyd-Warshall pass
-giving A* and the heaviest cycle weight, which the inequality solvers'
-gates read, so no solver builds a power sum; `star` adds the fallback
-past a positive cycle, and `trace_sum` reads Tr(A) off it in O(n^2).
+over the finite entries.  `_floyd_warshall` is the one O(n^3) pass, in
+place, pivoting at the first k nodes: at all of them in `_closure`, for
+A* and the heaviest cycle weight that the inequality solvers' gates
+read, so no solver builds a power sum; `star` adds the fallback past a
+positive cycle, and `trace_sum` reads Tr(A) off it in O(n^2).
 `spectral_radius` is Karp's O(n^3) maximum cycle mean.  Its kernel,
 `_max_cycle`, also takes a product of factors without forming it: each
 walk step is one pass over each factor's finite entries.  A first
@@ -297,17 +298,8 @@ class Matrix:
         pass's rows with the diagonal set to one, the solvers' star."""
         n = self._require_square()
         sf = self.sf
-        zero = sf.zero
         d = [list(r) for r in self.rows]
-        for k in range(n):
-            pivot = [(j, v) for j, v in enumerate(d[k]) if v != zero]
-            for di in d:
-                a = di[k]
-                if a != zero:
-                    for j, v in pivot:
-                        s = a + v
-                        if s > di[j]:
-                            di[j] = s
+        _floyd_warshall(d, n, sf.zero)
         c = max(d[i][i] for i in range(n))
         for i in range(n):
             d[i][i] = sf.one
@@ -338,6 +330,23 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({[list(r) for r in self.rows]!r})"
+
+
+def _floyd_warshall(d: list[list], pivots: int, zero: Scalar) -> None:
+    """One Floyd-Warshall pass over the square table d, in place, with
+    the first `pivots` nodes as pivots: afterwards d[i][j] is the
+    heaviest weight of a walk i -> j of at least one arc whose inner
+    nodes are pivots, as long as no cycle through the pivots is
+    positive.  Only a strictly larger sum replaces an entry."""
+    for k in range(pivots):
+        pivot = [(j, v) for j, v in enumerate(d[k]) if v != zero]
+        for di in d:
+            a = di[k]
+            if a != zero:
+                for j, v in pivot:
+                    s = a + v
+                    if s > di[j]:
+                        di[j] = s
 
 
 def _scaled_sum(c: Scalar, a: Matrix, b: Matrix | None) -> Matrix:
@@ -380,9 +389,10 @@ def _max_cycle(*factors: Matrix,
     F_1 (x) ... (x) F_m of the square factors, all of one order, and a
     cycle of the product that attains it, nodes in arc order; (zero, ())
     when the product has no cycle.  The product is never formed:
-    `Matrix.spectral_radius` passes one factor, and the optimizers pass
-    Bhat and Ahat with `starred`, which reads the first factor as its
-    Kleene star, for theta = lambda(Bhat* Ahat).
+    `Matrix.spectral_radius` passes one factor.  `starred` reads the
+    first factor as its Kleene star; the optimizers run the kernel,
+    `_karp`, that way on the int tables of Bhat and Ahat, for
+    theta = lambda(Bhat* Ahat).
 
     Karp's formula (Karp 1978) in O(m n^3): with D_k(v) the heaviest
     weight of a k-arc walk of the product ending at v (D_0 = one,
@@ -443,7 +453,8 @@ def _max_cycle(*factors: Matrix,
 
 def _karp(tables, n: int, sf: Semifield,
           starred: bool) -> tuple[Scalar, tuple[int, ...]] | None:
-    """`_max_cycle` on row-major factor tables of ints, lambda exact."""
+    """`_max_cycle` on row-major factor tables of ints, lambda exact:
+    an int when whole, else a Fraction."""
     zero = sf.zero
     nzs = [_finite(t, zero) for t in tables]
     walks, back = [[sf.one] * n], [None]

@@ -23,12 +23,12 @@ of two for floats), so float and decimal data take the exact path too.
 Karp's walk gives both without Bhat* or the product: each step relaxes
 its vector through Bhat (Bellman-Ford, the product with Bhat*) and then
 passes over Ahat, and the first step settles exactly when Bhat has no
-positive cycle, so a feasible solve makes one Floyd-Warshall pass, the
-generator's.  When theta is a fraction w/l of the ints, the generator
-star, the parameter box and the canonical point are computed for the
-ints scaled by l, where theta is the int w.  theta and the family are
-then divided by l D once, so a float answer is the correctly rounded
-value of the exact answer on the data's own values.
+positive cycle.  A feasible solve then makes one Floyd-Warshall pass,
+over theta^-1 Ahat (+) Bhat, which gives G, the parameter box and the
+canonical point.  When theta is a fraction w/l of the ints, that pass
+runs on the ints scaled by l, where theta is the int w.  theta and the
+family are then divided by l D once, so a float answer is the
+correctly rounded value of the exact answer on the data's own values.
 `solve_problem` holds that path; the `minimize_*`
 functions only build a Problem and hand it over.
 """
@@ -38,8 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import repeat
-from operator import mul
 from typing import Optional
 
 from .errors import (
@@ -50,7 +48,7 @@ from .errors import (
     ZeroSpectralRadius,
 )
 from .linalg import (
-    Matrix, RowVector, Vector, _integral, _max_cycle, _rescaled, _scaled_sum, _unscale,
+    Matrix, RowVector, Vector, _floyd_warshall, _integral, _karp, _unscale,
 )
 from .linsolve import SolutionSet, _tighten_box
 from .semifield import Scalar
@@ -169,7 +167,14 @@ def solve_problem(problem: Problem) -> OptResult:
     weight to A-arc count over the cycles of Ahat (+) Bhat.  The
     minimizers are x = G u, G = (theta^-1 A (+) B)*,
     theta^-1 p (+) g <= u and, when q or h is given,
-    u <= ((theta^-1 q^- (+) h^-) G)^-.
+    u <= ((theta^-1 q^- (+) h^-) G)^-.  One Floyd-Warshall pass over
+    the bordered theta^-1 Ahat (+) Bhat, pivoting at the n activity
+    nodes and never at the border node, gives all of it: the corner,
+    its diagonal set to one, is G, the last row is
+    (theta^-1 q^- (+) h^-) G and the last column G (theta^-1 p (+) g),
+    the canonical point when that lower bound is regular (else
+    `SolutionSet.canonical` lifts its zeros first).  Past a dust cycle
+    of float data the border values can exceed those products by dust.
     """
     problem.validate()
     a, b, p, q = problem.A, problem.B, problem.p, problem.q
@@ -186,7 +191,7 @@ def solve_problem(problem: Problem) -> OptResult:
     )
     # Karp's walk relaxes through Bhat, and its first step settles
     # exactly when Bhat has no positive cycle: None is the failed gate
-    found = _max_cycle(b_hat, a_hat, starred=True)
+    found = _karp((b_hat.rows, a_hat.rows), n + 1, sf, True)
     if found is None:
         # a positive cycle; float data pass a dust one, Tr(Bhat) <= eps
         # at scale D, which only Bhat's closure weighs
@@ -200,7 +205,7 @@ def solve_problem(problem: Problem) -> OptResult:
             if g is None or h is None or _corner(b_hat)._closure()[1] > dust:
                 raise InfeasibleConstraints("Tr(B) <= 1")
             raise InfeasibleConstraints("h^- B* g <= 1")
-        found = _max_cycle(b_star, a_hat)
+        found = _karp((b_star.rows, a_hat.rows), n + 1, sf, False)
     if problem.kind in _NEEDS_CYCLE and sf.is_zero(_corner(a_hat).spectral_radius()):
         raise ZeroSpectralRadius("matrix has no cycle")
     # lambda(A) is a Karp pass of its own: compute it only when r and
@@ -211,20 +216,35 @@ def solve_problem(problem: Problem) -> OptResult:
     if sf.is_zero(found[0]):
         raise ZeroSpectralRadius("matrix has no cycle")
     # theta = w / l: the family at data scale l, where theta is the int
-    # w, read off theta^-1 Ahat (+) Bhat = [[theta^-1 A (+) B,
+    # w, read off m = theta^-1 Ahat (+) Bhat = [[theta^-1 A (+) B,
     # theta^-1 p (+) g], [theta^-1 q^- (+) h^-, theta^-1 r]]; theta and
     # the family are then divided by l D once
     w, ell = found[0].as_integer_ratio()
-    if ell > 1:
-        a_hat, b_hat = _rescaled((a_hat, b_hat), lambda row: tuple(map(mul, row, repeat(ell))))
-    m = _scaled_sum(sf.inv(w), a_hat, b_hat)
-    gen = _corner(m)._closure()[0]
-    lower = Vector(tuple(v[-1] for v in m.rows[:-1]), sf)
-    row = RowVector(m.rows[-1][:-1], sf)  # zero when neither q nor h is given
+    m = []
+    for ra, rb in zip(a_hat.rows, b_hat.rows):
+        out = []
+        for x, y in zip(ra, rb):
+            if x != zero:
+                x = x * ell - w
+            if y != zero:
+                y = y * ell
+            out.append(x if y <= x else y)
+        m.append(out)
+    lower = Vector([mi[n] for mi in m[:n]], sf)
+    # pivots at the activities only: the border row and column gain
+    # paths through them, never through the border node
+    _floyd_warshall(m, n, zero)
+    for i in range(n):
+        m[i][i] = sf.one
+    gen = Matrix._built(tuple(tuple(mi[:n]) for mi in m[:n]), sf)
+    row = RowVector(m[n][:n], sf)  # zero when neither q nor h is given
     # a passing dust cycle can leave float dust in the box: eps at scale l D
     unit = ell * scale if floating else None
-    upper = None if row.is_zero() else _tighten_box(lower, (row @ gen).conj(), unit)
-    canonical = SolutionSet(generator=gen, lower=lower, upper=upper).canonical()
+    upper = None if row.is_zero() else _tighten_box(lower, row.conj(), unit)
+    if zero in lower.entries:
+        canonical = SolutionSet(generator=gen, lower=lower, upper=upper).canonical()
+    else:
+        canonical = Vector([mi[n] for mi in m[:n]], sf)
     theta, gen, lower, upper, canonical = _unscale(
         (w, gen, lower, upper, canonical), ell * scale, floating, zero
     )

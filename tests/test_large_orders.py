@@ -13,15 +13,13 @@ raised toward the canonical point.
 """
 
 import dataclasses
-import importlib.util
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
+from _perfbench import check, gen
 from tropt import (
     DegenerateProblem,
     InfeasibleConstraints,
@@ -40,19 +38,6 @@ from tropt.serialize import (
     parse_schedule,
     parse_vector,
 )
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
-
-
-check, gen = _load("check"), _load("gen")
 
 
 def _certify_problem(doc: dict):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import _frozen as frozen
+from _perfbench import gen as perfgen
 from tropt import (
     DegenerateProblem,
     EmptyParameterBox,
@@ -17,6 +18,7 @@ from tropt import (
     OptResult,
     Problem,
     ProblemKind,
+    RowVector,
     ScheduleSpec,
     ShapeMismatch,
     SolutionSet,
@@ -48,6 +50,7 @@ from tropt.oracle import (
     sample_schedule,
 )
 from tropt.semifield import MaxPlus
+from tropt.serialize import parse_problem
 
 NEG = float("-inf")
 
@@ -445,18 +448,18 @@ def test_scale_gate_skips_spectral_radius_when_r_is_finite(monkeypatch, general_
     # a finite r already decides the scale gate, so the only Karp pass a
     # General solve makes is theta's, relaxed through Bhat, on the
     # bordered pair of order n+1; lambda(A) would be a pass of order n
-    # through Matrix.spectral_radius
+    # through Matrix.spectral_radius, which runs the same kernel
     calls = []
-    kernel = linalg._max_cycle
+    kernel = linalg._karp
 
-    def counted(*factors, **kwargs):
-        calls.append((factors[0].n_rows, kwargs))
-        return kernel(*factors, **kwargs)
+    def counted(tables, n, sf, starred):
+        calls.append((n, starred))
+        return kernel(tables, n, sf, starred)
 
-    monkeypatch.setattr(linalg, "_max_cycle", counted)
-    monkeypatch.setattr(optimize, "_max_cycle", counted)
+    monkeypatch.setattr(linalg, "_karp", counted)
+    monkeypatch.setattr(optimize, "_karp", counted)
     solve_problem(general_problem)
-    assert calls == [(general_problem.dim + 1, {"starred": True})]
+    assert calls == [(general_problem.dim + 1, True)]
 
 
 class TestParameterBox:
@@ -638,17 +641,20 @@ def test_float_gate_tolerance(weight, passes):
 
 def test_feasible_general_solve_stars_once(monkeypatch, general_problem):
     # Karp's walk relaxes through Bhat, which settles: no closure of
-    # Bhat; the one closure pass is G's
+    # Bhat; the one Floyd-Warshall pass is the family's, over the
+    # bordered theta^-1 Ahat (+) Bhat with pivots at the n activities
     calls = []
-    closure = Matrix._closure
+    kernel = linalg._floyd_warshall
 
-    def counted(self):
-        calls.append(self.n_rows)
-        return closure(self)
+    def counted(d, pivots, zero):
+        calls.append((len(d), pivots))
+        return kernel(d, pivots, zero)
 
-    monkeypatch.setattr(Matrix, "_closure", counted)
+    monkeypatch.setattr(linalg, "_floyd_warshall", counted)
+    monkeypatch.setattr(optimize, "_floyd_warshall", counted)
     assert solve_problem(general_problem).minimum == frozen.THETA
-    assert calls == [general_problem.dim]
+    n = general_problem.dim
+    assert calls == [(n + 1, n)]
 
 
 class _PowerSum(Exception):
@@ -748,18 +754,23 @@ def _answer(prob: Problem):
 
 def _closure_path_answer(prob: Problem, monkeypatch):
     """`_answer` with theta's relaxed walk replaced by the closure path:
-    Bhat's closure gates, and Karp runs on (Bhat*, Ahat)."""
-    kernel = linalg._max_cycle
+    Bhat's closure gates, and Karp runs on (Bhat*, Ahat).  The walk the
+    solver starts must reach the patch, or the answer would be the
+    relaxed path's own."""
+    kernel, hits = linalg._karp, []
 
-    def closed(b_hat, a_hat, starred=False):
+    def closed(tables, n, sf, starred):
         if not starred:
-            return kernel(b_hat, a_hat)
-        b_star, cycle = b_hat._closure()
-        return None if cycle > 0 else kernel(b_star, a_hat)
+            return kernel(tables, n, sf, False)
+        hits.append(n)
+        b_star, cycle = Matrix._built(tables[0], sf)._closure()
+        return None if cycle > 0 else kernel((b_star.rows, tables[1]), n, sf, False)
 
     with monkeypatch.context() as m:
-        m.setattr(optimize, "_max_cycle", closed)
-        return _answer(prob)
+        m.setattr(optimize, "_karp", closed)
+        answer = _answer(prob)
+    assert hits == [prob.dim + 1], (hits, prob)
+    return answer
 
 
 def _mapped(prob: Problem, f) -> Problem:
@@ -882,11 +893,11 @@ def test_float_data_gate_on_the_closure(monkeypatch):
     assert linalg._relax([0.0] * 3, linalg._finite(zero_cycle.B.rows, NEG), NEG) is None
     assert solve_problem(zero_cycle).minimum == 5.0
     # the starred flag of each Karp walk the solver starts
-    kernel, starred = linalg._max_cycle, []
+    kernel, starred = linalg._karp, []
 
-    def counted(*factors, **kwargs):
-        starred.append(kwargs.get("starred", False))
-        return kernel(*factors, **kwargs)
+    def counted(tables, n, sf, flag):
+        starred.append(flag)
+        return kernel(tables, n, sf, flag)
 
     def theta(prob):
         try:
@@ -896,7 +907,7 @@ def test_float_data_gate_on_the_closure(monkeypatch):
         except (InfeasibleConstraints, ZeroSpectralRadius, DegenerateProblem) as err:
             return type(err), getattr(err, "condition", None)
 
-    monkeypatch.setattr(optimize, "_max_cycle", counted)
+    monkeypatch.setattr(optimize, "_karp", counted)
     # the dust cycle stops the relaxed walk and passes the closure's
     # gate, and Karp then runs on (Bhat*, Ahat); the near-range pair
     # settles in the relaxed walk
@@ -1096,3 +1107,91 @@ def test_float_data_give_the_rounded_exact_answer():
         assert repr(_rounded(got)) == repr(_rounded(res)), (i, floats)
         seen[scale] += 1
     assert min(seen.values()) > 100 and seen[1e-1] + seen[1e3] + seen[1.4e8] > 500, seen
+
+
+# -- the family read off one Floyd-Warshall pass ----------------------------
+
+
+def _three_pass(prob: Problem):
+    """theta, G, the parameter box and the canonical point by the
+    paper's formulas, one pass each, on the ints `solve_problem` scales
+    the data to: theta = lambda(Bhat* Ahat), G = (theta^-1 A (+) B)*,
+    theta^-1 p (+) g <= u <= ((theta^-1 q^- (+) h^-) G)^- tightened,
+    and `SolutionSet.canonical`, all divided once by l D.  Returns
+    their repr and the branches taken (a zero in the lower bound,
+    l > 1, float data), or None when Bhat has a positive cycle."""
+    n, sf = prob.dim, prob.A.sf
+    zero = sf.zero
+    qc = None if prob.q is None else prob.q.conj()
+    hc = None if prob.h is None else prob.h.conj()
+    pair = (optimize._border(prob.B, n, sf, prob.g, hc, None),
+            optimize._border(prob.A, n, sf, prob.p, qc, prob.r))
+    (b_hat, a_hat), scale, floating = linalg._integral(pair, zero)
+    if b_hat._closure()[1] > 0:
+        return None
+    w, ell = (b_hat.star() @ a_hat).spectral_radius().as_integer_ratio()
+
+    def split(m):
+        """Corner, last column and last row of a bordered matrix, times l."""
+        rows = [[v if v == zero else v * ell for v in r] for r in m.rows]
+        return (Matrix([r[:n] for r in rows[:n]], sf), Vector([r[n] for r in rows[:n]], sf),
+                RowVector(rows[n][:n], sf))
+
+    a, p, q_c = split(a_hat)
+    b, g, h_c = split(b_hat)
+    gen = (a.scale(-w) + b).star()
+    lower = p.scale(-w) + g
+    row = q_c.scale(-w) + h_c
+    unit = ell * scale if floating else None
+    upper = None if row.is_zero() else _tighten_box(lower, (row @ gen).conj(), unit)
+    canonical = SolutionSet(generator=gen, lower=lower, upper=upper).canonical()
+    answer = linalg._unscale((w, gen, lower, upper, canonical), ell * scale, floating, zero)
+    return repr(answer), zero in lower.entries, ell > 1, floating
+
+
+@pytest.mark.filterwarnings("ignore:parameter box widened:RuntimeWarning")
+def test_one_pass_family_matches_the_three_pass_formulas():
+    # 1,050 sample draws and perfbench draws at orders 12 and 48, each
+    # kind with int, decimal and float data: the solver's theta, G, box
+    # and canonical point are those of the three passes, types included
+    rng = random.Random(149)
+    kinds = list(ProblemKind)
+    draws = [(kinds[i % 6], (i // 6) % 3, sample_problem(rng, kinds[i % 6], rng.randint(2, 6)))
+             for i in range(1050)]
+    for n in (12, 48):
+        for index, kind in enumerate(perfgen.KINDS):
+            doc = perfgen.feasible_problem(perfgen.instance_rng("family-pass", n, index), kind, n)
+            draws += [(ProblemKind(kind), data, parse_problem(doc)) for data in range(3)]
+    seen = Counter()
+    for i, (kind, data, base) in enumerate(draws):
+        if data == 1:
+            prob = _mapped(base, lambda *a: Fraction(a[-1], 10))
+        elif data == 2:
+            prob = _in_floats(base)
+            if i % 2:
+                prob = _mapped(prob, lambda *a: a[-1] / 10)
+        else:
+            prob = base
+        try:
+            res = solve_problem(prob)
+        except TroptError:
+            seen["gated"] += 1
+            continue
+        want = _three_pass(prob)
+        if want is None:
+            # a dust cycle of float data passed the gate: G is no star there
+            assert data == 2, (i, prob)
+            seen["dust"] += 1
+            continue
+        sols = res.solutions
+        got = repr((res.minimum, sols.generator, sols.lower, sols.upper, res.canonical))
+        assert got == want[0], (i, prob)
+        zero_lower, fractional, floating = want[1:]
+        seen["zero in lower" if zero_lower else "regular lower"] += 1
+        seen["l > 1"] += fractional
+        seen["float"] += floating
+        seen[kind, data] += 1
+    assert all(seen[kind, data] >= 20 for kind in kinds for data in range(3)), seen
+    assert min(seen["zero in lower"], seen["regular lower"], seen["l > 1"],
+               seen["float"]) > 100, seen
+

@@ -15,8 +15,9 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
         ["walkthrough.py"],
         ["audit_random.py", "--count", "5"],
         ["record_golden.py", "--check"],
+        ["pool_digest.py", "--seeds", "0"],
     ],
-    ids=["walkthrough", "audit_random", "record_golden"],
+    ids=["walkthrough", "audit_random", "record_golden", "pool_digest"],
 )
 def test_script_exits_cleanly(argv):
     done = subprocess.run(
