@@ -4,7 +4,7 @@ Objects are immutable; entries are raw scalars (int, Fraction, float)
 with the semifield's zero carried as a float -inf.  `+` is entrywise
 idempotent addition and `@` the max-plus product, one inlined kernel
 over the finite entries.  `_floyd_warshall` is the one O(n^3) pass, in
-place, pivoting at the first k nodes: at all of them in `_closure`, for
+place, pivoting at a range of nodes: at all of them in `_closure`, for
 A* and the heaviest cycle weight that the inequality solvers' gates
 read, so no solver builds a power sum; `star` adds the fallback past a
 positive cycle, and `trace_sum` reads Tr(A) off it in O(n^2).
@@ -15,13 +15,18 @@ factor can stand for its star: the step then relaxes the walk vector
 through that factor's finite entries (Bellman-Ford, `_relax`) until
 nothing rises, so the optimizers read theta = lambda(Bhat* Ahat) with
 neither Bhat* nor Bhat* Ahat, and the first step is the positive-cycle
-gate of Bhat.  The walk runs on ints: `_integral` scales every entry
-m/d by D, the lcm of the denominators (a power of two for floats), and
-`_unscale` divides an answer by D once, so a float answer is rounded
-once.  Karp's walk stops at the first step k with D_k finite and
-D_k = c (x) D_(k-1): then x_u + a_uv <= c + x_v on every arc for
-x = D_(k-1), so no cycle has mean above c, and the back-pointers of
-step k are tight arcs closing a cycle of mean c.
+gate of Bhat.  The walk runs on ints and on `_finite` lists that its
+caller builds: `_scan` walks each matrix once, listing its finite
+entries and type-testing only those; int data keep their tables, and
+any other entry m/d is scaled by D, the lcm of the denominators (a
+power of two for floats), the lists then built from the scaled
+tables.  `_unscale` divides an answer by D once, so a float
+answer is rounded once.  Karp's walk stops at the first step k with
+D_k finite and D_k = c (x) D_(k-1): then x_u + a_uv <= c + x_v on
+every arc for x = D_(k-1), so no cycle has mean above c, and the
+back-pointers of step k are tight arcs closing a cycle of mean c.
+`_acyclic` tells from the lists in O(n^2) whether a matrix has a cycle
+at all, the spectral radius's zero test, with no walk.
 Entrywise helpers (`scale`, `conj`, `meet`, the zero and regularity
 tests) inline the MaxPlus rules, as `+` and `@` do: no Semifield call
 per entry.
@@ -60,6 +65,28 @@ def _as_tuple_rows(rows: Iterable[Iterable[Scalar]]) -> tuple[tuple[Scalar, ...]
 def _finite(rows: Sequence[Sequence[Scalar]], zero: Scalar) -> list[list]:
     """Each row's (column, entry) pairs where the entry is not `zero`."""
     return [[(j, b) for j, b in enumerate(row) if b != zero] for row in rows]
+
+
+def _acyclic(nz: list[list], n: int) -> bool:
+    """True when the arcs i -> j with i, j < n of the `_finite` lists
+    nz close no cycle, a self-loop being one: Kahn's algorithm, O(n^2).
+    A matrix has spectral radius zero exactly when its arcs are
+    acyclic."""
+    succ, indeg = [], [0] * n
+    for row in nz[:n]:
+        heads = [j for j, _ in row if j < n]
+        for j in heads:
+            indeg[j] += 1
+        succ.append(heads)
+    ready = [v for v in range(n) if not indeg[v]]
+    left = n
+    while ready:
+        left -= 1
+        for v in succ[ready.pop()]:
+            indeg[v] -= 1
+            if not indeg[v]:
+                ready.append(v)
+    return not left
 
 
 def _row_sum(zero: Scalar, width: int, *terms) -> list[Scalar]:
@@ -332,13 +359,15 @@ class Matrix:
         return f"Matrix({[list(r) for r in self.rows]!r})"
 
 
-def _floyd_warshall(d: list[list], pivots: int, zero: Scalar) -> None:
+def _floyd_warshall(d: list[list], stop: int, zero: Scalar, start: int = 0) -> None:
     """One Floyd-Warshall pass over the square table d, in place, with
-    the first `pivots` nodes as pivots: afterwards d[i][j] is the
-    heaviest weight of a walk i -> j of at least one arc whose inner
-    nodes are pivots, as long as no cycle through the pivots is
-    positive.  Only a strictly larger sum replaces an entry."""
-    for k in range(pivots):
+    the nodes start..stop-1 as pivots: on a table already pivoted at
+    the nodes below start, afterwards d[i][j] is the heaviest weight of
+    a walk i -> j of at least one arc whose inner nodes are below stop,
+    as long as no cycle through them is positive.  Only a strictly
+    larger sum replaces an entry, and a pass split at a node gives
+    exactly the whole pass."""
+    for k in range(start, stop):
         pivot = [(j, v) for j, v in enumerate(d[k]) if v != zero]
         for di in d:
             a = di[k]
@@ -391,8 +420,8 @@ def _max_cycle(*factors: Matrix,
     when the product has no cycle.  The product is never formed:
     `Matrix.spectral_radius` passes one factor.  `starred` reads the
     first factor as its Kleene star; the optimizers run the kernel,
-    `_karp`, that way on the int tables of Bhat and Ahat, for
-    theta = lambda(Bhat* Ahat).
+    `_karp`, that way on the int tables of Bhat and Ahat and the lists
+    their one `_scan` built, for theta = lambda(Bhat* Ahat).
 
     Karp's formula (Karp 1978) in O(m n^3): with D_k(v) the heaviest
     weight of a k-arc walk of the product ending at v (D_0 = one,
@@ -443,20 +472,20 @@ def _max_cycle(*factors: Matrix,
     """
     first = factors[0]
     n, zero = first._require_square(), first.sf.zero
-    factors, scale, floating = _integral(factors, zero)
-    found = _karp([f.rows for f in factors], n, first.sf, starred)
+    factors, nzs, scale, floating = _scan(factors, zero)
+    found = _karp([f.rows for f in factors], nzs, n, first.sf, starred)
     if found is None or not found[1]:
         return found
     w, length = found[0].as_integer_ratio()
     return _unscale((w,), length * scale, floating, zero)[0], found[1]
 
 
-def _karp(tables, n: int, sf: Semifield,
+def _karp(tables, nzs, n: int, sf: Semifield,
           starred: bool) -> tuple[Scalar, tuple[int, ...]] | None:
-    """`_max_cycle` on row-major factor tables of ints, lambda exact:
-    an int when whole, else a Fraction."""
+    """`_max_cycle` on row-major factor tables of ints and their
+    `_finite` lists, built by the caller, lambda exact: an int when
+    whole, else a Fraction."""
     zero = sf.zero
-    nzs = [_finite(t, zero) for t in tables]
     walks, back = [[sf.one] * n], [None]
     for _ in range(n):
         prev = acc = walks[-1]
@@ -584,29 +613,36 @@ def _cycle_mean(tables, steps, v: int, sf: Semifield) -> tuple[Scalar, tuple[int
     return (Fraction(w, length) if w % length else w // length), nodes
 
 
-def _integral(matrices, zero: Scalar) -> tuple[tuple, int, bool]:
-    """(matrices, D, floating): the matrices with each finite entry m/d,
-    read exactly off `as_integer_ratio`, replaced by the int m (D/d).
-    D is the lcm of every d: 1 for ints, a power of two of at most
-    2^1074 for floats.  floating is True when a finite entry is a float.
-    Int matrices come back as they are, at one type test per entry.  A
-    +inf entry, a product that overflowed before it got here, raises
+def _scan(matrices, zero: Scalar) -> tuple[tuple, list, int, bool]:
+    """(matrices, lists, D, floating): the matrices with each finite
+    entry m/d, read exactly off `as_integer_ratio`, replaced by the int
+    m (D/d), and their `_finite` lists, from one walk of each matrix
+    that lists its finite entries and type-tests only those.  D is the
+    lcm of every d: 1 for ints, a power of two of at most 2^1074 for
+    floats.  floating is True when a finite entry is a float.  Int
+    matrices come back as they are, with the walk's lists; any others
+    are scaled, and their lists built from the scaled tables.  A +inf
+    entry, a product that overflowed before it got here, raises
     ValueError."""
-    dens, floating = set(), False
+    nzs, dens, floating = [], set(), False
     try:
         for m in matrices:
+            nz = []
             for row in m.rows:
-                for v in row:
-                    if type(v) is not int and v != zero:
-                        if type(v) is float:
-                            floating = True
-                            if v.is_integer():
-                                continue
-                        dens.add(v.as_integer_ratio()[1])
+                out = []
+                for j, v in enumerate(row):
+                    if v != zero:
+                        if type(v) is not int:
+                            floating = floating or type(v) is float
+                            if type(v) is not float or not v.is_integer():
+                                dens.add(v.as_integer_ratio()[1])
+                        out.append((j, v))
+                nz.append(out)
+            nzs.append(nz)
     except OverflowError:  # the ratio of +inf
         raise ValueError(_OVERFLOW) from None
     if not (floating or dens):
-        return tuple(matrices), 1, False
+        return tuple(matrices), nzs, 1, False
     scale = math.lcm(*dens)
 
     def whole(row):
@@ -620,11 +656,12 @@ def _integral(matrices, zero: Scalar) -> tuple[tuple, int, bool]:
             out.append(v)
         return tuple(out)
 
-    return _rescaled(matrices, whole), scale, floating
+    matrices = _rescaled(matrices, whole)
+    return matrices, [_finite(m.rows, zero) for m in matrices], scale, floating
 
 
 def _unscale(items, scale: int, floating: bool, zero: Scalar) -> tuple:
-    """The items of `_integral`'s ints divided by scale, each entry
+    """The items of `_scan`'s ints divided by scale, each entry
     once: for float data the correctly rounded float (int true
     division), else an int where the quotient is whole and a Fraction
     elsewhere.  A quotient past the float range raises ValueError."""

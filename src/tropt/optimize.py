@@ -20,6 +20,9 @@ and the constraints are solvable exactly when Bhat has no positive
 cycle, Tr(Bhat) <= 1.  Every datum is first scaled to an int by one D,
 the lcm of the denominators of the finite entries (1 for ints, a power
 of two for floats), so float and decimal data take the exact path too.
+That scan walks each bordered matrix once and lists its finite
+entries, which everything after it reads: Karp's walk, the no-cycle
+gates (an O(n^2) acyclicity test of A's entries) and the family table.
 Karp's walk gives both without Bhat* or the product: each step relaxes
 its vector through Bhat (Bellman-Ford, the product with Bhat*) and then
 passes over Ahat, and the first step settles exactly when Bhat has no
@@ -48,7 +51,8 @@ from .errors import (
     ZeroSpectralRadius,
 )
 from .linalg import (
-    Matrix, RowVector, Vector, _floyd_warshall, _integral, _karp, _unscale,
+    Matrix, RowVector, Vector,
+    _acyclic, _finite, _floyd_warshall, _karp, _scan, _unscale,
 )
 from .linsolve import SolutionSet, _tighten_box
 from .semifield import Scalar
@@ -153,22 +157,27 @@ def solve_problem(problem: Problem) -> OptResult:
     """Validate the problem, run its gates and solve it in closed form.
 
     Every kind runs on the bordered pair Ahat = [[A, p], [q^-, r]] and
-    Bhat = [[B, g], [h^-, 0]], absent data zero.  The gates run in this
-    order: q and h regular; B x (+) g <= x <= h solvable, which holds
-    exactly when Bhat has no positive cycle, Tr(Bhat) <= 1; then the
-    kind's no-cycle rule.  The second gate passes when the first step
-    of theta's walk, relaxed through Bhat, settles.  When it does not,
-    float data close Bhat, which passes a dust cycle of weight at most
-    the float tolerance eps (compared exactly), theta then read off
-    Bhat*.  A failed gate is named by its part: Tr(B) <= 1 when B alone
-    has a positive cycle, else h^- B* g <= 1 (h^- g <= 1 without B).
+    Bhat = [[B, g], [h^-, 0]], absent data zero, scaled to ints and
+    walked once for their finite-entry lists (`linalg._scan`).  The
+    gates run in this order: q and h regular; B x (+) g <= x <= h
+    solvable, which holds exactly when Bhat has no positive cycle,
+    Tr(Bhat) <= 1; then the kind's no-cycle rule, an acyclicity test of
+    A's listed entries.  The second gate passes when the first step of
+    theta's walk, relaxed through Bhat, settles.  When it does not, one
+    Floyd-Warshall pass of Bhat, pivots at the activities and then at
+    the border node, weighs B's heaviest cycle and then Bhat's; float
+    data pass a dust cycle of weight at most the float tolerance eps
+    (compared exactly), theta then read off Bhat*.  A failed gate is
+    named by its part: Tr(B) <= 1 when B alone has a positive cycle,
+    else h^- B* g <= 1 (h^- g <= 1 without B).
 
     theta is the largest cycle mean of Bhat* Ahat: the maximum ratio of
     weight to A-arc count over the cycles of Ahat (+) Bhat.  The
     minimizers are x = G u, G = (theta^-1 A (+) B)*,
     theta^-1 p (+) g <= u and, when q or h is given,
     u <= ((theta^-1 q^- (+) h^-) G)^-.  One Floyd-Warshall pass over
-    the bordered theta^-1 Ahat (+) Bhat, pivoting at the n activity
+    the bordered theta^-1 Ahat (+) Bhat, built from the two lists,
+    pivoting at the n activity
     nodes and never at the border node, gives all of it: the corner,
     its diagonal set to one, is G, the last row is
     (theta^-1 q^- (+) h^-) G and the last column G (theta^-1 p (+) g),
@@ -186,50 +195,62 @@ def solve_problem(problem: Problem) -> OptResult:
     qc = None if q is None else q.conj()
     hc = None if h is None else h.conj()
     zero = sf.zero
-    (b_hat, a_hat), scale, floating = _integral(
+    # the one scan: each bordered matrix's finite entries, which Karp,
+    # the cycle gates and the family table all read
+    (b_hat, a_hat), (b_nz, a_nz), scale, floating = _scan(
         (_border(b, n, sf, g, hc, None), _border(a, n, sf, p, qc, r)), zero
     )
     # Karp's walk relaxes through Bhat, and its first step settles
     # exactly when Bhat has no positive cycle: None is the failed gate
-    found = _karp((b_hat.rows, a_hat.rows), n + 1, sf, True)
+    found = _karp((b_hat.rows, a_hat.rows), (b_nz, a_nz), n + 1, sf, True)
     if found is None:
         # a positive cycle; float data pass a dust one, Tr(Bhat) <= eps
-        # at scale D, which only Bhat's closure weighs
+        # at scale D.  One pass over Bhat's table weighs the cycles:
+        # pivots at the activities leave B's heaviest cycle on the
+        # corner's diagonal, and the border pivot completes Bhat*
         dust = Fraction(sf.eps) * scale if floating else 0
+        # the border node lies on a cycle only when both g and h are given
+        both = b is not None and g is not None and h is not None
+        d = [list(row) for row in b_hat.rows]
+        if floating or both:
+            _floyd_warshall(d, n, zero)
+            b_cycle = max(d[i][i] for i in range(n))
         if floating:
-            b_star, cycle = b_hat._closure()
-        if not floating or cycle > dust:
+            _floyd_warshall(d, n + 1, zero, n)
+        if not floating or max(d[i][i] for i in range(n + 1)) > dust:
             if b is None:
                 raise InfeasibleConstraints("h^- g <= 1")
-            # the border node lies on a cycle only when both g and h are given
-            if g is None or h is None or _corner(b_hat)._closure()[1] > dust:
+            if not both or b_cycle > dust:
                 raise InfeasibleConstraints("Tr(B) <= 1")
             raise InfeasibleConstraints("h^- B* g <= 1")
-        found = _karp((b_star.rows, a_hat.rows), n + 1, sf, False)
-    if problem.kind in _NEEDS_CYCLE and sf.is_zero(_corner(a_hat).spectral_radius()):
+        for i in range(n + 1):
+            d[i][i] = sf.one
+        found = _karp((d, a_hat.rows), (_finite(d, zero), a_nz), n + 1, sf, False)
+    # lambda(A) is zero exactly when A's arcs close no cycle
+    if problem.kind in _NEEDS_CYCLE and _acyclic(a_nz, n):
         raise ZeroSpectralRadius("matrix has no cycle")
-    # lambda(A) is a Karp pass of its own: compute it only when r and
-    # q^- p leave the verdict open
     if (problem.kind in _NEEDS_SCALE and sf.is_zero(sf.add(qc @ p, r))
-            and sf.is_zero(_corner(a_hat).spectral_radius())):
+            and _acyclic(a_nz, n)):
         raise DegenerateProblem("every scale bound is zero: no cycle, q^- p zero, r zero")
     if sf.is_zero(found[0]):
         raise ZeroSpectralRadius("matrix has no cycle")
     # theta = w / l: the family at data scale l, where theta is the int
     # w, read off m = theta^-1 Ahat (+) Bhat = [[theta^-1 A (+) B,
     # theta^-1 p (+) g], [theta^-1 q^- (+) h^-, theta^-1 r]]; theta and
-    # the family are then divided by l D once
+    # the family are then divided by l D once.  Each row starts at zero
+    # and takes only finite entries, Bhat's where strictly larger, so
+    # Ahat's wins a tie, as the left operand of (+) does
     w, ell = found[0].as_integer_ratio()
     m = []
-    for ra, rb in zip(a_hat.rows, b_hat.rows):
-        out = []
-        for x, y in zip(ra, rb):
-            if x != zero:
-                x = x * ell - w
-            if y != zero:
-                y = y * ell
-            out.append(x if y <= x else y)
-        m.append(out)
+    for fa, fb in zip(a_nz, b_nz):
+        mi = [zero] * (n + 1)
+        for j, x in fa:
+            mi[j] = x * ell - w
+        for j, y in fb:
+            y *= ell
+            if y > mi[j]:
+                mi[j] = y
+        m.append(mi)
     lower = Vector([mi[n] for mi in m[:n]], sf)
     # pivots at the activities only: the border row and column gain
     # paths through them, never through the border node
@@ -250,11 +271,6 @@ def solve_problem(problem: Problem) -> OptResult:
     )
     sols = SolutionSet(generator=gen, lower=lower, upper=upper, minimum=theta)
     return OptResult(minimum=theta, solutions=sols, canonical=canonical)
-
-
-def _corner(m: Matrix) -> Matrix:
-    """The bordered matrix without its border."""
-    return Matrix._built(tuple(r[:-1] for r in m.rows[:-1]), m.sf)
 
 
 def minimize_basic(a: Matrix) -> OptResult:

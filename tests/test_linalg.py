@@ -972,3 +972,60 @@ def test_trace_product_matches_the_product_trace():
             left = Matrix.zeros(n, n)
         got = _trace_product(left, right)
         assert repr(got) == repr((left @ right).trace())
+
+
+# -- the no-cycle test: Kahn's algorithm against Karp -----------------------
+
+
+def _acyclic_draws(rng: random.Random):
+    """(label, matrix) pairs: sample draws' A and B, and acyclic,
+    self-loop, zero-weight-cycle, negative-cycle and all-zero ones."""
+    kinds = list(ProblemKind)
+    for i in range(600):
+        prob = sample_problem(rng, kinds[i % 6], rng.randint(1, 6))
+        yield "sample", prob.A
+        if prob.B is not None:
+            yield "sample", prob.B
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        # arcs only from an earlier to a later node of a random order
+        order = rng.sample(range(n), n)
+        rows = [[NEG] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.6:
+                    rows[order[i]][order[j]] = rng.randint(-5, 5)
+        yield "acyclic", Matrix(rows)
+        loop = [list(r) for r in rows]
+        k = rng.randrange(n)
+        loop[k][k] = rng.choice((-3, 0, 3))
+        yield "self-loop", Matrix(loop)
+        if n > 1:
+            # the order closed into its one cycle, of weight 0 or below
+            for label, shift in (("zero-weight", 0), ("negative", rng.randint(1, 4))):
+                closed = [[NEG] * n for _ in range(n)]
+                for u, v in zip(order, order[1:]):
+                    closed[u][v] = 1
+                closed[order[-1]][order[0]] = 1 - n - shift
+                yield label, Matrix(closed)
+        yield "all-zero", Matrix([[NEG] * n for _ in range(n)])
+
+
+def test_acyclic_matches_a_zero_spectral_radius():
+    # lambda(A) is zero exactly when A's arcs close no cycle: a self-loop
+    # is a cycle, and so is one of weight zero or below.  On a bordered
+    # table only the corner's arcs count
+    rng = random.Random(151)
+    seen = {}
+    for label, a in _acyclic_draws(rng):
+        n = a.n_rows
+        want = a.spectral_radius() == NEG
+        assert linalg._acyclic(linalg._finite(a.rows, NEG), n) is want, (label, a)
+        bordered = [list(r) + [rng.randint(-5, 5)] for r in a.rows]
+        bordered.append([rng.randint(-5, 5) for _ in range(n + 1)])
+        assert linalg._acyclic(linalg._finite(bordered, NEG), n) is want, (label, a)
+        seen.setdefault(label, set()).add(want)
+    assert seen == {
+        "sample": {True, False}, "acyclic": {True}, "self-loop": {False},
+        "zero-weight": {False}, "negative": {False}, "all-zero": {True},
+    }, seen

@@ -452,14 +452,32 @@ def test_scale_gate_skips_spectral_radius_when_r_is_finite(monkeypatch, general_
     calls = []
     kernel = linalg._karp
 
-    def counted(tables, n, sf, starred):
+    def counted(tables, nzs, n, sf, starred):
         calls.append((n, starred))
-        return kernel(tables, n, sf, starred)
+        return kernel(tables, nzs, n, sf, starred)
 
     monkeypatch.setattr(linalg, "_karp", counted)
     monkeypatch.setattr(optimize, "_karp", counted)
     solve_problem(general_problem)
     assert calls == [(general_problem.dim + 1, True)]
+
+
+@pytest.mark.parametrize("kind", ["ExtendedUnconstrained", "LinearConstrained"])
+def test_cycle_gate_makes_no_karp_pass(monkeypatch, kind):
+    # A's no-cycle gate is an O(n^2) acyclicity test on Ahat's finite
+    # entries, so theta's walk is the solve's only Karp pass
+    calls = []
+    kernel = linalg._karp
+
+    def counted(tables, nzs, n, sf, starred):
+        calls.append((n, starred))
+        return kernel(tables, nzs, n, sf, starred)
+
+    monkeypatch.setattr(linalg, "_karp", counted)
+    monkeypatch.setattr(optimize, "_karp", counted)
+    doc = perfgen.feasible_problem(perfgen.instance_rng("cycle-gate", 12, 0), kind, 12)
+    solve_problem(parse_problem(doc))
+    assert calls == [(13, True)]
 
 
 class TestParameterBox:
@@ -657,6 +675,42 @@ def test_feasible_general_solve_stars_once(monkeypatch, general_problem):
     assert calls == [(n + 1, n)]
 
 
+def test_feasible_general_solve_scans_its_data_once(monkeypatch):
+    # a feasible int General solve walks each bordered matrix once: the
+    # scan builds their finite-entry lists and keeps the int tables as
+    # they are; Karp reads those lists and builds none, and nothing else
+    # in the solve builds any
+    doc = perfgen.feasible_problem(perfgen.instance_rng("one-scan", 12, 0), "General", 12)
+    prob = parse_problem(doc)
+    events = []
+    scan, kernel, finite = linalg._scan, linalg._karp, linalg._finite
+
+    def scanned(matrices, zero):
+        out = scan(matrices, zero)
+        kept = all(x is y for x, y in zip(out[0], matrices))
+        events.append(("scan", [m.n_rows for m in matrices], kept, out[1]))
+        return out
+
+    def counted(tables, nzs, n, sf, starred):
+        events.append(("karp", nzs))
+        return kernel(tables, nzs, n, sf, starred)
+
+    def built(rows, zero):
+        events.append(("finite", len(rows)))
+        return finite(rows, zero)
+
+    for module in (linalg, optimize):
+        monkeypatch.setattr(module, "_scan", scanned)
+        monkeypatch.setattr(module, "_karp", counted)
+        monkeypatch.setattr(module, "_finite", built)
+    result = solve_problem(prob)
+    assert result.solutions.generator.n_rows == 12
+    assert [event[0] for event in events] == ["scan", "karp"], events
+    (_, orders, kept, lists), (_, read) = events
+    assert orders == [13, 13] and kept
+    assert len(read) == 2 and all(x is y for x, y in zip(read, lists))
+
+
 class _PowerSum(Exception):
     pass
 
@@ -759,12 +813,15 @@ def _closure_path_answer(prob: Problem, monkeypatch):
     relaxed path's own."""
     kernel, hits = linalg._karp, []
 
-    def closed(tables, n, sf, starred):
+    def closed(tables, nzs, n, sf, starred):
         if not starred:
-            return kernel(tables, n, sf, False)
+            return kernel(tables, nzs, n, sf, False)
         hits.append(n)
         b_star, cycle = Matrix._built(tables[0], sf)._closure()
-        return None if cycle > 0 else kernel((b_star.rows, tables[1]), n, sf, False)
+        if cycle > 0:
+            return None
+        lists = (linalg._finite(b_star.rows, sf.zero), nzs[1])
+        return kernel((b_star.rows, tables[1]), lists, n, sf, False)
 
     with monkeypatch.context() as m:
         m.setattr(optimize, "_karp", closed)
@@ -895,9 +952,9 @@ def test_float_data_gate_on_the_closure(monkeypatch):
     # the starred flag of each Karp walk the solver starts
     kernel, starred = linalg._karp, []
 
-    def counted(tables, n, sf, flag):
+    def counted(tables, nzs, n, sf, flag):
         starred.append(flag)
-        return kernel(tables, n, sf, flag)
+        return kernel(tables, nzs, n, sf, flag)
 
     def theta(prob):
         try:
@@ -950,6 +1007,47 @@ def test_float_data_gate_on_the_closure(monkeypatch):
             assert abs(tenths * 10 - want) < 1e-9, (i, base)
             seen["tenths"] += 1
     assert min(seen.values()) > 100, seen
+
+
+def test_infeasible_float_data_weigh_their_cycles_in_one_pass(monkeypatch):
+    # infeasible draws as whole floats, in tenths and at 1.4e8 plus a
+    # fraction: each names the exact draw's condition, from one pass
+    # over one copy of Bhat's table, pivots at the activities and then
+    # at the border node
+    passes = []
+    kernel = linalg._floyd_warshall
+
+    def counted(d, stop, zero, start=0):
+        passes.append((id(d), len(d), start, stop))
+        return kernel(d, stop, zero, start)
+
+    monkeypatch.setattr(linalg, "_floyd_warshall", counted)
+    monkeypatch.setattr(optimize, "_floyd_warshall", counted)
+    rng = random.Random(157)
+    seen = Counter()
+    for i in range(600):
+        base = _gate_draw(rng, GATED_KINDS[i % len(GATED_KINDS)])
+        n = base.dim
+        label = ("whole", "tenths", "1.4e8")[i % 3]
+        if label == "whole":
+            floats, exact = _in_floats(base), base
+        elif label == "tenths":
+            # the dust tolerance reads float tenths as the decimals they stand for
+            floats, exact = _mapped(_in_floats(base), lambda *a: a[-1] / 10), base
+        else:
+            floats = _mapped(_in_floats(base), lambda *a: a[-1] * 1.4e8 + rng.random())
+            exact = _exact_values(floats)
+        want = _outcome(exact)
+        del passes[:]
+        got = _outcome(floats)
+        assert got == want, (i, label, floats)
+        if got is None or got[0] is not InfeasibleConstraints:
+            continue
+        table = passes[0][0] if passes else None
+        assert passes == [(table, n + 1, 0, n), (table, n + 1, n, n + 1)], (i, label, passes)
+        seen[label] += 1
+        seen[got[1]] += 1
+    assert min(seen.values()) > 40, seen
 
 
 def _unscaled_family(prob: Problem, theta):
@@ -1126,7 +1224,7 @@ def _three_pass(prob: Problem):
     hc = None if prob.h is None else prob.h.conj()
     pair = (optimize._border(prob.B, n, sf, prob.g, hc, None),
             optimize._border(prob.A, n, sf, prob.p, qc, prob.r))
-    (b_hat, a_hat), scale, floating = linalg._integral(pair, zero)
+    (b_hat, a_hat), _, scale, floating = linalg._scan(pair, zero)
     if b_hat._closure()[1] > 0:
         return None
     w, ell = (b_hat.star() @ a_hat).spectral_radius().as_integer_ratio()

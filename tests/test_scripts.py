@@ -30,6 +30,22 @@ def test_script_exits_cleanly(argv):
     assert "Traceback" not in done.stderr
 
 
+def test_ab_trees_against_its_own_tree():
+    # both package names load the same source, so every answer agrees
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "ab_trees.py"), str(SCRIPTS.parent),
+         "--sizes", "4", "12", "--rounds", "2", "--draws", "3"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()[1:]
+    assert [line.split(":")[0] for line in lines] == [
+        "solve_schedule n=4", "solve_schedule n=12", "solve_problem n=4", "solve_problem n=12"]
+    assert all(line.endswith("0 of 3 answers differ") for line in lines), done.stdout
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [(["--radius", "-1"], "--radius must be at least 0"),
