@@ -6,11 +6,15 @@ and from OTHER_TREE/src as `tropt_other`, so both run in the same
 interpreter on the same draws.  The draws come from perfbench/gen.py,
 imported and never changed: `feasible_schedule` draws for
 `solve_schedule`, and `feasible_problem` draws of all six kinds for
-`solve_problem`, at each order given.  Each round times every draw
-once on each tree, the tree that goes first alternating from round to
-round.  For each solver and order the script prints the fastest
-milliseconds per solve of each tree over the rounds, the rounds each
-tree won, and how many answers differ by repr.
+`solve_problem`, at each order given.  The schedule ledger,
+`solve_schedule_detailed`, runs at orders 6 and 12 on the schedule
+draws as they are (int) and with each datum v as v/10 (decimal).  Each
+round times every draw once on each tree, the tree that goes first
+alternating from round to round.  For each solver and order the script
+prints the fastest milliseconds per solve of each tree over the
+rounds, the rounds each tree won, and how many answers differ: by
+repr, and for the ledger by its `serialize.dumps` text, which is what
+the CLI prints.
 
 Usage:
     python3 scripts/ab_trees.py OTHER_TREE [--sizes 12 32 64] [--rounds 15] [--draws 6]
@@ -20,6 +24,7 @@ import argparse
 import importlib.util
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +33,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import gen  # noqa: E402
 
 NEG = float("-inf")
+LEDGER_SIZES = (6, 12)
 
 
 def load_tropt(tree: Path, name: str):
@@ -41,13 +47,14 @@ def load_tropt(tree: Path, name: str):
     return module
 
 
-def schedule_calls(tropt, n: int, count: int) -> list:
-    """`solve_schedule` on `count` feasible schedules of order n."""
+def schedule_calls(tropt, n: int, count: int, solve=None, datum=lambda v: v) -> list:
+    """`solve` (`solve_schedule` when None) on `count` feasible
+    schedules of order n, each finite datum v given as datum(v)."""
     def mat(rows):
-        return tropt.Matrix(tuple(tuple(NEG if v is None else v for v in r) for r in rows))
+        return tropt.Matrix(tuple(tuple(NEG if v is None else datum(v) for v in r) for r in rows))
 
     def vec(values):
-        return tropt.Vector(tuple(NEG if v is None else v for v in values))
+        return tropt.Vector(tuple(NEG if v is None else datum(v) for v in values))
 
     calls = []
     for i in range(count):
@@ -60,8 +67,26 @@ def schedule_calls(tropt, n: int, count: int) -> list:
             window_lower=vec(draw.window_lower),
             window_upper=vec(draw.window_upper),
         )
-        calls.append((tropt.solve_schedule, spec))
+        calls.append((solve or tropt.solve_schedule, spec))
     return calls
+
+
+def ledger_calls(decimal: bool):
+    """The builder of `solve_schedule_detailed` calls on int draws, or
+    on the same draws in tenths."""
+    def build(tropt, n: int, count: int) -> list:
+        return schedule_calls(tropt, n, count, tropt.solve_schedule_detailed,
+                              (lambda v: Fraction(v, 10)) if decimal else (lambda v: v))
+    return build
+
+
+def answer_text(tropt, answer) -> str:
+    """repr of an answer; a ledger's result by repr and its items as
+    `serialize.dumps` writes them."""
+    if isinstance(answer, tuple):
+        result, ledger = answer
+        return repr(result) + importlib.import_module(tropt.__name__ + ".serialize").dumps(ledger)
+    return repr(answer)
 
 
 def problem_calls(tropt, n: int, count: int) -> list:
@@ -97,24 +122,28 @@ def main() -> int:
     trees = {"this": load_tropt(ROOT, "tropt_this"),
              "other": load_tropt(args.other.resolve(), "tropt_other")}
     print(f"this = {ROOT}, other = {args.other.resolve()}")
-    for label, build in (("solve_schedule", schedule_calls), ("solve_problem", problem_calls)):
-        for n in args.sizes:
-            calls = {name: build(tropt, n, args.draws) for name, tropt in trees.items()}
-            best = dict.fromkeys(trees, float("inf"))
-            wins = dict.fromkeys(trees, 0)
-            answers = {}
-            for r in range(args.rounds):
-                order = ("this", "other") if r % 2 else ("other", "this")
-                took = {}
-                for name in order:
-                    took[name], answers[name] = timed(calls[name])
-                    best[name] = min(best[name], took[name])
-                wins[min(took, key=took.get)] += 1
-            differ = sum(repr(a) != repr(b) for a, b in zip(answers["this"], answers["other"]))
-            print(f"{label} n={n}: other {best['other'] * 1e3:.3f} ms, "
-                  f"this {best['this'] * 1e3:.3f} ms per solve (fastest round); "
-                  f"this won {wins['this']} of {args.rounds} rounds; "
-                  f"{differ} of {args.draws} answers differ")
+    rows = [("solve_schedule", n, schedule_calls) for n in args.sizes]
+    rows += [("solve_problem", n, problem_calls) for n in args.sizes]
+    rows += [(f"solve_schedule_detailed {data}", n, ledger_calls(data == "decimal"))
+             for n in LEDGER_SIZES for data in ("int", "decimal")]
+    for label, n, build in rows:
+        calls = {name: build(tropt, n, args.draws) for name, tropt in trees.items()}
+        best = dict.fromkeys(trees, float("inf"))
+        wins = dict.fromkeys(trees, 0)
+        answers = {}
+        for r in range(args.rounds):
+            order = ("this", "other") if r % 2 else ("other", "this")
+            took = {}
+            for name in order:
+                took[name], answers[name] = timed(calls[name])
+                best[name] = min(best[name], took[name])
+            wins[min(took, key=took.get)] += 1
+        differ = sum(answer_text(trees["this"], a) != answer_text(trees["other"], b)
+                     for a, b in zip(answers["this"], answers["other"]))
+        print(f"{label} n={n}: other {best['other'] * 1e3:.3f} ms, "
+              f"this {best['this'] * 1e3:.3f} ms per solve (fastest round); "
+              f"this won {wins['this']} of {args.rounds} rounds; "
+              f"{differ} of {args.draws} answers differ")
     return 0
 
 

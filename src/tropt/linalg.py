@@ -16,15 +16,17 @@ through that factor's finite entries (Bellman-Ford, `_relax`) until
 nothing rises, so the optimizers read theta = lambda(Bhat* Ahat) with
 neither Bhat* nor Bhat* Ahat, and the first step is the positive-cycle
 gate of Bhat.  The walk runs on ints and on `_finite` lists that its
-caller builds: `_scan` walks each matrix once, listing its finite
-entries and type-testing only those; int data keep their tables, and
-any other entry m/d is scaled by D, the lcm of the denominators (a
-power of two for floats), the lists then built from the scaled
-tables.  `_unscale` divides an answer by D once, so a float
-answer is rounded once.  Karp's walk stops at the first step k with
-D_k finite and D_k = c (x) D_(k-1): then x_u + a_uv <= c + x_v on
-every arc for x = D_(k-1), so no cycle has mean above c, and the
-back-pointers of step k are tight arcs closing a cycle of mean c.
+caller builds: `_scan` walks each matrix or vector once, listing its
+finite entries and type-testing only those; int data keep their
+tables, and any other entry m/d, read once, is scaled by D, the lcm
+of the denominators (a power of two for floats), the tables then
+built from the scaled lists.  `_unscale` divides an answer by D once,
+so a float answer is rounded once.  Karp's walk stops at the first
+step k where D_k and D_(k-1) are finite at the same nodes and
+D_k = c (x) D_(k-1) there: every cycle runs through those nodes,
+x_u + a_uv <= c + x_v on every arc among them for x = D_(k-1), so no
+cycle has mean above c, and the back-pointers of step k are tight arcs
+closing a cycle of mean c.
 `_acyclic` tells from the lists in O(n^2) whether a matrix has a cycle
 at all, the spectral radius's zero test, with no walk.
 Entrywise helpers (`scale`, `conj`, `meet`, the zero and regularity
@@ -89,33 +91,37 @@ def _acyclic(nz: list[list], n: int) -> bool:
     return not left
 
 
-def _row_sum(zero: Scalar, width: int, *terms) -> list[Scalar]:
-    """One row of (+) row (x) right over the terms (row, right `_finite`
-    lists).  Terms go in order, each in increasing k, and only a strictly
-    larger sum replaces the running maximum: the first maximal term is
-    kept, so the result, Python type included, is that of `sf.sum` of
-    `sf.mul`s under `MaxPlus`, and an earlier term wins ties, as the
-    left operand of `+` does."""
-    acc = [zero] * width
-    for row, right_nz in terms:
-        for a, nz in zip(row, right_nz):
-            if a != zero:
-                for j, b in nz:
-                    s = a + b
-                    if s > acc[j]:
-                        acc[j] = s
-    return acc
+def _sum_products(zero: Scalar, width: int, terms, seed=None) -> tuple[tuple, ...]:
+    """Rows of seed (+) L_1 (x) R_1 (+) L_2 (x) R_2 (+) ... over the
+    terms (L, the `_finite` lists of R), the L row-major tables of one
+    height; each row starts from the seed table's row, or from zero
+    when seed is None.  Terms go in order, each in increasing k, and
+    only a strictly larger sum replaces the running maximum: the first
+    maximal term is kept, so the result, Python type included, is that
+    of `sf.sum` of `sf.mul`s under `MaxPlus`, and an earlier term wins
+    ties, as the left operand of `+` does."""
+    out = []
+    for i, rows in enumerate(zip(*[left for left, _ in terms])):
+        acc = [zero] * width if seed is None else list(seed[i])
+        for row, (_, right_nz) in zip(rows, terms):
+            for a, nz in zip(row, right_nz):
+                if a != zero:
+                    for j, b in nz:
+                        s = a + b
+                        if s > acc[j]:
+                            acc[j] = s
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def _product(left: Sequence[Sequence[Scalar]], right: Sequence[Sequence[Scalar]],
              zero: Scalar, right_nz: list[list] | None = None) -> tuple[tuple, ...]:
     """Rows of the max-plus product of two row-major tables (see
-    `_row_sum`).  A caller that multiplies by one right factor many
-    times passes its `_finite` lists once."""
+    `_sum_products`).  A caller that multiplies by one right factor
+    many times passes its `_finite` lists once."""
     if right_nz is None:
         right_nz = _finite(right, zero)
-    width = len(right[0])
-    return tuple(tuple(_row_sum(zero, width, (row, right_nz))) for row in left)
+    return _sum_products(zero, len(right[0]), ((left, right_nz),))
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,14 +453,20 @@ def _max_cycle(*factors: Matrix,
     order 12 take 2 to 7, a tight precedence chain listed backwards
     about n, but each of those rounds raises only a few nodes.
 
-    The walk stops early at the first step k where D_k is finite
-    everywhere and D_k - D_(k-1) is one constant c.  D_(k-1) is then a
-    finite left eigenvector: x_u + a_uv <= D_k(v) = c + x_v on every arc
-    (u, v) of the product, so summed around any cycle its mean is at
-    most c; the arcs u = back[k][v] hold with equality, so following
-    back[k] from any node closes a cycle of mean exactly c = lambda
-    (Butkovic 2010, ch. 4).  Periodic and reducible matrices may never
-    reach such a step and take the full formula below, on the same walk.
+    The walk stops early at the first step k where D_k and D_(k-1) are
+    finite at the same set S of nodes and D_k - D_(k-1) is one constant
+    c on S.  Every node of a cycle is in S, since walks of every length
+    end there, and S is closed under arcs: an arc (u, v) out of u in S
+    makes D_k(v) finite.  D_(k-1) on S is then a left eigenvector:
+    x_u + a_uv <= D_k(v) = c + x_v on every arc (u, v) within S, so
+    summed around any cycle its mean is at most c; the arcs
+    u = back[k][v] hold with equality and stay in S, so following
+    back[k] from any node of S closes a cycle of mean exactly
+    c = lambda (Butkovic 2010, ch. 4).  A node with no arcs into it
+    leaves S after step 0 and no longer bars the exit.  An empty S
+    means no walk of k arcs, so no cycle.  Periodic matrices, and
+    reducible ones whose parts have unequal means, may never reach
+    such a step and take the full formula below, on the same walk.
 
     Back-pointers give the heaviest n-arc walk to the v that attains
     lambda.  Cutting a cycle of l arcs out of it leaves an (n-l)-arc
@@ -507,13 +519,16 @@ def _karp(tables, nzs, n: int, sf: Semifield,
                 return None
             acc = cur
             args.append(arg)
-        # a finite D_k has a finite entry in every column of the product,
-        # so D_(k-1) is finite too: the early exit needs only
-        # D_k = c (x) D_(k-1)
-        if zero not in acc:
-            c = acc[0] - prev[0]
-            if all(d - e == c for d, e in zip(acc, prev)):
-                return _cycle_mean(tables, repeat(args), 0, sf)
+        # a walk of k arcs ends in one of k-1 arcs, so D_k is finite only
+        # where D_(k-1) is: equal counts of zeros are equal finite positions
+        zeros = acc.count(zero)
+        if zeros == n:  # no walk of k arcs, so no cycle
+            return zero, ()
+        if zeros == prev.count(zero):
+            v = next(v for v, d in enumerate(acc) if d != zero)
+            c = acc[v] - prev[v]
+            if all(d - e == c for d, e in zip(acc, prev) if d != zero):
+                return _cycle_mean(tables, repeat(args), v, sf)
         walks.append(acc)
         back.append(args)
     best = None
@@ -613,51 +628,55 @@ def _cycle_mean(tables, steps, v: int, sf: Semifield) -> tuple[Scalar, tuple[int
     return (Fraction(w, length) if w % length else w // length), nodes
 
 
-def _scan(matrices, zero: Scalar) -> tuple[tuple, list, int, bool]:
-    """(matrices, lists, D, floating): the matrices with each finite
-    entry m/d, read exactly off `as_integer_ratio`, replaced by the int
-    m (D/d), and their `_finite` lists, from one walk of each matrix
-    that lists its finite entries and type-tests only those.  D is the
-    lcm of every d: 1 for ints, a power of two of at most 2^1074 for
-    floats.  floating is True when a finite entry is a float.  Int
-    matrices come back as they are, with the walk's lists; any others
-    are scaled, and their lists built from the scaled tables.  A +inf
-    entry, a product that overflowed before it got here, raises
-    ValueError."""
+def _scan(items, zero: Scalar) -> tuple[tuple, list, int, bool]:
+    """(items, lists, D, floating): the Matrix and vector items with each
+    finite entry m/d replaced by the int m (D/d), and their `_finite`
+    lists, a vector's being the one list of its entries, from one walk
+    of each item that lists its finite entries and type-tests only
+    those.  A non-int entry is read once, exactly, off
+    `as_integer_ratio`, and listed as that ratio.  D is the lcm of
+    every d: 1 for ints, a power of two of at most 2^1074 for floats.
+    floating is True when a finite entry is a float.  Int items come
+    back as they are, with the walk's lists; any others are rebuilt
+    from their lists, scaled.  A +inf entry, a product that overflowed
+    before it got here, raises ValueError."""
     nzs, dens, floating = [], set(), False
     try:
-        for m in matrices:
+        for x in items:
             nz = []
-            for row in m.rows:
+            for row in x.rows if isinstance(x, Matrix) else (x.entries,):
                 out = []
                 for j, v in enumerate(row):
                     if v != zero:
                         if type(v) is not int:
                             floating = floating or type(v) is float
-                            if type(v) is not float or not v.is_integer():
-                                dens.add(v.as_integer_ratio()[1])
+                            v = v.as_integer_ratio()
+                            dens.add(v[1])
                         out.append((j, v))
                 nz.append(out)
             nzs.append(nz)
     except OverflowError:  # the ratio of +inf
         raise ValueError(_OVERFLOW) from None
-    if not (floating or dens):
-        return tuple(matrices), nzs, 1, False
+    if not dens:
+        return tuple(items), nzs, 1, False
     scale = math.lcm(*dens)
-
-    def whole(row):
-        if scale == 1:
-            return tuple(v if v == zero else int(v) for v in row)
-        out = []
-        for v in row:
-            if v != zero:
-                m, d = v.as_integer_ratio()
-                v = m * (scale // d)
-            out.append(v)
-        return tuple(out)
-
-    matrices = _rescaled(matrices, whole)
-    return matrices, [_finite(m.rows, zero) for m in matrices], scale, floating
+    factor = {d: scale // d for d in dens}
+    out = []
+    for i, x in enumerate(items):
+        nz = nzs[i] = [
+            [(j, v * scale if type(v) is int else v[0] * factor[v[1]]) for j, v in row]
+            for row in nzs[i]
+        ]
+        width = x.n_cols if isinstance(x, Matrix) else x.dim
+        rows = []
+        for listed in nz:
+            row = [zero] * width
+            for j, v in listed:
+                row[j] = v
+            rows.append(tuple(row))
+        out.append(Matrix._built(tuple(rows), x.sf) if isinstance(x, Matrix)
+                   else type(x)(rows[0], x.sf))
+    return tuple(out), nzs, scale, floating
 
 
 def _unscale(items, scale: int, floating: bool, zero: Scalar) -> tuple:
@@ -666,8 +685,8 @@ def _unscale(items, scale: int, floating: bool, zero: Scalar) -> tuple:
     division), else an int where the quotient is whole and a Fraction
     elsewhere.  A quotient past the float range raises ValueError."""
     if floating:
-        def divide(row):  # zero / scale is zero
-            return tuple(map(truediv, row, repeat(scale)))
+        def divide(row):  # zero / scale is zero; float(v) is v / 1
+            return tuple(map(truediv, row, repeat(scale)) if scale > 1 else map(float, row))
     elif scale == 1:
         return tuple(items)
     else:
@@ -811,7 +830,7 @@ class RowVector(_Entries):
         if isinstance(other, Vector):
             if self.dim != other.dim:
                 raise ShapeMismatch(f"row dim {self.dim} times vector dim {other.dim}")
-            # `max` keeps the first maximal term, as `_row_sum` does
+            # `max` keeps the first maximal term, as `_sum_products` does
             pairs = zip(self.entries, other.entries)
             return max((a + b for a, b in pairs if a != zero and b != zero), default=zero)
         if isinstance(other, Matrix):
@@ -885,19 +904,30 @@ def closure_sums(a: Matrix, b: Matrix) -> list[Matrix]:
     eye = Matrix.identity(n, a.sf)
     step = (eye + b).rows
     step_nz, a_nz = _finite(step, zero), _finite(a.rows, zero)
-    out = [eye.rows]
+    tops, bottoms = [eye.rows], [eye.rows]
     for _ in range(n - 1):
-        # T_k (I (+) B) (+) T_(k-1) A, row by row in one accumulation;
-        # T_(-1) and the T_k above the top are zero, so the first and
-        # the last coefficient take one term each
-        out = [_product(out[0], step, zero, step_nz)] + [
-            tuple(
-                tuple(_row_sum(zero, n, (t_row, step_nz), (p_row, a_nz)))
-                for t_row, p_row in zip(t, prev)
-            )
+        tops.append(_product(tops[-1], a.rows, zero, a_nz))
+        bottoms.append(_product(bottoms[-1], step, zero, step_nz))
+    return [Matrix._built(t, a.sf) for t in _closures(tops, bottoms, step_nz, a_nz, zero)]
+
+
+def _closures(tops, bottoms, step_nz, a_nz, zero: Scalar, seeded: bool = False) -> list[tuple]:
+    """The closure family's tables T_0..T_(n-1) of order n, given the
+    first and the last coefficient after each factor, bottoms[s] =
+    (I (+) B)^s and tops[s] = A^s for s < n, and the `_finite` lists of
+    A and of the step I (+) B.  Only the coefficients between those two
+    are products, each row one accumulation of
+    T_k (I (+) B) (+) T_(k-1) A.  `seeded` takes the step lists as B's
+    alone and starts each row from T_k's, T_k I: the same values, with
+    n fewer sums a row, but ties can keep another Python type."""
+    n = len(step_nz)
+    out = [tops[0]]
+    for s in range(1, n):
+        out = [bottoms[s]] + [
+            _sum_products(zero, n, ((t, step_nz), (prev, a_nz)), t if seeded else None)
             for prev, t in zip(out, out[1:])
-        ] + [_product(out[-1], a.rows, zero, a_nz)]
-    return [Matrix._built(t, a.sf) for t in out]
+        ] + [tops[s]]
+    return out
 
 
 def chain_sum(a: Matrix, b: Matrix, k: int) -> Matrix:

@@ -27,13 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import InfeasibleConstraints, InfeasibleSchedule, SpecValidation
-# chain_sums stays a name of this module, where tracers that patch names
-# where they are looked up find it; the ledger reads chains off closures
+# chain_sums and closure_sums stay names of this module, where tracers
+# that patch names where they are looked up find them; the ledger
+# builds both families on its own int tables
 from .linalg import (  # noqa: F401
-    Matrix, RowVector, Vector, _scaled_sum, _trace_product, chain_sums, closure_sums,
+    Matrix, RowVector, Vector, _closures, _finite, _product, _rescaled, _scaled_sum, _scan,
+    _sum_products, _trace_product, _unscale, chain_sums, closure_sums,
 )
 from .linsolve import SolutionSet
 from .optimize import Problem, ProblemKind, solve_problem
@@ -158,60 +160,126 @@ def _ledger(spec: ScheduleSpec, result: ScheduleResult) -> dict:
     """Every intermediate quantity of the paper's closed form for theta,
     keyed for introspection: matrix powers, the feasibility gates, the
     chain and closure families, the rooted squeezes against p, q, g, h
-    and their sum `theta`, then the solution family."""
-    a, b = spec.start_finish, spec.start_start
-    sf = a.sf
-    n = a.n_rows
-    g, h = spec.earliest_start, spec.latest_start
-    p, q = spec.window_upper, spec.window_lower
-    qc, hc = q.conj(), h.conj()
+    and their sum `theta`, then the solution family.
 
-    bstar = b.star()
-    closures = closure_sums(a, b)
-    chains = [Matrix.identity(n, sf)] + [a @ t for t in closures]
-    inter: dict = {
-        "A_pow": {str(k): m for k, m in enumerate(a.powers(n)) if k >= 2},
-        "B_pow": {str(k): m for k, m in enumerate(b.powers(n)) if k >= 2},
-        "B_star": bstar,
-        "trace_sum_B": _trace_product(b, bstar),
-        "h_Bstar_g": hc @ bstar @ g,
-        "chain_sums": chains,
-        "closure_sums": closures,
+    It runs as the solver does: one `_scan` scales A, B, p, q, g and h
+    to ints by one D, every family is built once on the int tables,
+    and each printed item is divided once (`_unscale`), so a float
+    item is the correctly rounded exact value on the data's own values.
+    After s factors of the closure recurrence the top coefficient is
+    A^s and the bottom one (I (+) B)^s = I (+) B (+) ... (+) B^s, read
+    off the two power lists; B* is T_0, the chain C_(k+1) is A T_k and
+    C_n = A^n, and q^- C_(k+1) = (q^- A) T_k.  Each T_k's finite
+    entries are listed once, for A T_k, h^- T_k and (q^- A) T_k.  The
+    root v^(1/k) is the ratio v/k of ints, compared by
+    cross-multiplying; theta = w/l at scale D puts theta^-1 A (+) B and
+    its powers at scale l D, where theta is the int w, as in the
+    solver's family table."""
+    sf, zero, n = spec.start_finish.sf, spec.start_finish.sf.zero, spec.dim
+    (a, b, _, q, _, h), (a_nz, b_nz, (p_nz,), _, (g_nz,), _), scale, floating = _scan(
+        (spec.start_finish, spec.start_start, spec.window_upper,
+         spec.window_lower, spec.earliest_start, spec.latest_start),
+        zero,
+    )
+    eye = Matrix.identity(n, sf).rows
+    a_pow, b_pow, b_sums = [eye, a.rows], [eye, b.rows], [eye]
+    for _ in range(n - 1):
+        a_pow.append(_product(a_pow[-1], a.rows, zero, a_nz))
+        b_pow.append(_product(b_pow[-1], b.rows, zero, b_nz))
+    for m in b_pow[1:]:
+        b_sums.append(tuple([tuple([x if y <= x else y for x, y in zip(r, s)])
+                             for r, s in zip(b_sums[-1], m)]))
+    closures = _closures(a_pow, b_sums, b_nz, a_nz, zero, seeded=True)
+    t_nz = [_finite(t, zero) for t in closures]
+    chains = [eye] + [_product(a.rows, t, zero, nz) for t, nz in zip(closures[:-1], t_nz)]
+    chains.append(a_pow[n])
+
+    # the rows h^- T_k and q^- C_(k+1) = (q^- A) T_k, two rows a product
+    hc, qc = tuple(-v for v in h.entries), tuple(-v for v in q.entries)
+    (qa,) = _sum_products(zero, n, (((qc,), a_nz),))
+    h_rows, q_rows = zip(*(_sum_products(zero, n, (((hc, qa), nz),)) for nz in t_nz))
+    q_rows = (qc,) + q_rows
+
+    def dot(row, nz) -> Scalar:
+        """row (x) a column given by its `_finite` list"""
+        best = zero
+        for j, y in nz:
+            x = row[j]
+            if x != zero and x + y > best:
+                best = x + y
+        return best
+
+    traces = {k: max(chains[k][i][i] for i in range(n)) for k in range(1, n + 1)}
+    families = {
+        "h_closure_g": {k: dot(h_rows[k], g_nz) for k in range(1, n)},
+        "q_chain_g": {k: dot(q_rows[k], g_nz) for k in range(1, n + 1)},
+        "h_closure_p": {k: dot(h_rows[k], p_nz) for k in range(n)},
+        "q_chain_p": {k: dot(q_rows[k], p_nz) for k in range(n + 1)},
     }
 
-    def roots(terms: dict, shift: int) -> Scalar:
-        """(+) over the keyed terms v_k of v_k^(1/(k+shift))."""
-        return sf.sum(
-            sf.power(v, Fraction(1, int(k) + shift)) for k, v in terms.items()
-        )
+    def largest(pairs) -> tuple[Scalar, int]:
+        """The first largest v/k over pairs (v, k) with v finite, by
+        cross-multiplying; (zero, 1) when there is none."""
+        best = (zero, 1)
+        for v, k in pairs:
+            if v != zero and (best[0] == zero or v * best[1] > best[0] * k):
+                best = (v, k)
+        return best
 
-    traces = {str(k): chains[k].trace() for k in range(1, n + 1)}
-    # the rows h^- T_k and q^- C_k serve both the g and the p family
-    h_closures = [hc @ t for t in closures]
-    q_chains = [qc @ c for c in chains]
-    h_closure_g = {str(k): h_closures[k] @ g for k in range(1, n)}
-    q_chain_g = {str(k): q_chains[k] @ g for k in range(1, n + 1)}
-    h_closure_p = {str(k): h_closures[k] @ p for k in range(n)}
-    q_chain_p = {str(k): q_chains[k] @ p for k in range(n + 1)}
+    # the root v_k^(1/(k+shift)) is the ratio v_k / (k+shift)
     sums = {
-        "sum_trace_roots": roots(traces, 0),
-        "sum_h_closure_g": roots(h_closure_g, 0),
-        "sum_q_chain_g": roots(q_chain_g, 0),
-        "sum_h_closure_p": roots(h_closure_p, 1),
-        "sum_q_chain_p": roots(q_chain_p, 1),
+        f"sum_{key}": largest((v, k + shift) for k, v in terms.items())
+        for key, terms, shift in (
+            ("trace_roots", traces, 0),
+            ("h_closure_g", families["h_closure_g"], 0),
+            ("q_chain_g", families["q_chain_g"], 0),
+            ("h_closure_p", families["h_closure_p"], 1),
+            ("q_chain_p", families["q_chain_p"], 1),
+        )
     }
-    scaled = _scaled_sum(sf.inv(result.theta), a, b)
+    top = largest(sums.values())
+    # theta = w / l at scale D, finite since q^- p is: theta^-1 A (+) B
+    # at scale l D
+    w, ell = Fraction(*top).as_integer_ratio()
+    a_l, b_l = (a, b) if ell == 1 else _rescaled(
+        (a, b), lambda row: tuple(v if v == zero else v * ell for v in row))
+    scaled = _scaled_sum(-w, a_l, b_l).rows
+    s_pow, s_nz = [scaled], _finite(scaled, zero)
+    for _ in range(n - 2):
+        s_pow.append(_product(s_pow[-1], scaled, zero, s_nz))
+
+    def divided(items, unit: int = 1) -> Iterator:
+        """The items at scale unit D, each divided once, in order."""
+        return iter(_unscale(items, unit * scale, floating, zero))
+
+    # the tables at scale D, then their scalars as one row
+    scalars = [_trace_product(b, Matrix._built(closures[0], sf)), dot(h_rows[0], g_nz)]
+    for terms in families.values():
+        scalars += terms.values()
+    out = divided([Matrix._built(t, sf) for t in a_pow[2:] + b_pow[2:] + closures + chains]
+                  + [RowVector(scalars, sf)])
+    inter: dict = {
+        "A_pow": {str(k): next(out) for k in range(2, n + 1)},
+        "B_pow": {str(k): next(out) for k in range(2, n + 1)},
+    }
+    closures = [next(out) for _ in closures]
+    chains = [next(out) for _ in chains]
+    values = iter(next(out).entries)
     inter.update(
-        h_closure_g=h_closure_g,
-        q_chain_g=q_chain_g,
-        h_closure_p=h_closure_p,
-        q_chain_p=q_chain_p,
-        **sums,
-        theta=sf.sum(sums.values()),
-        scaled_sum=scaled,
-        scaled_sum_pow={
-            str(k): m for k, m in enumerate(scaled.powers(n - 1)) if k >= 2
-        },
+        B_star=closures[0],
+        trace_sum_B=next(values),
+        h_Bstar_g=next(values),
+        chain_sums=chains,
+        closure_sums=closures,
+    )
+    for key, terms in families.items():
+        inter[key] = {str(k): next(values) for k in terms}
+    inter.update({key: next(divided((v,), k)) for key, (v, k) in sums.items()})
+    s_pow = divided([Matrix._built(t, sf) for t in s_pow], ell)
+    inter.update(
+        theta=next(divided(top[:1], top[1])),
+        scaled_sum=next(s_pow),
+        scaled_sum_pow={str(k): next(s_pow) for k in range(2, n)},
         generator=result.solutions.generator,
         lower_u=result.solutions.lower,
         upper_u=result.solutions.upper,

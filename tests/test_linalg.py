@@ -668,10 +668,10 @@ def test_witness_of_the_bundled_project(a):
 
 
 def _eigen_step(a: Matrix):
-    """The first k <= n at which D_k is finite everywhere and
-    D_k - D_(k-1) is one constant, from plain maxima of walk sums on the
-    exact values of the entries, as Karp's kernel sums them; None when
-    no step qualifies."""
+    """The first k <= n at which D_k and D_(k-1) are finite at the same
+    nodes, at least one, and D_k - D_(k-1) is one constant there, from
+    plain maxima of walk sums on the exact values of the entries, as
+    Karp's kernel sums them; None when no step qualifies."""
     rows, n = _as_fractions(a).rows, a.n_rows
     d = [0] * n
     for k in range(1, n + 1):
@@ -680,7 +680,9 @@ def _eigen_step(a: Matrix):
                 default=NEG)
             for j in range(n)
         ]
-        if NEG not in e and len({x - y for x, y in zip(e, d)}) == 1:
+        support = [v for v in range(n) if e[v] != NEG]
+        if (support and support == [v for v in range(n) if d[v] != NEG]
+                and len({e[v] - d[v] for v in support}) == 1):
             return k
         d = e
     return None
@@ -752,17 +754,35 @@ def test_periodic_and_reducible_matrices_take_the_full_formula(karp_tails):
     lam, nodes = _max_cycle(a)
     assert lam == Fraction(1, 2) and set(nodes) == {0, 1}
     assert karp_tails == [False]
-    # a column of zeros keeps D_k infinite there at every step
+    # two loops of unequal means that no arc joins: D_k grows by 2 at
+    # one node and by 1 at the other, at every step
+    for rows in (((2, NEG), (NEG, 1)), ((NEG, 2, NEG), (0, NEG, NEG), (NEG, NEG, 1))):
+        a = Matrix(rows)
+        assert _eigen_step(a) is None
+        karp_tails.clear()
+        lam, nodes = _max_cycle(a)
+        assert lam == max_cycle_mean(a) and karp_tails == [False], rows
+
+
+def test_a_node_without_arcs_into_it_leaves_the_early_exit_open(karp_tails):
+    # a column of zeros keeps D_k infinite there from step 1 on; the
+    # exit compares the nodes where the walks are finite
     rng = random.Random(101)
+    early = 0
     for i in range(200):
         a, _ = _radius_case(rng, 1)
         j = rng.randrange(a.n_rows)
         a = Matrix(tuple(r[:j] + (NEG,) + r[j + 1:] for r in a.rows), a.sf)
-        assert _eigen_step(a) is None
         karp_tails.clear()
         lam, nodes = _max_cycle(a)
-        assert karp_tails == ([False] if nodes else []), (i, a)
+        step = _eigen_step(a)
+        assert karp_tails == ([step is not None] if nodes else []), (i, a)
         assert a.sf.eq(lam, max_cycle_mean(_as_fractions(a))) or lam == NEG
+        if nodes:
+            arcs = [Fraction(a.rows[u][v]) for u, v in zip(nodes, nodes[1:] + nodes[:1])]
+            assert a.sf.eq(lam, sum(arcs) / len(arcs)), (i, a, nodes)
+        early += step is not None
+    assert early >= 50, early
 
 
 def test_spectral_radius_builds_no_matrix_product(monkeypatch):
@@ -1029,3 +1049,102 @@ def test_acyclic_matches_a_zero_spectral_radius():
         "sample": {True, False}, "acyclic": {True}, "self-loop": {False},
         "zero-weight": {False}, "negative": {False}, "all-zero": {True},
     }, seen
+
+
+# -- _scan: each finite entry read once, listed once -----------------------
+
+
+def _two_pass_scan(matrices, zero):
+    """`linalg._scan` as it was before it read each entry once: one walk
+    lists the entries and collects the denominators, and the scaled
+    tables are read again, entry by entry, and listed again."""
+    nzs, dens, floating = [], set(), False
+    for m in matrices:
+        nz = []
+        for row in m.rows:
+            out = []
+            for j, v in enumerate(row):
+                if v != zero:
+                    if type(v) is not int:
+                        floating = floating or type(v) is float
+                        if type(v) is not float or not v.is_integer():
+                            dens.add(v.as_integer_ratio()[1])
+                    out.append((j, v))
+            nz.append(out)
+        nzs.append(nz)
+    if not (floating or dens):
+        return tuple(matrices), nzs, 1, False
+    scale = math.lcm(*dens)
+
+    def whole(v):
+        if v == zero:
+            return v
+        if scale == 1:
+            return int(v)
+        m, d = v.as_integer_ratio()
+        return m * (scale // d)
+
+    matrices = tuple(Matrix(tuple(tuple(map(whole, r)) for r in m.rows), m.sf) for m in matrices)
+    return matrices, [linalg._finite(m.rows, zero) for m in matrices], scale, floating
+
+
+class _Counted(Fraction):
+    """A Fraction that counts its `as_integer_ratio` reads."""
+
+    reads = 0
+
+    def as_integer_ratio(self):
+        _Counted.reads += 1
+        return super().as_integer_ratio()
+
+
+_SCAN_ENTRIES = {
+    "int": lambda rng: rng.randint(-90, 90),
+    "decimal": lambda rng: Fraction(rng.randint(-900, 900), rng.choice((1, 7, 10, 100))),
+    "whole float": lambda rng: float(rng.randint(-90, 90)),
+    "float tenths": lambda rng: rng.randint(-900, 900) / 10,
+    "1.4e8 and a fraction": lambda rng: 1.4e8 + rng.randint(-9, 9) / 10,
+    "int or float tenths": lambda rng: rng.choice((rng.randint(-9, 9), rng.randint(-90, 90) / 10)),
+}
+
+
+@pytest.mark.parametrize("label", list(_SCAN_ENTRIES))
+def test_scan_matches_a_two_pass_scan(label):
+    rng = random.Random(f"scan/{label}")
+    entry = _SCAN_ENTRIES[label]
+    for draw in range(80):
+        n = rng.randint(1, 6)
+        pair = tuple(
+            Matrix(tuple(tuple(NEG if rng.random() < 0.3 else entry(rng) for _ in range(n))
+                         for _ in range(n)))
+            for _ in range(2)
+        )
+        got, want = linalg._scan(pair, NEG), _two_pass_scan(pair, NEG)
+        assert repr(got) == repr(want), (label, draw, pair)
+        # a vector scans as the one row of its entries, by the same D
+        col = Vector(tuple(NEG if rng.random() < 0.3 else entry(rng) for _ in range(n)))
+        items, lists, scale, _ = linalg._scan(pair + (col, RowVector(col.entries)), NEG)
+        ref = _two_pass_scan(pair + (Matrix((col.entries,)),), NEG)
+        assert scale == ref[2] and lists[2] == lists[3] == ref[1][2], (label, draw)
+        assert [type(x) for x in items[2:]] == [Vector, RowVector], (label, draw)
+        assert items[2].entries == items[3].entries == ref[0][2].rows[0], (label, draw)
+
+
+def test_scan_reads_each_entry_once():
+    rng = random.Random(137)
+    for _ in range(50):
+        n = rng.randint(1, 6)
+        rows = tuple(tuple(NEG if rng.random() < 0.3 else _Counted(rng.randint(-90, 90), rng.choice((1, 3, 10)))
+                           for _ in range(n)) for _ in range(n))
+        _Counted.reads = 0
+        (m,), lists, scale, floating = linalg._scan((Matrix(rows),), NEG)
+        assert _Counted.reads == sum(v != NEG for r in rows for v in r)
+        assert not floating and m.rows == tuple(
+            tuple(v if v == NEG else int(v * scale) for v in r) for r in rows)
+
+
+def test_scan_names_an_infinite_entry():
+    for items in ((Matrix(((1.0, INF),)),), (Matrix(((0.5,),)), Vector((INF, 1.0))),
+                  (Matrix(((Fraction(1, 3),),)), RowVector((2, INF)))):
+        with pytest.raises(ValueError, match="^float overflow: a result is \\+inf$"):
+            linalg._scan(items, NEG)

@@ -923,7 +923,8 @@ def test_theta_relaxed_through_bhat_matches_the_closure_path(monkeypatch):
             seen["full formula"] += full
             seen[label] += 1
     assert seen["infeasible"] > 300 and seen["fractional"] > 400, seen
-    assert seen["full formula"] > 600, seen
+    # periodic draws and those whose parts have unequal means
+    assert seen["full formula"] > 300, seen
     assert min(seen["thirds"], seen["tenths"], seen["offset"]) > 150, seen
 
 
@@ -1293,3 +1294,80 @@ def test_one_pass_family_matches_the_three_pass_formulas():
     assert min(seen["zero in lower"], seen["regular lower"], seen["l > 1"],
                seen["float"]) > 100, seen
 
+
+
+# -- Karp's early exit on the finite support -------------------------------
+
+
+@pytest.mark.parametrize("kind, steps", [
+    ("Basic", [5, 13, 13, 11, 3, 7, 5, 5]),
+    ("LinearConstrained", [2, 2, 3, 2, 3, 2, 2, 2]),
+])
+def test_karp_exits_on_the_finite_support(monkeypatch, kind, steps):
+    # the border node has no arc into it in Bhat* Ahat for these kinds,
+    # so D_k is never finite everywhere, and the walk ran all 13 steps;
+    # it now exits once D_k grows by one constant where it is finite.
+    # Each step relaxes once through Bhat
+    counts = []
+    relax = linalg._relax
+
+    def counted(*args):
+        counts[-1] += 1
+        return relax(*args)
+
+    monkeypatch.setattr(linalg, "_relax", counted)
+    for i in range(len(steps)):
+        doc = perfgen.feasible_problem(perfgen.instance_rng("karp-support", 12, i), kind, 12)
+        counts.append(0)
+        solve_problem(parse_problem(doc))
+    assert counts == steps
+
+
+def _karp_formula(m: Matrix):
+    """lambda(m) by Karp's formula with every step of the walk taken, in
+    Fractions: the max over v of the min over k < N of
+    (D_N(v) - D_k(v)) / (N - k), finite terms only."""
+    rows, size = m.rows, m.n_rows
+    walks = [[Fraction(0)] * size]
+    for _ in range(size):
+        d = walks[-1]
+        walks.append([
+            max((d[u] + Fraction(rows[u][v]) for u in range(size)
+                 if d[u] != NEG and rows[u][v] != NEG), default=NEG)
+            for v in range(size)
+        ])
+    return max(
+        (min((walks[size][v] - walks[k][v]) / (size - k)
+             for k in range(size) if walks[k][v] != NEG)
+         for v in range(size) if walks[size][v] != NEG),
+        default=NEG,
+    )
+
+
+def test_theta_and_witness_where_the_walk_exits_on_the_support(monkeypatch):
+    exits = Counter()
+    tail = linalg._cycle_mean
+
+    def recording(tables, steps, v, sf):
+        if isinstance(steps, itertools.repeat):
+            exits["early"] += 1
+        return tail(tables, steps, v, sf)
+
+    monkeypatch.setattr(linalg, "_cycle_mean", recording)
+    rng = random.Random(139)
+    kinds = (ProblemKind.BASIC, ProblemKind.LINEAR_CONSTRAINED)
+    for i in range(400):
+        prob = sample_problem(rng, kinds[i % 2], rng.randint(2, 6))
+        try:
+            theta = solve_problem(prob).minimum
+        except (InfeasibleConstraints, ZeroSpectralRadius, DegenerateProblem):
+            continue
+        exits[prob.kind] += 1
+        b_star, a_hat = _bordered_pair(prob)
+        product = b_star @ a_hat
+        assert theta == _karp_formula(product), (i, prob)
+        b_hat = optimize._border(prob.B, prob.dim, prob.A.sf, prob.g, None, None)
+        lam, nodes = linalg._max_cycle(b_hat, a_hat, starred=True)
+        arcs = [product.rows[u][v] for u, v in zip(nodes, nodes[1:] + nodes[:1])]
+        assert lam == theta == Fraction(sum(arcs), len(arcs)), (i, prob, nodes)
+    assert min(exits[kinds[0]], exits[kinds[1]]) > 100 and exits["early"] > 300, exits

@@ -42,7 +42,9 @@ def test_ab_trees_against_its_own_tree():
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()[1:]
     assert [line.split(":")[0] for line in lines] == [
-        "solve_schedule n=4", "solve_schedule n=12", "solve_problem n=4", "solve_problem n=12"]
+        "solve_schedule n=4", "solve_schedule n=12", "solve_problem n=4", "solve_problem n=12",
+        "solve_schedule_detailed int n=6", "solve_schedule_detailed decimal n=6",
+        "solve_schedule_detailed int n=12", "solve_schedule_detailed decimal n=12"]
     assert all(line.endswith("0 of 3 answers differ") for line in lines), done.stdout
 
 
