@@ -91,18 +91,17 @@ def _acyclic(nz: list[list], n: int) -> bool:
     return not left
 
 
-def _sum_products(zero: Scalar, width: int, terms, seed=None) -> tuple[tuple, ...]:
-    """Rows of seed (+) L_1 (x) R_1 (+) L_2 (x) R_2 (+) ... over the
-    terms (L, the `_finite` lists of R), the L row-major tables of one
-    height; each row starts from the seed table's row, or from zero
-    when seed is None.  Terms go in order, each in increasing k, and
-    only a strictly larger sum replaces the running maximum: the first
-    maximal term is kept, so the result, Python type included, is that
-    of `sf.sum` of `sf.mul`s under `MaxPlus`, and an earlier term wins
-    ties, as the left operand of `+` does."""
+def _sum_products(zero: Scalar, width: int, terms) -> tuple[tuple, ...]:
+    """Rows of L_1 (x) R_1 (+) L_2 (x) R_2 (+) ... over the terms (L,
+    the `_finite` lists of R), the L row-major tables of one height.
+    Terms go in order, each in increasing k, and only a strictly
+    larger sum replaces the running maximum: the first maximal term is
+    kept, so the result, Python type included, is that of `sf.sum` of
+    `sf.mul`s under `MaxPlus`, and an earlier term wins ties, as the
+    left operand of `+` does."""
     out = []
-    for i, rows in enumerate(zip(*[left for left, _ in terms])):
-        acc = [zero] * width if seed is None else list(seed[i])
+    for rows in zip(*[left for left, _ in terms]):
+        acc = [zero] * width
         for row, (_, right_nz) in zip(rows, terms):
             for a, nz in zip(row, right_nz):
                 if a != zero:
@@ -498,7 +497,7 @@ def _karp(tables, nzs, n: int, sf: Semifield,
     `_finite` lists, built by the caller, lambda exact: an int when
     whole, else a Fraction."""
     zero = sf.zero
-    walks, back = [[sf.one] * n], [None]
+    walks, back, zeros = [[sf.one] * n], [None], 0
     for _ in range(n):
         prev = acc = walks[-1]
         args = []
@@ -521,10 +520,10 @@ def _karp(tables, nzs, n: int, sf: Semifield,
             args.append(arg)
         # a walk of k arcs ends in one of k-1 arcs, so D_k is finite only
         # where D_(k-1) is: equal counts of zeros are equal finite positions
-        zeros = acc.count(zero)
+        prev_zeros, zeros = zeros, acc.count(zero)
         if zeros == n:  # no walk of k arcs, so no cycle
             return zero, ()
-        if zeros == prev.count(zero):
+        if zeros == prev_zeros:
             v = next(v for v, d in enumerate(acc) if d != zero)
             c = acc[v] - prev[v]
             if all(d - e == c for d, e in zip(acc, prev) if d != zero):
@@ -911,20 +910,18 @@ def closure_sums(a: Matrix, b: Matrix) -> list[Matrix]:
     return [Matrix._built(t, a.sf) for t in _closures(tops, bottoms, step_nz, a_nz, zero)]
 
 
-def _closures(tops, bottoms, step_nz, a_nz, zero: Scalar, seeded: bool = False) -> list[tuple]:
+def _closures(tops, bottoms, step_nz, a_nz, zero: Scalar) -> list[tuple]:
     """The closure family's tables T_0..T_(n-1) of order n, given the
     first and the last coefficient after each factor, bottoms[s] =
     (I (+) B)^s and tops[s] = A^s for s < n, and the `_finite` lists of
     A and of the step I (+) B.  Only the coefficients between those two
     are products, each row one accumulation of
-    T_k (I (+) B) (+) T_(k-1) A.  `seeded` takes the step lists as B's
-    alone and starts each row from T_k's, T_k I: the same values, with
-    n fewer sums a row, but ties can keep another Python type."""
+    T_k (I (+) B) (+) T_(k-1) A."""
     n = len(step_nz)
     out = [tops[0]]
     for s in range(1, n):
         out = [bottoms[s]] + [
-            _sum_products(zero, n, ((t, step_nz), (prev, a_nz)), t if seeded else None)
+            _sum_products(zero, n, ((t, step_nz), (prev, a_nz)))
             for prev, t in zip(out, out[1:])
         ] + [tops[s]]
     return out

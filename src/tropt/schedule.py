@@ -189,7 +189,7 @@ def _ledger(spec: ScheduleSpec, result: ScheduleResult) -> dict:
     for m in b_pow[1:]:
         b_sums.append(tuple([tuple([x if y <= x else y for x, y in zip(r, s)])
                              for r, s in zip(b_sums[-1], m)]))
-    closures = _closures(a_pow, b_sums, b_nz, a_nz, zero, seeded=True)
+    closures = _closures(a_pow, b_sums, _finite(b_sums[1], zero), a_nz, zero)
     t_nz = [_finite(t, zero) for t in closures]
     chains = [eye] + [_product(a.rows, t, zero, nz) for t, nz in zip(closures[:-1], t_nz)]
     chains.append(a_pow[n])
