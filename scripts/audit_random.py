@@ -8,7 +8,9 @@ disagreement (different minimum, or a grid argmin outside the reported
 solution family) is a bug and flips the exit code.  Each kept draw is
 also solved with its data as floats divided by 10: its minimum and
 canonical point must be the exact answer on those floats' own (dyadic)
-values, rounded once to floats.
+values, rounded once to floats.  The inequality solvers' exact family
+is compared with perfbench/check.py's literal star, and their floats/10
+draw with the exact answer rounded once, in the same way.
 
 Usage:
     python3 scripts/audit_random.py [--count N] [--seed S] [--radius R]
@@ -22,19 +24,23 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from tropt import oracle
-from tropt.errors import (
+from check import inequality_expectation  # noqa: E402
+from tropt import oracle  # noqa: E402
+from tropt.errors import (  # noqa: E402
     DegenerateProblem,
     InfeasibleConstraints,
     InfeasibleSchedule,
+    NoRegularSolution,
     ZeroSpectralRadius,
 )
-from tropt.linalg import Matrix, Vector
-from tropt.optimize import ProblemKind, solve_problem
-from tropt.oracle import GridSpec, default_step, grid_minimize, grid_minimize_schedule
-from tropt.schedule import build_problem, solve_schedule
+from tropt.linalg import Matrix, Vector  # noqa: E402
+from tropt.linsolve import solve_combined, solve_fixpoint_lower  # noqa: E402
+from tropt.optimize import ProblemKind, solve_problem  # noqa: E402
+from tropt.oracle import GridSpec, default_step, grid_minimize, grid_minimize_schedule  # noqa: E402
+from tropt.schedule import build_problem, solve_schedule  # noqa: E402
 
 SKIP = (
     ZeroSpectralRadius,
@@ -43,21 +49,24 @@ SKIP = (
 )
 
 
+def _entries(x, f):
+    """x with f applied to each finite entry when it is a Matrix, a
+    Vector or a finite scalar; any other x as it is."""
+    zero = float("-inf")
+    if isinstance(x, Matrix):
+        return Matrix(tuple(tuple(v if v == zero else f(v) for v in r) for r in x.rows), x.sf)
+    if isinstance(x, Vector):
+        return Vector(tuple(v if v == zero else f(v) for v in x.entries), x.sf)
+    if isinstance(x, (int, float, Fraction)) and x != zero:
+        return f(x)
+    return x
+
+
 def _mapped(item, f):
     """The Problem or ScheduleSpec with f applied to each finite entry."""
-    zero = float("-inf")
-
-    def conv(x):
-        if isinstance(x, Matrix):
-            return Matrix(tuple(tuple(v if v == zero else f(v) for v in r) for r in x.rows), x.sf)
-        if isinstance(x, Vector):
-            return Vector(tuple(v if v == zero else f(v) for v in x.entries), x.sf)
-        if isinstance(x, (int, float, Fraction)) and x != zero:
-            return f(x)
-        return x
-
     return dataclasses.replace(
-        item, **{fld.name: conv(getattr(item, fld.name)) for fld in dataclasses.fields(item)}
+        item, **{fld.name: _entries(getattr(item, fld.name), f)
+                 for fld in dataclasses.fields(item)}
     )
 
 
@@ -137,6 +146,69 @@ def audit_schedule(count: int, seed: int, radius: int):
     return kept, skipped, mismatches
 
 
+def _plain(values) -> list:
+    """Entries as check.py lists them: None for zero, the rest as they
+    are."""
+    return [None if v == float("-inf") else v for v in values]
+
+
+def _ineq_answer(a, b, d):
+    """The family of A x (+) b <= x (<= d) as check.py's fields, or the
+    failed gate's condition."""
+    try:
+        sol = solve_fixpoint_lower(a, b) if d is None else solve_combined(a, b, d)
+    except NoRegularSolution as err:
+        return err.condition
+    doc = {"generator": list(map(_plain, sol.generator.rows)), "lower": _plain(sol.lower.entries)}
+    if sol.upper is not None:
+        doc["upper"] = _plain(sol.upper.entries)
+    return doc
+
+
+def _rounded(doc):
+    """The answer with each finite exact value as the nearest float."""
+    if isinstance(doc, dict):
+        return {k: _rounded(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_rounded(v) for v in doc]
+    return doc if doc is None else float(doc)
+
+
+def audit_inequalities(count: int, seed: int):
+    """solve-ineq's two families on integer draws, half with d: each
+    exact answer or condition is check.py's, and the draw in floats
+    divided by 10 solves to the exact answer on its floats' values,
+    rounded once."""
+    rng = random.Random(seed)
+    kept = skipped = 0
+    mismatches = []
+    while kept < count:
+        n = rng.choice((2, 3, 4))
+        a = oracle.random_trace_bounded(rng, n) if rng.random() < 0.8 else \
+            oracle.random_matrix(rng, n)
+        b = oracle.random_vector(rng, n, zero_p=0.2)
+        d = oracle.random_vector(rng, n, lo=0, hi=8) if rng.random() < 0.5 else None
+        system = {"A": list(map(_plain, a.rows)), "b": _plain(b.entries)}
+        if d is not None:
+            system["d"] = list(d.entries)
+        condition, want = inequality_expectation(system)
+        got = _ineq_answer(a, b, d)
+        if got != (condition or want):
+            mismatches.append((system, "family", got, condition or want))
+        if condition is not None:
+            skipped += 1
+            continue
+        kept += 1
+        floats = [_entries(x, tenth) for x in (a, b, d)]
+        exact = _ineq_answer(*[_entries(x, Fraction) for x in floats])
+        if isinstance(exact, str):
+            continue  # rounding by 10 can turn a zero cycle positive
+        got = _ineq_answer(*floats)
+        if repr(got) != repr(_rounded(exact)):
+            mismatches.append((system, "float tenths", got, _rounded(exact)))
+    return kept, skipped, mismatches
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=100,
@@ -156,6 +228,7 @@ def main(argv=None) -> int:
     rows = [(kind.value, lambda s, k=kind: audit_kind(k, args.count, s, args.radius))
             for kind in ProblemKind]
     rows.append(("Schedule", lambda s: audit_schedule(args.count, s, args.radius)))
+    rows.append(("Inequalities", lambda s: audit_inequalities(args.count, s)))
     for offset, (label, runner) in enumerate(rows):
         kept, skipped, mismatches = runner(args.seed + offset)
         status = "ok" if not mismatches else f"{len(mismatches)} MISMATCH"

@@ -5,9 +5,9 @@ with the semifield's zero carried as a float -inf.  `+` is entrywise
 idempotent addition and `@` the max-plus product, one inlined kernel
 over the finite entries.  `_floyd_warshall` is the one O(n^3) pass, in
 place, pivoting at a range of nodes: at all of them in `_closure`, for
-A* and the heaviest cycle weight that the inequality solvers' gates
-read, so no solver builds a power sum; `star` adds the fallback past a
-positive cycle, and `trace_sum` reads Tr(A) off it in O(n^2).
+A* and the heaviest cycle weight, with no power sum; `star` adds the
+fallback past a positive cycle, and `trace_sum` reads Tr(A) off it in
+O(n^2).
 `spectral_radius` is Karp's O(n^3) maximum cycle mean.  Its kernel,
 `_max_cycle`, also takes a product of factors without forming it: each
 walk step is one pass over each factor's finite entries.  A first
@@ -327,7 +327,7 @@ class Matrix:
         """(A*, c) from one O(n^3) Floyd-Warshall pass, no power sum: c is
         the heaviest cycle weight, the largest diagonal entry of the pass
         (zero with no cycle), equal to Tr(A) whenever c <= one; A* is the
-        pass's rows with the diagonal set to one, the solvers' star."""
+        pass's rows with the diagonal set to one."""
         n = self._require_square()
         sf = self.sf
         d = [list(r) for r in self.rows]

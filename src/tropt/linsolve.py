@@ -9,10 +9,12 @@ Three systems, each solved exactly:
                          iff Delta = TrSum(A) (+) d^- A* b <= one
 
 Solution families are carried as SolutionSet objects: the image of a
-box of parameter vectors under a generator matrix.  A float box that
-rounding leaves empty by at most eps is widened to its lower corner,
-with a RuntimeWarning; so is one that a dust cycle of the optimizers'
-exact ints leaves empty.
+box of parameter vectors under a generator matrix.  The last two run
+on the optimizers' path (`_family`): one pass over Bhat = [[A, b],
+[d^-, 0]], scanned to ints at one scale D, gives Delta, gated exactly
+at dust (eps (x) D on float data, else 0), A* and d^- A*, each divided
+by D once.  A box that a dust cycle leaves empty by at most dust is
+widened to its lower corner, with a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
     NotRegularVector,
     ShapeMismatch,
 )
-from .linalg import Matrix, Vector
+from .linalg import Matrix, RowVector, Vector, _floyd_warshall, _scan, _unscale
 from .semifield import Scalar
 
 
@@ -123,18 +125,15 @@ def _caller_level() -> int:
     return level
 
 
-def _tighten_box(lower: Vector, upper: Vector, unit: int | None = None) -> Vector:
-    """Absorb float dust that pushed the upper parameter bound below the
-    lower one: up to eps, or, on ints that stand for their values times
-    `unit`, up to eps (x) unit, compared exactly.  Without a positive
-    cycle the closed forms guarantee a nonempty box."""
-    sf = lower.sf
-    out = []
-    widened = False
+def _tighten_box(lower: Vector, upper: Vector, dust: Scalar) -> Vector:
+    """Absorb dust that pushed the upper parameter bound below the lower
+    one, up to `dust`, compared exactly.  Without a positive cycle the
+    closed forms guarantee a nonempty box."""
+    out, widened = [], False
     for lo, up in zip(lower.entries, upper.entries):
         if lo <= up:
             out.append(up)
-        elif sf.eq(lo, up) if unit is None else lo - up <= Fraction(sf.eps) * unit:
+        elif lo - up <= dust:
             out.append(lo)
             widened = True
         else:
@@ -145,8 +144,49 @@ def _tighten_box(lower: Vector, upper: Vector, unit: int | None = None) -> Vecto
             RuntimeWarning,
             stacklevel=_caller_level(),
         )
-        return Vector(tuple(out), sf)
+        return Vector(tuple(out), lower.sf)
     return upper
+
+
+def _border(m: Optional[Matrix], n: int, sf, col: Optional[Vector],
+            row: Optional[RowVector], corner: Optional[Scalar]) -> Matrix:
+    """[[m, col], [row, corner]] of order n+1; absent pieces are zero."""
+    zeros = (sf.zero,) * n
+    rows = (zeros,) * n if m is None else m.rows
+    col = zeros if col is None else col.entries
+    last = (zeros if row is None else row.entries) + (sf.zero if corner is None else corner,)
+    return Matrix._built(tuple(r + (c,) for r, c in zip(rows, col)) + (last,), sf)
+
+
+def _family(m: list[list], n: int, sf) -> tuple[Scalar, Matrix, Vector, RowVector]:
+    """(c, G, v, w G) off the bordered int table m = [[M, v], [w, s]]
+    of order n+1, in place, by one Floyd-Warshall pass with pivots at
+    the n activity nodes only: G = M* is the corner with its diagonal
+    set to one, and c the largest diagonal entry, the heaviest cycle
+    weight of M and of s (+) w M* v, for a caller to gate."""
+    zero = sf.zero
+    lower = Vector([mi[n] for mi in m[:n]], sf)
+    _floyd_warshall(m, n, zero)
+    heaviest = max(m[i][i] for i in range(n + 1))
+    for i in range(n):
+        m[i][i] = sf.one
+    gen = Matrix._built(tuple(tuple(mi[:n]) for mi in m[:n]), sf)
+    return heaviest, gen, lower, RowVector(m[n][:n], sf)
+
+
+def _solve(a: Matrix, b: Vector, d: Optional[Vector], condition: str) -> SolutionSet:
+    """x = A* u, b <= u <= (d^- A*)^- (unbounded above without d), or
+    NoRegularSolution naming `condition` when Delta exceeds dust."""
+    n, sf, zero = a.n_rows, a.sf, a.sf.zero
+    dc = None if d is None else d.conj()
+    (b_hat,), _, scale, floating = _scan((_border(a, n, sf, b, dc, None),), zero)
+    dust = Fraction(sf.eps) * scale if floating else 0
+    delta, gen, lower, row = _family([list(r) for r in b_hat.rows], n, sf)
+    if delta > dust:
+        raise NoRegularSolution(condition)
+    upper = None if d is None else _tighten_box(lower, row.conj(), dust)
+    gen, lower, upper = _unscale((gen, lower, upper), scale, floating, zero)
+    return SolutionSet(generator=gen, lower=lower, upper=upper)
 
 
 def solve_upper_bounded(a: Matrix, d: Vector) -> Vector:
@@ -173,11 +213,7 @@ def solve_fixpoint_lower(a: Matrix, b: Vector) -> SolutionSet:
     n = a._require_square()
     if b.dim != n:
         raise ShapeMismatch(f"lower bound dim {b.dim} against order {n}")
-    sf = a.sf
-    star, cycle = a._closure()
-    if not sf.leq_tol(cycle, sf.one):
-        raise NoRegularSolution("Tr(A) <= 1")
-    return SolutionSet(generator=star, lower=b)
+    return _solve(a, b, None, "Tr(A) <= 1")
 
 
 def solve_combined(a: Matrix, b: Vector, d: Vector) -> SolutionSet:
@@ -191,11 +227,4 @@ def solve_combined(a: Matrix, b: Vector, d: Vector) -> SolutionSet:
         raise ShapeMismatch("bound dims against matrix order")
     if not d.is_regular():
         raise NotRegularVector("upper bound must be regular")
-    sf = a.sf
-    star, cycle = a._closure()
-    d_star = d.conj() @ star
-    delta = sf.add(cycle, d_star @ b)
-    if not sf.leq_tol(delta, sf.one):
-        raise NoRegularSolution("Tr(A) (+) d^- A* b <= 1")
-    upper = _tighten_box(b, d_star.conj())
-    return SolutionSet(generator=star, lower=b, upper=upper)
+    return _solve(a, b, d, "Tr(A) (+) d^- A* b <= 1")

@@ -20,20 +20,16 @@ and the constraints are solvable exactly when Bhat has no positive
 cycle, Tr(Bhat) <= 1.  Every datum is first scaled to an int by one D,
 the lcm of the denominators of the finite entries (1 for ints, a power
 of two for floats), so float and decimal data take the exact path too.
-That scan walks each bordered matrix once and lists its finite
-entries, which everything after it reads: Karp's walk, the no-cycle
-gates (an O(n^2) acyclicity test of A's entries) and the family table.
-Karp's walk gives both without Bhat* or the product: each step relaxes
-its vector through Bhat (Bellman-Ford, the product with Bhat*) and then
-passes over Ahat, and the first step settles exactly when Bhat has no
-positive cycle.  A feasible solve then makes one Floyd-Warshall pass,
-over theta^-1 Ahat (+) Bhat, which gives G, the parameter box and the
-canonical point.  When theta is a fraction w/l of the ints, that pass
-runs on the ints scaled by l, where theta is the int w.  theta and the
-family are then divided by l D once, so a float answer is the
-correctly rounded value of the exact answer on the data's own values.
-`solve_problem` holds that path; the `minimize_*`
-functions only build a Problem and hand it over.
+That scan lists each bordered matrix's finite entries once, and
+everything after it reads the lists: Karp's walk relaxed through Bhat
+gives theta and, at its first step, the gate, with neither Bhat* nor
+the product; one Floyd-Warshall pass over theta^-1 Ahat (+) Bhat
+(`linsolve._family`, which solve-ineq shares) gives the family.  When
+theta is a fraction w/l of the ints, that pass runs on the ints scaled
+by l; theta and the family are then divided by l D once, so a float
+answer is the correctly rounded exact answer on the data's own values.
+`solve_problem` holds that path; the `minimize_*` functions only build
+a Problem and hand it over.
 """
 
 from __future__ import annotations
@@ -50,11 +46,8 @@ from .errors import (
     ShapeMismatch,
     ZeroSpectralRadius,
 )
-from .linalg import (
-    Matrix, RowVector, Vector,
-    _acyclic, _finite, _floyd_warshall, _karp, _scan, _unscale,
-)
-from .linsolve import SolutionSet, _tighten_box
+from .linalg import Matrix, Vector, _acyclic, _finite, _floyd_warshall, _karp, _scan, _unscale
+from .linsolve import SolutionSet, _border, _family, _tighten_box
 from .semifield import Scalar
 
 
@@ -133,18 +126,6 @@ def objective_value(problem: Problem, x: Vector) -> Scalar:
     return sf.add(value, problem.r)
 
 
-def _border(m: Optional[Matrix], n: int, sf, col: Optional[Vector],
-            row: Optional[RowVector], corner: Optional[Scalar]) -> Matrix:
-    """[[m, col], [row, corner]] of order n+1; absent pieces are zero."""
-    zeros = (sf.zero,) * n
-    rows = (zeros,) * n if m is None else m.rows
-    col = zeros if col is None else col.entries
-    last = (zeros if row is None else row.entries) + (
-        sf.zero if corner is None else corner,
-    )
-    return Matrix._built(tuple(r + (c,) for r, c in zip(rows, col)) + (last,), sf)
-
-
 # kinds whose optimum needs a cycle in A, and kinds that need only one
 # nonzero scale bound: lambda(A), (q^- p)^(1/2) or r; for Basic a zero
 # theta is the no-cycle gate
@@ -175,12 +156,9 @@ def solve_problem(problem: Problem) -> OptResult:
     weight to A-arc count over the cycles of Ahat (+) Bhat.  The
     minimizers are x = G u, G = (theta^-1 A (+) B)*,
     theta^-1 p (+) g <= u and, when q or h is given,
-    u <= ((theta^-1 q^- (+) h^-) G)^-.  One Floyd-Warshall pass over
-    the bordered theta^-1 Ahat (+) Bhat, built from the two lists,
-    pivoting at the n activity
-    nodes and never at the border node, gives all of it: the corner,
-    its diagonal set to one, is G, the last row is
-    (theta^-1 q^- (+) h^-) G and the last column G (theta^-1 p (+) g),
+    u <= ((theta^-1 q^- (+) h^-) G)^-.  `linsolve._family` reads all
+    of it off one pass over the bordered theta^-1 Ahat (+) Bhat, built
+    from the two lists, whose last column is then G (theta^-1 p (+) g),
     the canonical point when that lower bound is regular (else
     `SolutionSet.canonical` lifts its zeros first).  Past a dust cycle
     of float data the border values can exceed those products by dust.
@@ -251,17 +229,10 @@ def solve_problem(problem: Problem) -> OptResult:
             if y > mi[j]:
                 mi[j] = y
         m.append(mi)
-    lower = Vector([mi[n] for mi in m[:n]], sf)
-    # pivots at the activities only: the border row and column gain
-    # paths through them, never through the border node
-    _floyd_warshall(m, n, zero)
-    for i in range(n):
-        m[i][i] = sf.one
-    gen = Matrix._built(tuple(tuple(mi[:n]) for mi in m[:n]), sf)
-    row = RowVector(m[n][:n], sf)  # zero when neither q nor h is given
+    _, gen, lower, row = _family(m, n, sf)
     # a passing dust cycle can leave float dust in the box: eps at scale l D
-    unit = ell * scale if floating else None
-    upper = None if row.is_zero() else _tighten_box(lower, row.conj(), unit)
+    dust = Fraction(sf.eps) * ell * scale if floating else 0
+    upper = None if row.is_zero() else _tighten_box(lower, row.conj(), dust)
     if zero in lower.entries:
         canonical = SolutionSet(generator=gen, lower=lower, upper=upper).canonical()
     else:

@@ -440,6 +440,28 @@ class TestSolveIneq:
         assert code == 0
         assert doc["lower"] == doc["upper"] == [0.30000000000000004]
 
+    @pytest.mark.parametrize("d, condition", [
+        (None, "Tr(A) <= 1"),
+        ([1e17, 1e17, 1e17], "Tr(A) (+) d^- A* b <= 1"),
+    ])
+    def test_float_cycle_weight_is_not_rounded_away(self, capsys, tmp_path, d, condition):
+        # the cycle 0 -> 1 -> 2 -> 0 weighs 1 + 1e16 - 1e16 = 1, which
+        # float addition rounds to 0: the gate weighs it exactly, as
+        # exact mode does and as solve does on the same matrix as B
+        rows = [[None, 1, None], [None, None, 1e16], [-1e16, None, None]]
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps({"A": rows, "b": [0, 0, 0], "d": d}))
+        for flags in (("--float",), ()):
+            code, out, err = run(capsys, "solve-ineq", str(system), *flags)
+            assert (code, out, err) == (2, "", f"infeasible: {condition}\n"), flags
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({
+            "kind": "LinearConstrained", "A": [[0, None, None], [None, 0, None], [None, None, 0]],
+            "B": rows, "g": [0, 0, 0],
+        }))
+        code, out, err = run(capsys, "solve", str(problem), "--float")
+        assert (code, out, err) == (2, "", "infeasible: Tr(B) <= 1\n")
+
     def test_needs_some_side(self, capsys, tmp_path):
         f = tmp_path / "none.json"
         f.write_text(json.dumps({"A": [[1]]}))

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +20,7 @@ from tropt import (
     solve_problem,
     solve_upper_bounded,
 )
+from tropt import linalg, linsolve
 from tropt.oracle import random_matrix, random_trace_bounded, random_vector
 from tropt.semifield import MaxPlus
 
@@ -217,3 +220,86 @@ class TestSolutionSet:
             "SolutionSet(generator=Matrix([[0]]), lower=Vector([0]), "
             "upper=None, minimum=None)"
         )
+
+
+# -- the optimizers' one scan and one pass ----------------------------------
+
+
+def test_each_solver_makes_one_pass_over_the_bordered_table(monkeypatch):
+    # Bhat = [[A, b], [d^-, 0]] of order n+1, pivots at the n activities;
+    # no closure of A
+    passes = []
+    kernel = linalg._floyd_warshall
+
+    def counted(d, stop, zero, start=0):
+        passes.append((len(d), start, stop))
+        return kernel(d, stop, zero, start)
+
+    def closure(self):
+        raise AssertionError("Matrix._closure called")
+
+    for module in (linalg, linsolve):
+        monkeypatch.setattr(module, "_floyd_warshall", counted)
+    monkeypatch.setattr(Matrix, "_closure", closure)
+    a, g, h = Matrix(frozen.B_ROWS), Vector(frozen.G), Vector(frozen.H)
+    n = a.n_rows
+    for solve, args in ((solve_fixpoint_lower, (a, g)), (solve_combined, (a, g, h))):
+        del passes[:]
+        assert solve(*args).generator.rows == frozen.B_STAR
+        assert passes == [(n + 1, 0, n)], solve
+        del passes[:]
+        with pytest.raises(NoRegularSolution):
+            solve(Matrix(((1, NEG), (NEG, NEG))), *[Vector((0, 0))] * (len(args) - 1))
+        assert passes == [(3, 0, 2)], solve
+
+
+def _mapped(x, f):
+    """The Matrix or Vector x with f applied to each finite entry; None
+    stays None."""
+    if x is None:
+        return None
+    if isinstance(x, Matrix):
+        return Matrix([[v if v == NEG else f(v) for v in r] for r in x.rows])
+    return Vector([v if v == NEG else f(v) for v in x.entries])
+
+
+def _answer(a, b, d):
+    """The family's generator rows, lower and upper bound entries, or
+    the failed gate's condition."""
+    try:
+        sol = solve_fixpoint_lower(a, b) if d is None else solve_combined(a, b, d)
+    except NoRegularSolution as err:
+        return err.condition
+    return sol.generator.rows, sol.lower.entries, sol.upper and sol.upper.entries
+
+
+def _rounded(answer):
+    """Each finite exact value of an answer as the nearest float."""
+    if isinstance(answer, str) or answer is None:
+        return answer
+    if isinstance(answer, tuple):
+        return tuple(map(_rounded, answer))
+    return answer if answer == NEG else float(answer)
+
+
+@pytest.mark.filterwarnings("ignore:parameter box widened:RuntimeWarning")
+def test_float_data_give_the_rounded_exact_answer():
+    # each finite entry times S plus a random fraction in [-1/2, 1/2),
+    # in floats, so that cycles of weight zero turn positive or
+    # negative: the float answer is the exact answer on those floats'
+    # values, rounded once, and the float verdict and condition are the
+    # exact ones
+    rng = random.Random(163)
+    seen = Counter()
+    for i in range(600):
+        scale = (1e-1, 1e3, 1.4e8)[i % 3]
+        n = rng.randint(2, 6)
+        base = [random_trace_bounded(rng, n), random_vector(rng, n, zero_p=0.2, hi=0)]
+        base.append(None if i % 2 else random_vector(rng, n, lo=0, hi=6))
+        floats = [_mapped(x, lambda v: v * scale + rng.random() - 0.5) for x in base]
+        exact = [_mapped(x, Fraction) for x in floats]
+        want, got = _answer(*exact), _answer(*floats)
+        assert repr(got) == repr(_rounded(want)), (i, floats)
+        seen["gated" if isinstance(want, str) else scale] += 1
+        seen["combined" if floats[2] is not None else "fixpoint"] += 1
+    assert min(seen.values()) > 50 and seen[1e-1] + seen[1e3] + seen[1.4e8] > 300, seen

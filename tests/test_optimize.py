@@ -38,9 +38,10 @@ from tropt import (
     solve_schedule,
     verify_solution,
 )
-from tropt import linalg, optimize
+from tropt import linalg, linsolve, optimize
 from tropt.errors import TroptError
-from tropt.optimize import _FIELDS, _tighten_box
+from tropt.linsolve import _tighten_box
+from tropt.optimize import _FIELDS
 from tropt.oracle import (
     max_cycle_mean,
     random_matrix,
@@ -482,16 +483,22 @@ def test_cycle_gate_makes_no_karp_pass(monkeypatch, kind):
 
 class TestParameterBox:
     def test_float_dust_is_absorbed(self):
+        # ints at scale D = 2^52: upper falls short of lower by 2^12,
+        # about 1e-12 of the data's values, within eps (x) D
         sf = MaxPlus(eps=1e-9)
-        lower = Vector((1.0, 2.0), sf)
+        scale = 2**52
+        lower = Vector((scale, 2 * scale), sf)
+        dust = Fraction(sf.eps) * scale
         with pytest.warns(RuntimeWarning):
-            upper = _tighten_box(lower, Vector((1.0 - 1e-12, 5.0), sf))
-        assert upper.entries == (1.0, 5.0)
+            upper = _tighten_box(lower, Vector((scale - 2**12, 5 * scale), sf), dust)
+        assert upper.entries == (scale, 5 * scale)
+        with pytest.raises(EmptyParameterBox):
+            _tighten_box(lower, Vector((scale - 2**12, 5 * scale), sf), 0)
 
     def test_empty_box_is_a_named_error(self):
         sf = MaxPlus(eps=1e-9)
         with pytest.raises(EmptyParameterBox) as err:
-            _tighten_box(Vector((1.0, 2.0), sf), Vector((1.0, 1.5), sf))
+            _tighten_box(Vector((1.0, 2.0), sf), Vector((1.0, 1.5), sf), sf.eps)
         assert isinstance(err.value, TroptError)
 
     def test_widening_warning_names_the_caller(self):
@@ -668,8 +675,10 @@ def test_feasible_general_solve_stars_once(monkeypatch, general_problem):
         calls.append((len(d), pivots))
         return kernel(d, pivots, zero)
 
-    monkeypatch.setattr(linalg, "_floyd_warshall", counted)
-    monkeypatch.setattr(optimize, "_floyd_warshall", counted)
+    # the read-off looks the kernel up in linsolve; any other pass, in
+    # linalg or optimize, would be counted too
+    for module in (linalg, optimize, linsolve):
+        monkeypatch.setattr(module, "_floyd_warshall", counted)
     assert solve_problem(general_problem).minimum == frozen.THETA
     n = general_problem.dim
     assert calls == [(n + 1, n)]
@@ -1070,7 +1079,7 @@ def _unscaled_family(prob: Problem, theta):
     w = None if prob.q is None else prob.q.conj().scale(inv_t)
     if prob.h is not None:
         w = prob.h.conj() if w is None else w + prob.h.conj()
-    upper = None if w is None else _tighten_box(lower, (w @ gen).conj())
+    upper = None if w is None else _tighten_box(lower, (w @ gen).conj(), 0)
     canonical = SolutionSet(generator=gen, lower=lower, upper=upper).canonical()
     return gen, lower, upper, canonical
 
@@ -1244,8 +1253,8 @@ def _three_pass(prob: Problem):
     gen = (a.scale(-w) + b).star()
     lower = p.scale(-w) + g
     row = q_c.scale(-w) + h_c
-    unit = ell * scale if floating else None
-    upper = None if row.is_zero() else _tighten_box(lower, (row @ gen).conj(), unit)
+    dust = Fraction(sf.eps) * ell * scale if floating else 0
+    upper = None if row.is_zero() else _tighten_box(lower, (row @ gen).conj(), dust)
     canonical = SolutionSet(generator=gen, lower=lower, upper=upper).canonical()
     answer = linalg._unscale((w, gen, lower, upper, canonical), ell * scale, floating, zero)
     return repr(answer), zero in lower.entries, ell > 1, floating
