@@ -10,7 +10,8 @@ also solved with its data as floats divided by 10: its minimum and
 canonical point must be the exact answer on those floats' own (dyadic)
 values, rounded once to floats.  The inequality solvers' exact family
 is compared with perfbench/check.py's literal star, and their floats/10
-draw with the exact answer rounded once, in the same way.
+draw with the exact answer rounded once, in the same way; so are
+`star` and `trace_sum` themselves, with check.py's literal sums.
 
 Usage:
     python3 scripts/audit_random.py [--count N] [--seed S] [--radius R]
@@ -27,7 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from check import inequality_expectation  # noqa: E402
+from check import inequality_expectation, star, trace_sum  # noqa: E402
 from tropt import oracle  # noqa: E402
 from tropt.errors import (  # noqa: E402
     DegenerateProblem,
@@ -209,6 +210,35 @@ def audit_inequalities(count: int, seed: int):
     return kept, skipped, mismatches
 
 
+def _star_answer(a):
+    """`star` and `trace_sum` of a as check.py lists them."""
+    return [list(map(_plain, a.star().rows)), _plain((a.trace_sum(),))[0]]
+
+
+def audit_star(count: int, seed: int):
+    """`star` and `trace_sum` on integer draws, about half of them with
+    a positive cycle: each equals check.py's literal sum, and the draw
+    in floats divided by 10 gives the exact answer on its floats'
+    values, rounded once."""
+    rng = random.Random(seed)
+    mismatches = []
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        a = oracle.random_trace_bounded(rng, n) if rng.random() < 0.5 else \
+            oracle.random_matrix(rng, n)
+        rows = list(map(_plain, a.rows))
+        got, want = _star_answer(a), [star(rows), trace_sum(rows)]
+        if got != want:
+            mismatches.append((rows, "star", got, want))
+        if all(v is None for r in rows for v in r):
+            continue  # no finite entry: the same draw in either mode
+        floats = _entries(a, tenth)
+        got, want = _star_answer(floats), _rounded(_star_answer(_entries(floats, Fraction)))
+        if repr(got) != repr(want):
+            mismatches.append((rows, "float tenths", got, want))
+    return count, 0, mismatches
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=100,
@@ -229,6 +259,7 @@ def main(argv=None) -> int:
             for kind in ProblemKind]
     rows.append(("Schedule", lambda s: audit_schedule(args.count, s, args.radius)))
     rows.append(("Inequalities", lambda s: audit_inequalities(args.count, s)))
+    rows.append(("Star", lambda s: audit_star(args.count, s)))
     for offset, (label, runner) in enumerate(rows):
         kept, skipped, mismatches = runner(args.seed + offset)
         status = "ok" if not mismatches else f"{len(mismatches)} MISMATCH"

@@ -44,7 +44,7 @@ from .errors import (
     TroptError,
     Unsolvable,
 )
-from .linalg import Vector, _trace_product
+from .linalg import Vector, _star_trace
 from .linsolve import solve_combined, solve_fixpoint_lower, solve_upper_bounded
 from .optimize import Problem, solve_problem
 from .schedule import collapse_solution_line, solve_schedule, solve_schedule_detailed
@@ -142,9 +142,8 @@ def _cmd_eig(args) -> int:
 
 
 def _cmd_star(args) -> int:
-    a = serialize.parse_operand(*_load(args))
-    star = a.star()
-    _emit({"star": star, "traceSum": _trace_product(a, star)}, args)
+    star, trace = _star_trace(serialize.parse_operand(*_load(args)))
+    _emit({"star": star, "traceSum": trace}, args)
     return 0
 
 

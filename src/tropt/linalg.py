@@ -4,10 +4,10 @@ Objects are immutable; entries are raw scalars (int, Fraction, float)
 with the semifield's zero carried as a float -inf.  `+` is entrywise
 idempotent addition and `@` the max-plus product, one inlined kernel
 over the finite entries.  `_floyd_warshall` is the one O(n^3) pass, in
-place, pivoting at a range of nodes: at all of them in `_closure`, for
-A* and the heaviest cycle weight, with no power sum; `star` adds the
-fallback past a positive cycle, and `trace_sum` reads Tr(A) off it in
-O(n^2).
+place, pivoting at a range of nodes, and `_family` the one closure
+read-off, M* and the heaviest cycle weight off a bordered table; `star`
+and `trace_sum` take it on `_scan`'s ints (`_star_trace`), with a power
+sum past a positive cycle.
 `spectral_radius` is Karp's O(n^3) maximum cycle mean.  Its kernel,
 `_max_cycle`, also takes a product of factors without forming it: each
 walk step is one pass over each factor's finite entries.  A first
@@ -290,13 +290,9 @@ class Matrix:
         return [Matrix._built(t, sf) for t in out]
 
     def trace_sum(self) -> Scalar:
-        """Tr(A) = tr A (+) tr A^2 (+) ... (+) tr A^n = tr(A (x) A*).
-
-        `star` is I (+) A (+) ... (+) A^(n-1) in value whether or not a
-        cycle is positive, so A A* is A (+) ... (+) A^n.  At most one
-        exactly when the weighted digraph has no cycle of positive weight.
-        """
-        return _trace_product(self, self.star())
+        """Tr(A) = tr A (+) tr A^2 (+) ... (+) tr A^n, at most one exactly
+        when the weighted digraph has no cycle of positive weight."""
+        return _star_trace(self)[1]
 
     def spectral_radius(self) -> Scalar:
         """Largest eigenvalue: (+) over k of tr(A^k)^(1/k), the maximum
@@ -311,31 +307,8 @@ class Matrix:
 
     def star(self) -> "Matrix":
         """Kleene star truncated at the matrix order:
-        I (+) A (+) A^2 (+) ... (+) A^(n-1).
-
-        With no cycle weight above one (the only regime the solvers use)
-        it is `_closure`'s A*.  A heavier cycle makes walks outgrow the
-        truncation, and the truncated sum is returned instead as
-        (I (+) A)^(n-1), equal to it by idempotency.
-        """
-        star, c = self._closure()
-        if c > self.sf.one:
-            return (Matrix.identity(self.n_rows, self.sf) + self).power(self.n_rows - 1)
-        return star
-
-    def _closure(self) -> tuple["Matrix", Scalar]:
-        """(A*, c) from one O(n^3) Floyd-Warshall pass, no power sum: c is
-        the heaviest cycle weight, the largest diagonal entry of the pass
-        (zero with no cycle), equal to Tr(A) whenever c <= one; A* is the
-        pass's rows with the diagonal set to one."""
-        n = self._require_square()
-        sf = self.sf
-        d = [list(r) for r in self.rows]
-        _floyd_warshall(d, n, sf.zero)
-        c = max(d[i][i] for i in range(n))
-        for i in range(n):
-            d[i][i] = sf.one
-        return Matrix._built(tuple(tuple(r) for r in d), sf), c
+        I (+) A (+) A^2 (+) ... (+) A^(n-1) (see `_star_trace`)."""
+        return _star_trace(self)[0]
 
     # -- comparisons ------------------------------------------------------
 
@@ -381,6 +354,51 @@ def _floyd_warshall(d: list[list], stop: int, zero: Scalar, start: int = 0) -> N
                     s = a + v
                     if s > di[j]:
                         di[j] = s
+
+
+def _border(m: Matrix | None, n: int, sf: Semifield, col: Vector | None,
+            row: RowVector | None, corner: Scalar | None) -> Matrix:
+    """[[m, col], [row, corner]] of order n+1; absent pieces are zero."""
+    zeros = (sf.zero,) * n
+    rows = (zeros,) * n if m is None else m.rows
+    col = zeros if col is None else col.entries
+    last = (zeros if row is None else row.entries) + (sf.zero if corner is None else corner,)
+    return Matrix._built(tuple(r + (c,) for r, c in zip(rows, col)) + (last,), sf)
+
+
+def _family(m: list[list], n: int,
+            sf: Semifield) -> tuple[Scalar, Matrix, Vector, RowVector]:
+    """(c, G, v, w G) off the bordered table m = [[M, v], [w, s]] of
+    order n+1, in place, by one Floyd-Warshall pass with pivots at the
+    n activity nodes only: G = M* is the corner with its diagonal set
+    to one, and c the largest diagonal entry, the heaviest cycle weight
+    of M and of s (+) w M* v, for a caller to gate."""
+    zero = sf.zero
+    lower = Vector([mi[n] for mi in m[:n]], sf)
+    _floyd_warshall(m, n, zero)
+    heaviest = max(m[i][i] for i in range(n + 1))
+    for i in range(n):
+        m[i][i] = sf.one
+    gen = Matrix._built(tuple(tuple(mi[:n]) for mi in m[:n]), sf)
+    return heaviest, gen, lower, RowVector(m[n][:n], sf)
+
+
+def _star_trace(a: Matrix) -> tuple[Matrix, Scalar]:
+    """(A*, Tr(A)) from one `_scan` and one `_family` pass on the ints,
+    the zero-bordered table's heaviest cycle weight c being Tr(A)
+    whenever c <= one.  A heavier cycle makes walks outgrow the
+    truncation: the star is then (I (+) A)^(n-1) on the same ints,
+    equal to the truncated sum by idempotency, and Tr(A) is
+    tr(A (x) A*).  Both are divided by D once (`_unscale`), so a float
+    answer is the correctly rounded exact one."""
+    n, sf, zero = a._require_square(), a.sf, a.sf.zero
+    (ints,), _, scale, floating = _scan((a,), zero)
+    table = [[*r, zero] for r in ints.rows] + [[zero] * (n + 1)]  # a zero border
+    trace, star, _, _ = _family(table, n, sf)
+    if trace > sf.one:
+        star = (Matrix.identity(n, sf) + ints).power(n - 1)
+        trace = _trace_product(ints, star)
+    return _unscale((star, trace), scale, floating, zero)
 
 
 def _scaled_sum(c: Scalar, a: Matrix, b: Matrix | None) -> Matrix:

@@ -10,7 +10,7 @@ Three systems, each solved exactly:
 
 Solution families are carried as SolutionSet objects: the image of a
 box of parameter vectors under a generator matrix.  The last two run
-on the optimizers' path (`_family`): one pass over Bhat = [[A, b],
+on the optimizers' path (`linalg._family`): one pass over Bhat = [[A, b],
 [d^-, 0]], scanned to ints at one scale D, gives Delta, gated exactly
 at dust (eps (x) D on float data, else 0), A* and d^- A*, each divided
 by D once.  A box that a dust cycle leaves empty by at most dust is
@@ -32,7 +32,7 @@ from .errors import (
     NotRegularVector,
     ShapeMismatch,
 )
-from .linalg import Matrix, RowVector, Vector, _floyd_warshall, _scan, _unscale
+from .linalg import Matrix, Vector, _border, _family, _scan, _unscale
 from .semifield import Scalar
 
 
@@ -146,32 +146,6 @@ def _tighten_box(lower: Vector, upper: Vector, dust: Scalar) -> Vector:
         )
         return Vector(tuple(out), lower.sf)
     return upper
-
-
-def _border(m: Optional[Matrix], n: int, sf, col: Optional[Vector],
-            row: Optional[RowVector], corner: Optional[Scalar]) -> Matrix:
-    """[[m, col], [row, corner]] of order n+1; absent pieces are zero."""
-    zeros = (sf.zero,) * n
-    rows = (zeros,) * n if m is None else m.rows
-    col = zeros if col is None else col.entries
-    last = (zeros if row is None else row.entries) + (sf.zero if corner is None else corner,)
-    return Matrix._built(tuple(r + (c,) for r, c in zip(rows, col)) + (last,), sf)
-
-
-def _family(m: list[list], n: int, sf) -> tuple[Scalar, Matrix, Vector, RowVector]:
-    """(c, G, v, w G) off the bordered int table m = [[M, v], [w, s]]
-    of order n+1, in place, by one Floyd-Warshall pass with pivots at
-    the n activity nodes only: G = M* is the corner with its diagonal
-    set to one, and c the largest diagonal entry, the heaviest cycle
-    weight of M and of s (+) w M* v, for a caller to gate."""
-    zero = sf.zero
-    lower = Vector([mi[n] for mi in m[:n]], sf)
-    _floyd_warshall(m, n, zero)
-    heaviest = max(m[i][i] for i in range(n + 1))
-    for i in range(n):
-        m[i][i] = sf.one
-    gen = Matrix._built(tuple(tuple(mi[:n]) for mi in m[:n]), sf)
-    return heaviest, gen, lower, RowVector(m[n][:n], sf)
 
 
 def _solve(a: Matrix, b: Vector, d: Optional[Vector], condition: str) -> SolutionSet:

@@ -24,10 +24,11 @@ That scan lists each bordered matrix's finite entries once, and
 everything after it reads the lists: Karp's walk relaxed through Bhat
 gives theta and, at its first step, the gate, with neither Bhat* nor
 the product; one Floyd-Warshall pass over theta^-1 Ahat (+) Bhat
-(`linsolve._family`, which solve-ineq shares) gives the family.  When
-theta is a fraction w/l of the ints, that pass runs on the ints scaled
-by l; theta and the family are then divided by l D once, so a float
-answer is the correctly rounded exact answer on the data's own values.
+(`linalg._family`, which solve-ineq and `star` share) gives the
+family.  When theta is a fraction w/l of the ints, that pass runs on
+the ints scaled by l; theta and the family are then divided by l D
+once, so a float answer is the correctly rounded exact answer on the
+data's own values.
 `solve_problem` holds that path; the `minimize_*` functions only build
 a Problem and hand it over.
 """
@@ -46,8 +47,10 @@ from .errors import (
     ShapeMismatch,
     ZeroSpectralRadius,
 )
-from .linalg import Matrix, Vector, _acyclic, _finite, _floyd_warshall, _karp, _scan, _unscale
-from .linsolve import SolutionSet, _border, _family, _tighten_box
+from .linalg import (
+    Matrix, Vector, _acyclic, _border, _family, _finite, _floyd_warshall, _karp, _scan, _unscale,
+)
+from .linsolve import SolutionSet, _tighten_box
 from .semifield import Scalar
 
 
@@ -145,18 +148,20 @@ def solve_problem(problem: Problem) -> OptResult:
     Tr(Bhat) <= 1; then the kind's no-cycle rule, an acyclicity test of
     A's listed entries.  The second gate passes when the first step of
     theta's walk, relaxed through Bhat, settles.  When it does not, one
-    Floyd-Warshall pass of Bhat, pivots at the activities and then at
-    the border node, weighs B's heaviest cycle and then Bhat's; float
+    Floyd-Warshall pass of Bhat with pivots at the activities weighs
+    B's heaviest cycle, the corner's largest diagonal entry, and
+    Bhat's heaviest cycle through the border, its last diagonal entry.
+    A failed gate is named by its part: Tr(B) <= 1 when B alone has a
+    positive cycle, else h^- B* g <= 1 (h^- g <= 1 without B).  Float
     data pass a dust cycle of weight at most the float tolerance eps
-    (compared exactly), theta then read off Bhat*.  A failed gate is
-    named by its part: Tr(B) <= 1 when B alone has a positive cycle,
-    else h^- B* g <= 1 (h^- g <= 1 without B).
+    (compared exactly); the border pivot then completes Bhat*, and
+    theta is read off it.
 
     theta is the largest cycle mean of Bhat* Ahat: the maximum ratio of
     weight to A-arc count over the cycles of Ahat (+) Bhat.  The
     minimizers are x = G u, G = (theta^-1 A (+) B)*,
     theta^-1 p (+) g <= u and, when q or h is given,
-    u <= ((theta^-1 q^- (+) h^-) G)^-.  `linsolve._family` reads all
+    u <= ((theta^-1 q^- (+) h^-) G)^-.  `linalg._family` reads all
     of it off one pass over the bordered theta^-1 Ahat (+) Bhat, built
     from the two lists, whose last column is then G (theta^-1 p (+) g),
     the canonical point when that lower bound is regular (else
@@ -183,24 +188,18 @@ def solve_problem(problem: Problem) -> OptResult:
     found = _karp((b_hat.rows, a_hat.rows), (b_nz, a_nz), n + 1, sf, True)
     if found is None:
         # a positive cycle; float data pass a dust one, Tr(Bhat) <= eps
-        # at scale D.  One pass over Bhat's table weighs the cycles:
-        # pivots at the activities leave B's heaviest cycle on the
-        # corner's diagonal, and the border pivot completes Bhat*
+        # at scale D.  One pass over Bhat's table, pivots at the
+        # activities, weighs the cycles: B's heaviest is the corner's
+        # largest diagonal entry, Bhat's heaviest through the border d[n][n]
         dust = Fraction(sf.eps) * scale if floating else 0
-        # the border node lies on a cycle only when both g and h are given
-        both = b is not None and g is not None and h is not None
         d = [list(row) for row in b_hat.rows]
-        if floating or both:
-            _floyd_warshall(d, n, zero)
-            b_cycle = max(d[i][i] for i in range(n))
-        if floating:
-            _floyd_warshall(d, n + 1, zero, n)
-        if not floating or max(d[i][i] for i in range(n + 1)) > dust:
-            if b is None:
-                raise InfeasibleConstraints("h^- g <= 1")
-            if not both or b_cycle > dust:
-                raise InfeasibleConstraints("Tr(B) <= 1")
-            raise InfeasibleConstraints("h^- B* g <= 1")
+        _floyd_warshall(d, n, zero)
+        if max(d[i][i] for i in range(n)) > dust:
+            raise InfeasibleConstraints("Tr(B) <= 1")
+        if d[n][n] > dust:
+            raise InfeasibleConstraints("h^- g <= 1" if b is None else "h^- B* g <= 1")
+        # the border pivot completes Bhat*
+        _floyd_warshall(d, n + 1, zero, n)
         for i in range(n + 1):
             d[i][i] = sf.one
         found = _karp((d, a_hat.rows), (_finite(d, zero), a_nz), n + 1, sf, False)

@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import GridTooLarge, NoFeasiblePoint, NotRegularVector, TooLarge
-from .linalg import Matrix, Vector
+from .linalg import Matrix, Vector, _border, _family
 from .optimize import _FIELDS, Problem, ProblemKind
 from .schedule import ScheduleSpec
 from .semifield import MAXPLUS, Scalar
@@ -431,11 +431,12 @@ def random_vector(
 
 
 def random_trace_bounded(rng: random.Random, n: int, zero_p: float = 0.5) -> Matrix:
-    """Random matrix with trace sum at most one, by rejection; the
-    all-zero matrix after 500 failures (degenerate but valid)."""
+    """Random matrix with trace sum at most one (`_family`'s heaviest
+    cycle), by rejection; the all-zero matrix after 500 failures."""
     for _ in range(500):
         m = random_matrix(rng, n, zero_p=zero_p)
-        if m._closure()[1] <= 0:
+        table = [list(r) for r in _border(m, n, MAXPLUS, None, None, None).rows]
+        if _family(table, n, MAXPLUS)[0] <= 0:
             return m
     return Matrix.zeros(n, n, MAXPLUS)
 

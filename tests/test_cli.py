@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import _frozen as frozen
-from tropt import cli
+from tropt import cli, linalg
 from tropt.cli import build_parser, main
 
 NEG = float("-inf")
@@ -594,6 +594,30 @@ class TestMatrixCommands:
         assert code == 0
         assert doc["star"]["data"] == [list(r) for r in frozen.B_STAR]
         assert doc["traceSum"] == frozen.TRACE_SUM_B
+
+    @pytest.mark.parametrize("fixture", ["A", "B"])
+    @pytest.mark.parametrize("mode", [[], ["--float"]])
+    def test_star_scans_and_passes_once(self, capsys, monkeypatch, fixtures_dir, fixture, mode):
+        # the star and its trace sum from one scan and one pass, with or
+        # without a positive cycle (A has one, B none)
+        events = []
+        scan, kernel = linalg._scan, linalg._floyd_warshall
+
+        def scanned(items, zero):
+            events.append("scan")
+            return scan(items, zero)
+
+        def counted(d, stop, zero, start=0):
+            events.append("pass")
+            return kernel(d, stop, zero, start)
+
+        monkeypatch.setattr(linalg, "_scan", scanned)
+        monkeypatch.setattr(linalg, "_floyd_warshall", counted)
+        for _ in range(2):
+            del events[:]
+            code, doc, _ = run_json(capsys, "star", str(fixtures_dir / f"{fixture}.json"), *mode)
+            assert code == 0 and "traceSum" in doc
+            assert events == ["scan", "pass"]
 
     def test_wrapped_matrix_payload(self, capsys, tmp_path):
         f = tmp_path / "wrapped.json"

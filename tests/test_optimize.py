@@ -671,17 +671,17 @@ def test_feasible_general_solve_stars_once(monkeypatch, general_problem):
     calls = []
     kernel = linalg._floyd_warshall
 
-    def counted(d, pivots, zero):
-        calls.append((len(d), pivots))
-        return kernel(d, pivots, zero)
+    def counted(d, stop, zero, start=0):
+        calls.append((len(d), start, stop))
+        return kernel(d, stop, zero, start)
 
-    # the read-off looks the kernel up in linsolve; any other pass, in
-    # linalg or optimize, would be counted too
-    for module in (linalg, optimize, linsolve):
+    # the read-off looks the kernel up in linalg; any other pass, there
+    # or in optimize, would be counted too
+    for module in (linalg, optimize):
         monkeypatch.setattr(module, "_floyd_warshall", counted)
     assert solve_problem(general_problem).minimum == frozen.THETA
     n = general_problem.dim
-    assert calls == [(n + 1, n)]
+    assert calls == [(n + 1, 0, n)]
 
 
 def test_feasible_general_solve_scans_its_data_once(monkeypatch):
@@ -753,13 +753,22 @@ def test_no_solver_reaches_the_power_sum(monkeypatch):
     with pytest.raises(NoRegularSolution, match=r"^Tr\(A\) \(\+\) d\^- A\* b <= 1$"):
         solve_combined(cyclic, zeros, zeros)
     test_float_gate_tolerance(1e-16, True)
-    assert random_trace_bounded(random.Random(17), 4)._closure()[1] <= 0
+    assert random_trace_bounded(random.Random(17), 4).trace_sum() <= 0
     # the public truncated star still takes the power sum past a positive cycle
     with pytest.raises(_PowerSum):
         cyclic.star()
 
 
 # -- theta from the factored pair; the family at theta's scale -------------
+
+
+def _star_and_cycle(m: Matrix) -> tuple[Matrix, object]:
+    """(m*, heaviest cycle weight) off `linalg._family`'s one pass over
+    m bordered by zeros, in m's own arithmetic."""
+    n, sf = m.n_rows, m.sf
+    table = [list(r) for r in linalg._border(m, n, sf, None, None, None).rows]
+    cycle, star, _, _ = linalg._family(table, n, sf)
+    return star, cycle
 
 
 def _bordered_pair(prob: Problem) -> tuple[Matrix, Matrix]:
@@ -826,7 +835,7 @@ def _closure_path_answer(prob: Problem, monkeypatch):
         if not starred:
             return kernel(tables, nzs, n, sf, False)
         hits.append(n)
-        b_star, cycle = Matrix._built(tables[0], sf)._closure()
+        b_star, cycle = _star_and_cycle(Matrix._built(tables[0], sf))
         if cycle > 0:
             return None
         lists = (linalg._finite(b_star.rows, sf.zero), nzs[1])
@@ -915,7 +924,7 @@ def test_theta_relaxed_through_bhat_matches_the_closure_path(monkeypatch):
             hc = None if prob.h is None else prob.h.conj()
             b_hat = optimize._border(prob.B, n, sf, prob.g, hc, None)
             a_hat = optimize._border(prob.A, n, sf, prob.p, qc, prob.r)
-            b_star, cycle = b_hat._closure()
+            b_star, cycle = _star_and_cycle(b_hat)
             del early[:]
             found = linalg._max_cycle(b_hat, a_hat, starred=True)
             full = early == [False]
@@ -1025,8 +1034,7 @@ def test_float_data_gate_on_the_closure(monkeypatch):
 def test_infeasible_float_data_weigh_their_cycles_in_one_pass(monkeypatch):
     # infeasible draws as whole floats, in tenths and at 1.4e8 plus a
     # fraction: each names the exact draw's condition, from one pass
-    # over one copy of Bhat's table, pivots at the activities and then
-    # at the border node
+    # over one copy of Bhat's table, pivots at the activities
     passes = []
     kernel = linalg._floyd_warshall
 
@@ -1057,10 +1065,41 @@ def test_infeasible_float_data_weigh_their_cycles_in_one_pass(monkeypatch):
         if got is None or got[0] is not InfeasibleConstraints:
             continue
         table = passes[0][0] if passes else None
-        assert passes == [(table, n + 1, 0, n), (table, n + 1, n, n + 1)], (i, label, passes)
+        assert passes == [(table, n + 1, 0, n)], (i, label, passes)
         seen[label] += 1
         seen[got[1]] += 1
     assert min(seen.values()) > 40, seen
+
+
+def test_infeasible_exact_data_weigh_their_cycles_in_one_pass(monkeypatch):
+    # every condition, from draws with B, g and h all given and from
+    # draws that lack B, g or h: one pass over Bhat's table, pivots at
+    # the activities, names the separate formulas' condition
+    passes = []
+    kernel = linalg._floyd_warshall
+
+    def counted(d, stop, zero, start=0):
+        passes.append((len(d), start, stop))
+        return kernel(d, stop, zero, start)
+
+    for module in (linalg, optimize):
+        monkeypatch.setattr(module, "_floyd_warshall", counted)
+    rng = random.Random(167)
+    seen = Counter()
+    for i in range(800):
+        prob = _gate_draw(rng, GATED_KINDS[i % len(GATED_KINDS)])
+        want = _reference_outcome(prob)
+        del passes[:]
+        assert _outcome(prob) == want, (i, prob)
+        if want is None or want[0] is not InfeasibleConstraints:
+            continue
+        assert passes == [(prob.dim + 1, 0, prob.dim)], (i, prob, passes)
+        given = "B, g, h" if None not in (prob.B, prob.g, prob.h) else "one absent"
+        seen[want[1], given] += 1
+    for condition in ("Tr(B) <= 1", "h^- B* g <= 1"):
+        assert seen[condition, "B, g, h"] >= 30, seen
+    for condition in ("Tr(B) <= 1", "h^- g <= 1"):
+        assert seen[condition, "one absent"] >= 30, seen
 
 
 def _unscaled_family(prob: Problem, theta):
@@ -1135,7 +1174,7 @@ def _unscaled_answer(prob: Problem):
     n, sf = prob.dim, prob.A.sf
     qc = None if prob.q is None else prob.q.conj()
     hc = None if prob.h is None else prob.h.conj()
-    b_star, cycle = optimize._border(prob.B, n, sf, prob.g, hc, None)._closure()
+    b_star, cycle = _star_and_cycle(optimize._border(prob.B, n, sf, prob.g, hc, None))
     if cycle > 0:
         return InfeasibleConstraints
     theta = max_cycle_mean(b_star @ optimize._border(prob.A, n, sf, prob.p, qc, prob.r))
@@ -1238,7 +1277,7 @@ def _three_pass(prob: Problem):
     pair = (optimize._border(prob.B, n, sf, prob.g, hc, None),
             optimize._border(prob.A, n, sf, prob.p, qc, prob.r))
     (b_hat, a_hat), _, scale, floating = linalg._scan(pair, zero)
-    if b_hat._closure()[1] > 0:
+    if _star_and_cycle(b_hat)[1] > 0:
         return None
     w, ell = (b_hat.star() @ a_hat).spectral_radius().as_integer_ratio()
 
