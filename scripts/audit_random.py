@@ -7,11 +7,12 @@ by brute force on a rational lattice around the reported optimum.  Any
 disagreement (different minimum, or a grid argmin outside the reported
 solution family) is a bug and flips the exit code.  Each kept draw is
 also solved with its data as floats divided by 10: its minimum and
-canonical point must be the exact answer on those floats' own (dyadic)
-values, rounded once to floats.  The inequality solvers' exact family
-is compared with perfbench/check.py's literal star, and their floats/10
-draw with the exact answer rounded once, in the same way; so are
-`star` and `trace_sum` themselves, with check.py's literal sums.
+canonical point, and every number of a schedule's answer, must be the
+exact answer on those floats' own (dyadic) values, rounded once to
+floats.  The inequality solvers' exact family is compared with
+perfbench/check.py's literal star, and their floats/10 draw with the
+exact answer rounded once, in the same way; so are `star` and
+`trace_sum` themselves, with check.py's literal sums.
 
 Usage:
     python3 scripts/audit_random.py [--count N] [--seed S] [--radius R]
@@ -41,7 +42,7 @@ from tropt.linalg import Matrix, Vector  # noqa: E402
 from tropt.linsolve import solve_combined, solve_fixpoint_lower  # noqa: E402
 from tropt.optimize import ProblemKind, solve_problem  # noqa: E402
 from tropt.oracle import GridSpec, default_step, grid_minimize, grid_minimize_schedule  # noqa: E402
-from tropt.schedule import build_problem, solve_schedule  # noqa: E402
+from tropt.schedule import solve_schedule  # noqa: E402
 
 SKIP = (
     ZeroSpectralRadius,
@@ -139,12 +140,26 @@ def audit_schedule(count: int, seed: int, radius: int):
             mismatches.append((spec, "minimum", res.theta, best))
         elif not res.solutions.contains(argmin):
             mismatches.append((spec, "membership", res.theta, argmin))
-        # the General rewrite in floats: `build_problem` rounds q^- A and
-        # q^- p before the solve
-        found = float_mismatch(build_problem(_mapped(spec, tenth)))
-        if found is not None:
-            mismatches.append((spec, "float tenths", *found))
+        floats = _mapped(spec, tenth)
+        try:
+            want = _rounded(_schedule_answer(_mapped(floats, Fraction)))
+        except InfeasibleSchedule:
+            continue  # rounding by 10 can turn a zero cycle positive
+        got = _schedule_answer(floats)
+        if repr(got) != repr(want):
+            mismatches.append((spec, "float tenths", got, want))
     return kept, skipped, mismatches
+
+
+def _schedule_answer(spec) -> list:
+    """Every number `solve_schedule` gives, entries as check.py lists
+    them: theta, x, y, s, t, the flow times, G and the parameter box."""
+    res = solve_schedule(spec)
+    sols = res.solutions
+    vectors = (res.initiation, res.completion, res.adjusted_start, res.adjusted_finish)
+    return [res.theta, *(_plain(v.entries) for v in vectors), _plain(res.flow_times),
+            list(map(_plain, sols.generator.rows)), _plain(sols.lower.entries),
+            sols.upper and _plain(sols.upper.entries)]
 
 
 def _plain(values) -> list:

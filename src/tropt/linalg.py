@@ -548,6 +548,8 @@ def _karp(tables, nzs, n: int, sf: Semifield,
                 return _cycle_mean(tables, repeat(args), v, sf)
         walks.append(acc)
         back.append(args)
+    # a step that left every node at zero returned above, so walks[n]
+    # has a finite entry and best is set
     best = None
     for v, dn in enumerate(walks[n]):
         if dn == zero:
@@ -559,8 +561,6 @@ def _karp(tables, nzs, n: int, sf: Semifield,
                 num, den = dn - dk, n - k
         if best is None or best[0] * den < num * best[1]:
             best = (num, den, v)
-    if best is None:
-        return zero, ()
     return _cycle_mean(tables, reversed(back[1:]), best[2], sf)
 
 

@@ -29,8 +29,10 @@ family.  When theta is a fraction w/l of the ints, that pass runs on
 the ints scaled by l; theta and the family are then divided by l D
 once, so a float answer is the correctly rounded exact answer on the
 data's own values.
-`solve_problem` holds that path; the `minimize_*` functions only build
-a Problem and hand it over.
+`solve_problem` scans the problem and divides its answers; everything
+in between is `_optimum`, on the ints, which `schedule` also runs on
+its own scan.  The `minimize_*` functions only build a Problem and
+hand it over.
 """
 
 from __future__ import annotations
@@ -177,12 +179,22 @@ def solve_problem(problem: Problem) -> OptResult:
             raise NotRegularVector(f"{name} must be regular")
     qc = None if q is None else q.conj()
     hc = None if h is None else h.conj()
-    zero = sf.zero
     # the one scan: each bordered matrix's finite entries, which Karp,
     # the cycle gates and the family table all read
-    (b_hat, a_hat), (b_nz, a_nz), scale, floating = _scan(
-        (_border(b, n, sf, g, hc, None), _border(a, n, sf, p, qc, r)), zero
-    )
+    scanned = _scan((_border(b, n, sf, g, hc, None), _border(a, n, sf, p, qc, r)), sf.zero)
+    unit, items = _optimum(problem.kind, scanned)
+    theta, gen, lower, upper, canonical = _unscale(items, unit, scanned[-1], sf.zero)  # floating
+    sols = SolutionSet(generator=gen, lower=lower, upper=upper, minimum=theta)
+    return OptResult(minimum=theta, solutions=sols, canonical=canonical)
+
+
+def _optimum(kind: ProblemKind, scanned) -> tuple[int, tuple]:
+    """`solve_problem` on `_scan`'s bordered pair ((Bhat, Ahat), their
+    lists, D, floating) of a problem of this kind, as ints: l D and
+    (w, G, lower, upper, canonical point) at unit l D, theta being
+    w / (l D).  A caller divides each answer by l D once."""
+    (b_hat, a_hat), (b_nz, a_nz), scale, floating = scanned
+    n, sf, zero = a_hat.n_rows - 1, a_hat.sf, a_hat.sf.zero
     # Karp's walk relaxes through Bhat, and its first step settles
     # exactly when Bhat has no positive cycle: None is the failed gate
     found = _karp((b_hat.rows, a_hat.rows), (b_nz, a_nz), n + 1, sf, True)
@@ -197,16 +209,18 @@ def solve_problem(problem: Problem) -> OptResult:
         if max(d[i][i] for i in range(n)) > dust:
             raise InfeasibleConstraints("Tr(B) <= 1")
         if d[n][n] > dust:
-            raise InfeasibleConstraints("h^- g <= 1" if b is None else "h^- B* g <= 1")
+            raise InfeasibleConstraints("h^- B* g <= 1" if "B" in _FIELDS[kind] else "h^- g <= 1")
         # the border pivot completes Bhat*
         _floyd_warshall(d, n + 1, zero, n)
         for i in range(n + 1):
             d[i][i] = sf.one
         found = _karp((d, a_hat.rows), (_finite(d, zero), a_nz), n + 1, sf, False)
     # lambda(A) is zero exactly when A's arcs close no cycle
-    if problem.kind in _NEEDS_CYCLE and _acyclic(a_nz, n):
+    if kind in _NEEDS_CYCLE and _acyclic(a_nz, n):
         raise ZeroSpectralRadius("matrix has no cycle")
-    if (problem.kind in _NEEDS_SCALE and sf.is_zero(sf.add(qc @ p, r))
+    # q^- p (+) r is zero exactly when Ahat's border row times its
+    # border column, q^- p (+) r r, is
+    if (kind in _NEEDS_SCALE and sf.is_zero(a_hat.row(n) @ a_hat.column(n))
             and _acyclic(a_nz, n)):
         raise DegenerateProblem("every scale bound is zero: no cycle, q^- p zero, r zero")
     if sf.is_zero(found[0]):
@@ -236,11 +250,7 @@ def solve_problem(problem: Problem) -> OptResult:
         canonical = SolutionSet(generator=gen, lower=lower, upper=upper).canonical()
     else:
         canonical = Vector([mi[n] for mi in m[:n]], sf)
-    theta, gen, lower, upper, canonical = _unscale(
-        (w, gen, lower, upper, canonical), ell * scale, floating, zero
-    )
-    sols = SolutionSet(generator=gen, lower=lower, upper=upper, minimum=theta)
-    return OptResult(minimum=theta, solutions=sols, canonical=canonical)
+    return ell * scale, (w, gen, lower, upper, canonical)
 
 
 def minimize_basic(a: Matrix) -> OptResult:

@@ -17,10 +17,13 @@ theta and every optimal start vector, parameterized as x = G (x) u.
 Algebraically the objective expands to
 x^- A x (+) q^- A x (+) x^- p (+) q^- p over the max-plus semifield,
 a span problem whose q-vector is replaced by (q^- A)^- and whose floor
-r is q^- p.  `solve_schedule` solves that General problem; only
-`solve_schedule_detailed` also lists theta's terms, the rooted
-squeezes of the chain and closure families of (A, B) against p, q, g,
-h, as a ledger.
+r is q^- p.  `solve_schedule` solves that General problem on one
+`_scan` of A, B, p, q, g and h to ints at one scale D: the rewrite,
+the solve (`optimize._optimum`) and y, s, t and the flow times all
+run on those ints, and each answer is divided once, so a float answer
+is the correctly rounded exact one.  `solve_schedule_detailed` also
+lists theta's terms off the same scan, the rooted squeezes of the
+chain and closure families of (A, B) against p, q, g, h, as a ledger.
 """
 
 from __future__ import annotations
@@ -34,11 +37,11 @@ from .errors import InfeasibleConstraints, InfeasibleSchedule, SpecValidation
 # that patch names where they are looked up find them; the ledger
 # builds both families on its own int tables
 from .linalg import (  # noqa: F401
-    Matrix, RowVector, Vector, _closures, _finite, _product, _rescaled, _scaled_sum, _scan,
-    _sum_products, _trace_product, _unscale, chain_sums, closure_sums,
+    Matrix, RowVector, Vector, _border, _closures, _finite, _product, _rescaled, _scaled_sum,
+    _scan, _sum_products, _trace_product, _unscale, chain_sums, closure_sums,
 )
 from .linsolve import SolutionSet
-from .optimize import Problem, ProblemKind, solve_problem
+from .optimize import Problem, ProblemKind, _optimum
 from .semifield import Scalar
 
 
@@ -110,62 +113,83 @@ class ScheduleResult:
     activities: tuple[str, ...]
 
 
+def _rewrite(a: Matrix, p: Vector, q: Vector) -> tuple[RowVector, Scalar]:
+    """The flow-time objective's General rewrite: q^- A, the conjugate
+    of its q-vector, and its floor r = q^- p."""
+    qc = q.conj()
+    return qc @ a, qc @ p
+
+
 def build_problem(spec: ScheduleSpec) -> Problem:
-    """Rewrite the schedule as a general span problem.
+    """Rewrite the schedule as a general span problem, in the data's
+    own arithmetic.
 
     The flow-time objective absorbs A into the window floor: the
     q-vector becomes (q^- A)^- and the constant floor is q^- p.
+    `solve_schedule` makes the same rewrite on its scanned ints.
     """
     spec.validate()
-    a = spec.start_finish
-    qc = spec.window_lower.conj()
-    return Problem(
-        kind=ProblemKind.GENERAL,
-        A=a,
-        B=spec.start_start,
-        p=spec.window_upper,
-        q=(qc @ a).conj(),
-        g=spec.earliest_start,
-        h=spec.latest_start,
-        r=qc @ spec.window_upper,
-    )
+    qa, r = _rewrite(spec.start_finish, spec.window_upper, spec.window_lower)
+    return Problem(ProblemKind.GENERAL, spec.start_finish, spec.start_start, spec.window_upper,
+                   qa.conj(), spec.earliest_start, spec.latest_start, r)
+
+
+def _scanned(spec: ScheduleSpec) -> tuple:
+    """The validated spec's one `_scan`: A, B, p, q, g and h as ints
+    at one scale D, their lists, D and floating."""
+    spec.validate()
+    return _scan((spec.start_finish, spec.start_start, spec.window_upper, spec.window_lower,
+                  spec.earliest_start, spec.latest_start), spec.start_finish.sf.zero)
+
+
+def _solve(spec: ScheduleSpec, scanned: tuple) -> ScheduleResult:
+    """The schedule off the spec's scan: the rewrite on its ints, the
+    bordered pair's optimum at unit l D (`optimize._optimum`), then
+    y = A x, s, t and the flow times on the ints times l, so that every
+    answer is divided by l D once."""
+    (a, b, p, q, g, h), (a_nz, b_nz, *_), scale, floating = scanned
+    n, sf, zero = a.n_rows, a.sf, a.sf.zero
+    qa, r = _rewrite(a, p, q)
+    hc = h.conj()
+    tables = (_border(b, n, sf, g, hc, None), _border(a, n, sf, p, qa, r))
+    # their lists extend the spec's: p, h, q^- A and r are finite
+    b_nz = [nz + [(n, v)] if v != zero else nz for nz, v in zip(b_nz, g.entries)]
+    a_nz = [nz + [(n, v)] for nz, v in zip(a_nz, p.entries)]
+    lists = (b_nz + [list(enumerate(hc.entries))], a_nz + [list(enumerate(qa.entries + (r,)))])
+    try:
+        unit, answer = _optimum(ProblemKind.GENERAL, (tables, lists, scale, floating))
+    except InfeasibleConstraints as exc:
+        raise InfeasibleSchedule(exc.condition) from None
+    ell, x = unit // scale, answer[-1]
+    if ell > 1:
+        a, q, p = _rescaled((a, q, p), lambda row: tuple(v if v == zero else v * ell for v in row))
+    y = a @ x
+    s = x.meet(q)
+    t = y + p
+    # x, q and p are regular, so every t_i and s_i is finite and the
+    # flow time t_i (x) s_i^-1 is plain subtraction
+    flows = Vector([ti - si for ti, si in zip(t.entries, s.entries)], sf)
+    theta, gen, lower, upper, x, y, s, t, flows = _unscale(
+        (*answer, y, s, t, flows), unit, floating, zero)
+    sols = SolutionSet(generator=gen, lower=lower, upper=upper, minimum=theta)
+    return ScheduleResult(theta, x, y, s, t, flows.entries, sols, spec.names())
 
 
 def solve_schedule(spec: ScheduleSpec) -> ScheduleResult:
     """Minimize the largest flow time; exact minimum and all optima."""
-    try:
-        opt = solve_problem(build_problem(spec))
-    except InfeasibleConstraints as exc:
-        raise InfeasibleSchedule(exc.condition) from None
-    x = opt.canonical
-    y = spec.start_finish @ x
-    s = x.meet(spec.window_lower)
-    t = y + spec.window_upper
-    # x, q and p are regular, so every t_i and s_i is finite and the
-    # flow time t_i (x) s_i^-1 is plain subtraction
-    flows = tuple(ti - si for ti, si in zip(t.entries, s.entries))
-    return ScheduleResult(
-        theta=opt.minimum,
-        initiation=x,
-        completion=y,
-        adjusted_start=s,
-        adjusted_finish=t,
-        flow_times=flows,
-        solutions=opt.solutions,
-        activities=spec.names(),
-    )
+    return _solve(spec, _scanned(spec))
 
 
-def _ledger(spec: ScheduleSpec, result: ScheduleResult) -> dict:
+def _ledger(scanned: tuple, result: ScheduleResult) -> dict:
     """Every intermediate quantity of the paper's closed form for theta,
     keyed for introspection: matrix powers, the feasibility gates, the
     chain and closure families, the rooted squeezes against p, q, g, h
     and their sum `theta`, then the solution family.
 
-    It runs as the solver does: one `_scan` scales A, B, p, q, g and h
-    to ints by one D, every family is built once on the int tables,
-    and each printed item is divided once (`_unscale`), so a float
-    item is the correctly rounded exact value on the data's own values.
+    It reads the solve's own `_scan` of A, B, p, q, g and h, ints at
+    one D, builds every family once on the int tables, and divides
+    each printed item once (`_unscale`), so a float item is the
+    correctly rounded exact value on the data's own values.
     After s factors of the closure recurrence the top coefficient is
     A^s and the bottom one (I (+) B)^s = I (+) B (+) ... (+) B^s, read
     off the two power lists; B* is T_0, the chain C_(k+1) is A T_k and
@@ -175,12 +199,8 @@ def _ledger(spec: ScheduleSpec, result: ScheduleResult) -> dict:
     cross-multiplying; theta = w/l at scale D puts theta^-1 A (+) B and
     its powers at scale l D, where theta is the int w, as in the
     solver's family table."""
-    sf, zero, n = spec.start_finish.sf, spec.start_finish.sf.zero, spec.dim
-    (a, b, _, q, _, h), (a_nz, b_nz, (p_nz,), _, (g_nz,), _), scale, floating = _scan(
-        (spec.start_finish, spec.start_start, spec.window_upper,
-         spec.window_lower, spec.earliest_start, spec.latest_start),
-        zero,
-    )
+    (a, b, _, q, _, h), (a_nz, b_nz, (p_nz,), _, (g_nz,), _), scale, floating = scanned
+    sf, zero, n = a.sf, a.sf.zero, a.n_rows
     eye = Matrix.identity(n, sf).rows
     a_pow, b_pow, b_sums = [eye, a.rows], [eye, b.rows], [eye]
     for _ in range(n - 1):
@@ -288,10 +308,12 @@ def _ledger(spec: ScheduleSpec, result: ScheduleResult) -> dict:
 
 
 def solve_schedule_detailed(spec: ScheduleSpec) -> tuple[ScheduleResult, dict]:
-    """Solve and also return the intermediate quantities by name.  The
-    ledger recomputes theta from its terms; it equals the solved one."""
-    result = solve_schedule(spec)
-    return result, _ledger(spec, result)
+    """Solve and also return the intermediate quantities by name, both
+    off one scan of the spec.  The ledger recomputes theta from its
+    terms; it equals the solved one."""
+    scanned = _scanned(spec)
+    result = _solve(spec, scanned)
+    return result, _ledger(scanned, result)
 
 
 def collapse_solution_line(solutions: SolutionSet) -> Optional[

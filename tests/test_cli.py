@@ -120,6 +120,19 @@ class TestSchedule:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("mode", [[], ["--float"]], ids=["exact", "float"])
+    @pytest.mark.parametrize("doc, message", [
+        ({"startFinish": [[1, 0]], "latestStart": [5], "windowLower": [0], "windowUpper": [3]},
+         "start-finish lag matrix must be square, order >= 1"),
+        ({"startFinish": [[1, 0], [0, 1]], "latestStart": [5, 5], "windowLower": [0],
+          "windowUpper": [3, 3]},
+         "windowLower must have one entry per activity"),
+    ], ids=["non-square", "short-vector"])
+    def test_spec_shape_is_named(self, capsys, tmp_path, doc, message, mode):
+        bad = tmp_path / "shape.json"
+        bad.write_text(json.dumps(doc))
+        assert run(capsys, "schedule", str(bad), *mode) == (1, "", f"error: {message}\n")
+
     def test_duplicate_activity_names(self, capsys, tmp_path):
         bad = tmp_path / "names.json"
         bad.write_text(
@@ -1019,6 +1032,26 @@ def test_a_reader_that_stops_early_is_not_an_error(argv, unbuffered):
     with proc.stderr:
         err = proc.stderr.read()
     assert (proc.wait(timeout=60), err) == (0, b"")
+
+
+def test_a_closed_pipe_descriptor_is_not_an_error():
+    # the read end is closed before tropt starts, so its first flush to
+    # the real descriptor fails: exit 0, and the interpreter's final
+    # flush of the buffered answer finds stdout pointed at devnull
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parent.parent)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "tropt.cli", "schedule",
+             "fixtures/three_activity_project.json"],
+            cwd=GOLDEN.parent.parent, stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 0, done.stderr
+    assert b"Exception ignored" not in done.stderr and b"Traceback" not in done.stderr
 
 
 def test_a_closed_in_memory_stdout_is_not_an_error(capsys, monkeypatch, fixtures_dir):

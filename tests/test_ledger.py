@@ -16,12 +16,11 @@ from _perfbench import gen
 from tropt import Matrix, RowVector, Vector
 from tropt.errors import InfeasibleSchedule
 from tropt.oracle import sample_schedule
-from tropt.schedule import _ledger, solve_schedule, solve_schedule_detailed
+from tropt.schedule import solve_schedule, solve_schedule_detailed
 from tropt.serialize import dumps, parse_schedule
 
 NEG = float("-inf")
 ORDERS = range(2, 13)
-SOLVER_ITEMS = ("generator", "lower_u", "upper_u")
 
 
 def _mapped(doc, datum):
@@ -71,8 +70,7 @@ def test_exact_ledgers_print_as_the_reference(n):
     docs += [_decimal(_draw(n, 3 + i), rng) for i in range(2 if n <= 8 else 1)]
     for doc in docs:
         spec = parse_schedule(doc)
-        result = solve_schedule(spec)
-        ledger = _ledger(spec, result)
+        result, ledger = solve_schedule_detailed(spec)
         assert dumps(ledger) == dumps(reference_ledger(spec, result)), (n, doc)
         assert repr(ledger["theta"]) == repr(result.theta), (n, doc)
 
@@ -99,13 +97,9 @@ def test_float_ledgers_round_the_exact_ledger(n):
         doc = _mapped(_draw(n, 10 + i), datum)
         spec = parse_schedule(doc, exact=False)
         exact = parse_schedule(_float_fractions(doc))  # the same values
-        # the solution family is the solver's, passed through: a float
-        # schedule's is the exact answer on its rounded General rewrite
-        got, want = (
-            _numbers({key: item for key, item in ledger(s, solve_schedule(s)).items()
-                      if key not in SOLVER_ITEMS})
-            for ledger, s in ((_ledger, spec), (reference_ledger, exact))
-        )
+        # every item, the solver's family too, is the exact one rounded
+        got = _numbers(solve_schedule_detailed(spec)[1])
+        want = _numbers(reference_ledger(exact, solve_schedule(exact)))
         assert len(got) == len(want), (n, i)
         for x, y in zip(got, want):
             if isinstance(y, (int, Fraction)) and not isinstance(y, bool):

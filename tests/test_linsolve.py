@@ -164,6 +164,12 @@ class TestSolutionSet:
         sol = SolutionSet(Matrix.identity(2), Vector((0, 0)))
         assert not sol.contains(Vector((0, 0, 0)))
 
+    def test_contains_rejects_a_residual_above_the_box(self):
+        # x = G u for u = x, inside the lower bound but above upper
+        sol = SolutionSet(Matrix.identity(2), Vector((0, 0)), upper=Vector((1, 1)))
+        assert sol.contains(Vector((1, 0)))
+        assert not sol.contains(Vector((2, 0)))
+
     def test_contains_rejects_irregular(self):
         sol = SolutionSet(Matrix.identity(2), Vector((0, 0)))
         assert not sol.contains(Vector((0, NEG)))

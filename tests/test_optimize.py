@@ -255,6 +255,13 @@ class TestValidation:
         with pytest.raises(ShapeMismatch):
             prob.validate()
 
+    def test_b_of_another_order(self):
+        a, _ = project_matrices()
+        prob = Problem(ProblemKind.LINEAR_CONSTRAINED, A=a, B=Matrix.identity(a.n_rows - 1),
+                       g=Vector((0,) * a.n_rows))
+        with pytest.raises(ShapeMismatch, match="B order differs from A"):
+            prob.validate()
+
     def test_non_square_rejected(self):
         prob = Problem(ProblemKind.BASIC, A=Matrix(((1, 2, 3), (4, 5, 6))))
         with pytest.raises(NotSquare):

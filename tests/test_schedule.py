@@ -1,15 +1,19 @@
+import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import _frozen as frozen
+from _perfbench import gen
 from tropt import (
     InfeasibleSchedule,
     Matrix,
     ProblemKind,
     ScheduleSpec,
     SpecValidation,
+    TroptError,
     Vector,
     build_problem,
     collapse_solution_line,
@@ -17,7 +21,7 @@ from tropt import (
     solve_schedule,
     solve_schedule_detailed,
 )
-from tropt import serialize
+from tropt import linalg, optimize, schedule, serialize
 from tropt.oracle import sample_schedule
 
 NEG = float("-inf")
@@ -226,6 +230,32 @@ class TestSpecValidation:
             spec.validate()
         assert len(err.value.problems) >= 2
 
+    def test_non_square_start_finish_stops_the_checks(self):
+        spec = ScheduleSpec(
+            start_finish=Matrix(((1, 0),)),
+            start_start=Matrix(((NEG,),)),
+            earliest_start=Vector((0,)),
+            latest_start=Vector((2,)),
+            window_lower=Vector((0,)),
+            window_upper=Vector((1,)),
+        )
+        with pytest.raises(SpecValidation) as err:
+            spec.validate()
+        assert err.value.problems == ["start-finish lag matrix must be square, order >= 1"]
+
+    def test_vector_of_the_wrong_length_is_named(self):
+        spec = ScheduleSpec(
+            start_finish=Matrix(((1, 0), (0, 1))),
+            start_start=Matrix(((NEG, NEG), (NEG, NEG))),
+            earliest_start=Vector((0, 0)),
+            latest_start=Vector((2, 2)),
+            window_lower=Vector((0,)),
+            window_upper=Vector((1, 1)),
+        )
+        with pytest.raises(SpecValidation) as err:
+            spec.validate()
+        assert err.value.problems == ["windowLower must have one entry per activity"]
+
     def test_dimension_conflicts_are_reported(self):
         with pytest.raises(SpecValidation):
             ScheduleSpec(
@@ -284,3 +314,109 @@ class TestCollapseDetection:
         assert direction.entries == (-1, 0)
         assert low == 1
         assert high is None
+
+
+# -- one exact path: the rewrite, the solve and y = A x on one scan ---------
+
+
+def _spec_mapped(spec: ScheduleSpec, f) -> ScheduleSpec:
+    """The spec with f applied to each finite entry."""
+    def conv(x):
+        if isinstance(x, Matrix):
+            return Matrix(tuple(tuple(v if v == NEG else f(v) for v in r) for r in x.rows), x.sf)
+        if isinstance(x, Vector):
+            return Vector(tuple(v if v == NEG else f(v) for v in x.entries), x.sf)
+        return x
+
+    return dataclasses.replace(spec, **{fld.name: conv(getattr(spec, fld.name))
+                                        for fld in dataclasses.fields(spec)})
+
+
+def _numbers(res) -> tuple:
+    """Every number of a schedule result, each finite one as a float:
+    theta, x, y, s, t, the flow times, G and the parameter box."""
+    def f(values):
+        return tuple(v if v == NEG else float(v) for v in values)
+
+    sols = res.solutions
+    return (float(res.theta), f(res.initiation.entries), f(res.completion.entries),
+            f(res.adjusted_start.entries), f(res.adjusted_finish.entries), f(res.flow_times),
+            tuple(map(f, sols.generator.rows)), f(sols.lower.entries),
+            sols.upper and f(sols.upper.entries))
+
+
+@pytest.mark.filterwarnings("ignore:parameter box widened:RuntimeWarning")
+def test_float_schedules_give_the_rounded_exact_answer():
+    # each finite entry times S plus a fraction in [-1/2, 1/2), as a
+    # float: every number is the exact answer on those floats' values,
+    # rounded once, and the float verdict is the exact one
+    rng = random.Random(151)
+    draws = [sample_schedule(rng, 1 + i % 6) for i in range(960)]
+    draws += [serialize.parse_schedule(gen.feasible_schedule(rng, n).to_json())
+              for n in (6, 12) for _ in range(30)]
+    seen = Counter()
+    for i, spec in enumerate(draws):
+        scale = (1e-1, 1e3, 1.4e8)[i % 3]
+        floats = _spec_mapped(spec, lambda v: float(v * scale + rng.random() - 0.5))
+        exact = _spec_mapped(floats, Fraction)
+        try:
+            want = solve_schedule(exact)
+        except TroptError as err:
+            with pytest.raises(type(err)) as got:
+                solve_schedule(floats)
+            assert getattr(got.value, "condition", None) == getattr(err, "condition", None), i
+            seen["infeasible"] += 1
+            continue
+        got = solve_schedule(floats)
+        assert type(got.theta) is float, (i, floats)
+        assert repr(_numbers(got)) == repr(_numbers(want)), (i, floats)
+        seen[scale] += 1
+        seen["n >= 6"] += spec.dim >= 6
+    assert min(seen[s] for s in (1e-1, 1e3, 1.4e8)) > 100 and seen["n >= 6"] > 30, seen
+
+
+@pytest.mark.parametrize("solve", [solve_schedule, solve_schedule_detailed])
+def test_one_scan_of_the_spec_and_no_general_problem(monkeypatch, project_spec, solve):
+    scanned = []
+
+    def scan(items, zero):
+        scanned.append(items)
+        return linalg._scan(items, zero)
+
+    def refuse(*args):
+        raise AssertionError("the schedule went through a General Problem")
+
+    monkeypatch.setattr(schedule, "_scan", scan)
+    monkeypatch.setattr(optimize, "_scan", scan)
+    monkeypatch.setattr(schedule, "build_problem", refuse)
+    monkeypatch.setattr(optimize, "solve_problem", refuse)
+    spec = project_spec
+    solve(spec)
+    assert [list(map(id, items)) for items in scanned] == [list(map(id, (
+        spec.start_finish, spec.start_start, spec.window_upper,
+        spec.window_lower, spec.earliest_start, spec.latest_start)))]
+
+
+@pytest.mark.filterwarnings("ignore:parameter box widened:RuntimeWarning")
+def test_bordered_lists_are_the_tables_finite_entries(monkeypatch):
+    # the schedule extends the spec's lists by the border instead of
+    # listing the bordered pair again; Karp and the family read them
+    # in order, so they must be `_finite` of the tables, order included
+    checked = []
+
+    def optimum(kind, scanned):
+        tables, lists, *_ = scanned
+        assert lists == tuple(linalg._finite(t.rows, NEG) for t in tables)
+        checked.append(kind)
+        return real(kind, scanned)
+
+    real = schedule._optimum
+    monkeypatch.setattr(schedule, "_optimum", optimum)
+    rng = random.Random(153)
+    for i in range(200):
+        spec = sample_schedule(rng, 1 + i % 6)
+        try:
+            solve_schedule(_spec_mapped(spec, lambda v: v / 10) if i % 2 else spec)
+        except InfeasibleSchedule:
+            pass
+    assert len(checked) == 200

@@ -30,6 +30,23 @@ def test_script_exits_cleanly(argv):
     assert "Traceback" not in done.stderr
 
 
+def test_source_lines_add_up_to_wc():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "source_lines.py")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    header, *rows, total = done.stdout.splitlines()
+    assert header.split() == ["file", "code", "docstring", "comment", "blank", "total"]
+    modules = sorted((SCRIPTS.parent / "src" / "tropt").glob("*.py"))
+    assert [row.split()[0] for row in rows] == [path.name for path in modules]
+    counts = [int(v) for v in total.split()[1:]]
+    # wc -l counts newlines
+    assert sum(counts[:4]) == counts[4] == sum(path.read_bytes().count(b"\n") for path in modules)
+
+
 def test_ab_trees_against_its_own_tree():
     # both package names load the same source, so every answer agrees
     done = subprocess.run(
