@@ -8,19 +8,23 @@ imported and never changed: `feasible_schedule` draws for
 `solve_schedule`, and `feasible_problem` draws of all six kinds for
 `solve_problem`, at each order given.  The schedule ledger,
 `solve_schedule_detailed`, runs at orders 6 and 12 on the schedule
-draws as they are (int) and with each datum v as v/10 (decimal).  Each
+draws as they are (int) and with each datum v as v/10 (decimal).  The
+grid oracle, `oracle.grid_minimize`, runs at order 3 on the
+`feasible_problem` draws, each over the window-1 grid around its
+closed-form canonical point that `tropt verify --window 1` scans.  Each
 round times every draw once on each tree, the tree that goes first
 alternating from round to round.  For each solver and order the script
-prints the fastest milliseconds per solve of each tree over the
-rounds, the rounds each tree won, and how many answers differ: by
-repr, and for the ledger by its `serialize.dumps` text, which is what
-the CLI prints.
+prints the fastest milliseconds per solve (per scan for the grid
+oracle) of each tree over the rounds, the rounds each tree won, and
+how many answers differ: by repr, and for the ledger by its
+`serialize.dumps` text, which is what the CLI prints.
 
 Usage:
     python3 scripts/ab_trees.py OTHER_TREE [--sizes 12 32 64] [--rounds 15] [--draws 6]
 """
 
 import argparse
+import functools
 import importlib.util
 import sys
 import time
@@ -34,6 +38,7 @@ import gen  # noqa: E402
 
 NEG = float("-inf")
 LEDGER_SIZES = (6, 12)
+GRID_ORDER = 3
 
 
 def load_tropt(tree: Path, name: str):
@@ -83,7 +88,7 @@ def ledger_calls(decimal: bool):
 def answer_text(tropt, answer) -> str:
     """repr of an answer; a ledger's result by repr and its items as
     `serialize.dumps` writes them."""
-    if isinstance(answer, tuple):
+    if isinstance(answer, tuple) and isinstance(answer[1], dict):
         result, ledger = answer
         return repr(result) + importlib.import_module(tropt.__name__ + ".serialize").dumps(ledger)
     return repr(answer)
@@ -98,6 +103,22 @@ def problem_calls(tropt, n: int, count: int) -> list:
         kind = gen.KINDS[i % len(gen.KINDS)]
         doc = gen.feasible_problem(gen.instance_rng("ab-problem", n, i), kind, n)
         calls.append((tropt.solve_problem, serialize.parse_problem(doc)))
+    return calls
+
+
+def grid_calls(tropt, n: int, count: int) -> list:
+    """`oracle.grid_minimize` on the `problem_calls` draws, each over
+    the grid `cli._verify_window` builds for `tropt verify --window 1`:
+    one unit, in whole default steps, on each side of the closed-form
+    canonical point."""
+    cli = importlib.import_module(tropt.__name__ + ".cli")
+    oracle = importlib.import_module(tropt.__name__ + ".oracle")
+    step = oracle.default_step(n)
+    calls = []
+    for solve, problem in problem_calls(tropt, n, count):
+        box = cli._verify_window(problem, 1, step, solve(problem).canonical)
+        calls.append((functools.partial(oracle.grid_minimize, problem),
+                      oracle.GridSpec(*box, step)))
     return calls
 
 
@@ -126,6 +147,7 @@ def main() -> int:
     rows += [("solve_problem", n, problem_calls) for n in args.sizes]
     rows += [(f"solve_schedule_detailed {data}", n, ledger_calls(data == "decimal"))
              for n in LEDGER_SIZES for data in ("int", "decimal")]
+    rows.append(("grid_minimize", GRID_ORDER, grid_calls))
     for label, n, build in rows:
         calls = {name: build(tropt, n, args.draws) for name, tropt in trees.items()}
         best = dict.fromkeys(trees, float("inf"))
@@ -140,8 +162,9 @@ def main() -> int:
             wins[min(took, key=took.get)] += 1
         differ = sum(answer_text(trees["this"], a) != answer_text(trees["other"], b)
                      for a, b in zip(answers["this"], answers["other"]))
+        unit = "scan" if build is grid_calls else "solve"
         print(f"{label} n={n}: other {best['other'] * 1e3:.3f} ms, "
-              f"this {best['this'] * 1e3:.3f} ms per solve (fastest round); "
+              f"this {best['this'] * 1e3:.3f} ms per {unit} (fastest round); "
               f"this won {wins['this']} of {args.rounds} rounds; "
               f"{differ} of {args.draws} answers differ")
     return 0

@@ -69,7 +69,8 @@ def _load(args) -> tuple[object, MaxPlus, bool]:
 
 
 def _emit(doc, args) -> None:
-    text = serialize.dumps(doc)
+    """Write the answer; a float-mode one has only floats for numbers."""
+    text = serialize.dumps(doc, floats=not _mode(args)[0])
     if getattr(args, "output", None):
         Path(args.output).write_text(text + "\n")
     else:

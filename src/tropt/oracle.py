@@ -18,13 +18,18 @@ difference terms c + x_j - x_i, and B x <= x is a set of such terms
 that must stay <= 0; a zero entry makes no term, so no zero takes part
 in any sum.  The scan cuts each axis to the bounds g <= x <= h it
 checks, then walks the prefixes x_0 .. x_(n-3) in lexicographic order,
-settling every term once per prefix.  Along the last two axes it works
-in closed form: each value of x_(n-2) costs O(1), with the best
-x_(n-1) found without visiting the points.  It returns the minimum
-and the first strict minimiser in the order of the full lattice.  The
-point budget counts the uncut grid.  None of this code calls the
-solver path: products, objectives and feasibility tests are
-re-implemented on raw lists.
+settling the objective's terms once per prefix.  Once it holds a best
+value, the objective terms free of x_(n-1) bound each prefix from
+below, and the scan skips the prefix, or the values of x_(n-2), where
+that bound is not below the best (branch and bound): it keeps only a
+strictly smaller value, so no skipped point could have replaced it.
+A prefix it keeps settles the constraint terms once too.  Along the
+last two axes it works in closed form: each value of x_(n-2) costs
+O(1), with the best x_(n-1) found by index arithmetic without
+visiting the points.  It returns the minimum and the first strict
+minimiser in the order of the full lattice.  The point budget counts
+the uncut grid.  None of this code calls the solver path: products,
+objectives and feasibility tests are re-implemented on raw lists.
 """
 
 from __future__ import annotations
@@ -193,6 +198,22 @@ def _column(lines, ss: range):
     return map(max, *cols)
 
 
+def _cut(axis: range, lines, top: int) -> range:
+    """The s of the axis at which every line (ds, offset) of slope 0 in
+    t stays <= top: off + s <= top caps s at top - off, off - s <= top
+    floors it at off - top, and a line of slope 0 in s above top leaves
+    no s."""
+    lower = upper = None
+    for ds, off in lines:
+        if ds > 0:
+            upper = top - off
+        elif ds < 0:
+            lower = off - top
+        elif off > top:
+            return axis[:0]
+    return _clip(axis, lower, upper)
+
+
 def _scan(axes: list[range], objective, constraints) -> tuple[int, tuple[int, ...]]:
     """First strict minimum, in lexicographic order, of the largest
     objective term over the lattice points where every constraint term
@@ -202,8 +223,13 @@ def _scan(axes: list[range], objective, constraints) -> tuple[int, tuple[int, ..
     Terms fall into seven classes by their slope in s = x_(n-2) and
     t = x_(n-1).  The outer loop runs over the prefixes x_0 .. x_(n-3),
     and a prefix costs one pass over the terms for each class's largest
-    one.  That leaves lines in s.  The constraints that hold no t clip
-    the s axis; the others give t a floor and a cap at each s.  The
+    one.  That leaves lines in s.  The objective's lines that hold no t
+    bound its value at each s from below, and a point is kept only for
+    a value below the best one so far: once there is one, these lines
+    cut the s axis to where they are below it, before the constraints
+    are read.  The constraints that hold no t clip the s axis further;
+    the others give t a floor and a cap at each s, which index
+    arithmetic turns into the first and last t between them.  The
     objective at s is max(const, rise + t, fall - t), a convex function
     of t.  Its least value on the lattice is at a neighbour of
     (fall - rise) / 2, and its first minimiser is the first lattice
@@ -213,32 +239,29 @@ def _scan(axes: list[range], objective, constraints) -> tuple[int, tuple[int, ..
     n = len(axes)
     obj, con = _slopes(objective, n), _slopes(constraints, n)
     s_axis = axes[n - 2] if n > 1 else range(1)
+    t0, d, last = axes[-1].start, axes[-1].step, len(axes[-1]) - 1
     best: Optional[int] = None
     arg: tuple[int, ...] = ()
     for prefix in itertools.product(*axes[: max(n - 2, 0)]):
         # s and t cancel in every class offset; x[n] is no variable
         x = prefix + (0, 0, 0)
-        flat, cap, floor = _lines(con, x)
-        if any(ds == 0 and off > 0 for ds, off in flat):
-            continue  # a constant constraint term above 0: no s, t mends it
-        lower = upper = None
-        for ds, off in flat:  # off + s <= 0 or off - s <= 0
-            if ds > 0:
-                upper = -off
-            elif ds < 0:
-                lower = off
         const, rise, fall = _lines(obj, x)
-        ss = _clip(s_axis, lower, upper)
+        ss = s_axis if best is None else _cut(s_axis, const, best - 1)
+        if not ss:
+            continue  # no s at which the value could fall below best
+        flat, cap, floor = _lines(con, x)
+        ss = _cut(ss, flat, 0)
         columns = (_column(lines, ss) for lines in (cap, floor, const, rise, fall))
         # line + t <= 0 caps t at -line; line - t <= 0 floors it at line
         for s, up, low, c, r, f in zip(ss, *columns):
-            inner = _clip(axes[-1], low, None if up is None else -up)
-            if not inner:
+            first = 0 if low is None else max(0, -((t0 - low) // d))
+            end = last if up is None else min(last, (-up - t0) // d)
+            if first > end:
                 continue
             # Stand-ins that change no value on [lo, hi]: a slope term is
             # at least its value at one end, and a missing slope term may
             # be one that never exceeds the constant there.
-            lo, hi = inner[0], inner[-1]
+            lo, hi = t0 + first * d, t0 + end * d
             if c is None:
                 c = r + lo if r is not None else f - hi
             if r is None:
@@ -247,7 +270,6 @@ def _scan(axes: list[range], objective, constraints) -> tuple[int, tuple[int, ..
                 f = c + lo
             # max(r + t, f - t) falls up to (f - r) / 2 and rises after
             # it, so its least value is at a lattice neighbour of that point
-            d = inner.step
             t = lo + (f - r - 2 * lo) // (2 * d) * d
             if t < lo:
                 value = r + lo
@@ -259,16 +281,19 @@ def _scan(axes: list[range], objective, constraints) -> tuple[int, tuple[int, ..
                 value = c
             if best is None or value < best:
                 best = value
-                arg = prefix + (s, _clip(inner, f - value, None)[0])
+                # the first lattice t >= f - value, which is in [lo, hi]
+                arg = prefix + (s, t0 + max(first, -((t0 + value - f) // d)) * d)
     if best is None:
         raise NoFeasiblePoint("no grid point satisfies the constraints")
     return best, arg[-n:]  # with n = 1, without the stand-in s
 
 
 def grid_minimize(problem: Problem, grid: GridSpec) -> tuple[Scalar, Vector]:
-    """Exhaustive minimum of the problem objective over the lattice of
-    grid points satisfying the problem's constraints, B x <= x and
-    g <= x <= h for the data the kind carries.
+    """Minimum of the problem objective over the lattice of grid points
+    satisfying the problem's constraints, B x <= x and g <= x <= h for
+    the data the kind carries, and its first minimiser in lexicographic
+    order.  Exact: the scan skips only points whose value a lower bound
+    puts at or above the best one found, which it would not keep.
 
     The axes are cut to [g, h] before the scan; GridTooLarge counts the
     uncut grid.  The objective is scanned as its difference terms:
@@ -311,8 +336,9 @@ def grid_minimize(problem: Problem, grid: GridSpec) -> tuple[Scalar, Vector]:
 def grid_minimize_schedule(
     spec: ScheduleSpec, grid: GridSpec
 ) -> tuple[Fraction, Vector]:
-    """Exhaustive minimum of the literal largest flow time
-    max_i (max((Ax)_i, p_i) - min(x_i, q_i)) over feasible grid points.
+    """Minimum of the literal largest flow time
+    max_i (max((Ax)_i, p_i) - min(x_i, q_i)) over feasible grid points,
+    and its first minimiser, exact as in `grid_minimize`.
     Constraints checked directly: B x <= x and g <= x <= h, the latter
     by cutting the axes (GridTooLarge counts the uncut grid).  Each flow
     time is scanned as max((Ax)_i - x_i, (Ax)_i - q_i, p_i - x_i,

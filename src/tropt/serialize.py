@@ -8,7 +8,8 @@ Scalar conventions, both directions:
   minus infinity  the string "-inf", or null inside matrices
   floats          JSON numbers (approximate mode)
 
-Float mode reads every number, integers included, as a float; a value
+Float mode reads every number, integers included, as a float, and
+`dumps(..., floats=True)` writes every finite one as a float; a value
 too large for a float, or a result that overflows to +inf, is a
 ValueError.  An exact value longer than the interpreter's int-to-text
 limit can be neither read nor written: that is TooManyDigits, a
@@ -66,12 +67,14 @@ def loads(text: str, exact: bool = True):
         raise _digit_limit(exc) from None
 
 
-def dumps(obj: Any) -> str:
+def dumps(obj: Any, floats: bool = False) -> str:
     """``json.dumps(encode_value(obj), sort_keys=True, indent=2)``,
-    written directly; dict keys are strings."""
+    written directly; dict keys are strings.  With floats (float mode)
+    an int scalar is written as the float it equals: an answer built
+    from no finite datum has no float to take its type from."""
     out: list[str] = []
     try:
-        _write(obj, "\n", out)
+        _write(obj, "\n", out, _float_texts if floats else _texts)
     except ValueError as exc:
         raise _digit_limit(exc) from None
     return "".join(out)
@@ -97,42 +100,54 @@ def _texts(values) -> list[str]:
     ]
 
 
+def _float_texts(values) -> list[str]:
+    """`_texts` with each int written as the float it equals; a copy,
+    so that exact mode pays no test per scalar."""
+    return [
+        repr(v if t is float else float(v))
+        if (t := type(v)) is int or (t is float and v - v == 0)
+        else '"-inf"' if t is float and v == _ZERO
+        else _json_text(encode_scalar(v))
+        for v in values
+    ]
+
+
 def _json_text(v) -> str:
     """`json`'s text for what `encode_scalar` returns, mostly strings."""
     return encode_basestring_ascii(v) if type(v) is str else json.dumps(v)
 
 
-def _write(v, nl: str, out: list[str]) -> None:
+def _write(v, nl: str, out: list[str], texts) -> None:
     """Append the text of v at the indent that `nl`, a newline and the
-    current indent, ends in."""
+    current indent, ends in; `texts` writes the scalars."""
     inner = nl + "  "
     if isinstance(v, Matrix):
         cell, row_nl = "," + inner + "    ", inner + "  "
         rows = ("," + row_nl).join(
-            f"[{cell[1:]}{cell.join(_texts(row))}{row_nl}]" for row in v.rows
+            f"[{cell[1:]}{cell.join(texts(row))}{row_nl}]" for row in v.rows
         )
         out.append(
             f'{{{inner}"cols": {v.n_cols},{inner}"data": [{row_nl}{rows}'
             f'{inner}],{inner}"rows": {v.n_rows}{nl}}}'
         )
     elif isinstance(v, (Vector, RowVector)):
-        out.append("[" + inner + ("," + inner).join(_texts(v.entries)) + nl + "]")
+        out.append("[" + inner + ("," + inner).join(texts(v.entries)) + nl + "]")
     elif isinstance(v, dict):
         sep = "{"
         for key, value in sorted(v.items()):
             out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
-            _write(value, inner, out)
+            _write(value, inner, out, texts)
             sep = ","
         out.append(nl + "}" if v else "{}")
     elif isinstance(v, (list, tuple)):
         sep = "["
         for value in v:
             out.append(sep + inner)
-            _write(value, inner, out)
+            _write(value, inner, out, texts)
             sep = ","
         out.append(nl + "]" if v else "[]")
     else:
-        out.append(_texts((v,))[0])
+        out.append(texts((v,))[0])
 
 
 def parse_scalar(value, sf: Semifield = MAXPLUS, exact: bool = True) -> Scalar:

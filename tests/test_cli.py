@@ -632,6 +632,24 @@ class TestMatrixCommands:
             assert code == 0 and "traceSum" in doc
             assert events == ["scan", "pass"]
 
+    @pytest.mark.parametrize("mode", [["--float"], ["--epsilon", "0.5"]], ids=["float", "epsilon"])
+    def test_float_answer_from_no_finite_datum_prints_floats(self, capsys, tmp_path, mode):
+        # zeros alone carry no float, yet a float request prints the
+        # diagonal of the star and of the generator, one, as 0.0; exact
+        # mode still prints 0
+        requests = {
+            "star": ({"A": [[None, None], [None, None]]}, "star"),
+            "solve-ineq": ({"A": [[None, None], [None, None]], "b": [None, None]}, "generator"),
+        }
+        for command, (doc, key) in requests.items():
+            f = tmp_path / f"{command}.json"
+            f.write_text(json.dumps(doc))
+            for flags, one in ((mode, 0.0), ([], 0)):
+                code, out, _ = run_json(capsys, command, str(f), *flags)
+                data = out[key]["data"]
+                assert code == 0 and data == [[one, "-inf"], ["-inf", one]], (command, flags)
+                assert type(data[0][0]) is type(data[1][1]) is type(one), (command, flags)
+
     def test_wrapped_matrix_payload(self, capsys, tmp_path):
         f = tmp_path / "wrapped.json"
         f.write_text(json.dumps({"A": [[0]]}))

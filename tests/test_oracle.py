@@ -589,3 +589,61 @@ def test_scan_matches_a_literal_scan():
             for name, dt in (("no rise", 1), ("no fall", -1), ("no const", 0)):
                 seen[name] += dt not in slopes
     assert min(seen.values()) >= 300, seen
+
+
+def _v_terms(rng, n):
+    """Constant terms p_i - x_i and x_i - q_i (q_i >= p_i) for i = 0 and
+    i = n - 2: a V in x_0, which is a prefix axis for n >= 3, and in
+    s = x_(n-2), so a best point found early rules out whole prefixes
+    and cuts the s axis."""
+    terms = []
+    for i in {0, n - 2}:
+        p = rng.randint(-4, 8)
+        terms += [(p, n, i), (-(p + rng.randint(0, 3)), i, n)]
+    return terms
+
+
+def test_pruned_scan_matches_a_literal_scan_on_wide_axes():
+    """On wide axes, where the bound skips prefixes and cuts the s axis,
+    (minimum, argmin) and NoFeasiblePoint of `_scan` agree with a
+    point-by-point scan, n = 2..4, with and without constraints."""
+    rng = random.Random(20261020)
+    draws = {2: 60, 3: 24, 4: 8}
+    sizes = {2: (13, 25), 3: (13, 20), 4: (13, 13)}
+    seen = {"feasible": 0, "infeasible": 0, "constrained": 0}
+    for n, count in draws.items():
+        for k in range(count):
+            axes = []
+            for _ in range(n):
+                step, start = rng.randint(1, 2), rng.randint(-8, 0)
+                axes.append(range(start, start + rng.randint(*sizes[n]) * step, step))
+            objective = _v_terms(rng, n) + _random_terms(rng, n, rng.randint(0, 4))
+            constraints = _random_terms(rng, n, rng.choice((1, 2, 3))) if k % 2 else []
+            got = _outcome(oracle._scan, axes, objective, constraints)
+            want = _outcome(_literal_scan, axes, objective, constraints)
+            assert got == want, (axes, objective, constraints)
+            seen["infeasible" if got == "infeasible" else "feasible"] += 1
+            seen["constrained"] += bool(constraints)
+    assert seen["feasible"] >= 60 and seen["infeasible"] >= 5, seen
+    assert seen["constrained"] >= 40, seen
+
+
+def test_the_bound_skips_prefixes(monkeypatch):
+    """On a V in x_0 a pruned prefix builds the objective's lines and
+    not the constraints': fewer than two line sets per prefix.  The
+    answer is the literal scan's."""
+    built = []
+    lines = oracle._lines
+
+    def counted(classes, x):
+        built.append(x)
+        return lines(classes, x)
+
+    monkeypatch.setattr(oracle, "_lines", counted)
+    axes = [range(0, 21), range(-10, 11), range(-10, 11)]
+    objective = [(10, 3, 0), (-10, 0, 3), (0, 1, 2), (0, 2, 1), (-3, 1, 3)]
+    constraints = [(-15, 1, 3), (-15, 2, 3)]
+    got = _outcome(oracle._scan, axes, objective, constraints)
+    assert got == _outcome(_literal_scan, axes, objective, constraints)
+    prefixes = len(axes[0])
+    assert len(built) < 2 * prefixes, len(built)
