@@ -12,7 +12,10 @@ exact answer on those floats' own (dyadic) values, rounded once to
 floats.  The inequality solvers' exact family is compared with
 perfbench/check.py's literal star, and their floats/10 draw with the
 exact answer rounded once, in the same way; so are `star` and
-`trace_sum` themselves, with check.py's literal sums.
+`trace_sum` themselves, with check.py's literal sums.  Two more rows
+draw perfbench/gen.py's feasible problems at n = 3, 5 or 8, each finite
+datum v written as the float v S + U[-1/2, 1/2) for S = 1e3 and 1.4e8:
+`verify_solution` must accept each regular canonical point.
 
 Usage:
     python3 scripts/audit_random.py [--count N] [--seed S] [--radius R]
@@ -29,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import gen  # noqa: E402
 from check import inequality_expectation, star, trace_sum  # noqa: E402
 from tropt import oracle  # noqa: E402
 from tropt.errors import (  # noqa: E402
@@ -40,9 +44,10 @@ from tropt.errors import (  # noqa: E402
 )
 from tropt.linalg import Matrix, Vector  # noqa: E402
 from tropt.linsolve import solve_combined, solve_fixpoint_lower  # noqa: E402
-from tropt.optimize import ProblemKind, solve_problem  # noqa: E402
+from tropt.optimize import ProblemKind, solve_problem, verify_solution  # noqa: E402
 from tropt.oracle import GridSpec, default_step, grid_minimize, grid_minimize_schedule  # noqa: E402
 from tropt.schedule import solve_schedule  # noqa: E402
+from tropt.serialize import parse_problem  # noqa: E402
 
 SKIP = (
     ZeroSpectralRadius,
@@ -111,8 +116,7 @@ def audit_kind(kind: ProblemKind, count: int, seed: int, radius: int):
             continue
         kept += 1
         best, argmin = grid_minimize(problem, window(res.canonical, radius))
-        sf = problem.A.sf
-        if not sf.eq(best, res.minimum):
+        if best != res.minimum:
             mismatches.append((problem, "minimum", res.minimum, best))
         elif not res.solutions.contains(argmin):
             mismatches.append((problem, "membership", res.minimum, argmin))
@@ -135,8 +139,7 @@ def audit_schedule(count: int, seed: int, radius: int):
             continue
         kept += 1
         best, argmin = grid_minimize_schedule(spec, window(res.initiation, radius))
-        sf = spec.start_finish.sf
-        if not sf.eq(best, res.theta):
+        if best != res.theta:
             mismatches.append((spec, "minimum", res.theta, best))
         elif not res.solutions.contains(argmin):
             mismatches.append((spec, "membership", res.theta, argmin))
@@ -256,6 +259,32 @@ def audit_star(count: int, seed: int):
     return count, 0, mismatches
 
 
+def audit_float_scale(count: int, seed: int, scale: float):
+    """Feasible draws of every kind with each finite datum v as the
+    float v scale + U[-1/2, 1/2): `verify_solution` accepts each
+    regular canonical point."""
+    rng = random.Random(seed)
+    kept = skipped = 0
+    mismatches = []
+    while kept < count:
+        doc = gen.feasible_problem(rng, rng.choice(gen.KINDS), rng.choice((3, 5, 8)))
+        problem = _mapped(parse_problem(doc, exact=False),
+                          lambda v: v * scale + rng.random() - 0.5)
+        try:
+            res = solve_problem(problem)
+        except SKIP:
+            skipped += 1  # the fractions can close a positive cycle
+            continue
+        if not res.canonical.is_regular():
+            skipped += 1
+            continue
+        kept += 1
+        ok, reason = verify_solution(problem, res, res.canonical)
+        if not ok:
+            mismatches.append((problem, "verify_solution", reason, res.canonical))
+    return kept, skipped, mismatches
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=100,
@@ -277,6 +306,8 @@ def main(argv=None) -> int:
     rows.append(("Schedule", lambda s: audit_schedule(args.count, s, args.radius)))
     rows.append(("Inequalities", lambda s: audit_inequalities(args.count, s)))
     rows.append(("Star", lambda s: audit_star(args.count, s)))
+    for label, scale in (("Float x1e3", 1e3), ("Float x1.4e8", 1.4e8)):
+        rows.append((label, lambda s, f=scale: audit_float_scale(args.count, s, f)))
     for offset, (label, runner) in enumerate(rows):
         kept, skipped, mismatches = runner(args.seed + offset)
         status = "ok" if not mismatches else f"{len(mismatches)} MISMATCH"

@@ -3,7 +3,7 @@ under two-sided constraints, and just-in-time project scheduling.
 
 The public surface:
 
-  semifield  MaxPlus scalar arithmetic
+  semifield  max-plus scalar arithmetic (Semifield, MAXPLUS)
   linalg     Matrix, Vector, RowVector, closures, chain families
   linsolve   inequality systems with explicit solution families
   optimize   constrained span minimization in closed form
@@ -11,6 +11,10 @@ The public surface:
   oracle     brute-force cross-checks (grids, cycles) and samplers
   serialize  JSON input and output
   cli        the `tropt` command
+
+`solve_problem`, `solve_schedule`, `solve_schedule_detailed`,
+`solve_fixpoint_lower` and `solve_combined` take the float dust
+tolerance as `eps=` (default 1e-9).
 """
 
 from .errors import (
@@ -74,7 +78,7 @@ from .schedule import (
     solve_schedule,
     solve_schedule_detailed,
 )
-from .semifield import MAXPLUS, MaxPlus, Semifield
+from .semifield import MAXPLUS, Semifield
 
 __version__ = "0.1.0"
 
@@ -89,7 +93,6 @@ __all__ = [
     "InversionOfZero",
     "MAXPLUS",
     "Matrix",
-    "MaxPlus",
     "NoFeasiblePoint",
     "NoRegularSolution",
     "NotColumnRegular",

@@ -44,33 +44,39 @@ from .errors import (
     TroptError,
     Unsolvable,
 )
-from .linalg import Vector, _star_trace
+from .linalg import Vector, _compared, _dust, _star_trace
 from .linsolve import solve_combined, solve_fixpoint_lower, solve_upper_bounded
 from .optimize import Problem, solve_problem
 from .schedule import collapse_solution_line, solve_schedule, solve_schedule_detailed
-from .semifield import MAXPLUS, MaxPlus
+from .semifield import MAXPLUS, Semifield
 
 
-def _mode(args) -> tuple[bool, MaxPlus]:
+def _mode(args) -> bool:
+    """True in exact mode; --epsilon implies --float, and is checked
+    as the solvers check their eps, for every subcommand."""
     epsilon = getattr(args, "epsilon", None)
     if epsilon is not None:
-        if not 0 <= epsilon < math.inf:
-            raise ValueError(f"--epsilon must be finite and at least 0, got {epsilon}")
-        return False, MaxPlus(eps=epsilon)
-    return not getattr(args, "approx", False), MAXPLUS
+        _dust(epsilon, 1, False)
+        return False
+    return not getattr(args, "approx", False)
 
 
-def _load(args) -> tuple[object, MaxPlus, bool]:
+def _eps(args) -> float:
+    """--epsilon, the solvers' dust tolerance, or their default."""
+    return 1e-9 if args.epsilon is None else args.epsilon
+
+
+def _load(args) -> tuple[object, Semifield, bool]:
     """The input document ('-' reads stdin), its semifield and mode;
-    without mode flags (verify) that is exact mode and MAXPLUS."""
-    exact, sf = _mode(args)
+    without mode flags (verify) that is exact mode."""
+    exact = _mode(args)
     text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
-    return serialize.loads(text, exact), sf, exact
+    return serialize.loads(text, exact), MAXPLUS, exact
 
 
 def _emit(doc, args) -> None:
     """Write the answer; a float-mode one has only floats for numbers."""
-    text = serialize.dumps(doc, floats=not _mode(args)[0])
+    text = serialize.dumps(doc, floats=not _mode(args))
     if getattr(args, "output", None):
         Path(args.output).write_text(text + "\n")
     else:
@@ -78,7 +84,7 @@ def _emit(doc, args) -> None:
 
 
 def _cmd_solve(args) -> int:
-    result = solve_problem(serialize.parse_problem(*_load(args)))
+    result = solve_problem(serialize.parse_problem(*_load(args)), eps=_eps(args))
     _emit(serialize.opt_document(result), args)
     return 0
 
@@ -89,8 +95,9 @@ def _format_cell(value) -> str:
 
 def _schedule_summary(result) -> str:
     """Text table of the schedule; each numeric column is at least ten
-    characters wide and one wider than its widest cell."""
-    sf = result.initiation.sf
+    characters wide and one wider than its widest cell.  A flow time
+    attains theta when it equals it on the answer's ints, float data
+    within `linalg._compared`'s bound."""
     names = result.activities
     width = max(8, max(len(n) for n in names) + 2)
     columns = [
@@ -100,8 +107,11 @@ def _schedule_summary(result) -> str:
     ]
     widths = [max(10, max(len(c) for c in col) + 1) for col in columns]
     lines = [f"largest flow time: {_format_cell(result.theta)}"]
+    (values, *_), bound = _compared((Vector((result.theta, *result.flow_times)),
+                                     result.adjusted_start, result.adjusted_finish), len(names))
+    theta, *flows = values.entries
     for i, name in enumerate(["activity"] + list(names)):
-        flag = "  *" if i and sf.eq(result.flow_times[i - 1], result.theta) else ""
+        flag = "  *" if i and abs(flows[i - 1] - theta) <= bound else ""
         cells = "".join(f"{col[i]:>{w}}" for col, w in zip(columns, widths))
         lines.append(f"{name:<{width}}{cells}{flag}")
     lines.append("(* attains the largest flow time)")
@@ -111,9 +121,9 @@ def _schedule_summary(result) -> str:
 def _cmd_schedule(args) -> int:
     spec = serialize.parse_schedule(*_load(args))
     if args.emit_intermediates:
-        result, intermediates = solve_schedule_detailed(spec)
+        result, intermediates = solve_schedule_detailed(spec, eps=_eps(args))
     else:
-        result = solve_schedule(spec)
+        result = solve_schedule(spec, eps=_eps(args))
     collapse = collapse_solution_line(result.solutions)
     doc = serialize.schedule_document(result, collapse)
     if args.emit_intermediates:
@@ -128,7 +138,8 @@ def _cmd_solve_ineq(args) -> int:
     if b is None:
         doc = {"greatest": solve_upper_bounded(a, d)}
     else:
-        sol = solve_fixpoint_lower(a, b) if d is None else solve_combined(a, b, d)
+        eps = _eps(args)
+        sol = solve_fixpoint_lower(a, b, eps) if d is None else solve_combined(a, b, d, eps)
         doc = {"generator": sol.generator, "lower": sol.lower}
         if sol.upper is not None:
             doc["upper"] = sol.upper
@@ -211,7 +222,7 @@ def _cmd_verify(args) -> int:
             best, argmin = scan
             member = closed.solutions.contains(argmin)
             grid = {"minimum": best, "argmin": argmin, "argminInFamily": member}
-            agree = bool(problem.A.sf.eq(best, closed.minimum) and member)
+            agree = best == closed.minimum and member
     _emit({"closedForm": form, "grid": grid, "agree": agree}, args)
     if not agree:
         return 1
@@ -229,13 +240,14 @@ def _add_mode_flags(sub) -> None:
         "--float",
         dest="approx",
         action="store_true",
-        help="float input and answers, with tolerant comparisons",
+        help="float input and answers, each the exact one rounded once",
     )
     sub.add_argument(
         "--epsilon",
         type=float,
         default=None,
-        help="comparison tolerance, finite and >= 0; implies --float (default 1e-9)",
+        help="dust tolerance: a positive cycle of at most this weight passes the "
+        "feasibility gates; finite and >= 0; implies --float (default 1e-9)",
     )
     sub.add_argument("--output", help="write the JSON result to a file")
 

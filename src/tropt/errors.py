@@ -84,7 +84,7 @@ class DegenerateProblem(Unsolvable):
 
 class EmptyParameterBox(TroptError):
     """Float rounding left the parameter box of a solution family empty
-    beyond the comparison tolerance."""
+    beyond the dust tolerance eps."""
 
 
 class SpecValidation(TroptError):

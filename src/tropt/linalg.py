@@ -30,8 +30,9 @@ closing a cycle of mean c.
 `_acyclic` tells from the lists in O(n^2) whether a matrix has a cycle
 at all, the spectral radius's zero test, with no walk.
 Entrywise helpers (`scale`, `conj`, `meet`, the zero and regularity
-tests) inline the MaxPlus rules, as `+` and `@` do: no Semifield call
-per entry.
+tests) inline the max-plus rules, as `+` and `@` do: no Semifield call
+per entry.  `==` is exact; a check compares on `_scan`'s ints, float
+data within the one bound of `_compared`.
 Column and row vectors share one core of entrywise operations but are
 distinct types, so that expressions read like the algebra:
 ``h.conj() @ T @ g`` is a scalar.
@@ -97,8 +98,8 @@ def _sum_products(zero: Scalar, width: int, terms) -> tuple[tuple, ...]:
     Terms go in order, each in increasing k, and only a strictly
     larger sum replaces the running maximum: the first maximal term is
     kept, so the result, Python type included, is that of `sf.sum` of
-    `sf.mul`s under `MaxPlus`, and an earlier term wins ties, as the
-    left operand of `+` does."""
+    `sf.mul`s, and an earlier term wins ties, as the left operand of
+    `+` does."""
     out = []
     for rows in zip(*[left for left, _ in terms]):
         acc = [zero] * width
@@ -123,7 +124,7 @@ def _product(left: Sequence[Sequence[Scalar]], right: Sequence[Sequence[Scalar]]
     return _sum_products(zero, len(right[0]), ((left, right_nz),))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Matrix:
     rows: tuple[tuple[Scalar, ...], ...]
     sf: Semifield = MAXPLUS
@@ -201,7 +202,7 @@ class Matrix:
             raise ShapeMismatch(
                 f"add {self.n_rows}x{self.n_cols} with {other.n_rows}x{other.n_cols}"
             )
-        # `MaxPlus.add` inlined: the left operand wins ties
+        # the max-plus sum inlined: the left operand wins ties
         return Matrix._built(
             tuple(
                 tuple(x if y <= x else y for x, y in zip(ra, rb))
@@ -243,7 +244,7 @@ class Matrix:
         return NotImplemented
 
     def scale(self, c: Scalar) -> "Matrix":
-        """c (x) A; `MaxPlus.mul` inlined, as in `_scaled_sum`."""
+        """c (x) A; the max-plus product inlined, as in `_scaled_sum`."""
         return _scaled_sum(c, self, None)
 
     def __rmul__(self, c: Scalar) -> "Matrix":
@@ -251,7 +252,7 @@ class Matrix:
 
     def conj(self) -> "Matrix":
         """Conjugate transpose: transpose with entrywise inversion
-        (`MaxPlus.inv` inlined: 0 - v, never -0.0; zero stays zero)."""
+        (the inverse inlined: 0 - v, never -0.0; zero stays zero)."""
         zero = self.sf.zero
         if any(math.inf in r for r in self.rows):
             raise ValueError(_OVERFLOW)
@@ -311,16 +312,6 @@ class Matrix:
         return _star_trace(self)[0]
 
     # -- comparisons ------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
-            return False
-        sf = self.sf
-        return all(
-            sf.eq(a, b) for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-        )
 
     def leq(self, other: "Matrix") -> bool:
         """Entrywise canonical order."""
@@ -403,7 +394,7 @@ def _star_trace(a: Matrix) -> tuple[Matrix, Scalar]:
 
 def _scaled_sum(c: Scalar, a: Matrix, b: Matrix | None) -> Matrix:
     """c (x) A (+) B, or c (x) A when b is None, with no Matrix in
-    between.  `MaxPlus.mul` and `add` inlined: a zero factor gives
+    between.  The max-plus product and sum inlined: a zero factor gives
     zero, and the scaled entry, the left operand, wins ties."""
     zero = a.sf.zero
     if c == zero:
@@ -696,6 +687,31 @@ def _scan(items, zero: Scalar) -> tuple[tuple, list, int, bool]:
     return tuple(out), nzs, scale, floating
 
 
+def _compared(items, n: int) -> tuple[tuple, int]:
+    """The one comparison rule of the checks: `_scan`'s ints of the
+    items, order-n data, a point and claimed values scanned together at
+    one D (None items stay None), and the bound within which they
+    agree: 0 on exact data, else 1e-9 (n + 1) max(1, the largest finite
+    magnitude) at scale D, rounded down, as the ints it bounds are
+    whole.  It covers a correctly rounded answer and the dust of a
+    solve at the default eps."""
+    ints, lists, scale, floating = _scan([x for x in items if x is not None], MAXPLUS.zero)
+    ints = iter(ints)
+    ints = tuple(None if x is None else next(ints) for x in items)
+    if not floating:
+        return ints, 0
+    top = max((abs(v) for nz in lists for row in nz for _, v in row), default=0)
+    return ints, (n + 1) * max(scale, top) // 10**9
+
+
+def _dust(eps: float, scale: int, floating: bool) -> Scalar:
+    """The solvers' dust tolerance eps at scale D, 0 on exact data; a
+    NaN, infinite or negative eps is a ValueError."""
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"--epsilon must be finite and at least 0, got {eps}")
+    return Fraction(eps) * scale if floating else 0
+
+
 def _unscale(items, scale: int, floating: bool, zero: Scalar) -> tuple:
     """The items of `_scan`'s ints divided by scale, each entry
     once: for float data the correctly rounded float (int true
@@ -732,7 +748,7 @@ def _rescaled(items, row) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class _Entries:
     """What column and row vectors share: entrywise operations that
     return the operand's own orientation.  The two orientations never
@@ -808,18 +824,6 @@ class _Entries:
             raise ShapeMismatch("order on unequal dims")
         sf = self.sf
         return all(sf.leq(a, b) for a, b in zip(self.entries, other.entries))
-
-    def leq_tol(self, other) -> bool:
-        sf = self.sf
-        return all(sf.leq_tol(a, b) for a, b in zip(self.entries, other.entries))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        if self.dim != other.dim:
-            return False
-        sf = self.sf
-        return all(sf.eq(a, b) for a, b in zip(self.entries, other.entries))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({list(self.entries)!r})"

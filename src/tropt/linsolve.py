@@ -12,9 +12,9 @@ Solution families are carried as SolutionSet objects: the image of a
 box of parameter vectors under a generator matrix.  The last two run
 on the optimizers' path (`linalg._family`): one pass over Bhat = [[A, b],
 [d^-, 0]], scanned to ints at one scale D, gives Delta, gated exactly
-at dust (eps (x) D on float data, else 0), A* and d^- A*, each divided
-by D once.  A box that a dust cycle leaves empty by at most dust is
-widened to its lower corner, with a RuntimeWarning.
+at dust (the `eps=` keyword (x) D on float data, else 0), A* and
+d^- A*, each divided by D once.  A box that a dust cycle leaves empty
+by at most dust is widened to its lower corner, with a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import (
@@ -32,11 +31,11 @@ from .errors import (
     NotRegularVector,
     ShapeMismatch,
 )
-from .linalg import Matrix, Vector, _border, _family, _scan, _unscale
+from .linalg import Matrix, Vector, _border, _compared, _dust, _family, _scan, _unscale
 from .semifield import Scalar
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SolutionSet:
     """The family { x = G (x) u : lower <= u <= upper, u regular }.
 
@@ -59,23 +58,25 @@ class SolutionSet:
         return (x.conj() @ self.generator).conj()
 
     def contains(self, x: Vector) -> bool:
-        """Exact membership for regular x.
-
-        The residual is the greatest parameter reproducing x, so x is a
-        member iff the residual maps back onto x and sits in the box.
-        The upper bound always has the residuated form (w G)^- here,
-        which makes the residual test complete, not just sound.
-        """
+        """Membership for regular x: exact on exact data, and on float
+        data within `linalg._compared`'s bound of a member (`_near`)."""
         if x.dim != self.dim or not x.is_regular():
             return False
-        u = self.residual(x)
-        if not (self.generator @ u) == x:
+        (*family, x), bound = _compared((self.generator, self.lower, self.upper, x), self.dim)
+        return SolutionSet(*family)._near(x, bound)
+
+    def _near(self, x: Vector, bound: int) -> bool:
+        """True when some member y = G v, lower <= v <= upper, has
+        |x - y| <= bound in every entry, for regular x.  G v <= x + bound
+        exactly when v <= u + bound, u the residual, so the greatest
+        such v in the box, the meet of u + bound with upper, decides:
+        it must lie above lower and reach x - bound."""
+        v = self.residual(x).scale(bound)
+        if self.upper is not None:
+            v = v.meet(self.upper)
+        if not self.lower.leq(v):
             return False
-        if not self.lower.leq_tol(u):
-            return False
-        if self.upper is not None and not u.leq_tol(self.upper):
-            return False
-        return True
+        return all(y >= t - bound for y, t in zip((self.generator @ v).entries, x.entries))
 
     def canonical(self) -> Vector:
         """Representative at the lower corner of the parameter box.
@@ -96,23 +97,6 @@ class SolutionSet:
             else:
                 lifted.append(sf.one)
         return self.generator @ Vector(tuple(lifted), sf)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SolutionSet):
-            return NotImplemented
-        if (self.upper is None) != (other.upper is None):
-            return False
-        if self.generator != other.generator or self.lower != other.lower:
-            return False
-        if self.upper is not None and not self.upper == other.upper:
-            return False
-        if (self.minimum is None) != (other.minimum is None):
-            return False
-        if self.minimum is not None and not self.generator.sf.eq(
-            self.minimum, other.minimum
-        ):
-            return False
-        return True
 
 
 def _caller_level() -> int:
@@ -148,13 +132,14 @@ def _tighten_box(lower: Vector, upper: Vector, dust: Scalar) -> Vector:
     return upper
 
 
-def _solve(a: Matrix, b: Vector, d: Optional[Vector], condition: str) -> SolutionSet:
+def _solve(a: Matrix, b: Vector, d: Optional[Vector], condition: str,
+           eps: float) -> SolutionSet:
     """x = A* u, b <= u <= (d^- A*)^- (unbounded above without d), or
     NoRegularSolution naming `condition` when Delta exceeds dust."""
     n, sf, zero = a.n_rows, a.sf, a.sf.zero
     dc = None if d is None else d.conj()
     (b_hat,), _, scale, floating = _scan((_border(a, n, sf, b, dc, None),), zero)
-    dust = Fraction(sf.eps) * scale if floating else 0
+    dust = _dust(eps, scale, floating)
     delta, gen, lower, row = _family([list(r) for r in b_hat.rows], n, sf)
     if delta > dust:
         raise NoRegularSolution(condition)
@@ -178,27 +163,29 @@ def solve_upper_bounded(a: Matrix, d: Vector) -> Vector:
     return (d.conj() @ a).conj()
 
 
-def solve_fixpoint_lower(a: Matrix, b: Vector) -> SolutionSet:
+def solve_fixpoint_lower(a: Matrix, b: Vector, eps: float = 1e-9) -> SolutionSet:
     """All regular x with A (x) x (+) b <= x.
 
     Exists iff the trace sum of A is at most one; then the family is
-    x = A* u over regular u >= b.
+    x = A* u over regular u >= b.  Float data pass a dust cycle of
+    weight at most eps.
     """
     n = a._require_square()
     if b.dim != n:
         raise ShapeMismatch(f"lower bound dim {b.dim} against order {n}")
-    return _solve(a, b, None, "Tr(A) <= 1")
+    return _solve(a, b, None, "Tr(A) <= 1", eps)
 
 
-def solve_combined(a: Matrix, b: Vector, d: Vector) -> SolutionSet:
+def solve_combined(a: Matrix, b: Vector, d: Vector, eps: float = 1e-9) -> SolutionSet:
     """All regular x with A (x) x (+) b <= x <= d.
 
     Feasibility index Delta = TrSum(A) (+) d^- A* b; solutions exist
-    iff Delta <= one and then form x = A* u, b <= u <= (d^- A*)^-.
+    iff Delta <= one, or on float data Delta <= eps, and then form
+    x = A* u, b <= u <= (d^- A*)^-.
     """
     n = a._require_square()
     if b.dim != n or d.dim != n:
         raise ShapeMismatch("bound dims against matrix order")
     if not d.is_regular():
         raise NotRegularVector("upper bound must be regular")
-    return _solve(a, b, d, "Tr(A) (+) d^- A* b <= 1")
+    return _solve(a, b, d, "Tr(A) (+) d^- A* b <= 1", eps)

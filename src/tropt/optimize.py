@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Optional
 
 from .errors import (
@@ -50,7 +49,8 @@ from .errors import (
     ZeroSpectralRadius,
 )
 from .linalg import (
-    Matrix, Vector, _acyclic, _border, _family, _finite, _floyd_warshall, _karp, _scan, _unscale,
+    Matrix, Vector, _acyclic, _border, _compared, _dust, _family, _finite, _floyd_warshall,
+    _karp, _scan, _unscale,
 )
 from .linsolve import SolutionSet, _tighten_box
 from .semifield import Scalar
@@ -139,7 +139,7 @@ _NEEDS_SCALE = (ProblemKind.BOX_CONSTRAINED, ProblemKind.FIXPOINT_CONSTRAINED,
                 ProblemKind.GENERAL)
 
 
-def solve_problem(problem: Problem) -> OptResult:
+def solve_problem(problem: Problem, eps: float = 1e-9) -> OptResult:
     """Validate the problem, run its gates and solve it in closed form.
 
     Every kind runs on the bordered pair Ahat = [[A, p], [q^-, r]] and
@@ -155,9 +155,9 @@ def solve_problem(problem: Problem) -> OptResult:
     Bhat's heaviest cycle through the border, its last diagonal entry.
     A failed gate is named by its part: Tr(B) <= 1 when B alone has a
     positive cycle, else h^- B* g <= 1 (h^- g <= 1 without B).  Float
-    data pass a dust cycle of weight at most the float tolerance eps
-    (compared exactly); the border pivot then completes Bhat*, and
-    theta is read off it.
+    data pass a dust cycle of weight at most eps (compared exactly at
+    scale D); the border pivot then completes Bhat*, and theta is read
+    off it.
 
     theta is the largest cycle mean of Bhat* Ahat: the maximum ratio of
     weight to A-arc count over the cycles of Ahat (+) Bhat.  The
@@ -182,28 +182,28 @@ def solve_problem(problem: Problem) -> OptResult:
     # the one scan: each bordered matrix's finite entries, which Karp,
     # the cycle gates and the family table all read
     scanned = _scan((_border(b, n, sf, g, hc, None), _border(a, n, sf, p, qc, r)), sf.zero)
-    unit, items = _optimum(problem.kind, scanned)
+    unit, items = _optimum(problem.kind, scanned, _dust(eps, *scanned[2:]))
     theta, gen, lower, upper, canonical = _unscale(items, unit, scanned[-1], sf.zero)  # floating
     sols = SolutionSet(generator=gen, lower=lower, upper=upper, minimum=theta)
     return OptResult(minimum=theta, solutions=sols, canonical=canonical)
 
 
-def _optimum(kind: ProblemKind, scanned) -> tuple[int, tuple]:
+def _optimum(kind: ProblemKind, scanned, dust) -> tuple[int, tuple]:
     """`solve_problem` on `_scan`'s bordered pair ((Bhat, Ahat), their
-    lists, D, floating) of a problem of this kind, as ints: l D and
+    lists, D, floating) of a problem of this kind, as ints, a positive
+    cycle of weight at most dust (at scale D) passing: l D and
     (w, G, lower, upper, canonical point) at unit l D, theta being
     w / (l D).  A caller divides each answer by l D once."""
-    (b_hat, a_hat), (b_nz, a_nz), scale, floating = scanned
+    (b_hat, a_hat), (b_nz, a_nz), scale, _ = scanned
     n, sf, zero = a_hat.n_rows - 1, a_hat.sf, a_hat.sf.zero
     # Karp's walk relaxes through Bhat, and its first step settles
     # exactly when Bhat has no positive cycle: None is the failed gate
     found = _karp((b_hat.rows, a_hat.rows), (b_nz, a_nz), n + 1, sf, True)
     if found is None:
-        # a positive cycle; float data pass a dust one, Tr(Bhat) <= eps
-        # at scale D.  One pass over Bhat's table, pivots at the
-        # activities, weighs the cycles: B's heaviest is the corner's
-        # largest diagonal entry, Bhat's heaviest through the border d[n][n]
-        dust = Fraction(sf.eps) * scale if floating else 0
+        # a positive cycle; float data pass a dust one, Tr(Bhat) <= dust.
+        # One pass over Bhat's table, pivots at the activities, weighs
+        # the cycles: B's heaviest is the corner's largest diagonal
+        # entry, Bhat's heaviest through the border d[n][n]
         d = [list(row) for row in b_hat.rows]
         _floyd_warshall(d, n, zero)
         if max(d[i][i] for i in range(n)) > dust:
@@ -243,9 +243,8 @@ def _optimum(kind: ProblemKind, scanned) -> tuple[int, tuple]:
                 mi[j] = y
         m.append(mi)
     _, gen, lower, row = _family(m, n, sf)
-    # a passing dust cycle can leave float dust in the box: eps at scale l D
-    dust = Fraction(sf.eps) * ell * scale if floating else 0
-    upper = None if row.is_zero() else _tighten_box(lower, row.conj(), dust)
+    # a passing dust cycle can leave float dust in the box: dust at scale l D
+    upper = None if row.is_zero() else _tighten_box(lower, row.conj(), dust * ell)
     if zero in lower.entries:
         canonical = SolutionSet(generator=gen, lower=lower, upper=upper).canonical()
     else:
@@ -296,16 +295,20 @@ def minimize_general(a: Matrix, b: Matrix, p: Vector, q: Vector, g: Vector,
     return solve_problem(Problem(ProblemKind.GENERAL, a, b, p, q, g, h, r))
 
 
-def _feasible(problem: Problem, x: Vector) -> Optional[str]:
+def _feasible(problem: Problem, x: Vector, bound: int) -> Optional[str]:
+    """The first constraint that x breaks by more than bound, or None."""
+    def leq(u: Vector, v: Vector) -> bool:
+        return all(a <= b + bound for a, b in zip(u.entries, v.entries))
+
     if problem.B is not None:
-        bound = problem.B @ x
+        lhs = problem.B @ x
         if problem.g is not None:
-            bound = bound + problem.g
-        if not bound.leq_tol(x):
+            lhs = lhs + problem.g
+        if not leq(lhs, x):
             return "constraint B x (+) g <= x violated"
-    elif problem.g is not None and not problem.g.leq_tol(x):
+    elif problem.g is not None and not leq(problem.g, x):
         return "constraint g <= x violated"
-    if problem.h is not None and not x.leq_tol(problem.h):
+    if problem.h is not None and not leq(x, problem.h):
         return "constraint x <= h violated"
     return None
 
@@ -314,17 +317,29 @@ def verify_solution(problem: Problem, result: OptResult,
                     x: Vector) -> tuple[bool, str]:
     """Check a claimed minimizer: regular, feasible, attains the
     minimum, and lies in the returned family.  Returns (ok, reason);
-    reason is empty on success."""
+    reason is empty on success.  The problem, x, the minimum and the
+    family are compared on ints by `linalg._compared`'s one rule: the
+    constraints, the objective and the distance to the family
+    (`SolutionSet._near`) exactly on exact data, within its bound on
+    float data."""
     if x.dim != problem.dim:
         return False, "dimension mismatch"
     if not x.is_regular():
         return False, "vector is not regular"
-    reason = _feasible(problem, x)
+    sols = result.solutions
+    r = () if problem.r is None else (problem.r,)
+    data = (problem.A, problem.B, problem.p, problem.q, problem.g, problem.h)
+    (*data, x, values, gen, lower, upper), bound = _compared(
+        (*data, x, Vector((result.minimum, *r)), sols.generator, sols.lower, sols.upper),
+        problem.dim)
+    minimum, *r = values.entries
+    ints = Problem(problem.kind, *data, *r)
+    reason = _feasible(ints, x, bound)
     if reason is not None:
         return False, reason
-    sf = problem.A.sf
-    if not sf.eq(objective_value(problem, x), result.minimum):
+    value = objective_value(ints, x)
+    if value != minimum and not abs(value - minimum) <= bound:
         return False, "objective differs from the minimum"
-    if not result.solutions.contains(x):
+    if not SolutionSet(gen, lower, upper)._near(x, bound):
         return False, "not in the solution family"
     return True, ""

@@ -37,8 +37,9 @@ from .errors import InfeasibleConstraints, InfeasibleSchedule, SpecValidation
 # that patch names where they are looked up find them; the ledger
 # builds both families on its own int tables
 from .linalg import (  # noqa: F401
-    Matrix, RowVector, Vector, _border, _closures, _finite, _product, _rescaled, _scaled_sum,
-    _scan, _sum_products, _trace_product, _unscale, chain_sums, closure_sums,
+    Matrix, RowVector, Vector, _border, _closures, _compared, _dust, _finite, _product,
+    _rescaled, _scaled_sum, _scan, _sum_products, _trace_product, _unscale, chain_sums,
+    closure_sums,
 )
 from .linsolve import SolutionSet
 from .optimize import Problem, ProblemKind, _optimum
@@ -142,11 +143,11 @@ def _scanned(spec: ScheduleSpec) -> tuple:
                   spec.earliest_start, spec.latest_start), spec.start_finish.sf.zero)
 
 
-def _solve(spec: ScheduleSpec, scanned: tuple) -> ScheduleResult:
+def _solve(spec: ScheduleSpec, scanned: tuple, eps: float) -> ScheduleResult:
     """The schedule off the spec's scan: the rewrite on its ints, the
-    bordered pair's optimum at unit l D (`optimize._optimum`), then
-    y = A x, s, t and the flow times on the ints times l, so that every
-    answer is divided by l D once."""
+    bordered pair's optimum at unit l D (`optimize._optimum`, a dust
+    cycle of weight eps passing), then y = A x, s, t and the flow times
+    on the ints times l, so that every answer is divided by l D once."""
     (a, b, p, q, g, h), (a_nz, b_nz, *_), scale, floating = scanned
     n, sf, zero = a.n_rows, a.sf, a.sf.zero
     qa, r = _rewrite(a, p, q)
@@ -157,7 +158,8 @@ def _solve(spec: ScheduleSpec, scanned: tuple) -> ScheduleResult:
     a_nz = [nz + [(n, v)] for nz, v in zip(a_nz, p.entries)]
     lists = (b_nz + [list(enumerate(hc.entries))], a_nz + [list(enumerate(qa.entries + (r,)))])
     try:
-        unit, answer = _optimum(ProblemKind.GENERAL, (tables, lists, scale, floating))
+        unit, answer = _optimum(ProblemKind.GENERAL, (tables, lists, scale, floating),
+                                _dust(eps, scale, floating))
     except InfeasibleConstraints as exc:
         raise InfeasibleSchedule(exc.condition) from None
     ell, x = unit // scale, answer[-1]
@@ -175,9 +177,10 @@ def _solve(spec: ScheduleSpec, scanned: tuple) -> ScheduleResult:
     return ScheduleResult(theta, x, y, s, t, flows.entries, sols, spec.names())
 
 
-def solve_schedule(spec: ScheduleSpec) -> ScheduleResult:
-    """Minimize the largest flow time; exact minimum and all optima."""
-    return _solve(spec, _scanned(spec))
+def solve_schedule(spec: ScheduleSpec, eps: float = 1e-9) -> ScheduleResult:
+    """Minimize the largest flow time; exact minimum and all optima.
+    Float data pass a dust cycle of weight at most eps."""
+    return _solve(spec, _scanned(spec), eps)
 
 
 def _ledger(scanned: tuple, result: ScheduleResult) -> dict:
@@ -307,12 +310,13 @@ def _ledger(scanned: tuple, result: ScheduleResult) -> dict:
     return inter
 
 
-def solve_schedule_detailed(spec: ScheduleSpec) -> tuple[ScheduleResult, dict]:
+def solve_schedule_detailed(spec: ScheduleSpec,
+                            eps: float = 1e-9) -> tuple[ScheduleResult, dict]:
     """Solve and also return the intermediate quantities by name, both
-    off one scan of the spec.  The ledger recomputes theta from its
-    terms; it equals the solved one."""
+    off one scan of the spec, as `solve_schedule(spec, eps)` does.  The
+    ledger recomputes theta from its terms; it equals the solved one."""
     scanned = _scanned(spec)
-    result = _solve(spec, scanned)
+    result = _solve(spec, scanned, eps)
     return result, _ledger(scanned, result)
 
 
@@ -325,17 +329,18 @@ def collapse_solution_line(solutions: SolutionSet) -> Optional[
     each solution is direction (x) v for a scalar v; returns the
     direction (the last generator column) and the closed v-interval the
     family sweeps.  None when the columns do not collapse.  The upper
-    endpoint is None for an unbounded family.
+    endpoint is None for an unbounded family.  The columns are compared
+    on the generator's ints, float data within `linalg._compared`'s bound.
     """
     gen = solutions.generator
     sf = gen.sf
     n = gen.n_rows
     last = n - 1
-    for i in range(n):
-        for j in range(n):
-            if not sf.eq(
-                gen.rows[i][j], sf.mul(gen.rows[i][last], gen.rows[last][j])
-            ):
+    (ints,), bound = _compared((gen,), n)
+    for row in ints.rows:
+        for x, y in zip(row, ints.rows[last]):
+            z = sf.mul(row[last], y)
+            if x != z and not abs(x - z) <= bound:
                 return None
     direction = gen.column(last)
     weights = RowVector(gen.rows[last], sf)

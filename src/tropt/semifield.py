@@ -10,16 +10,14 @@ Scalars are plain Python numbers: int or fractions.Fraction in exact
 mode, float in float mode, with the zero element always carried as
 float -inf.  Ints stay ints: `add`, `mul` and `inv` of ints are ints,
 and a rational power that is a whole number is returned as an int, so
-whole-number data never enters Fraction arithmetic.  The two modes
-can mix; comparisons become approximate (absolute tolerance `eps`) as
-soon as a finite float is involved, and stay exact on int/Fraction
-operands.
+whole-number data never enters Fraction arithmetic.  Every method here
+is exact on its operands.  The solvers compare on `linalg._scan`'s
+ints, and a check on float data takes its one bound from
+`linalg._compared`.
 
-MaxPlus is the one instance the solvers support: the matrix kernels
-and the entrywise helpers inline its rules (max for (+), numeric order
-for <=, negation for the inverse), so a further instance would need
-them rewritten.  The methods here serve the scalar-level steps and the
-float tolerance `eps`.
+MAXPLUS is the one instance: the matrix kernels and the entrywise
+helpers inline its rules (max for (+), numeric order for <=, negation
+for the inverse).  The methods here serve the scalar-level steps.
 """
 
 from __future__ import annotations
@@ -31,53 +29,23 @@ from .errors import InversionOfZero, UndefinedPower
 
 Scalar = Union[int, float, Fraction]
 
-_EXACT_TYPES = (int, Fraction)
-
-
-def is_exact(value: Scalar) -> bool:
-    """True when the value carries no float rounding (int/Fraction).
-    Floats are ruled out first, before the Fraction ABC check."""
-    return not isinstance(value, float) and isinstance(value, _EXACT_TYPES)
-
 
 class Semifield:
-    """A linearly ordered, radicable, idempotent semifield.
+    """(R u {-inf}, max, +): a linearly ordered, radicable, idempotent
+    semifield, the modeling semifield for schedules.  The canonical
+    order x <= y iff x (+) y = y is the numeric one."""
 
-    Concrete instances define `zero`, `one` and the numeric direction
-    of the canonical order x <= y  iff  x (+) y = y.  Multiplication,
-    inversion and rational powers live here because they hold for any
-    instance on the extended reals under +.
-    """
-
-    zero: Scalar
+    zero: Scalar = float("-inf")
     one: Scalar = 0
-
-    def __init__(self, eps: float = 1e-9):
-        self.eps = eps
 
     # -- order ---------------------------------------------------------
 
     def add(self, x: Scalar, y: Scalar) -> Scalar:
-        raise NotImplementedError
+        return x if y <= x else y
 
     def leq(self, x: Scalar, y: Scalar) -> bool:
-        """Canonical order: x <= y iff x (+) y = y.  Exact."""
+        """Canonical order: x <= y iff x (+) y = y."""
         return self.add(x, y) == y
-
-    def eq(self, x: Scalar, y: Scalar) -> bool:
-        """Equality; absolute eps tolerance once floats are involved."""
-        if x == y:
-            return True
-        if is_exact(x) and is_exact(y):
-            return False
-        # one operand is a float; infinities already matched above
-        if x in (float("inf"), float("-inf")) or y in (float("inf"), float("-inf")):
-            return False
-        return abs(x - y) <= self.eps
-
-    def leq_tol(self, x: Scalar, y: Scalar) -> bool:
-        """Order with eps slack for float feasibility gates."""
-        return self.leq(x, y) or self.eq(x, y)
 
     def meet(self, x: Scalar, y: Scalar) -> Scalar:
         """Greatest lower bound in the canonical order."""
@@ -129,13 +97,4 @@ class Semifield:
         return acc
 
 
-class MaxPlus(Semifield):
-    """(R u {-inf}, max, +): the modeling semifield for schedules."""
-
-    zero = float("-inf")
-
-    def add(self, x: Scalar, y: Scalar) -> Scalar:
-        return x if y <= x else y
-
-
-MAXPLUS = MaxPlus()
+MAXPLUS = Semifield()

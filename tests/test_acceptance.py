@@ -161,8 +161,7 @@ def _check_problem_against_grid(problem: Problem) -> bool:
     except SKIP:
         return False
     best, argmin = grid_minimize(problem, _window(res.canonical, 1))
-    sf = problem.A.sf
-    assert sf.eq(best, res.minimum), (problem, best, res.minimum)
+    assert best == res.minimum, (problem, best, res.minimum)
     assert res.solutions.contains(argmin), (problem, argmin)
     return True
 
@@ -173,8 +172,7 @@ def _check_schedule_against_grid(spec) -> bool:
     except InfeasibleSchedule:
         return False
     best, argmin = grid_minimize_schedule(spec, _window(res.initiation, 1))
-    sf = spec.start_finish.sf
-    assert sf.eq(best, res.theta), (spec, best, res.theta)
+    assert best == res.theta, (spec, best, res.theta)
     assert res.solutions.contains(argmin), (spec, argmin)
     return True
 
@@ -242,9 +240,9 @@ def test_gate_identity_suites():
         for _ in range(m - 1):
             cur = cur @ joined
             acc = sf.add(acc, cur.trace())
-        assert sf.eq(acc, enum_cumulative_trace(a, b, m))
-        assert sf.eq((a @ b).trace(), (b @ a).trace())
-        assert sf.eq((a + b).trace(), sf.add(a.trace(), b.trace()))
+        assert acc == enum_cumulative_trace(a, b, m)
+        assert (a @ b).trace() == (b @ a).trace()
+        assert (a + b).trace() == sf.add(a.trace(), b.trace())
 
     # Kleene star is a fixpoint whenever the trace sum allows a star
     for _ in range(CASES):
@@ -278,8 +276,7 @@ def test_gate_identity_suites():
         x = oracle.random_vector(rng, n)
         if rng.random() < 0.5:
             x = x.scale(Fraction(rng.randint(-3, 3), rng.randint(2, 5)))
-        sfx = x.sf
-        assert sfx.eq(x.conj() @ x, sfx.one)
+        assert x.conj() @ x == x.sf.one
         assert Matrix.identity(n).leq(outer(x, x.conj()))
 
     print(f"identity suites: 6 families x {CASES} random cases, zero failures")

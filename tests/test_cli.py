@@ -398,6 +398,17 @@ class TestSolve:
         assert out == ""
         assert err.startswith("error: --epsilon must be finite and at least 0")
 
+    @pytest.mark.parametrize("command, fixture", [
+        ("solve", "general_problem"), ("schedule", "three_activity_project"),
+        ("solve-ineq", "combined_inequality"), ("eig", "A"), ("star", "A"),
+    ])
+    def test_nan_epsilon_is_named_by_every_command(self, capsys, fixtures_dir, command,
+                                                   fixture):
+        code, out, err = run(capsys, command, str(fixtures_dir / f"{fixture}.json"),
+                             "--epsilon", "nan")
+        assert (code, out) == (1, "")
+        assert err == "error: --epsilon must be finite and at least 0, got nan\n"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", str(tmp_path / "absent.json"))
         assert code == 1

@@ -36,6 +36,7 @@ from tropt import (
     solve_fixpoint_lower,
     solve_problem,
     solve_schedule,
+    solve_schedule_detailed,
     verify_solution,
 )
 from tropt import linalg, linsolve, optimize
@@ -50,7 +51,7 @@ from tropt.oracle import (
     sample_problem,
     sample_schedule,
 )
-from tropt.semifield import MaxPlus
+from tropt.semifield import MAXPLUS
 from tropt.serialize import parse_problem
 
 NEG = float("-inf")
@@ -492,10 +493,10 @@ class TestParameterBox:
     def test_float_dust_is_absorbed(self):
         # ints at scale D = 2^52: upper falls short of lower by 2^12,
         # about 1e-12 of the data's values, within eps (x) D
-        sf = MaxPlus(eps=1e-9)
+        sf = MAXPLUS
         scale = 2**52
         lower = Vector((scale, 2 * scale), sf)
-        dust = Fraction(sf.eps) * scale
+        dust = Fraction(1e-9) * scale
         with pytest.warns(RuntimeWarning):
             upper = _tighten_box(lower, Vector((scale - 2**12, 5 * scale), sf), dust)
         assert upper.entries == (scale, 5 * scale)
@@ -503,16 +504,16 @@ class TestParameterBox:
             _tighten_box(lower, Vector((scale - 2**12, 5 * scale), sf), 0)
 
     def test_empty_box_is_a_named_error(self):
-        sf = MaxPlus(eps=1e-9)
+        sf = MAXPLUS
         with pytest.raises(EmptyParameterBox) as err:
-            _tighten_box(Vector((1.0, 2.0), sf), Vector((1.0, 1.5), sf), sf.eps)
+            _tighten_box(Vector((1.0, 2.0), sf), Vector((1.0, 1.5), sf), 1e-9)
         assert isinstance(err.value, TroptError)
 
     def test_widening_warning_names_the_caller(self):
         # the dust cycle of `test_float_gate_tolerance` passes its gate
         # and leaves the parameter box empty by dust; every entry point
         # reports the line here
-        sf = MaxPlus(eps=1e-9)
+        sf = MAXPLUS
         zeros = Vector((0.0, 0.0), sf)
         spec = ScheduleSpec(
             start_finish=Matrix(((0.0, NEG), (NEG, 0.0)), sf),
@@ -544,19 +545,23 @@ GATED_KINDS = (
 )
 
 
+def _at_most_one(v) -> bool:
+    """v <= one, a float within the default eps of 1e-9."""
+    return v <= (1e-9 if isinstance(v, float) else 0)
+
+
 def _failed_conditions(prob):
     """Every one of the three separate gate formulas that fails, in the
     order they were once checked: Tr(B) <= 1 on B*, then h^- B* g <= 1,
     or h^- g <= 1 without B."""
-    sf = prob.A.sf
     b, g, h = prob.B, prob.g, prob.h
     bstar = None if b is None else b.star()
     failed = []
-    if b is not None and not sf.leq_tol((b @ bstar).trace(), sf.one):
+    if b is not None and not _at_most_one((b @ bstar).trace()):
         failed.append("Tr(B) <= 1")
     if g is not None and h is not None:
         row = h.conj() if b is None else h.conj() @ bstar
-        if not sf.leq_tol(row @ g, sf.one):
+        if not _at_most_one(row @ g):
             failed.append("h^- g <= 1" if b is None else "h^- B* g <= 1")
     return failed
 
@@ -656,7 +661,7 @@ def test_positive_cycle_through_every_node_of_the_border():
 @pytest.mark.parametrize("weight, passes", [(1e-16, True), (1e-6, False)])
 def test_float_gate_tolerance(weight, passes):
     # one cycle border -> 0 -> 1 -> border of weight -h_0 + B_01 + g_1
-    sf = MaxPlus(eps=1e-9)
+    sf = MAXPLUS
     prob = Problem(
         ProblemKind.GENERAL,
         A=Matrix(((0.0, NEG), (NEG, 0.0)), sf),
@@ -789,7 +794,7 @@ def _bordered_pair(prob: Problem) -> tuple[Matrix, Matrix]:
 
 def _in_floats(prob: Problem) -> Problem:
     """The same problem read as float mode reads it."""
-    sf = MaxPlus(eps=1e-9)
+    sf = MAXPLUS
 
     def conv(x):
         if x is None:
@@ -958,7 +963,7 @@ def test_theta_relaxed_through_bhat_matches_the_closure_path(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:parameter box widened:RuntimeWarning")
 def test_float_data_gate_on_the_closure(monkeypatch):
-    sf = MaxPlus(eps=1e-9)
+    sf = MAXPLUS
     zeros = Vector((0.0, 0.0, 0.0), sf)
     a = Matrix(((NEG, NEG, NEG), (NEG, 5.0, NEG), (NEG, NEG, NEG)), sf)
 
@@ -1266,6 +1271,110 @@ def test_float_data_give_the_rounded_exact_answer():
     assert min(seen.values()) > 100 and seen[1e-1] + seen[1e3] + seen[1.4e8] > 500, seen
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-9])
+def test_solvers_reject_a_bad_eps(eps, general_problem, project_spec):
+    message = f"^--epsilon must be finite and at least 0, got {eps}$"
+    b, g, h = general_problem.B, general_problem.g, general_problem.h
+    for call in (lambda: solve_problem(general_problem, eps=eps),
+                 lambda: solve_schedule(project_spec, eps=eps),
+                 lambda: solve_schedule_detailed(project_spec, eps=eps),
+                 lambda: solve_fixpoint_lower(b, g, eps=eps),
+                 lambda: solve_combined(b, g, h, eps=eps)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_found_repro_verifies():
+    # at 1.4e8 one ulp is about 3e-8: an absolute 1e-9 rejected this
+    # correctly rounded answer
+    prob = parse_problem({"kind": "ExtendedUnconstrained", "A": [[0]], "p": [140000000.1],
+                          "q": [0.3], "r": 0}, exact=False)
+    res = solve_problem(prob)
+    assert (res.minimum, res.canonical.entries) == (69999999.89999999, (70000000.2,))
+    assert verify_solution(prob, res, res.canonical) == (True, "")
+
+
+def _stated_bound(n: int, *items) -> Fraction:
+    """The checks' bound on float data, in the data's units:
+    1e-9 (n + 1) max(1, the largest finite magnitude of the items)."""
+    top = 1
+    for x in items:
+        rows = x.rows if isinstance(x, Matrix) else (x.entries,) if x is not None else ()
+        top = max([top] + [abs(Fraction(v)) for r in rows for v in r if v != NEG])
+    return Fraction(1, 10**9) * (n + 1) * top
+
+
+def _excess(prob: Problem, theta, x: Vector):
+    """How far x, on exact data, breaks a constraint or exceeds the
+    minimum theta: the largest of those differences."""
+    worst = objective_value(prob, x) - theta
+    lhs = prob.B @ x if prob.B is not None else None
+    if prob.g is not None:
+        lhs = prob.g if lhs is None else lhs + prob.g
+    pairs = [] if lhs is None else list(zip(lhs.entries, x.entries))
+    pairs += [] if prob.h is None else list(zip(x.entries, prob.h.entries))
+    return max([worst] + [a - b for a, b in pairs if a != NEG])
+
+
+@pytest.mark.filterwarnings("ignore:parameter box widened:RuntimeWarning")
+def test_checks_accept_float_answers_and_reject_beyond_the_bound():
+    # feasible draws with each finite datum v as the float v S + U[-1/2,
+    # 1/2), S = 1e-1, 1e3 or 1.4e8: `verify_solution` and `contains`
+    # accept the canonical point and members G u, box corners included,
+    # and reject a point whose exact excess over a constraint or the
+    # minimum is above twice the bound, which puts it more than the
+    # bound from every member
+    rng = random.Random(157)
+    kinds = [k.value for k in ProblemKind]
+    seen = Counter()
+    for i in range(960):
+        scale = (1e-1, 1e3, 1.4e8)[i % 3]
+        doc = perfgen.feasible_problem(rng, kinds[i // 3 % 6], rng.choice((3, 5, 8)))
+        floats = _mapped(parse_problem(doc, exact=False),
+                         lambda *a: a[-1] * scale + rng.random() - 0.5)
+        try:
+            res, exact = solve_problem(floats), solve_problem(_exact_values(floats))
+        except TroptError:
+            seen["error"] += 1
+            continue
+        sols, n = res.solutions, floats.dim
+        # the box from the corner the canonical point lifts to, zeros of
+        # the lower bound at the upper one or at one, to its far corner
+        up = sols.upper.entries if sols.upper is not None else (None,) * n
+        lift = [u if lo == NEG else lo for lo, u in zip(sols.lower.entries, up)]
+        lift = [0.0 if v is None else v for v in lift]
+        top = [v + 3 * scale if u is None else u for v, u in zip(lift, up)]
+        members = [res.canonical]
+        if NEG not in lift + top:
+            for t in (1.0, rng.random(), rng.random()):
+                u = Vector(tuple(lo + t * (hi - lo) for lo, hi in zip(lift, top)))
+                members.append(sols.generator @ u)
+        for x in members:
+            assert verify_solution(floats, res, x) == (True, ""), (i, floats, x)
+            assert sols.contains(x), (i, floats, x)
+            seen["members"] += 1
+        bound = _stated_bound(n, floats.A, floats.B, floats.p, floats.q, floats.g, floats.h,
+                              sols.generator, sols.lower, sols.upper, res.canonical,
+                              Vector((res.minimum,)))
+        for k in (3, -3, 30, -30):
+            j = rng.randrange(n)
+            moved = list(res.canonical.entries)
+            moved[j] += float(k * bound)
+            x = Vector(tuple(moved))
+            if _excess(_exact_values(floats), exact.minimum, _exact_values_of(x)) > 2.5 * bound:
+                assert not verify_solution(floats, res, x)[0], (i, floats, x)
+                assert not sols.contains(x), (i, floats, x)
+                seen["outside"] += 1
+        seen[scale] += 1
+    assert min(seen[s] for s in (1e-1, 1e3, 1.4e8)) > 140, seen
+    assert sum(seen[s] for s in (1e-1, 1e3, 1.4e8)) >= 600, seen
+    assert seen["members"] > 2000 and seen["outside"] > 1000, seen
+
+
+def _exact_values_of(x: Vector) -> Vector:
+    return Vector(tuple(v if v == NEG else Fraction(v) for v in x.entries))
+
+
 # -- the family read off one Floyd-Warshall pass ----------------------------
 
 
@@ -1299,7 +1408,7 @@ def _three_pass(prob: Problem):
     gen = (a.scale(-w) + b).star()
     lower = p.scale(-w) + g
     row = q_c.scale(-w) + h_c
-    dust = Fraction(sf.eps) * ell * scale if floating else 0
+    dust = Fraction(1e-9) * ell * scale if floating else 0
     upper = None if row.is_zero() else _tighten_box(lower, (row @ gen).conj(), dust)
     canonical = SolutionSet(generator=gen, lower=lower, upper=upper).canonical()
     answer = linalg._unscale((w, gen, lower, upper, canonical), ell * scale, floating, zero)

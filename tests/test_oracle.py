@@ -311,7 +311,7 @@ class TestCompositionEnumeration:
         s = a + b
         sf = a.sf
         expected = sf.add(s.trace(), (s @ s).trace())
-        assert sf.eq(enum_cumulative_trace(a, b, 2), expected)
+        assert enum_cumulative_trace(a, b, 2) == expected
 
 
 class TestSamplers:

@@ -162,8 +162,7 @@ class TestReduction:
             except InfeasibleSchedule:
                 continue
             red = solve_problem(build_problem(spec))
-            sf = spec.start_finish.sf
-            assert sf.eq(red.minimum, res.theta)
+            assert red.minimum == res.theta
             assert red.solutions.generator == res.solutions.generator
             assert red.solutions.lower == res.solutions.lower
             assert red.solutions.upper == res.solutions.upper
@@ -178,13 +177,12 @@ class TestReduction:
                 res = solve_schedule(spec)
             except InfeasibleSchedule:
                 continue
-            sf = spec.start_finish.sf
             x = res.initiation
             y = spec.start_finish @ x
             assert y == res.completion
             assert x.meet(spec.window_lower) == res.adjusted_start
             assert (y + spec.window_upper) == res.adjusted_finish
-            assert sf.eq(max(res.flow_times), res.theta)
+            assert max(res.flow_times) == res.theta
             solved += 1
 
 
@@ -404,11 +402,11 @@ def test_bordered_lists_are_the_tables_finite_entries(monkeypatch):
     # in order, so they must be `_finite` of the tables, order included
     checked = []
 
-    def optimum(kind, scanned):
+    def optimum(kind, scanned, dust):
         tables, lists, *_ = scanned
         assert lists == tuple(linalg._finite(t.rows, NEG) for t in tables)
         checked.append(kind)
-        return real(kind, scanned)
+        return real(kind, scanned, dust)
 
     real = schedule._optimum
     monkeypatch.setattr(schedule, "_optimum", optimum)

@@ -4,8 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tropt import MAXPLUS, InversionOfZero, UndefinedPower
-from tropt.semifield import MaxPlus
+from tropt import (
+    MAXPLUS,
+    InversionOfZero,
+    Matrix,
+    NoRegularSolution,
+    SolutionSet,
+    UndefinedPower,
+    Vector,
+    solve_fixpoint_lower,
+)
 
 NEG = float("-inf")
 
@@ -76,26 +84,37 @@ class TestMaxPlus:
 
 
 class TestEquality:
+    """`==` on vectors is exact; a check on float data compares on the
+    ints of one scan, within `linalg._compared`'s bound (8e-9 here),
+    and eps is the solvers' dust tolerance."""
+
     def test_exact_pairs_compare_exactly(self):
-        assert MAXPLUS.eq(Fraction(4, 1), 4)
-        assert not MAXPLUS.eq(Fraction(4, 1), Fraction(4000000001, 1000000000))
+        assert Vector((Fraction(4, 1),)) == Vector((4,))
+        assert Vector((Fraction(4, 1),)) != Vector((Fraction(4000000001, 1000000000),))
 
     def test_float_pairs_compare_with_tolerance(self):
-        assert MAXPLUS.eq(4.0, 4.0 + 1e-12)
-        assert not MAXPLUS.eq(4.0, 4.0 + 1e-6)
+        point = SolutionSet(Matrix(((0.0,),)), Vector((4.0,)), Vector((4.0,)))
+        assert Vector((4.0,)) != Vector((4.0 + 1e-12,))
+        assert point.contains(Vector((4.0 + 1e-12,)))
+        assert not point.contains(Vector((4.0 + 1e-6,)))
 
     def test_infinite_values(self):
-        assert MAXPLUS.eq(NEG, NEG)
-        assert not MAXPLUS.eq(NEG, -1e12)
+        assert Vector((NEG,)) == Vector((NEG,))
+        assert Vector((NEG,)) != Vector((-1e12,))
 
     def test_custom_epsilon(self):
-        wide = MaxPlus(eps=0.5)
-        assert wide.eq(1.0, 1.4)
-        assert not wide.eq(1.0, 1.6)
+        # a loop of weight 0.1 passes eps = 0.5 but not the default; one
+        # of weight 1.0 passes neither
+        b = Vector((0.0,))
+        assert solve_fixpoint_lower(Matrix(((0.1,),)), b, eps=0.5).lower == b
+        for weight, eps in ((0.1, 1e-9), (1.0, 0.5)):
+            with pytest.raises(NoRegularSolution):
+                solve_fixpoint_lower(Matrix(((weight,),)), b, eps=eps)
 
     def test_leq_tol(self):
-        assert MAXPLUS.leq_tol(4.0 + 1e-12, 4.0)
-        assert not MAXPLUS.leq_tol(4.1, 4.0)
+        below = SolutionSet(Matrix(((0.0,),)), Vector((NEG,)), Vector((4.0,)))
+        assert below.contains(Vector((4.0 + 1e-12,)))
+        assert not below.contains(Vector((4.1,)))
 
 
 @given(scalars, scalars)

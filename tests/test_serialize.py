@@ -176,7 +176,7 @@ class TestProblems:
         assert again.q == general_problem.q
         assert again.g == general_problem.g
         assert again.h == general_problem.h
-        assert MAXPLUS.eq(again.r, general_problem.r)
+        assert again.r == general_problem.r
 
     def test_every_kind_string_is_accepted(self):
         for kind in ProblemKind:

@@ -4,12 +4,16 @@
 function by `getattr` on its module, a method through its class's
 `__dict__`.  A deletion that strands one of them breaks every traced
 benchmark run, so this test resolves each entry the same way.  The
-module is loaded from its file and only read; no tracer is installed.
+module is loaded from its file.  `count_semifield` finds the methods it
+counts on `tropt.semifield.Semifield` and its subclasses; it runs once
+around a small solve.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+from tropt import Matrix, Problem, ProblemKind, solve_problem
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -24,10 +28,15 @@ def _lookup(module: str, path: str):
     return scope.get(name)
 
 
-def test_every_wrapped_name_resolves():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_wrapped_name_resolves():
+    tracing = _tracing()
     assert tracing.TARGETS
     stranded = [
         f"{module}.{path}"
@@ -35,3 +44,9 @@ def test_every_wrapped_name_resolves():
         if not callable(_lookup(module, path))
     ]
     assert stranded == []
+
+
+def test_semifield_calls_are_counted():
+    problem = Problem(ProblemKind.BASIC, Matrix(((1, 2), (0, 3))))
+    calls = _tracing().count_semifield(lambda: solve_problem(problem))
+    assert type(calls) is int
