@@ -30,11 +30,17 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import gen  # noqa: E402
+from _samplers import (  # noqa: E402
+    random_matrix,
+    random_trace_bounded,
+    random_vector,
+    sample_problem,
+    sample_schedule,
+)
 from check import inequality_expectation, star, trace_sum  # noqa: E402
-from tropt import oracle  # noqa: E402
 from tropt.errors import (  # noqa: E402
     DegenerateProblem,
     InfeasibleConstraints,
@@ -108,7 +114,7 @@ def audit_kind(kind: ProblemKind, count: int, seed: int, radius: int):
     kept = skipped = 0
     mismatches = []
     while kept < count:
-        problem = oracle.sample_problem(rng, kind)
+        problem = sample_problem(rng, kind)
         try:
             res = solve_problem(problem)
         except SKIP:
@@ -131,7 +137,7 @@ def audit_schedule(count: int, seed: int, radius: int):
     kept = skipped = 0
     mismatches = []
     while kept < count:
-        spec = oracle.sample_schedule(rng)
+        spec = sample_schedule(rng)
         try:
             res = solve_schedule(spec)
         except InfeasibleSchedule:
@@ -203,10 +209,10 @@ def audit_inequalities(count: int, seed: int):
     mismatches = []
     while kept < count:
         n = rng.choice((2, 3, 4))
-        a = oracle.random_trace_bounded(rng, n) if rng.random() < 0.8 else \
-            oracle.random_matrix(rng, n)
-        b = oracle.random_vector(rng, n, zero_p=0.2)
-        d = oracle.random_vector(rng, n, lo=0, hi=8) if rng.random() < 0.5 else None
+        a = random_trace_bounded(rng, n) if rng.random() < 0.8 else \
+            random_matrix(rng, n)
+        b = random_vector(rng, n, zero_p=0.2)
+        d = random_vector(rng, n, lo=0, hi=8) if rng.random() < 0.5 else None
         system = {"A": list(map(_plain, a.rows)), "b": _plain(b.entries)}
         if d is not None:
             system["d"] = list(d.entries)
@@ -244,8 +250,8 @@ def audit_star(count: int, seed: int):
     mismatches = []
     for _ in range(count):
         n = rng.randint(1, 5)
-        a = oracle.random_trace_bounded(rng, n) if rng.random() < 0.5 else \
-            oracle.random_matrix(rng, n)
+        a = random_trace_bounded(rng, n) if rng.random() < 0.5 else \
+            random_matrix(rng, n)
         rows = list(map(_plain, a.rows))
         got, want = _star_answer(a), [star(rows), trace_sum(rows)]
         if got != want:

@@ -8,7 +8,7 @@ The public surface:
   linsolve   inequality systems with explicit solution families
   optimize   constrained span minimization in closed form
   schedule   flow-time optimal schedules with full intermediates
-  oracle     brute-force cross-checks (grids, cycles) and samplers
+  oracle     brute-force cross-checks (grids, cycles)
   serialize  JSON input and output
   cli        the `tropt` command
 

@@ -167,8 +167,12 @@ def solve_fixpoint_lower(a: Matrix, b: Vector, eps: float = 1e-9) -> SolutionSet
     """All regular x with A (x) x (+) b <= x.
 
     Exists iff the trace sum of A is at most one; then the family is
-    x = A* u over regular u >= b.  Float data pass a dust cycle of
-    weight at most eps.
+    x = A* u over regular u >= b.  Float data pass while the largest
+    diagonal entry of one Floyd-Warshall pass over A is at most eps;
+    with no positive cycle that entry is Tr(A), but the pass can go
+    round a positive cycle more than once (a loop of weight w reads
+    2w), so dust heavier than eps always fails and dust below it can
+    fail too.
     """
     n = a._require_square()
     if b.dim != n:
@@ -180,8 +184,12 @@ def solve_combined(a: Matrix, b: Vector, d: Vector, eps: float = 1e-9) -> Soluti
     """All regular x with A (x) x (+) b <= x <= d.
 
     Feasibility index Delta = TrSum(A) (+) d^- A* b; solutions exist
-    iff Delta <= one, or on float data Delta <= eps, and then form
-    x = A* u, b <= u <= (d^- A*)^-.
+    iff Delta <= one, and then form x = A* u, b <= u <= (d^- A*)^-.
+    Float data pass while Delta, read as the largest diagonal entry of
+    one Floyd-Warshall pass over [[A, b], [d^-, 0]], is at most eps;
+    the pass can go round a positive cycle more than once (a loop of
+    weight w reads 2w), so dust heavier than eps always fails and dust
+    below it can fail too.
     """
     n = a._require_square()
     if b.dim != n or d.dim != n:

@@ -155,9 +155,11 @@ def solve_problem(problem: Problem, eps: float = 1e-9) -> OptResult:
     Bhat's heaviest cycle through the border, its last diagonal entry.
     A failed gate is named by its part: Tr(B) <= 1 when B alone has a
     positive cycle, else h^- B* g <= 1 (h^- g <= 1 without B).  Float
-    data pass a dust cycle of weight at most eps (compared exactly at
-    scale D); the border pivot then completes Bhat*, and theta is read
-    off it.
+    data pass while those diagonal entries are at most eps (compared
+    exactly at scale D); the pass can go round a positive cycle more
+    than once (a loop of weight w reads 2w), so dust heavier than eps
+    always fails and dust below it can fail too.  The border pivot then
+    completes Bhat*, and theta is read off it.
 
     theta is the largest cycle mean of Bhat* Ahat: the maximum ratio of
     weight to A-arc count over the cycles of Ahat (+) Bhat.  The

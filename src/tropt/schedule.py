@@ -179,7 +179,9 @@ def _solve(spec: ScheduleSpec, scanned: tuple, eps: float) -> ScheduleResult:
 
 def solve_schedule(spec: ScheduleSpec, eps: float = 1e-9) -> ScheduleResult:
     """Minimize the largest flow time; exact minimum and all optima.
-    Float data pass a dust cycle of weight at most eps."""
+    Float data pass the dust gates of `solve_problem` at eps: the
+    largest diagonal entry of one Floyd-Warshall pass at most eps,
+    which reads a loop of weight w as 2w."""
     return _solve(spec, _scanned(spec), eps)
 
 
@@ -313,8 +315,8 @@ def _ledger(scanned: tuple, result: ScheduleResult) -> dict:
 def solve_schedule_detailed(spec: ScheduleSpec,
                             eps: float = 1e-9) -> tuple[ScheduleResult, dict]:
     """Solve and also return the intermediate quantities by name, both
-    off one scan of the spec, as `solve_schedule(spec, eps)` does.  The
-    ledger recomputes theta from its terms; it equals the solved one."""
+    off one scan of the spec, as `solve_schedule(spec, eps)` does, with
+    its dust rule.  The ledger recomputes theta from its terms; it equals the solved one."""
     scanned = _scanned(spec)
     result = _solve(spec, scanned, eps)
     return result, _ledger(scanned, result)

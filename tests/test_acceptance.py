@@ -25,8 +25,15 @@ from fractions import Fraction
 import pytest
 
 import _frozen as frozen
+from _samplers import (
+    random_matrix,
+    random_trace_bounded,
+    random_vector,
+    sample_problem,
+    sample_schedule,
+)
 from _words import enum_cumulative_sum, enum_cumulative_trace
-from tropt import oracle, serialize
+from tropt import serialize
 from tropt.cli import main
 from tropt.errors import (
     DegenerateProblem,
@@ -187,7 +194,7 @@ def test_gate_grid_oracle_equivalence():
         while kept < target:
             attempts += 1
             assert attempts < 40 * target, f"{kind.value}: feasibility rate too low"
-            if _check_problem_against_grid(oracle.sample_problem(rng, kind)):
+            if _check_problem_against_grid(sample_problem(rng, kind)):
                 kept += 1
         counts[kind.value] = kept
     rng = random.Random(900)
@@ -195,7 +202,7 @@ def test_gate_grid_oracle_equivalence():
     while kept < target:
         attempts += 1
         assert attempts < 40 * target, "schedule: feasibility rate too low"
-        if _check_schedule_against_grid(oracle.sample_schedule(rng)):
+        if _check_schedule_against_grid(sample_schedule(rng)):
             kept += 1
     counts["Schedule"] = kept
     elapsed = time.perf_counter() - started
@@ -218,8 +225,8 @@ def test_gate_identity_suites():
     # cumulative power sums against literal term-by-term enumeration
     for _ in range(CASES):
         n = rng.randint(2, 4)
-        a = oracle.random_matrix(rng, n)
-        b = oracle.random_matrix(rng, n)
+        a = random_matrix(rng, n)
+        b = random_matrix(rng, n)
         m = rng.randint(1, n)
         joined = a + b
         acc, cur = joined, joined
@@ -232,8 +239,8 @@ def test_gate_identity_suites():
     sf = Matrix.identity(1).sf
     for _ in range(CASES):
         n = rng.randint(2, 4)
-        a = oracle.random_matrix(rng, n)
-        b = oracle.random_matrix(rng, n)
+        a = random_matrix(rng, n)
+        b = random_matrix(rng, n)
         m = rng.randint(1, n)
         joined = a + b
         acc, cur = joined.trace(), joined
@@ -247,15 +254,15 @@ def test_gate_identity_suites():
     # Kleene star is a fixpoint whenever the trace sum allows a star
     for _ in range(CASES):
         n = rng.randint(2, 4)
-        a = oracle.random_trace_bounded(rng, n)
+        a = random_trace_bounded(rng, n)
         star = a.star()
         assert star == Matrix.identity(n) + a @ star
 
     # chain sums grow out of closure sums one multiplication at a time
     for _ in range(CASES):
         n = rng.randint(2, 4)
-        a = oracle.random_matrix(rng, n)
-        b = oracle.random_matrix(rng, n)
+        a = random_matrix(rng, n)
+        b = random_matrix(rng, n)
         chains = chain_sums(a, b)
         closures = closure_sums(a, b)
         for k in range(n):
@@ -264,8 +271,8 @@ def test_gate_identity_suites():
     # every chain sum dominates the bare matrix power
     for _ in range(CASES):
         n = rng.randint(2, 4)
-        a = oracle.random_matrix(rng, n)
-        b = oracle.random_matrix(rng, n)
+        a = random_matrix(rng, n)
+        b = random_matrix(rng, n)
         chains = chain_sums(a, b)
         for k in range(n + 1):
             assert a.power(k).leq(chains[k])
@@ -273,7 +280,7 @@ def test_gate_identity_suites():
     # conjugate transpose: x^- x is the unit, x x^- dominates the identity
     for _ in range(CASES):
         n = rng.randint(1, 5)
-        x = oracle.random_vector(rng, n)
+        x = random_vector(rng, n)
         if rng.random() < 0.5:
             x = x.scale(Fraction(rng.randint(-3, 3), rng.randint(2, 5)))
         assert x.conj() @ x == x.sf.one
@@ -331,7 +338,7 @@ def test_gate_specialization_lattice():
         return kept
 
     def boxed(n):
-        box = oracle.sample_problem(rng, ProblemKind.BOX_CONSTRAINED, n)
+        box = sample_problem(rng, ProblemKind.BOX_CONSTRAINED, n)
         wide = Problem(
             kind=ProblemKind.GENERAL,
             A=box.A,
@@ -345,7 +352,7 @@ def test_gate_specialization_lattice():
         return box, wide
 
     def unboxed(n):
-        fix = oracle.sample_problem(rng, ProblemKind.FIXPOINT_CONSTRAINED, n)
+        fix = sample_problem(rng, ProblemKind.FIXPOINT_CONSTRAINED, n)
         wide = Problem(
             kind=ProblemKind.GENERAL,
             A=fix.A,
@@ -359,7 +366,7 @@ def test_gate_specialization_lattice():
         return fix, wide
 
     def unchained(n):
-        ext = oracle.sample_problem(rng, ProblemKind.EXTENDED, n)
+        ext = sample_problem(rng, ProblemKind.EXTENDED, n)
         # the unconstrained solver insists on a cycle in A, the fixpoint
         # one only on the joint scale bound; compare on the shared domain
         if ext.A.sf.is_zero(ext.A.spectral_radius()):
@@ -375,7 +382,7 @@ def test_gate_specialization_lattice():
         return ext, wide
 
     def bare(n):
-        basic = oracle.sample_problem(rng, ProblemKind.BASIC, n)
+        basic = sample_problem(rng, ProblemKind.BASIC, n)
         wide = Problem(
             kind=ProblemKind.EXTENDED,
             A=basic.A,
@@ -421,14 +428,14 @@ def test_gate_infeasibility_dichotomy():
         ProblemKind.GENERAL,
     ):
         for _ in range(TRIALS):
-            base = oracle.sample_problem(rng, kind)
+            base = sample_problem(rng, kind)
             i = rng.randrange(base.dim)
             bad = _with_field(base, B=_set_entry(base.B, i, i, rng.randint(1, 4)))
             _assert_named_and_empty(bad, "Tr(B) <= 1")
 
     # a long forced lag drives one coordinate past its deadline
     for _ in range(TRIALS):
-        base = oracle.sample_problem(rng, ProblemKind.GENERAL, 2)
+        base = sample_problem(rng, ProblemKind.GENERAL, 2)
         lag = rng.randint(5, 8)
         floor = rng.randint(5, 7)
         bad = _with_field(
@@ -441,7 +448,7 @@ def test_gate_infeasibility_dichotomy():
 
     # crossed box corners leave no start at all
     for _ in range(TRIALS):
-        base = oracle.sample_problem(rng, ProblemKind.BOX_CONSTRAINED)
+        base = sample_problem(rng, ProblemKind.BOX_CONSTRAINED)
         g = [0 if base.A.sf.is_zero(v) else v for v in base.g.entries]
         h = list(base.h.entries)
         i = rng.randrange(base.dim)
@@ -452,7 +459,7 @@ def test_gate_infeasibility_dichotomy():
 
     # the same two conditions surface through the scheduling front end
     for _ in range(TRIALS):
-        spec = oracle.sample_schedule(rng, 2)
+        spec = sample_schedule(rng, 2)
         i = rng.randrange(2)
         looped = dataclasses.replace(
             spec,

@@ -9,6 +9,7 @@ enumeration, and against the schedule's intermediate ledger.
 import random
 from fractions import Fraction
 
+from _samplers import sample_problem, sample_schedule
 from tropt import oracle
 from tropt.errors import (
     DegenerateProblem,
@@ -69,7 +70,7 @@ def test_kernel_matches_chain_closure_formulas():
         rng = random.Random(2600 + offset)
         kept = 0
         for draw in range(DRAWS):
-            problem = oracle.sample_problem(rng, kind, rng.randint(2, 6))
+            problem = sample_problem(rng, kind, rng.randint(2, 6))
             try:
                 res = solve_problem(problem)
             except SKIP:
@@ -85,7 +86,7 @@ def test_kernel_matches_chain_closure_formulas():
 def test_basic_minimum_is_max_cycle_mean():
     rng = random.Random(2700)
     for _ in range(DRAWS):
-        problem = oracle.sample_problem(rng, ProblemKind.BASIC, rng.randint(2, 6))
+        problem = sample_problem(rng, ProblemKind.BASIC, rng.randint(2, 6))
         want = oracle.max_cycle_mean(problem.A)
         if problem.A.sf.is_zero(want):
             try:
@@ -100,7 +101,7 @@ def test_ledger_theta_matches_solved_theta():
     rng = random.Random(2800)
     checked = 0
     while checked < 200:
-        spec = oracle.sample_schedule(rng, rng.randint(2, 5))
+        spec = sample_schedule(rng, rng.randint(2, 5))
         try:
             result, ledger = solve_schedule_detailed(spec)
         except InfeasibleSchedule:

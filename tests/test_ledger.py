@@ -13,9 +13,9 @@ import pytest
 
 from _ledger_reference import _ledger as reference_ledger
 from _perfbench import gen
+from _samplers import sample_schedule
 from tropt import Matrix, RowVector, Vector
 from tropt.errors import InfeasibleSchedule
-from tropt.oracle import sample_schedule
 from tropt.schedule import solve_schedule, solve_schedule_detailed
 from tropt.serialize import dumps, parse_schedule
 

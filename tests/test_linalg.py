@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import _frozen as frozen
+from _samplers import random_matrix, sample_problem
 from _words import enum_chain_sum, enum_closure_sum
 from tropt import (
     AllZeroVector,
@@ -30,7 +31,7 @@ from tropt import linalg
 from tropt.errors import TroptError
 from tropt.linalg import _max_cycle, _trace_product
 from tropt.optimize import ProblemKind, solve_problem
-from tropt.oracle import max_cycle_mean, random_matrix, sample_problem
+from tropt.oracle import max_cycle_mean
 from tropt.semifield import MAXPLUS, Semifield
 
 NEG = float("-inf")

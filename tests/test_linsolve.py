@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import _frozen as frozen
+from _samplers import random_matrix, random_trace_bounded, random_vector
 from tropt import (
     MAXPLUS,
     Matrix,
@@ -22,7 +23,6 @@ from tropt import (
     solve_upper_bounded,
 )
 from tropt import linalg, linsolve, optimize
-from tropt.oracle import random_matrix, random_trace_bounded, random_vector
 
 NEG = float("-inf")
 

@@ -7,6 +7,13 @@ import pytest
 
 import _frozen as frozen
 from _perfbench import gen as perfgen
+from _samplers import (
+    random_matrix,
+    random_trace_bounded,
+    random_vector,
+    sample_problem,
+    sample_schedule,
+)
 from tropt import (
     DegenerateProblem,
     EmptyParameterBox,
@@ -43,14 +50,7 @@ from tropt import linalg, linsolve, optimize
 from tropt.errors import TroptError
 from tropt.linsolve import _tighten_box
 from tropt.optimize import _FIELDS
-from tropt.oracle import (
-    max_cycle_mean,
-    random_matrix,
-    random_trace_bounded,
-    random_vector,
-    sample_problem,
-    sample_schedule,
-)
+from tropt.oracle import max_cycle_mean
 from tropt.semifield import MAXPLUS
 from tropt.serialize import parse_problem
 

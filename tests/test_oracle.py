@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import _frozen as frozen
+from _samplers import sample_problem, sample_schedule
 from _words import (
     enum_chain_sum,
     enum_closure_sum,
@@ -33,8 +36,6 @@ from tropt.oracle import (
     grid_minimize,
     grid_minimize_schedule,
     max_cycle_mean,
-    sample_problem,
-    sample_schedule,
 )
 
 NEG = float("-inf")
@@ -228,6 +229,27 @@ class TestGridMinimize:
                 prob, GridSpec(Vector((0,)), Vector((1,)), Fraction(1))
             )
 
+    def test_a_float_anywhere_in_the_data_is_rejected(self):
+        # a float in p, beside Fraction data, and a float r; the zero
+        # -inf is no float datum
+        grid = GridSpec(Vector((0,)), Vector((1,)), Fraction(1, 12))
+        for p, r in ((0.0, 0), (Fraction(1, 3), 0.5)):
+            prob = Problem(
+                ProblemKind.EXTENDED,
+                A=Matrix(((Fraction(5, 7),),)),
+                p=Vector((p,)),
+                q=Vector((0,)),
+                r=r,
+            )
+            with pytest.raises(TypeError, match="oracle needs exact scalars"):
+                grid_minimize(prob, grid)
+
+    def test_a_float_schedule_datum_is_rejected(self, project_spec):
+        spec = dataclasses.replace(project_spec, window_upper=Vector((7.5, 8, 9)))
+        grid = GridSpec(Vector((0, 0, 0)), Vector((1, 1, 1)), Fraction(1))
+        with pytest.raises(TypeError, match="oracle needs exact scalars"):
+            grid_minimize_schedule(spec, grid)
+
 
 class TestGridMinimizeSchedule:
     def test_single_activity(self):
@@ -337,6 +359,24 @@ _REF_SENTINEL = -(10**15)
 _SPAN_ONLY = (ProblemKind.BASIC, ProblemKind.LINEAR_CONSTRAINED)
 
 
+def _vec(v):
+    """Fraction entries, None for the zero; None for no vector."""
+    if v is None:
+        return None
+    return [oracle._exact(x, v.sf.zero) for x in v.entries]
+
+
+def _denoms(*structures):
+    """The lcm of the denominators of Fractions, nested in lists."""
+    out = 1
+    for s in structures:
+        if isinstance(s, Fraction):
+            out = math.lcm(out, s.denominator)
+        elif isinstance(s, list):
+            out = math.lcm(out, _denoms(*s))
+    return out
+
+
 def _ref_scale_mat(m, scale):
     if m is None:
         return None
@@ -361,15 +401,15 @@ def _ref_grid_minimize(problem, grid):
     n = problem.dim
     kind = problem.kind
     a, b = oracle._mat(problem.A), oracle._mat(problem.B)
-    p, q = oracle._vec(problem.p), oracle._vec(problem.q)
-    g, h = oracle._vec(problem.g), oracle._vec(problem.h)
+    p, q = _vec(problem.p), _vec(problem.q)
+    g, h = _vec(problem.g), _vec(problem.h)
     r = None if problem.r is None else oracle._exact(problem.r, problem.A.sf.zero)
     corners = [
         grid.step,
         [Fraction(v) for v in grid.lower.entries],
         [Fraction(v) for v in grid.upper.entries],
     ]
-    scale = oracle._denoms(a, b, p, q, g, h, r, *corners)
+    scale = _denoms(a, b, p, q, g, h, r, *corners)
     a_s, b_s = _ref_scale_mat(a, scale), _ref_scale_mat(b, scale)
     p_s, q_s = _ref_scale_vec(p, scale), _ref_scale_vec(q, scale)
     g_s, h_s = _ref_scale_vec(g, scale), _ref_scale_vec(h, scale)
@@ -408,14 +448,14 @@ def _ref_grid_minimize(problem, grid):
 def _ref_grid_minimize_schedule(spec, grid):
     n = spec.dim
     a, b = oracle._mat(spec.start_finish), oracle._mat(spec.start_start)
-    g, h = oracle._vec(spec.earliest_start), oracle._vec(spec.latest_start)
-    q, p = oracle._vec(spec.window_lower), oracle._vec(spec.window_upper)
+    g, h = _vec(spec.earliest_start), _vec(spec.latest_start)
+    q, p = _vec(spec.window_lower), _vec(spec.window_upper)
     corners = [
         grid.step,
         [Fraction(v) for v in grid.lower.entries],
         [Fraction(v) for v in grid.upper.entries],
     ]
-    scale = oracle._denoms(a, b, g, h, q, p, *corners)
+    scale = _denoms(a, b, g, h, q, p, *corners)
     a_s, b_s = _ref_scale_mat(a, scale), _ref_scale_mat(b, scale)
     g_s, h_s = _ref_scale_vec(g, scale), _ref_scale_vec(h, scale)
     q_s, p_s = _ref_scale_vec(q, scale), _ref_scale_vec(p, scale)
@@ -527,6 +567,61 @@ def test_incremental_scan_matches_dense_reference():
     assert outcomes["infeasible"] >= 60 and outcomes["feasible"] >= 400, outcomes
 
 
+def _thirds_and_sevenths(rng, x):
+    """x with each finite entry v, of a Matrix, a Vector or a scalar,
+    moved by 0, 1/3 or 5/7 at random."""
+    def move(v):
+        return v if v == NEG else v + rng.choice((0, Fraction(1, 3), Fraction(5, 7)))
+
+    if isinstance(x, Matrix):
+        return Matrix(tuple(tuple(map(move, row)) for row in x.rows))
+    if isinstance(x, Vector):
+        return Vector(tuple(map(move, x.entries)))
+    return None if x is None else move(x)
+
+
+def test_mixed_denominators_match_the_dense_reference():
+    """Data in thirds and sevenths, on a window of step 1/12 whose
+    corners hold both: (minimum, argmin) and NoFeasiblePoint agree with
+    the dense scans, n = 1..3, every kind and schedules."""
+    rng = random.Random(20261021)
+    step = Fraction(1, 12)
+    seen = {"feasible": 0, "infeasible": 0}
+    for n in (1, 2, 3):
+        for kind in list(ProblemKind) + ["schedule"]:
+            for _ in range(8):
+                if kind == "schedule":
+                    base = sample_schedule(rng, n)
+                    instance = dataclasses.replace(
+                        base,
+                        **{
+                            f.name: _thirds_and_sevenths(rng, getattr(base, f.name))
+                            for f in dataclasses.fields(base)
+                            if f.name != "activities"
+                        },
+                    )
+                    scans = (grid_minimize_schedule, _ref_grid_minimize_schedule)
+                else:
+                    base = sample_problem(rng, kind, n)
+                    fields = ("A", "B", "p", "q", "g", "h", "r")
+                    instance = dataclasses.replace(
+                        base, **{f: _thirds_and_sevenths(rng, getattr(base, f)) for f in fields}
+                    )
+                    scans = (grid_minimize, _ref_grid_minimize)
+                    if kind in _SPAN_ONLY and all(
+                        v == NEG for row in instance.A.rows for v in row
+                    ):
+                        continue  # no finite term: the reference scores the sentinel
+                lower = [Fraction(rng.randint(-4, 1)) + Fraction(1, 3) for _ in range(n)]
+                lower[0] += Fraction(5, 7) - Fraction(1, 3)
+                upper = [lo + {1: 30, 2: 10, 3: 5}[n] * step for lo in lower]
+                grid = GridSpec(Vector(tuple(lower)), Vector(tuple(upper)), step)
+                got = _outcome(scans[0], instance, grid)
+                assert got == _outcome(scans[1], instance, grid), (instance, grid)
+                seen["infeasible" if got == "infeasible" else "feasible"] += 1
+    assert seen["feasible"] >= 60 and seen["infeasible"] >= 5, seen
+
+
 # -- the closed-form scan against a literal one ------------------------------
 
 
@@ -629,15 +724,15 @@ def test_pruned_scan_matches_a_literal_scan_on_wide_axes():
 
 
 def test_the_bound_skips_prefixes(monkeypatch):
-    """On a V in x_0 a pruned prefix builds the objective's lines and
-    not the constraints': fewer than two line sets per prefix.  The
-    answer is the literal scan's."""
+    """On a V in x_0 every x_0 builds the objective's lines, and a
+    pruned one not the constraints': at least one line set per x_0 and
+    fewer than two.  The answer is the literal scan's."""
     built = []
     lines = oracle._lines
 
-    def counted(classes, x):
-        built.append(x)
-        return lines(classes, x)
+    def counted(classes, values):
+        built.append(values)
+        return lines(classes, values)
 
     monkeypatch.setattr(oracle, "_lines", counted)
     axes = [range(0, 21), range(-10, 11), range(-10, 11)]
@@ -646,4 +741,77 @@ def test_the_bound_skips_prefixes(monkeypatch):
     got = _outcome(oracle._scan, axes, objective, constraints)
     assert got == _outcome(_literal_scan, axes, objective, constraints)
     prefixes = len(axes[0])
-    assert len(built) < 2 * prefixes, len(built)
+    assert prefixes < len(built) < 2 * prefixes, len(built)
+
+
+# -- the incumbent seeded at the grid's centre -------------------------------
+
+
+def _centre(axes):
+    return tuple(axis[len(axis) // 2] for axis in axes)
+
+
+def _random_axes(rng, n):
+    """Nonempty axes of 2 to 7 points and step 1..3, so that the centre
+    is an inner point or, on two points, the second one."""
+    axes = []
+    for _ in range(n):
+        step, start = rng.randint(1, 3), rng.randint(-6, 4)
+        axes.append(range(start, start + rng.randint(2, 7) * step, step))
+    return axes
+
+
+def test_an_optimal_centre_keeps_the_earlier_tie():
+    """max(x_0 - c_0, 0, |x_i - c_i| for i >= 1) is 0 at the centre c
+    and at every earlier x_0 with x_i = c_i: the argmin is the first of
+    them, x_0 at the axis start, not the centre, n = 1..4, with and
+    without constraints."""
+    rng = random.Random(20261022)
+    for n in (1, 2, 3, 4):
+        for _ in range(40):
+            axes = _random_axes(rng, n)
+            c = _centre(axes)
+            objective = [(0, n, n), (-c[0], 0, n)]
+            for i in range(1, n):
+                objective += [(-c[i], i, n), (c[i], n, i)]
+            # x_i <= c_i, which the tied points meet
+            constraints = [(-c[i], i, n) for i in range(1, n) if rng.random() < 0.5]
+            got = _outcome(oracle._scan, axes, objective, constraints)
+            assert got == _outcome(_literal_scan, axes, objective, constraints)
+            assert got == (0, (axes[0][0], *c[1:])), (axes, constraints)
+
+
+def test_an_infeasible_centre_leaves_the_scan_unseeded():
+    """A constraint x_k <= c_k - 1 rules out the centre: the answer is
+    the literal scan's, n = 1..4."""
+    rng = random.Random(20261023)
+    seen = {"feasible": 0, "infeasible": 0}
+    for n in (1, 2, 3, 4):
+        for _ in range(60):
+            axes = _random_axes(rng, n)
+            k = rng.randrange(n)
+            objective = _random_terms(rng, n, rng.randint(1, 5))
+            constraints = [(1 - _centre(axes)[k], k, n)]
+            constraints += _random_terms(rng, n, rng.choice((0, 1, 2)))
+            got = _outcome(oracle._scan, axes, objective, constraints)
+            assert got == _outcome(_literal_scan, axes, objective, constraints)
+            seen["infeasible" if got == "infeasible" else "feasible"] += 1
+    assert seen["feasible"] >= 150 and seen["infeasible"] >= 10, seen
+
+
+def test_an_off_centre_window_finds_its_minimum():
+    """The objective's V sits at a random point of the window, often on
+    its edge, far from the centre: the answer is the literal scan's,
+    n = 1..4."""
+    rng = random.Random(20261024)
+    for n in (1, 2, 3, 4):
+        for _ in range(60):
+            axes = _random_axes(rng, n)
+            target = [rng.choice((axis[0], axis[-1], rng.choice(axis))) for axis in axes]
+            objective = []
+            for i, v in enumerate(target):
+                objective += [(-v, i, n), (v, n, i)]
+            objective += _random_terms(rng, n, rng.randint(0, 3))
+            constraints = _random_terms(rng, n, rng.choice((0, 1, 2)))
+            got = _outcome(oracle._scan, axes, objective, constraints)
+            assert got == _outcome(_literal_scan, axes, objective, constraints)

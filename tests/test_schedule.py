@@ -7,6 +7,7 @@ import pytest
 
 import _frozen as frozen
 from _perfbench import gen
+from _samplers import sample_schedule
 from tropt import (
     InfeasibleSchedule,
     Matrix,
@@ -22,7 +23,6 @@ from tropt import (
     solve_schedule_detailed,
 )
 from tropt import linalg, optimize, schedule, serialize
-from tropt.oracle import sample_schedule
 
 NEG = float("-inf")
 

@@ -111,6 +111,14 @@ class TestEquality:
             with pytest.raises(NoRegularSolution):
                 solve_fixpoint_lower(Matrix(((weight,),)), b, eps=eps)
 
+    def test_the_dust_gate_reads_a_loop_twice(self):
+        # the gate compares eps with the diagonal of one Floyd-Warshall
+        # pass, which goes round a loop of weight 0.3 twice: 0.6
+        b = Vector((0.0,))
+        with pytest.raises(NoRegularSolution):
+            solve_fixpoint_lower(Matrix(((0.3,),)), b, eps=0.5)
+        assert solve_fixpoint_lower(Matrix(((0.3,),)), b, eps=0.7).lower == b
+
     def test_leq_tol(self):
         below = SolutionSet(Matrix(((0.0,),)), Vector((NEG,)), Vector((4.0,)))
         assert below.contains(Vector((4.0 + 1e-12,)))
