@@ -230,8 +230,8 @@ class TestGridMinimize:
             )
 
     def test_a_float_anywhere_in_the_data_is_rejected(self):
-        # a float in p, beside Fraction data, and a float r; the zero
-        # -inf is no float datum
+        # a float 0.0 in p, and a float r beside Fraction data (the
+        # semifield zero -inf, a float too, is no datum)
         grid = GridSpec(Vector((0,)), Vector((1,)), Fraction(1, 12))
         for p, r in ((0.0, 0), (Fraction(1, 3), 0.5)):
             prob = Problem(
