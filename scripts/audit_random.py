@@ -67,9 +67,9 @@ def _entries(x, f):
     Vector or a finite scalar; any other x as it is."""
     zero = float("-inf")
     if isinstance(x, Matrix):
-        return Matrix(tuple(tuple(v if v == zero else f(v) for v in r) for r in x.rows), x.sf)
+        return Matrix(tuple(tuple(v if v == zero else f(v) for v in r) for r in x.rows))
     if isinstance(x, Vector):
-        return Vector(tuple(v if v == zero else f(v) for v in x.entries), x.sf)
+        return Vector(tuple(v if v == zero else f(v) for v in x.entries))
     if isinstance(x, (int, float, Fraction)) and x != zero:
         return f(x)
     return x
@@ -104,8 +104,8 @@ def float_mismatch(floats):
 
 
 def window(center: Vector, radius: int) -> GridSpec:
-    low = Vector(tuple(Fraction(v) - radius for v in center.entries), center.sf)
-    high = Vector(tuple(Fraction(v) + radius for v in center.entries), center.sf)
+    low = Vector(tuple(Fraction(v) - radius for v in center.entries))
+    high = Vector(tuple(Fraction(v) + radius for v in center.entries))
     return GridSpec(low, high, default_step(center.dim))
 
 

@@ -3,7 +3,7 @@ under two-sided constraints, and just-in-time project scheduling.
 
 The public surface:
 
-  semifield  max-plus scalar arithmetic (Semifield, MAXPLUS)
+  semifield  max-plus scalar arithmetic: MAXPLUS, the one Semifield
   linalg     Matrix, Vector, RowVector, closures, chain families
   linsolve   inequality systems with explicit solution families
   optimize   constrained span minimization in closed form

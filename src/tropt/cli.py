@@ -48,7 +48,7 @@ from .linalg import Vector, _compared, _dust, _star_trace
 from .linsolve import solve_combined, solve_fixpoint_lower, solve_upper_bounded
 from .optimize import Problem, solve_problem
 from .schedule import collapse_solution_line, solve_schedule, solve_schedule_detailed
-from .semifield import MAXPLUS, Semifield
+from .semifield import MAXPLUS
 
 
 def _mode(args) -> bool:
@@ -66,12 +66,12 @@ def _eps(args) -> float:
     return 1e-9 if args.epsilon is None else args.epsilon
 
 
-def _load(args) -> tuple[object, Semifield, bool]:
-    """The input document ('-' reads stdin), its semifield and mode;
-    without mode flags (verify) that is exact mode."""
+def _load(args) -> tuple[object, bool]:
+    """The input document ('-' reads stdin) and its mode, True for
+    exact; without mode flags (verify) that is exact mode."""
     exact = _mode(args)
     text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
-    return serialize.loads(text, exact), MAXPLUS, exact
+    return serialize.loads(text, exact), exact
 
 
 def _emit(doc, args) -> None:
@@ -174,7 +174,6 @@ def _verify_window(problem: Problem, window: int, step: Fraction,
     """The scan box: `window` rounded out to whole steps on each side of
     the canonical point, so that the point lies on the lattice, or of 0
     widened to g and h when there is none."""
-    sf = problem.A.sf
     n = problem.dim
     reach = math.ceil(window / step) * step
     if center is not None:
@@ -184,11 +183,11 @@ def _verify_window(problem: Problem, window: int, step: Fraction,
         low = [-reach] * n
         high = [reach] * n
         for i in range(n):
-            if problem.g is not None and not sf.is_zero(problem.g.entries[i]):
+            if problem.g is not None and not MAXPLUS.is_zero(problem.g.entries[i]):
                 low[i] = min(low[i], Fraction(problem.g.entries[i]))
-            if problem.h is not None and not sf.is_zero(problem.h.entries[i]):
+            if problem.h is not None and not MAXPLUS.is_zero(problem.h.entries[i]):
                 high[i] = max(high[i], Fraction(problem.h.entries[i]))
-    return Vector(tuple(low), sf), Vector(tuple(high), sf)
+    return Vector(tuple(low)), Vector(tuple(high))
 
 
 def _cmd_verify(args) -> int:

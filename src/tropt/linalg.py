@@ -29,15 +29,13 @@ cycle has mean above c, and the back-pointers of step k are tight arcs
 closing a cycle of mean c.
 `_acyclic` tells from the lists in O(n^2) whether a matrix has a cycle
 at all, the spectral radius's zero test, with no walk.
-Entrywise helpers (`scale`, `conj`, `meet`, the zero and regularity
-tests) inline the max-plus rules, as `+` and `@` do: no Semifield call
-per entry.  `==` is exact; a check compares on `_scan`'s ints, float
+Entrywise helpers (`scale`, `conj`, `meet`, `leq`, the zero and
+regularity tests) inline the max-plus rules, as `+` and `@` do: no
+Semifield call per entry.  `==` is exact; a check compares on `_scan`'s ints, float
 data within the one bound of `_compared`.
 Column and row vectors share one core of entrywise operations but are
 distinct types, so that expressions read like the algebra:
 ``h.conj() @ T @ g`` is a scalar.
-
-All operands of a binary operation must share one semifield instance.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ from .errors import (
     ShapeMismatch,
     UndefinedPower,
 )
-from .semifield import MAXPLUS, Scalar, Semifield
+from .semifield import MAXPLUS, Scalar
 
 _OVERFLOW = "float overflow: a result is +inf"
 
@@ -65,8 +63,9 @@ def _as_tuple_rows(rows: Iterable[Iterable[Scalar]]) -> tuple[tuple[Scalar, ...]
     return tuple(tuple(r) for r in rows)
 
 
-def _finite(rows: Sequence[Sequence[Scalar]], zero: Scalar) -> list[list]:
-    """Each row's (column, entry) pairs where the entry is not `zero`."""
+def _finite(rows: Sequence[Sequence[Scalar]]) -> list[list]:
+    """Each row's (column, entry) pairs where the entry is not zero."""
+    zero = MAXPLUS.zero
     return [[(j, b) for j, b in enumerate(row) if b != zero] for row in rows]
 
 
@@ -92,15 +91,15 @@ def _acyclic(nz: list[list], n: int) -> bool:
     return not left
 
 
-def _sum_products(zero: Scalar, width: int, terms) -> tuple[tuple, ...]:
+def _sum_products(width: int, terms) -> tuple[tuple, ...]:
     """Rows of L_1 (x) R_1 (+) L_2 (x) R_2 (+) ... over the terms (L,
     the `_finite` lists of R), the L row-major tables of one height.
     Terms go in order, each in increasing k, and only a strictly
     larger sum replaces the running maximum: the first maximal term is
-    kept, so the result, Python type included, is that of `sf.sum` of
-    `sf.mul`s, and an earlier term wins ties, as the left operand of
-    `+` does."""
-    out = []
+    kept, so the result, Python type included, is that of
+    `MAXPLUS.sum` of `MAXPLUS.mul`s, and an earlier term wins ties, as
+    the left operand of `+` does."""
+    zero, out = MAXPLUS.zero, []
     for rows in zip(*[left for left, _ in terms]):
         acc = [zero] * width
         for row, (_, right_nz) in zip(rows, terms):
@@ -115,19 +114,18 @@ def _sum_products(zero: Scalar, width: int, terms) -> tuple[tuple, ...]:
 
 
 def _product(left: Sequence[Sequence[Scalar]], right: Sequence[Sequence[Scalar]],
-             zero: Scalar, right_nz: list[list] | None = None) -> tuple[tuple, ...]:
+             right_nz: list[list] | None = None) -> tuple[tuple, ...]:
     """Rows of the max-plus product of two row-major tables (see
     `_sum_products`).  A caller that multiplies by one right factor
     many times passes its `_finite` lists once."""
     if right_nz is None:
-        right_nz = _finite(right, zero)
-    return _sum_products(zero, len(right[0]), ((left, right_nz),))
+        right_nz = _finite(right)
+    return _sum_products(len(right[0]), ((left, right_nz),))
 
 
 @dataclass(frozen=True)
 class Matrix:
     rows: tuple[tuple[Scalar, ...], ...]
-    sf: Semifield = MAXPLUS
 
     def __post_init__(self):
         object.__setattr__(self, "rows", _as_tuple_rows(self.rows))
@@ -140,28 +138,22 @@ class Matrix:
     # -- construction --------------------------------------------------
 
     @classmethod
-    def _built(cls, rows: tuple[tuple[Scalar, ...], ...], sf: Semifield) -> "Matrix":
+    def _built(cls, rows: tuple[tuple[Scalar, ...], ...]) -> "Matrix":
         """A matrix on a table this module built: a nonempty tuple of
         equal-length, nonempty tuples, taken as it is, without the
         re-tupling and shape checks of `Matrix(...)`."""
         m = object.__new__(cls)
         object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "sf", sf)
         return m
 
     @staticmethod
-    def zeros(n_rows: int, n_cols: int, sf: Semifield = MAXPLUS) -> "Matrix":
-        return Matrix(tuple((sf.zero,) * n_cols for _ in range(n_rows)), sf)
+    def zeros(n_rows: int, n_cols: int) -> "Matrix":
+        return Matrix(tuple((MAXPLUS.zero,) * n_cols for _ in range(n_rows)))
 
     @staticmethod
-    def identity(n: int, sf: Semifield = MAXPLUS) -> "Matrix":
-        return Matrix(
-            tuple(
-                tuple(sf.one if i == j else sf.zero for j in range(n))
-                for i in range(n)
-            ),
-            sf,
-        )
+    def identity(n: int) -> "Matrix":
+        one, zero = MAXPLUS.one, MAXPLUS.zero
+        return Matrix(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
     # -- shape ----------------------------------------------------------
 
@@ -183,14 +175,14 @@ class Matrix:
         return self.n_rows
 
     def row(self, i: int) -> "RowVector":
-        return RowVector(self.rows[i], self.sf)
+        return RowVector(self.rows[i])
 
     def column(self, j: int) -> "Vector":
-        return Vector(tuple(r[j] for r in self.rows), self.sf)
+        return Vector(tuple(r[j] for r in self.rows))
 
     def is_column_regular(self) -> bool:
         """Every column holds at least one nonzero entry."""
-        zero = self.sf.zero
+        zero = MAXPLUS.zero
         return all(any(v != zero for v in col) for col in zip(*self.rows))
 
     # -- arithmetic ------------------------------------------------------
@@ -207,14 +199,12 @@ class Matrix:
             tuple(
                 tuple(x if y <= x else y for x, y in zip(ra, rb))
                 for ra, rb in zip(self.rows, other.rows)
-            ),
-            self.sf,
+            )
         )
 
     def __matmul__(self, other: Union["Matrix", "Vector"]) -> Union["Matrix", "Vector"]:
         """Max-plus product: entry (i, j) is the max over k of
         a_ik + b_kj, zero factors skipped."""
-        sf = self.sf
         if isinstance(other, Vector):
             if self.n_cols != other.dim:
                 raise ShapeMismatch(
@@ -222,7 +212,7 @@ class Matrix:
                 )
             # one sum per row over the finite entries of x, in increasing
             # k; only a strictly larger term replaces the running maximum
-            zero = sf.zero
+            zero = MAXPLUS.zero
             xs = [(k, b) for k, b in enumerate(other.entries) if b != zero]
             out = []
             for row in self.rows:
@@ -234,13 +224,13 @@ class Matrix:
                         if s > acc:
                             acc = s
                 out.append(acc)
-            return Vector(out, sf)
+            return Vector(out)
         if isinstance(other, Matrix):
             if self.n_cols != other.n_rows:
                 raise ShapeMismatch(
                     f"{self.n_rows}x{self.n_cols} times {other.n_rows}x{other.n_cols}"
                 )
-            return Matrix._built(_product(self.rows, other.rows, sf.zero), sf)
+            return Matrix._built(_product(self.rows, other.rows))
         return NotImplemented
 
     def scale(self, c: Scalar) -> "Matrix":
@@ -253,25 +243,24 @@ class Matrix:
     def conj(self) -> "Matrix":
         """Conjugate transpose: transpose with entrywise inversion
         (the inverse inlined: 0 - v, never -0.0; zero stays zero)."""
-        zero = self.sf.zero
+        zero = MAXPLUS.zero
         if any(math.inf in r for r in self.rows):
             raise ValueError(_OVERFLOW)
         return Matrix._built(
-            tuple(tuple(zero if v == zero else 0 - v for v in col) for col in zip(*self.rows)),
-            self.sf,
+            tuple(tuple(zero if v == zero else 0 - v for v in col) for col in zip(*self.rows))
         )
 
     # -- square-matrix functions -----------------------------------------
 
     def trace(self) -> Scalar:
         n = self._require_square()
-        return self.sf.sum(self.rows[i][i] for i in range(n))
+        return MAXPLUS.sum(self.rows[i][i] for i in range(n))
 
     def power(self, m: int) -> "Matrix":
         n = self._require_square()
         if not isinstance(m, int) or m < 0:
             raise UndefinedPower(f"matrix power {m!r}")
-        result = Matrix.identity(n, self.sf)
+        result = Matrix.identity(n)
         base = self
         while m:
             if m & 1:
@@ -283,12 +272,12 @@ class Matrix:
 
     def powers(self, top: int) -> list["Matrix"]:
         """[I, A, A^2, ..., A^top] by iterated products on A's finite entries."""
-        n, sf = self._require_square(), self.sf
-        nz = _finite(self.rows, sf.zero)
-        out = [Matrix.identity(n, sf).rows]
+        n = self._require_square()
+        nz = _finite(self.rows)
+        out = [Matrix.identity(n).rows]
         for _ in range(top):
-            out.append(_product(out[-1], self.rows, sf.zero, nz))
-        return [Matrix._built(t, sf) for t in out]
+            out.append(_product(out[-1], self.rows, nz))
+        return [Matrix._built(t) for t in out]
 
     def trace_sum(self) -> Scalar:
         """Tr(A) = tr A (+) tr A^2 (+) ... (+) tr A^n, at most one exactly
@@ -314,21 +303,16 @@ class Matrix:
     # -- comparisons ------------------------------------------------------
 
     def leq(self, other: "Matrix") -> bool:
-        """Entrywise canonical order."""
+        """Entrywise canonical order, the numeric one inlined."""
         if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
             raise ShapeMismatch("order on unequal shapes")
-        sf = self.sf
-        return all(
-            sf.leq(a, b)
-            for ra, rb in zip(self.rows, other.rows)
-            for a, b in zip(ra, rb)
-        )
+        return all(a <= b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb))
 
     def __repr__(self) -> str:
         return f"Matrix({[list(r) for r in self.rows]!r})"
 
 
-def _floyd_warshall(d: list[list], stop: int, zero: Scalar, start: int = 0) -> None:
+def _floyd_warshall(d: list[list], stop: int, start: int = 0) -> None:
     """One Floyd-Warshall pass over the square table d, in place, with
     the nodes start..stop-1 as pivots: on a table already pivoted at
     the nodes below start, afterwards d[i][j] is the heaviest weight of
@@ -336,6 +320,7 @@ def _floyd_warshall(d: list[list], stop: int, zero: Scalar, start: int = 0) -> N
     as long as no cycle through them is positive.  Only a strictly
     larger sum replaces an entry, and a pass split at a node gives
     exactly the whole pass."""
+    zero = MAXPLUS.zero
     for k in range(start, stop):
         pivot = [(j, v) for j, v in enumerate(d[k]) if v != zero]
         for di in d:
@@ -347,31 +332,30 @@ def _floyd_warshall(d: list[list], stop: int, zero: Scalar, start: int = 0) -> N
                         di[j] = s
 
 
-def _border(m: Matrix | None, n: int, sf: Semifield, col: Vector | None,
+def _border(m: Matrix | None, n: int, col: Vector | None,
             row: RowVector | None, corner: Scalar | None) -> Matrix:
     """[[m, col], [row, corner]] of order n+1; absent pieces are zero."""
-    zeros = (sf.zero,) * n
+    zero = MAXPLUS.zero
+    zeros = (zero,) * n
     rows = (zeros,) * n if m is None else m.rows
     col = zeros if col is None else col.entries
-    last = (zeros if row is None else row.entries) + (sf.zero if corner is None else corner,)
-    return Matrix._built(tuple(r + (c,) for r, c in zip(rows, col)) + (last,), sf)
+    last = (zeros if row is None else row.entries) + (zero if corner is None else corner,)
+    return Matrix._built(tuple(r + (c,) for r, c in zip(rows, col)) + (last,))
 
 
-def _family(m: list[list], n: int,
-            sf: Semifield) -> tuple[Scalar, Matrix, Vector, RowVector]:
+def _family(m: list[list], n: int) -> tuple[Scalar, Matrix, Vector, RowVector]:
     """(c, G, v, w G) off the bordered table m = [[M, v], [w, s]] of
     order n+1, in place, by one Floyd-Warshall pass with pivots at the
     n activity nodes only: G = M* is the corner with its diagonal set
     to one, and c the largest diagonal entry, the heaviest cycle weight
     of M and of s (+) w M* v, for a caller to gate."""
-    zero = sf.zero
-    lower = Vector([mi[n] for mi in m[:n]], sf)
-    _floyd_warshall(m, n, zero)
+    lower = Vector([mi[n] for mi in m[:n]])
+    _floyd_warshall(m, n)
     heaviest = max(m[i][i] for i in range(n + 1))
     for i in range(n):
-        m[i][i] = sf.one
-    gen = Matrix._built(tuple(tuple(mi[:n]) for mi in m[:n]), sf)
-    return heaviest, gen, lower, RowVector(m[n][:n], sf)
+        m[i][i] = MAXPLUS.one
+    gen = Matrix._built(tuple(tuple(mi[:n]) for mi in m[:n]))
+    return heaviest, gen, lower, RowVector(m[n][:n])
 
 
 def _star_trace(a: Matrix) -> tuple[Matrix, Scalar]:
@@ -382,21 +366,21 @@ def _star_trace(a: Matrix) -> tuple[Matrix, Scalar]:
     equal to the truncated sum by idempotency, and Tr(A) is
     tr(A (x) A*).  Both are divided by D once (`_unscale`), so a float
     answer is the correctly rounded exact one."""
-    n, sf, zero = a._require_square(), a.sf, a.sf.zero
-    (ints,), _, scale, floating = _scan((a,), zero)
+    n, zero = a._require_square(), MAXPLUS.zero
+    (ints,), _, scale, floating = _scan((a,))
     table = [[*r, zero] for r in ints.rows] + [[zero] * (n + 1)]  # a zero border
-    trace, star, _, _ = _family(table, n, sf)
-    if trace > sf.one:
-        star = (Matrix.identity(n, sf) + ints).power(n - 1)
+    trace, star, _, _ = _family(table, n)
+    if trace > MAXPLUS.one:
+        star = (Matrix.identity(n) + ints).power(n - 1)
         trace = _trace_product(ints, star)
-    return _unscale((star, trace), scale, floating, zero)
+    return _unscale((star, trace), scale, floating)
 
 
 def _scaled_sum(c: Scalar, a: Matrix, b: Matrix | None) -> Matrix:
     """c (x) A (+) B, or c (x) A when b is None, with no Matrix in
     between.  The max-plus product and sum inlined: a zero factor gives
     zero, and the scaled entry, the left operand, wins ties."""
-    zero = a.sf.zero
+    zero = MAXPLUS.zero
     if c == zero:
         scaled = [[zero] * len(r) for r in a.rows]
     else:
@@ -405,7 +389,7 @@ def _scaled_sum(c: Scalar, a: Matrix, b: Matrix | None) -> Matrix:
         scaled = [
             [x if y <= x else y for x, y in zip(ra, rb)] for ra, rb in zip(scaled, b.rows)
         ]
-    return Matrix._built(tuple(map(tuple, scaled)), a.sf)
+    return Matrix._built(tuple(map(tuple, scaled)))
 
 
 def _trace_product(left: Matrix, right: Matrix) -> Scalar:
@@ -414,8 +398,7 @@ def _trace_product(left: Matrix, right: Matrix) -> Scalar:
     in (i, k) order and only a strictly larger one replaces the running
     maximum, as in `_product` and `trace`, so the result, Python type
     included, is that of ``(left @ right).trace()``."""
-    zero = left.sf.zero
-    acc = zero
+    zero = acc = MAXPLUS.zero
     for i, row in enumerate(left.rows):
         for a, r in zip(row, right.rows):
             b = r[i]
@@ -490,30 +473,28 @@ def _max_cycle(*factors: Matrix,
     path of its own arcs, possibly empty), and its weight is one plus
     that path's raw entries, summed left to right.
     """
-    first = factors[0]
-    n, zero = first._require_square(), first.sf.zero
-    factors, nzs, scale, floating = _scan(factors, zero)
-    found = _karp([f.rows for f in factors], nzs, n, first.sf, starred)
+    n = factors[0]._require_square()
+    factors, nzs, scale, floating = _scan(factors)
+    found = _karp([f.rows for f in factors], nzs, n, starred)
     if found is None or not found[1]:
         return found
     w, length = found[0].as_integer_ratio()
-    return _unscale((w,), length * scale, floating, zero)[0], found[1]
+    return _unscale((w,), length * scale, floating)[0], found[1]
 
 
-def _karp(tables, nzs, n: int, sf: Semifield,
-          starred: bool) -> tuple[Scalar, tuple[int, ...]] | None:
+def _karp(tables, nzs, n: int, starred: bool) -> tuple[Scalar, tuple[int, ...]] | None:
     """`_max_cycle` on row-major factor tables of ints and their
     `_finite` lists, built by the caller, lambda exact: an int when
     whole, else a Fraction."""
-    zero = sf.zero
-    walks, back, zeros = [[sf.one] * n], [None], 0
+    zero = MAXPLUS.zero
+    walks, back, zeros = [[MAXPLUS.one] * n], [None], 0
     for _ in range(n):
         prev = acc = walks[-1]
         args = []
         for i, nz in enumerate(nzs):
             if starred and not i:
                 cur = list(acc)
-                arg = _relax(cur, nz, zero)
+                arg = _relax(cur, nz)
             else:
                 cur, arg = [zero] * n, [0] * n
                 for u, d in enumerate(acc):
@@ -536,7 +517,7 @@ def _karp(tables, nzs, n: int, sf: Semifield,
             v = next(v for v, d in enumerate(acc) if d != zero)
             c = acc[v] - prev[v]
             if all(d - e == c for d, e in zip(acc, prev) if d != zero):
-                return _cycle_mean(tables, repeat(args), v, sf)
+                return _cycle_mean(tables, repeat(args), v)
         walks.append(acc)
         back.append(args)
     # a step that left every node at zero returned above, so walks[n]
@@ -545,17 +526,17 @@ def _karp(tables, nzs, n: int, sf: Semifield,
     for v, dn in enumerate(walks[n]):
         if dn == zero:
             continue
-        num, den = dn - sf.one, n
+        num, den = dn - MAXPLUS.one, n
         for k in range(1, n):
             dk = walks[k][v]
             if dk != zero and (dn - dk) * den < num * (n - k):
                 num, den = dn - dk, n - k
         if best is None or best[0] * den < num * best[1]:
             best = (num, den, v)
-    return _cycle_mean(tables, reversed(back[1:]), best[2], sf)
+    return _cycle_mean(tables, reversed(back[1:]), best[2])
 
 
-def _relax(y: list, nz: list[list], zero: Scalar) -> tuple[int, ...] | None:
+def _relax(y: list, nz: list[list]) -> tuple[int, ...] | None:
     """y (x) F* in place, by Bellman-Ford rounds over F's finite entries
     (`_finite` lists), and the back-pointers: each raised node's F
     predecessor on a heaviest path to it, -1 where y was not raised.
@@ -570,7 +551,7 @@ def _relax(y: list, nz: list[list], zero: Scalar) -> tuple[int, ...] | None:
     last rise, so once the rounds settle every pointer arc is tight:
     y_v = y_u + f_uv for u = pred[v].
     """
-    n = len(y)
+    n, zero = len(y), MAXPLUS.zero
     pred = [-1] * n
     active = [u for u, d in enumerate(y) if d != zero]
     for _ in range(n):
@@ -600,7 +581,7 @@ def _relax(y: list, nz: list[list], zero: Scalar) -> tuple[int, ...] | None:
     return None
 
 
-def _cycle_mean(tables, steps, v: int, sf: Semifield) -> tuple[Scalar, tuple[int, ...]]:
+def _cycle_mean(tables, steps, v: int) -> tuple[Scalar, tuple[int, ...]]:
     """(lambda, nodes) for the cycle closed by walking back from v, one
     step of back-pointers (a list per factor, a tuple for a starred one)
     from `steps` per arc, until a node repeats: its weight, summed from
@@ -628,7 +609,7 @@ def _cycle_mean(tables, steps, v: int, sf: Semifield) -> tuple[Scalar, tuple[int
     nodes = tuple(reversed(walk[pos[v]:]))
     arcs = []
     for head in nodes[1:] + nodes[:1]:
-        w = sf.one  # the weight of an empty path: a starred factor's own
+        w = MAXPLUS.one  # the weight of an empty path: a starred factor's own
         for e in reversed(into[head]):
             w = w + e
         arcs.append(w)
@@ -636,7 +617,7 @@ def _cycle_mean(tables, steps, v: int, sf: Semifield) -> tuple[Scalar, tuple[int
     return (Fraction(w, length) if w % length else w // length), nodes
 
 
-def _scan(items, zero: Scalar) -> tuple[tuple, list, int, bool]:
+def _scan(items) -> tuple[tuple, list, int, bool]:
     """(items, lists, D, floating): the Matrix and vector items with each
     finite entry m/d replaced by the int m (D/d), and their `_finite`
     lists, a vector's being the one list of its entries, from one walk
@@ -648,7 +629,7 @@ def _scan(items, zero: Scalar) -> tuple[tuple, list, int, bool]:
     back as they are, with the walk's lists; any others are rebuilt
     from their lists, scaled.  A +inf entry, a product that overflowed
     before it got here, raises ValueError."""
-    nzs, dens, floating = [], set(), False
+    nzs, dens, floating, zero = [], set(), False, MAXPLUS.zero
     try:
         for x in items:
             nz = []
@@ -682,8 +663,7 @@ def _scan(items, zero: Scalar) -> tuple[tuple, list, int, bool]:
             for j, v in listed:
                 row[j] = v
             rows.append(tuple(row))
-        out.append(Matrix._built(tuple(rows), x.sf) if isinstance(x, Matrix)
-                   else type(x)(rows[0], x.sf))
+        out.append(Matrix._built(tuple(rows)) if isinstance(x, Matrix) else type(x)(rows[0]))
     return tuple(out), nzs, scale, floating
 
 
@@ -695,7 +675,7 @@ def _compared(items, n: int) -> tuple[tuple, int]:
     magnitude) at scale D, rounded down, as the ints it bounds are
     whole.  It covers a correctly rounded answer and the dust of a
     solve at the default eps."""
-    ints, lists, scale, floating = _scan([x for x in items if x is not None], MAXPLUS.zero)
+    ints, lists, scale, floating = _scan([x for x in items if x is not None])
     ints = iter(ints)
     ints = tuple(None if x is None else next(ints) for x in items)
     if not floating:
@@ -712,7 +692,7 @@ def _dust(eps: float, scale: int, floating: bool) -> Scalar:
     return Fraction(eps) * scale if floating else 0
 
 
-def _unscale(items, scale: int, floating: bool, zero: Scalar) -> tuple:
+def _unscale(items, scale: int, floating: bool) -> tuple:
     """The items of `_scan`'s ints divided by scale, each entry
     once: for float data the correctly rounded float (int true
     division), else an int where the quotient is whole and a Fraction
@@ -723,6 +703,8 @@ def _unscale(items, scale: int, floating: bool, zero: Scalar) -> tuple:
     elif scale == 1:
         return tuple(items)
     else:
+        zero = MAXPLUS.zero
+
         def divide(row):
             return tuple(v if v == zero else Fraction(v, scale) if v % scale else v // scale
                          for v in row)
@@ -739,9 +721,9 @@ def _rescaled(items, row) -> tuple:
     out = []
     for x in items:
         if isinstance(x, Matrix):
-            x = Matrix._built(tuple(map(row, x.rows)), x.sf)
+            x = Matrix._built(tuple(map(row, x.rows)))
         elif isinstance(x, _Entries):
-            x = type(x)(row(x.entries), x.sf)
+            x = type(x)(row(x.entries))
         elif x is not None:
             x = row((x,))[0]
         out.append(x)
@@ -755,7 +737,6 @@ class _Entries:
     mix; `conj` is the only way from one to the other."""
 
     entries: tuple[Scalar, ...]
-    sf: Semifield = MAXPLUS
 
     _empty = "a vector needs at least one entry"
     _all_zero = "conjugate of the all-zero vector"
@@ -771,10 +752,10 @@ class _Entries:
 
     def is_regular(self) -> bool:
         """No zero entries."""
-        return self.sf.zero not in self.entries
+        return MAXPLUS.zero not in self.entries
 
     def is_zero(self) -> bool:
-        zero = self.sf.zero
+        zero = MAXPLUS.zero
         return all(v == zero for v in self.entries)
 
     def conj(self):
@@ -785,27 +766,19 @@ class _Entries:
             raise AllZeroVector(self._all_zero)
         if math.inf in self.entries:
             raise ValueError(_OVERFLOW)
-        zero = self.sf.zero
-        return self._transpose(
-            tuple(zero if v == zero else 0 - v for v in self.entries), self.sf
-        )
+        zero = MAXPLUS.zero
+        return self._transpose(tuple(zero if v == zero else 0 - v for v in self.entries))
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         if self.dim != other.dim:
             raise ShapeMismatch(f"add dims {self.dim} and {other.dim}")
-        return type(self)(
-            tuple(x if y <= x else y for x, y in zip(self.entries, other.entries)),
-            self.sf,
-        )
+        return type(self)(tuple(x if y <= x else y for x, y in zip(self.entries, other.entries)))
 
     def scale(self, c: Scalar):
-        zero = self.sf.zero
-        return type(self)(
-            tuple(zero if v == zero or c == zero else c + v for v in self.entries),
-            self.sf,
-        )
+        zero = MAXPLUS.zero
+        return type(self)(tuple(zero if v == zero or c == zero else c + v for v in self.entries))
 
     def __rmul__(self, c: Scalar):
         return self.scale(c)
@@ -814,16 +787,13 @@ class _Entries:
         """Entrywise greatest lower bound; the left operand wins ties."""
         if self.dim != other.dim:
             raise ShapeMismatch(f"meet dims {self.dim} and {other.dim}")
-        return type(self)(
-            tuple(a if a <= b else b for a, b in zip(self.entries, other.entries)),
-            self.sf,
-        )
+        return type(self)(tuple(a if a <= b else b for a, b in zip(self.entries, other.entries)))
 
     def leq(self, other) -> bool:
+        """Entrywise canonical order, the numeric one inlined."""
         if self.dim != other.dim:
             raise ShapeMismatch("order on unequal dims")
-        sf = self.sf
-        return all(sf.leq(a, b) for a, b in zip(self.entries, other.entries))
+        return all(a <= b for a, b in zip(self.entries, other.entries))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({list(self.entries)!r})"
@@ -833,8 +803,8 @@ class Vector(_Entries):
     """Column vector; `conj` gives a RowVector."""
 
     @staticmethod
-    def zeros(n: int, sf: Semifield = MAXPLUS) -> "Vector":
-        return Vector((sf.zero,) * n, sf)
+    def zeros(n: int) -> "Vector":
+        return Vector((MAXPLUS.zero,) * n)
 
 
 class RowVector(_Entries):
@@ -846,8 +816,7 @@ class RowVector(_Entries):
 
     def __matmul__(self, other: Union[Matrix, Vector]) -> Union["RowVector", Scalar]:
         """Max-plus product with a column (a scalar) or a matrix."""
-        sf = self.sf
-        zero = sf.zero
+        zero = MAXPLUS.zero
         if isinstance(other, Vector):
             if self.dim != other.dim:
                 raise ShapeMismatch(f"row dim {self.dim} times vector dim {other.dim}")
@@ -868,7 +837,7 @@ class RowVector(_Entries):
                             s = a + b
                             if s > acc[j]:
                                 acc[j] = s
-            return RowVector(acc, sf)
+            return RowVector(acc)
         return NotImplemented
 
 
@@ -877,10 +846,7 @@ Vector._transpose, RowVector._transpose = RowVector, Vector
 
 def outer(col: Vector, row: RowVector) -> Matrix:
     """Rank-one product col (x) row."""
-    sf = col.sf
-    return Matrix(
-        tuple(tuple(sf.mul(a, b) for b in row.entries) for a in col.entries), sf
-    )
+    return Matrix(tuple(tuple(MAXPLUS.mul(a, b) for b in row.entries) for a in col.entries))
 
 
 # -- interleaved product families ------------------------------------------
@@ -912,7 +878,7 @@ def chain_sums(a: Matrix, b: Matrix) -> list[Matrix]:
     """Full-budget chains: entry k holds the k-chain family member with
     budget n-k, read off the closures as A (closure k-1).  Entry 0 is I;
     entry n is A^n; with b the zero matrix entry k is A^k."""
-    return [Matrix.identity(a.n_rows, a.sf)] + [a @ t for t in closure_sums(a, b)]
+    return [Matrix.identity(a.n_rows)] + [a @ t for t in closure_sums(a, b)]
 
 
 def closure_sums(a: Matrix, b: Matrix) -> list[Matrix]:
@@ -921,18 +887,17 @@ def closure_sums(a: Matrix, b: Matrix) -> list[Matrix]:
     Each of the n-1 factors maps the coefficients T_k to
     T_k (I (+) B) (+) T_(k-1) A.  Entry 0 is B*."""
     n = _check_pair(a, b)
-    zero = a.sf.zero
-    eye = Matrix.identity(n, a.sf)
+    eye = Matrix.identity(n)
     step = (eye + b).rows
-    step_nz, a_nz = _finite(step, zero), _finite(a.rows, zero)
+    step_nz, a_nz = _finite(step), _finite(a.rows)
     tops, bottoms = [eye.rows], [eye.rows]
     for _ in range(n - 1):
-        tops.append(_product(tops[-1], a.rows, zero, a_nz))
-        bottoms.append(_product(bottoms[-1], step, zero, step_nz))
-    return [Matrix._built(t, a.sf) for t in _closures(tops, bottoms, step_nz, a_nz, zero)]
+        tops.append(_product(tops[-1], a.rows, a_nz))
+        bottoms.append(_product(bottoms[-1], step, step_nz))
+    return [Matrix._built(t) for t in _closures(tops, bottoms, step_nz, a_nz)]
 
 
-def _closures(tops, bottoms, step_nz, a_nz, zero: Scalar) -> list[tuple]:
+def _closures(tops, bottoms, step_nz, a_nz) -> list[tuple]:
     """The closure family's tables T_0..T_(n-1) of order n, given the
     first and the last coefficient after each factor, bottoms[s] =
     (I (+) B)^s and tops[s] = A^s for s < n, and the `_finite` lists of
@@ -943,7 +908,7 @@ def _closures(tops, bottoms, step_nz, a_nz, zero: Scalar) -> list[tuple]:
     out = [tops[0]]
     for s in range(1, n):
         out = [bottoms[s]] + [
-            _sum_products(zero, n, ((t, step_nz), (prev, a_nz)))
+            _sum_products(n, ((t, step_nz), (prev, a_nz)))
             for prev, t in zip(out, out[1:])
         ] + [tops[s]]
     return out

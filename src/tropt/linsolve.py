@@ -32,7 +32,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import Matrix, Vector, _border, _compared, _dust, _family, _scan, _unscale
-from .semifield import Scalar
+from .semifield import MAXPLUS, Scalar
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,7 @@ class SolutionSet:
         representative is regular whenever the family holds regular
         vectors.
         """
-        sf = self.generator.sf
-        zero = sf.zero
+        zero = MAXPLUS.zero
         lifted = []
         for i, v in enumerate(self.lower.entries):
             if v != zero:
@@ -95,8 +94,8 @@ class SolutionSet:
             elif self.upper is not None:
                 lifted.append(self.upper.entries[i])
             else:
-                lifted.append(sf.one)
-        return self.generator @ Vector(tuple(lifted), sf)
+                lifted.append(MAXPLUS.one)
+        return self.generator @ Vector(tuple(lifted))
 
 
 def _caller_level() -> int:
@@ -128,7 +127,7 @@ def _tighten_box(lower: Vector, upper: Vector, dust: Scalar) -> Vector:
             RuntimeWarning,
             stacklevel=_caller_level(),
         )
-        return Vector(tuple(out), lower.sf)
+        return Vector(tuple(out))
     return upper
 
 
@@ -136,15 +135,15 @@ def _solve(a: Matrix, b: Vector, d: Optional[Vector], condition: str,
            eps: float) -> SolutionSet:
     """x = A* u, b <= u <= (d^- A*)^- (unbounded above without d), or
     NoRegularSolution naming `condition` when Delta exceeds dust."""
-    n, sf, zero = a.n_rows, a.sf, a.sf.zero
+    n = a.n_rows
     dc = None if d is None else d.conj()
-    (b_hat,), _, scale, floating = _scan((_border(a, n, sf, b, dc, None),), zero)
+    (b_hat,), _, scale, floating = _scan((_border(a, n, b, dc, None),))
     dust = _dust(eps, scale, floating)
-    delta, gen, lower, row = _family([list(r) for r in b_hat.rows], n, sf)
+    delta, gen, lower, row = _family([list(r) for r in b_hat.rows], n)
     if delta > dust:
         raise NoRegularSolution(condition)
     upper = None if d is None else _tighten_box(lower, row.conj(), dust)
-    gen, lower, upper = _unscale((gen, lower, upper), scale, floating, zero)
+    gen, lower, upper = _unscale((gen, lower, upper), scale, floating)
     return SolutionSet(generator=gen, lower=lower, upper=upper)
 
 

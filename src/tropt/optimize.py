@@ -53,7 +53,7 @@ from .linalg import (
     _karp, _scan, _unscale,
 )
 from .linsolve import SolutionSet, _tighten_box
-from .semifield import Scalar
+from .semifield import MAXPLUS, Scalar
 
 
 class ProblemKind(str, Enum):
@@ -121,14 +121,13 @@ def objective_value(problem: Problem, x: Vector) -> Scalar:
         raise ShapeMismatch(f"x dim {x.dim}, order {problem.dim}")
     if not x.is_regular():
         raise NotRegularVector("objective needs a regular point")
-    sf = problem.A.sf
     xc = x.conj()
     value = xc @ (problem.A @ x)
     if problem.p is None:
         return value
-    value = sf.add(value, xc @ problem.p)
-    value = sf.add(value, problem.q.conj() @ x)
-    return sf.add(value, problem.r)
+    value = MAXPLUS.add(value, xc @ problem.p)
+    value = MAXPLUS.add(value, problem.q.conj() @ x)
+    return MAXPLUS.add(value, problem.r)
 
 
 # kinds whose optimum needs a cycle in A, and kinds that need only one
@@ -175,7 +174,7 @@ def solve_problem(problem: Problem, eps: float = 1e-9) -> OptResult:
     problem.validate()
     a, b, p, q = problem.A, problem.B, problem.p, problem.q
     g, h, r = problem.g, problem.h, problem.r
-    n, sf = a.n_rows, a.sf
+    n = a.n_rows
     for name, vec in (("q", q), ("h", h)):
         if vec is not None and not vec.is_regular():
             raise NotRegularVector(f"{name} must be regular")
@@ -183,9 +182,9 @@ def solve_problem(problem: Problem, eps: float = 1e-9) -> OptResult:
     hc = None if h is None else h.conj()
     # the one scan: each bordered matrix's finite entries, which Karp,
     # the cycle gates and the family table all read
-    scanned = _scan((_border(b, n, sf, g, hc, None), _border(a, n, sf, p, qc, r)), sf.zero)
+    scanned = _scan((_border(b, n, g, hc, None), _border(a, n, p, qc, r)))
     unit, items = _optimum(problem.kind, scanned, _dust(eps, *scanned[2:]))
-    theta, gen, lower, upper, canonical = _unscale(items, unit, scanned[-1], sf.zero)  # floating
+    theta, gen, lower, upper, canonical = _unscale(items, unit, scanned[-1])  # floating
     sols = SolutionSet(generator=gen, lower=lower, upper=upper, minimum=theta)
     return OptResult(minimum=theta, solutions=sols, canonical=canonical)
 
@@ -197,35 +196,35 @@ def _optimum(kind: ProblemKind, scanned, dust) -> tuple[int, tuple]:
     (w, G, lower, upper, canonical point) at unit l D, theta being
     w / (l D).  A caller divides each answer by l D once."""
     (b_hat, a_hat), (b_nz, a_nz), scale, _ = scanned
-    n, sf, zero = a_hat.n_rows - 1, a_hat.sf, a_hat.sf.zero
+    n, zero = a_hat.n_rows - 1, MAXPLUS.zero
     # Karp's walk relaxes through Bhat, and its first step settles
     # exactly when Bhat has no positive cycle: None is the failed gate
-    found = _karp((b_hat.rows, a_hat.rows), (b_nz, a_nz), n + 1, sf, True)
+    found = _karp((b_hat.rows, a_hat.rows), (b_nz, a_nz), n + 1, True)
     if found is None:
         # a positive cycle; float data pass a dust one, Tr(Bhat) <= dust.
         # One pass over Bhat's table, pivots at the activities, weighs
         # the cycles: B's heaviest is the corner's largest diagonal
         # entry, Bhat's heaviest through the border d[n][n]
         d = [list(row) for row in b_hat.rows]
-        _floyd_warshall(d, n, zero)
+        _floyd_warshall(d, n)
         if max(d[i][i] for i in range(n)) > dust:
             raise InfeasibleConstraints("Tr(B) <= 1")
         if d[n][n] > dust:
             raise InfeasibleConstraints("h^- B* g <= 1" if "B" in _FIELDS[kind] else "h^- g <= 1")
         # the border pivot completes Bhat*
-        _floyd_warshall(d, n + 1, zero, n)
+        _floyd_warshall(d, n + 1, n)
         for i in range(n + 1):
-            d[i][i] = sf.one
-        found = _karp((d, a_hat.rows), (_finite(d, zero), a_nz), n + 1, sf, False)
+            d[i][i] = MAXPLUS.one
+        found = _karp((d, a_hat.rows), (_finite(d), a_nz), n + 1, False)
     # lambda(A) is zero exactly when A's arcs close no cycle
     if kind in _NEEDS_CYCLE and _acyclic(a_nz, n):
         raise ZeroSpectralRadius("matrix has no cycle")
     # q^- p (+) r is zero exactly when Ahat's border row times its
     # border column, q^- p (+) r r, is
-    if (kind in _NEEDS_SCALE and sf.is_zero(a_hat.row(n) @ a_hat.column(n))
+    if (kind in _NEEDS_SCALE and MAXPLUS.is_zero(a_hat.row(n) @ a_hat.column(n))
             and _acyclic(a_nz, n)):
         raise DegenerateProblem("every scale bound is zero: no cycle, q^- p zero, r zero")
-    if sf.is_zero(found[0]):
+    if MAXPLUS.is_zero(found[0]):
         raise ZeroSpectralRadius("matrix has no cycle")
     # theta = w / l: the family at data scale l, where theta is the int
     # w, read off m = theta^-1 Ahat (+) Bhat = [[theta^-1 A (+) B,
@@ -244,13 +243,13 @@ def _optimum(kind: ProblemKind, scanned, dust) -> tuple[int, tuple]:
             if y > mi[j]:
                 mi[j] = y
         m.append(mi)
-    _, gen, lower, row = _family(m, n, sf)
+    _, gen, lower, row = _family(m, n)
     # a passing dust cycle can leave float dust in the box: dust at scale l D
     upper = None if row.is_zero() else _tighten_box(lower, row.conj(), dust * ell)
     if zero in lower.entries:
         canonical = SolutionSet(generator=gen, lower=lower, upper=upper).canonical()
     else:
-        canonical = Vector([mi[n] for mi in m[:n]], sf)
+        canonical = Vector([mi[n] for mi in m[:n]])
     return ell * scale, (w, gen, lower, upper, canonical)
 
 

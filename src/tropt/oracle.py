@@ -76,9 +76,9 @@ class GridSpec:
                 raise ValueError("grid lower corner exceeds upper corner")
 
 
-def _exact(value: Scalar, zero: Scalar) -> Optional[Fraction]:
+def _exact(value: Scalar) -> Optional[Fraction]:
     """Fraction for finite entries, None for the semifield zero."""
-    if value == zero:
+    if value == MAXPLUS.zero:
         return None
     if isinstance(value, int):
         return Fraction(value)
@@ -90,8 +90,7 @@ def _exact(value: Scalar, zero: Scalar) -> Optional[Fraction]:
 def _mat(m: Optional[Matrix]) -> Optional[list[list[Optional[Fraction]]]]:
     if m is None:
         return None
-    zero = m.sf.zero
-    return [[_exact(v, zero) for v in row] for row in m.rows]
+    return [[_exact(v) for v in row] for row in m.rows]
 
 
 def _corners(grid: GridSpec) -> list:
@@ -354,7 +353,6 @@ def grid_minimize(problem: Problem, grid: GridSpec) -> tuple[Scalar, Vector]:
     n = problem.dim
     if grid.lower.dim != n:
         raise ValueError("grid dimension differs from problem order")
-    sf = problem.A.sf
     vectors = (problem.p, problem.q, problem.g, problem.h)
     scale, read = _reader(grid, problem.A, problem.B, *vectors, problem.r)
     p, q, g, h = (None if v is None else [read(x) for x in v.entries] for v in vectors)
@@ -370,8 +368,8 @@ def grid_minimize(problem: Problem, grid: GridSpec) -> tuple[Scalar, Vector]:
         objective.append((r, n, n))
     # with no term, a constant 0 makes the first feasible point win
     best, arg = _scan(axes, objective or [(0, n, n)], _terms(problem.B, read))
-    minimum = Fraction(best, scale) if objective else sf.zero
-    return minimum, Vector(tuple(Fraction(x, scale) for x in arg), sf)
+    minimum = Fraction(best, scale) if objective else MAXPLUS.zero
+    return minimum, Vector(tuple(Fraction(x, scale) for x in arg))
 
 
 def grid_minimize_schedule(
@@ -398,9 +396,7 @@ def grid_minimize_schedule(
         objective += [(p[i], n, i), (p[i] - q[i], n, n)]
     axes = _axes(grid, scale, g, h)
     best, arg = _scan(axes, objective, _terms(spec.start_start, read))
-    return Fraction(best, scale), Vector(
-        tuple(Fraction(x, scale) for x in arg), spec.start_finish.sf
-    )
+    return Fraction(best, scale), Vector(tuple(Fraction(x, scale) for x in arg))
 
 
 # -- cycle enumeration -------------------------------------------------------
@@ -438,7 +434,7 @@ def max_cycle_mean(a: Matrix) -> Scalar:
     cycle in the matrix digraph; the semifield zero when acyclic."""
     cycles = _simple_cycles(_mat(a))
     if not cycles:
-        return a.sf.zero
+        return MAXPLUS.zero
     return max(c[0] for c in cycles)
 
 

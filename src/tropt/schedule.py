@@ -43,7 +43,7 @@ from .linalg import (  # noqa: F401
 )
 from .linsolve import SolutionSet
 from .optimize import Problem, ProblemKind, _optimum
-from .semifield import Scalar
+from .semifield import MAXPLUS, Scalar
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ def _scanned(spec: ScheduleSpec) -> tuple:
     at one scale D, their lists, D and floating."""
     spec.validate()
     return _scan((spec.start_finish, spec.start_start, spec.window_upper, spec.window_lower,
-                  spec.earliest_start, spec.latest_start), spec.start_finish.sf.zero)
+                  spec.earliest_start, spec.latest_start))
 
 
 def _solve(spec: ScheduleSpec, scanned: tuple, eps: float) -> ScheduleResult:
@@ -149,10 +149,10 @@ def _solve(spec: ScheduleSpec, scanned: tuple, eps: float) -> ScheduleResult:
     cycle of weight eps passing), then y = A x, s, t and the flow times
     on the ints times l, so that every answer is divided by l D once."""
     (a, b, p, q, g, h), (a_nz, b_nz, *_), scale, floating = scanned
-    n, sf, zero = a.n_rows, a.sf, a.sf.zero
+    n, zero = a.n_rows, MAXPLUS.zero
     qa, r = _rewrite(a, p, q)
     hc = h.conj()
-    tables = (_border(b, n, sf, g, hc, None), _border(a, n, sf, p, qa, r))
+    tables = (_border(b, n, g, hc, None), _border(a, n, p, qa, r))
     # their lists extend the spec's: p, h, q^- A and r are finite
     b_nz = [nz + [(n, v)] if v != zero else nz for nz, v in zip(b_nz, g.entries)]
     a_nz = [nz + [(n, v)] for nz, v in zip(a_nz, p.entries)]
@@ -170,9 +170,9 @@ def _solve(spec: ScheduleSpec, scanned: tuple, eps: float) -> ScheduleResult:
     t = y + p
     # x, q and p are regular, so every t_i and s_i is finite and the
     # flow time t_i (x) s_i^-1 is plain subtraction
-    flows = Vector([ti - si for ti, si in zip(t.entries, s.entries)], sf)
+    flows = Vector([ti - si for ti, si in zip(t.entries, s.entries)])
     theta, gen, lower, upper, x, y, s, t, flows = _unscale(
-        (*answer, y, s, t, flows), unit, floating, zero)
+        (*answer, y, s, t, flows), unit, floating)
     sols = SolutionSet(generator=gen, lower=lower, upper=upper, minimum=theta)
     return ScheduleResult(theta, x, y, s, t, flows.entries, sols, spec.names())
 
@@ -205,24 +205,24 @@ def _ledger(scanned: tuple, result: ScheduleResult) -> dict:
     its powers at scale l D, where theta is the int w, as in the
     solver's family table."""
     (a, b, _, q, _, h), (a_nz, b_nz, (p_nz,), _, (g_nz,), _), scale, floating = scanned
-    sf, zero, n = a.sf, a.sf.zero, a.n_rows
-    eye = Matrix.identity(n, sf).rows
+    zero, n = MAXPLUS.zero, a.n_rows
+    eye = Matrix.identity(n).rows
     a_pow, b_pow, b_sums = [eye, a.rows], [eye, b.rows], [eye]
     for _ in range(n - 1):
-        a_pow.append(_product(a_pow[-1], a.rows, zero, a_nz))
-        b_pow.append(_product(b_pow[-1], b.rows, zero, b_nz))
+        a_pow.append(_product(a_pow[-1], a.rows, a_nz))
+        b_pow.append(_product(b_pow[-1], b.rows, b_nz))
     for m in b_pow[1:]:
         b_sums.append(tuple([tuple([x if y <= x else y for x, y in zip(r, s)])
                              for r, s in zip(b_sums[-1], m)]))
-    closures = _closures(a_pow, b_sums, _finite(b_sums[1], zero), a_nz, zero)
-    t_nz = [_finite(t, zero) for t in closures]
-    chains = [eye] + [_product(a.rows, t, zero, nz) for t, nz in zip(closures[:-1], t_nz)]
+    closures = _closures(a_pow, b_sums, _finite(b_sums[1]), a_nz)
+    t_nz = [_finite(t) for t in closures]
+    chains = [eye] + [_product(a.rows, t, nz) for t, nz in zip(closures[:-1], t_nz)]
     chains.append(a_pow[n])
 
     # the rows h^- T_k and q^- C_(k+1) = (q^- A) T_k, two rows a product
     hc, qc = tuple(-v for v in h.entries), tuple(-v for v in q.entries)
-    (qa,) = _sum_products(zero, n, (((qc,), a_nz),))
-    h_rows, q_rows = zip(*(_sum_products(zero, n, (((hc, qa), nz),)) for nz in t_nz))
+    (qa,) = _sum_products(n, (((qc,), a_nz),))
+    h_rows, q_rows = zip(*(_sum_products(n, (((hc, qa), nz),)) for nz in t_nz))
     q_rows = (qc,) + q_rows
 
     def dot(row, nz) -> Scalar:
@@ -269,20 +269,20 @@ def _ledger(scanned: tuple, result: ScheduleResult) -> dict:
     a_l, b_l = (a, b) if ell == 1 else _rescaled(
         (a, b), lambda row: tuple(v if v == zero else v * ell for v in row))
     scaled = _scaled_sum(-w, a_l, b_l).rows
-    s_pow, s_nz = [scaled], _finite(scaled, zero)
+    s_pow, s_nz = [scaled], _finite(scaled)
     for _ in range(n - 2):
-        s_pow.append(_product(s_pow[-1], scaled, zero, s_nz))
+        s_pow.append(_product(s_pow[-1], scaled, s_nz))
 
     def divided(items, unit: int = 1) -> Iterator:
         """The items at scale unit D, each divided once, in order."""
-        return iter(_unscale(items, unit * scale, floating, zero))
+        return iter(_unscale(items, unit * scale, floating))
 
     # the tables at scale D, then their scalars as one row
-    scalars = [_trace_product(b, Matrix._built(closures[0], sf)), dot(h_rows[0], g_nz)]
+    scalars = [_trace_product(b, Matrix._built(closures[0])), dot(h_rows[0], g_nz)]
     for terms in families.values():
         scalars += terms.values()
-    out = divided([Matrix._built(t, sf) for t in a_pow[2:] + b_pow[2:] + closures + chains]
-                  + [RowVector(scalars, sf)])
+    out = divided([Matrix._built(t) for t in a_pow[2:] + b_pow[2:] + closures + chains]
+                  + [RowVector(scalars)])
     inter: dict = {
         "A_pow": {str(k): next(out) for k in range(2, n + 1)},
         "B_pow": {str(k): next(out) for k in range(2, n + 1)},
@@ -300,7 +300,7 @@ def _ledger(scanned: tuple, result: ScheduleResult) -> dict:
     for key, terms in families.items():
         inter[key] = {str(k): next(values) for k in terms}
     inter.update({key: next(divided((v,), k)) for key, (v, k) in sums.items()})
-    s_pow = divided([Matrix._built(t, sf) for t in s_pow], ell)
+    s_pow = divided([Matrix._built(t) for t in s_pow], ell)
     inter.update(
         theta=next(divided(top[:1], top[1])),
         scaled_sum=next(s_pow),
@@ -335,17 +335,16 @@ def collapse_solution_line(solutions: SolutionSet) -> Optional[
     on the generator's ints, float data within `linalg._compared`'s bound.
     """
     gen = solutions.generator
-    sf = gen.sf
     n = gen.n_rows
     last = n - 1
     (ints,), bound = _compared((gen,), n)
     for row in ints.rows:
         for x, y in zip(row, ints.rows[last]):
-            z = sf.mul(row[last], y)
+            z = MAXPLUS.mul(row[last], y)
             if x != z and not abs(x - z) <= bound:
                 return None
     direction = gen.column(last)
-    weights = RowVector(gen.rows[last], sf)
+    weights = RowVector(gen.rows[last])
     lo = weights @ solutions.lower
     hi = weights @ solutions.upper if solutions.upper is not None else None
     return direction, (lo, hi)

@@ -43,7 +43,7 @@ from .linalg import Matrix, RowVector, Vector
 from .linsolve import SolutionSet
 from .optimize import OptResult, Problem, ProblemKind
 from .schedule import ScheduleResult, ScheduleSpec
-from .semifield import MAXPLUS, Scalar, Semifield
+from .semifield import MAXPLUS, Scalar
 
 
 _ZERO = MAXPLUS.zero
@@ -150,9 +150,9 @@ def _write(v, nl: str, out: list[str], texts) -> None:
         out.append(texts((v,))[0])
 
 
-def parse_scalar(value, sf: Semifield = MAXPLUS, exact: bool = True) -> Scalar:
+def parse_scalar(value, exact: bool = True) -> Scalar:
     if value is None:
-        return sf.zero
+        return _ZERO
     if isinstance(value, bool):
         raise ValueError("booleans are not scalars")
     if isinstance(value, int):
@@ -163,8 +163,8 @@ def parse_scalar(value, sf: Semifield = MAXPLUS, exact: bool = True) -> Scalar:
         if math.isnan(value):
             raise ValueError("NaN is not a scalar")
         if math.isinf(value):
-            if value == sf.zero:
-                return sf.zero
+            if value == _ZERO:
+                return _ZERO
             raise ValueError("infinite value outside the carrier")
         if not exact:
             return value
@@ -174,7 +174,7 @@ def parse_scalar(value, sf: Semifield = MAXPLUS, exact: bool = True) -> Scalar:
     elif isinstance(value, str):
         text = value.strip()
         if text == "-inf":
-            return sf.zero
+            return _ZERO
         try:
             frac = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -216,16 +216,16 @@ def _object(obj, keys: set, what: str) -> None:
         raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
 
 
-def _optional(parse, obj: dict, key: str, sf: Semifield, exact: bool):
+def _optional(parse, obj: dict, key: str, exact: bool):
     """`parse` of obj[key], or None when the field is absent or null."""
     raw = obj.get(key)
-    return None if raw is None else parse(raw, sf, exact)
+    return None if raw is None else parse(raw, exact)
 
 
 _MATRIX_KEYS = {"rows", "cols", "data"}
 
 
-def parse_matrix(obj, sf: Semifield = MAXPLUS, exact: bool = True) -> Matrix:
+def parse_matrix(obj, exact: bool = True) -> Matrix:
     declared_rows = declared_cols = None
     if isinstance(obj, dict):
         _object(obj, _MATRIX_KEYS, "matrix")
@@ -249,10 +249,7 @@ def parse_matrix(obj, sf: Semifield = MAXPLUS, exact: bool = True) -> Matrix:
         raise ValueError("declared row count does not match the data")
     if declared_cols is not None and declared_cols != width:
         raise ValueError("declared column count does not match the data")
-    return Matrix(
-        tuple(tuple(parse_scalar(v, sf, exact) for v in row) for row in data),
-        sf,
-    )
+    return Matrix(tuple(tuple(parse_scalar(v, exact) for v in row) for row in data))
 
 
 def encode_matrix(m: Matrix) -> dict:
@@ -263,10 +260,10 @@ def encode_matrix(m: Matrix) -> dict:
     }
 
 
-def parse_vector(obj, sf: Semifield = MAXPLUS, exact: bool = True) -> Vector:
+def parse_vector(obj, exact: bool = True) -> Vector:
     if not isinstance(obj, list) or not obj:
         raise ValueError("vector must be a non-empty array")
-    return Vector(tuple(parse_scalar(v, sf, exact) for v in obj), sf)
+    return Vector(tuple(parse_scalar(v, exact) for v in obj))
 
 
 def encode_vector(v) -> list:
@@ -276,7 +273,7 @@ def encode_vector(v) -> list:
 _PROBLEM_KEYS = {"kind", "A", "B", "p", "q", "g", "h", "r"}
 
 
-def parse_problem(obj, sf: Semifield = MAXPLUS, exact: bool = True) -> Problem:
+def parse_problem(obj, exact: bool = True) -> Problem:
     _object(obj, _PROBLEM_KEYS, "problem")
     if "kind" not in obj:
         raise ValueError("problem needs a 'kind'")
@@ -289,10 +286,10 @@ def parse_problem(obj, sf: Semifield = MAXPLUS, exact: bool = True) -> Problem:
         ) from None
     if obj.get("A") is None:
         raise ValueError("problem needs matrix 'A'")
-    r = _optional(parse_scalar, obj, "r", sf, exact)
-    a = parse_matrix(obj["A"], sf, exact)
-    b = _optional(parse_matrix, obj, "B", sf, exact)
-    p, q, g, h = (_optional(parse_vector, obj, key, sf, exact) for key in ("p", "q", "g", "h"))
+    r = _optional(parse_scalar, obj, "r", exact)
+    a = parse_matrix(obj["A"], exact)
+    b = _optional(parse_matrix, obj, "B", exact)
+    p, q, g, h = (_optional(parse_vector, obj, key, exact) for key in ("p", "q", "g", "h"))
     return Problem(kind=kind, A=a, B=b, p=p, q=q, g=g, h=h, r=r)
 
 
@@ -315,7 +312,7 @@ _SCHEDULE_KEYS = {
 }
 
 
-def parse_schedule(obj, sf: Semifield = MAXPLUS, exact: bool = True) -> ScheduleSpec:
+def parse_schedule(obj, exact: bool = True) -> ScheduleSpec:
     """Read a schedule.  startStart defaults to no precedence lags and
     earliestStart to no release times; null entries inside matrices mean
     an absent lag."""
@@ -323,10 +320,10 @@ def parse_schedule(obj, sf: Semifield = MAXPLUS, exact: bool = True) -> Schedule
     for required in ("startFinish", "latestStart", "windowLower", "windowUpper"):
         if obj.get(required) is None:
             raise ValueError(f"schedule needs '{required}'")
-    a = parse_matrix(obj["startFinish"], sf, exact)
+    a = parse_matrix(obj["startFinish"], exact)
     n = a.n_rows
-    b = _optional(parse_matrix, obj, "startStart", sf, exact)
-    g = _optional(parse_vector, obj, "earliestStart", sf, exact)
+    b = _optional(parse_matrix, obj, "startStart", exact)
+    g = _optional(parse_vector, obj, "earliestStart", exact)
     names = obj.get("activities")
     if names is not None:
         if not (
@@ -336,11 +333,11 @@ def parse_schedule(obj, sf: Semifield = MAXPLUS, exact: bool = True) -> Schedule
         names = tuple(names)
     return ScheduleSpec(
         start_finish=a,
-        start_start=Matrix.zeros(n, n, sf) if b is None else b,
-        earliest_start=Vector.zeros(n, sf) if g is None else g,
-        latest_start=parse_vector(obj["latestStart"], sf, exact),
-        window_lower=parse_vector(obj["windowLower"], sf, exact),
-        window_upper=parse_vector(obj["windowUpper"], sf, exact),
+        start_start=Matrix.zeros(n, n) if b is None else b,
+        earliest_start=Vector.zeros(n) if g is None else g,
+        latest_start=parse_vector(obj["latestStart"], exact),
+        window_lower=parse_vector(obj["windowLower"], exact),
+        window_upper=parse_vector(obj["windowUpper"], exact),
         activities=names,
     )
 
@@ -348,29 +345,27 @@ def parse_schedule(obj, sf: Semifield = MAXPLUS, exact: bool = True) -> Schedule
 _SYSTEM_KEYS = {"A", "b", "d"}
 
 
-def parse_system(
-    obj, sf: Semifield = MAXPLUS, exact: bool = True
-) -> tuple[Matrix, Optional[Vector], Optional[Vector]]:
+def parse_system(obj, exact: bool = True) -> tuple[Matrix, Optional[Vector], Optional[Vector]]:
     """Read a `solve-ineq` system {"A", "b", "d"} as (A, b, d); b or d
     may be absent (or null), not both."""
     if not isinstance(obj, dict) or "A" not in obj:
         raise ValueError("inequality system needs a matrix 'A'")
     _object(obj, _SYSTEM_KEYS, "inequality system")
-    a = parse_matrix(obj["A"], sf, exact)
-    b = _optional(parse_vector, obj, "b", sf, exact)
-    d = _optional(parse_vector, obj, "d", sf, exact)
+    a = parse_matrix(obj["A"], exact)
+    b = _optional(parse_vector, obj, "b", exact)
+    d = _optional(parse_vector, obj, "d", exact)
     if b is None and d is None:
         raise ValueError("inequality system needs 'b' or 'd' (or both)")
     return a, b, d
 
 
-def parse_operand(obj, sf: Semifield = MAXPLUS, exact: bool = True) -> Matrix:
+def parse_operand(obj, exact: bool = True) -> Matrix:
     """The matrix of `eig` and `star`: a bare matrix, a matrix object,
     or the 'A' of any other object, whose other fields are not read
     (so a problem file serves)."""
     if isinstance(obj, dict) and "A" in obj:
         obj = obj["A"]
-    return parse_matrix(obj, sf, exact)
+    return parse_matrix(obj, exact)
 
 
 def _solutions_document(s: SolutionSet) -> dict:

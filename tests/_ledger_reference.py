@@ -1,14 +1,15 @@
 """The schedule ledger as it ran in the data's own arithmetic, before
 it moved onto the solver's scaled ints: the reference that
 tests/test_ledger.py holds the int ledger against.  The body of
-`_ledger` is kept verbatim."""
+`_ledger` is kept as it was, but that it reads `MAXPLUS` where the
+matrices once carried their semifield."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 from tropt.linalg import Matrix, _scaled_sum, _trace_product, closure_sums
-from tropt.semifield import Scalar
+from tropt.semifield import MAXPLUS, Scalar
 
 
 def _ledger(spec: ScheduleSpec, result: ScheduleResult) -> dict:
@@ -17,7 +18,7 @@ def _ledger(spec: ScheduleSpec, result: ScheduleResult) -> dict:
     chain and closure families, the rooted squeezes against p, q, g, h
     and their sum `theta`, then the solution family."""
     a, b = spec.start_finish, spec.start_start
-    sf = a.sf
+    sf = MAXPLUS
     n = a.n_rows
     g, h = spec.earliest_start, spec.latest_start
     p, q = spec.window_upper, spec.window_lower
@@ -25,7 +26,7 @@ def _ledger(spec: ScheduleSpec, result: ScheduleResult) -> dict:
 
     bstar = b.star()
     closures = closure_sums(a, b)
-    chains = [Matrix.identity(n, sf)] + [a @ t for t in closures]
+    chains = [Matrix.identity(n)] + [a @ t for t in closures]
     inter: dict = {
         "A_pow": {str(k): m for k, m in enumerate(a.powers(n)) if k >= 2},
         "B_pow": {str(k): m for k, m in enumerate(b.powers(n)) if k >= 2},

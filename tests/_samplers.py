@@ -30,8 +30,7 @@ def random_matrix(
                 for _ in range(n)
             )
             for _ in range(n)
-        ),
-        MAXPLUS,
+        )
     )
 
 
@@ -46,8 +45,7 @@ def random_vector(
         tuple(
             MAXPLUS.zero if rng.random() < zero_p else rng.randint(lo, hi)
             for _ in range(n)
-        ),
-        MAXPLUS,
+        )
     )
 
 
@@ -56,10 +54,10 @@ def random_trace_bounded(rng: random.Random, n: int, zero_p: float = 0.5) -> Mat
     cycle), by rejection; the all-zero matrix after 500 failures."""
     for _ in range(500):
         m = random_matrix(rng, n, zero_p=zero_p)
-        table = [list(r) for r in _border(m, n, MAXPLUS, None, None, None).rows]
-        if _family(table, n, MAXPLUS)[0] <= 0:
+        table = [list(r) for r in _border(m, n, None, None, None).rows]
+        if _family(table, n)[0] <= 0:
             return m
-    return Matrix.zeros(n, n, MAXPLUS)
+    return Matrix.zeros(n, n)
 
 
 def sample_problem(
@@ -69,7 +67,6 @@ def sample_problem(
     with occasional tropical zeros; box corners are drawn so g <= h.
     The draw can still be infeasible or degenerate for its solver, which
     is intentional: callers decide whether to keep or skip those."""
-    sf = MAXPLUS
     if n is None:
         n = rng.choice((2, 3))
     a = random_matrix(rng, n, zero_p=0.3)
@@ -87,11 +84,10 @@ def sample_problem(
         if "h" in need:
             fields["h"] = Vector(
                 tuple(
-                    (v if not sf.is_zero(v) else rng.randint(-3, 0))
+                    (v if not MAXPLUS.is_zero(v) else rng.randint(-3, 0))
                     + rng.randint(0, 4)
                     for v in g.entries
-                ),
-                sf,
+                )
             )
     if "r" in need:
         fields["r"] = rng.randint(-5, 5)
@@ -101,22 +97,20 @@ def sample_problem(
 def sample_schedule(rng: random.Random, n: Optional[int] = None) -> ScheduleSpec:
     """Random integer schedule with a column-regular duration matrix,
     a feasibility-friendly precedence matrix and g <= h windows."""
-    sf = MAXPLUS
     if n is None:
         n = rng.choice((2, 3))
     rows = [list(r) for r in random_matrix(rng, n, zero_p=0.3, lo=0, hi=5).rows]
     for j in range(n):
-        if all(sf.is_zero(rows[i][j]) for i in range(n)):
+        if all(MAXPLUS.is_zero(rows[i][j]) for i in range(n)):
             rows[rng.randrange(n)][j] = rng.randint(1, 5)
-    a = Matrix(tuple(tuple(r) for r in rows), sf)
+    a = Matrix(tuple(tuple(r) for r in rows))
     b = random_trace_bounded(rng, n, zero_p=0.6)
     g = random_vector(rng, n, zero_p=0.3, lo=-2, hi=1)
     h = Vector(
         tuple(
-            (v if not sf.is_zero(v) else 0) + rng.randint(0, 4)
+            (v if not MAXPLUS.is_zero(v) else 0) + rng.randint(0, 4)
             for v in g.entries
-        ),
-        sf,
+        )
     )
     return ScheduleSpec(
         start_finish=a,

@@ -15,7 +15,7 @@ from typing import Optional
 
 from tropt.linalg import Matrix
 from tropt.oracle import _mat
-from tropt.semifield import Scalar, Semifield
+from tropt.semifield import MAXPLUS, Scalar
 
 
 def _madd(x, y):
@@ -71,13 +71,8 @@ def _lmat_pows(m, top):
     return out
 
 
-def _to_matrix(rows, sf: Semifield) -> Matrix:
-    return Matrix(
-        tuple(
-            tuple(sf.zero if v is None else v for v in row) for row in rows
-        ),
-        sf,
-    )
+def _to_matrix(rows) -> Matrix:
+    return Matrix(tuple(tuple(MAXPLUS.zero if v is None else v for v in row) for row in rows))
 
 
 def _order(a: Matrix, b: Matrix) -> int:
@@ -113,7 +108,7 @@ def enum_chain_sum(a: Matrix, b: Matrix, k: int) -> Matrix:
     n = _order(a, b)
     bpow = _lmat_pows(_mat(b), max(n - k, 0))
     words = _words(_mat(a), bpow, k, n - k, lead=False)
-    return _to_matrix(_lmat_sum(words, n), a.sf)
+    return _to_matrix(_lmat_sum(words, n))
 
 
 def enum_closure_sum(a: Matrix, b: Matrix, k: int) -> Matrix:
@@ -121,7 +116,7 @@ def enum_closure_sum(a: Matrix, b: Matrix, k: int) -> Matrix:
     n = _order(a, b)
     bpow = _lmat_pows(_mat(b), max(n - k - 1, 0))
     words = _words(_mat(a), bpow, k, n - k - 1, lead=True)
-    return _to_matrix(_lmat_sum(words, n), a.sf)
+    return _to_matrix(_lmat_sum(words, n))
 
 
 def enum_cumulative_sum(a: Matrix, b: Matrix, m: int) -> Matrix:
@@ -133,7 +128,7 @@ def enum_cumulative_sum(a: Matrix, b: Matrix, m: int) -> Matrix:
     words = itertools.chain(
         *(_words(am, bpow, k, m - k, lead=True) for k in range(1, m + 1)), bpow[1:]
     )
-    return _to_matrix(_lmat_sum(words, n), a.sf)
+    return _to_matrix(_lmat_sum(words, n))
 
 
 def enum_cumulative_trace(a: Matrix, b: Matrix, m: int) -> Scalar:
@@ -146,4 +141,4 @@ def enum_cumulative_trace(a: Matrix, b: Matrix, m: int) -> Scalar:
         *(_words(am, bpow, k, m - k, lead=False) for k in range(1, m + 1)), bpow[1:]
     )
     acc = _madd_reduce(_madd_reduce(w[i][i] for i in range(n)) for w in words)
-    return a.sf.zero if acc is None else acc
+    return MAXPLUS.zero if acc is None else acc

@@ -47,6 +47,7 @@ from tropt.linalg import Matrix, Vector, chain_sums, closure_sums, outer
 from tropt.optimize import Problem, ProblemKind, solve_problem
 from tropt.oracle import GridSpec, default_step, grid_minimize, grid_minimize_schedule
 from tropt.schedule import collapse_solution_line, solve_schedule
+from tropt.semifield import MAXPLUS
 
 NEG = float("-inf")
 
@@ -72,8 +73,8 @@ KINDS = (
 def _window(center: Vector, radius: int) -> GridSpec:
     """Grid box of the given radius around a regular rational point,
     on the lattice that provably carries every closed-form optimum."""
-    low = Vector(tuple(Fraction(v) - radius for v in center.entries), center.sf)
-    high = Vector(tuple(Fraction(v) + radius for v in center.entries), center.sf)
+    low = Vector(tuple(Fraction(v) - radius for v in center.entries))
+    high = Vector(tuple(Fraction(v) + radius for v in center.entries))
     return GridSpec(low, high, default_step(center.dim))
 
 
@@ -90,7 +91,7 @@ def _with_field(problem: Problem, **changes) -> Problem:
 def _set_entry(m: Matrix, i: int, j: int, value) -> Matrix:
     rows = [list(r) for r in m.rows]
     rows[i][j] = value
-    return Matrix(tuple(tuple(r) for r in rows), m.sf)
+    return Matrix(tuple(tuple(r) for r in rows))
 
 
 # -- gate 1: bundled project end to end ---------------------------------------
@@ -236,7 +237,6 @@ def test_gate_identity_suites():
         assert acc == enum_cumulative_sum(a, b, m)
 
     # trace version, plus the cyclic and additive trace laws
-    sf = Matrix.identity(1).sf
     for _ in range(CASES):
         n = rng.randint(2, 4)
         a = random_matrix(rng, n)
@@ -246,10 +246,10 @@ def test_gate_identity_suites():
         acc, cur = joined.trace(), joined
         for _ in range(m - 1):
             cur = cur @ joined
-            acc = sf.add(acc, cur.trace())
+            acc = MAXPLUS.add(acc, cur.trace())
         assert acc == enum_cumulative_trace(a, b, m)
         assert (a @ b).trace() == (b @ a).trace()
-        assert (a + b).trace() == sf.add(a.trace(), b.trace())
+        assert (a + b).trace() == MAXPLUS.add(a.trace(), b.trace())
 
     # Kleene star is a fixpoint whenever the trace sum allows a star
     for _ in range(CASES):
@@ -283,7 +283,7 @@ def test_gate_identity_suites():
         x = random_vector(rng, n)
         if rng.random() < 0.5:
             x = x.scale(Fraction(rng.randint(-3, 3), rng.randint(2, 5)))
-        assert x.conj() @ x == x.sf.one
+        assert x.conj() @ x == MAXPLUS.one
         assert Matrix.identity(n).leq(outer(x, x.conj()))
 
     print(f"identity suites: 6 families x {CASES} random cases, zero failures")
@@ -369,7 +369,7 @@ def test_gate_specialization_lattice():
         ext = sample_problem(rng, ProblemKind.EXTENDED, n)
         # the unconstrained solver insists on a cycle in A, the fixpoint
         # one only on the joint scale bound; compare on the shared domain
-        if ext.A.sf.is_zero(ext.A.spectral_radius()):
+        if MAXPLUS.is_zero(ext.A.spectral_radius()):
             return None
         wide = Problem(
             kind=ProblemKind.FIXPOINT_CONSTRAINED,
@@ -449,7 +449,7 @@ def test_gate_infeasibility_dichotomy():
     # crossed box corners leave no start at all
     for _ in range(TRIALS):
         base = sample_problem(rng, ProblemKind.BOX_CONSTRAINED)
-        g = [0 if base.A.sf.is_zero(v) else v for v in base.g.entries]
+        g = [0 if MAXPLUS.is_zero(v) else v for v in base.g.entries]
         h = list(base.h.entries)
         i = rng.randrange(base.dim)
         g[i] = rng.randint(1, 3)

@@ -627,13 +627,13 @@ class TestMatrixCommands:
         events = []
         scan, kernel = linalg._scan, linalg._floyd_warshall
 
-        def scanned(items, zero):
+        def scanned(items):
             events.append("scan")
-            return scan(items, zero)
+            return scan(items)
 
-        def counted(d, stop, zero, start=0):
+        def counted(d, stop, start=0):
             events.append("pass")
-            return kernel(d, stop, zero, start)
+            return kernel(d, stop, start)
 
         monkeypatch.setattr(linalg, "_scan", scanned)
         monkeypatch.setattr(linalg, "_floyd_warshall", counted)

@@ -235,6 +235,22 @@ class TestVectors:
     def test_leq(self):
         assert Vector((1, 2)).leq(Vector((1, 3)))
         assert not Vector((1, 4)).leq(Vector((1, 3)))
+        # the inlined <= against MAXPLUS.leq, entry by entry, on mixed
+        # int, Fraction, float and zero entries, equal values across types
+        # included
+        pool = (NEG, -1, Fraction(-1), -1.0, -0.0, 0, 0.5, Fraction(1, 2), 3, 3.0,
+                Fraction(7, 3), 2.25)
+        rng = random.Random(11)
+        for _ in range(400):
+            rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+            a = [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
+            b = [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
+            if rng.random() < 0.3:
+                b = [[x if rng.random() < 0.5 else y for x, y in zip(r, s)] for r, s in zip(a, b)]
+            want = [[MAXPLUS.leq(x, y) for x, y in zip(r, s)] for r, s in zip(a, b)]
+            assert Matrix(a).leq(Matrix(b)) == all(map(all, want)), (a, b)
+            for cls in (Vector, RowVector):
+                assert cls(a[0]).leq(cls(b[0])) == all(want[0]), (cls, a[0], b[0])
 
     def test_outer(self):
         m = outer(Vector((1, 0)), RowVector((2, NEG)))
@@ -277,7 +293,7 @@ def test_identity_is_neutral(x):
 
 def _reference_closure_sums(a: Matrix, b: Matrix) -> list[Matrix]:
     """The closure recurrence at the Matrix level, one product per term."""
-    eye = Matrix.identity(a.n_rows, a.sf)
+    eye = Matrix.identity(a.n_rows)
     step = eye + b
     out = [eye]
     for _ in range(a.n_rows - 1):
@@ -290,7 +306,7 @@ def _reference_closure_sums(a: Matrix, b: Matrix) -> list[Matrix]:
 
 
 def _reference_powers(a: Matrix, top: int) -> list[Matrix]:
-    out = [Matrix.identity(a.n_rows, a.sf)]
+    out = [Matrix.identity(a.n_rows)]
     for _ in range(top):
         out.append(out[-1] @ a)
     return out
@@ -349,36 +365,36 @@ def test_table_kernels_match_matrix_level_recurrences(pair):
 # scalar, kept apart from the kernels they check.
 
 
-def _ref_product(left, right, sf=MAXPLUS):
-    """Rows of left @ right as sf.sum over sf.mul, column by column."""
+def _ref_product(left, right):
+    """Rows of left @ right as MAXPLUS.sum over MAXPLUS.mul, column by column."""
     cols = tuple(zip(*right))
     return tuple(
-        tuple(sf.sum(sf.mul(a, b) for a, b in zip(row, col)) for col in cols)
+        tuple(MAXPLUS.sum(MAXPLUS.mul(a, b) for a, b in zip(row, col)) for col in cols)
         for row in left
     )
 
 
 def _ref_star(a: Matrix) -> tuple:
     """I (+) A (I (+) A (... (I (+) A))), n-1 products deep."""
-    sf, n = a.sf, a.n_rows
-    eye = Matrix.identity(n, sf).rows
+    n = a.n_rows
+    eye = Matrix.identity(n).rows
     acc = eye
     for _ in range(n - 1):
-        prod = _ref_product(a.rows, acc, sf)
+        prod = _ref_product(a.rows, acc)
         acc = tuple(
-            tuple(sf.add(x, y) for x, y in zip(ri, rp)) for ri, rp in zip(eye, prod)
+            tuple(MAXPLUS.add(x, y) for x, y in zip(ri, rp)) for ri, rp in zip(eye, prod)
         )
     return acc
 
 
 def _has_positive_cycle(a: Matrix) -> bool:
     """Some diagonal entry of A (+) A^2 (+) ... (+) A^n exceeds one."""
-    sf, n = a.sf, a.n_rows
+    n = a.n_rows
     power = a.rows
     for _ in range(n):
-        if any(power[i][i] > sf.one for i in range(n)):
+        if any(power[i][i] > MAXPLUS.one for i in range(n)):
             return True
-        power = _ref_product(power, a.rows, sf)
+        power = _ref_product(power, a.rows)
     return False
 
 
@@ -439,8 +455,7 @@ def _star_case(rng, top=7):
             )
             for i, r in enumerate(rows)
         )
-    sf = MAXPLUS if kinds != ("float",) else MAXPLUS
-    return Matrix(rows, sf), kinds != ("float",)
+    return Matrix(rows), kinds != ("float",)
 
 
 def _exact_copy(a: Matrix) -> Matrix:
@@ -478,11 +493,11 @@ def test_star_matches_literal_sum():
 
 def _ref_trace_sum(a: Matrix):
     """tr A (+) tr A^2 (+) ... (+) tr A^n from the definition."""
-    sf, n = a.sf, a.n_rows
-    acc, power = sf.zero, a.rows
+    n = a.n_rows
+    acc, power = MAXPLUS.zero, a.rows
     for _ in range(n):
-        acc = sf.add(acc, sf.sum(power[i][i] for i in range(n)))
-        power = _ref_product(power, a.rows, sf)
+        acc = MAXPLUS.add(acc, MAXPLUS.sum(power[i][i] for i in range(n)))
+        power = _ref_product(power, a.rows)
     return acc
 
 
@@ -515,7 +530,7 @@ def test_float_star_and_trace_sum_are_the_rounded_exact_answers():
             continue  # no finite entry: the same draw in either mode
         floats = Matrix(tuple(
             tuple(v if v == NEG else float(v) * scale + rng.random() - 0.5 for v in r)
-            for r in base.rows), MAXPLUS)
+            for r in base.rows))
         exact = _exact_copy(floats)
         assert repr(floats.star().rows) == repr(_rounded(_ref_star(exact))), (i, floats)
         want = _ref_trace_sum(exact)
@@ -532,16 +547,16 @@ def test_star_without_a_positive_cycle_makes_one_pass(monkeypatch):
     passes = []
     kernel = linalg._floyd_warshall
 
-    def counted(d, stop, zero, start=0):
+    def counted(d, stop, start=0):
         passes.append((len(d), start, stop))
-        return kernel(d, stop, zero, start)
+        return kernel(d, stop, start)
 
     def refused(self, m):
         raise AssertionError("power sum taken")
 
     monkeypatch.setattr(linalg, "_floyd_warshall", counted)
     monkeypatch.setattr(Matrix, "power", refused)
-    for a in (Matrix(frozen.B_ROWS), Matrix(((-0.5, NEG), (1.0, -0.25)), MAXPLUS)):
+    for a in (Matrix(frozen.B_ROWS), Matrix(((-0.5, NEG), (1.0, -0.25)))):
         n = a.n_rows
         for closure in (a.star, a.trace_sum):
             del passes[:]
@@ -653,12 +668,12 @@ def test_kernels_make_no_semifield_calls(monkeypatch):
 def _ref_spectral_radius(a: Matrix):
     """The former definition: (+) over k of tr(A^k)^(1/k), from the
     matrix powers A, A^2, ..., A^n."""
-    sf, n = a.sf, a.n_rows
-    acc = sf.zero
+    n = a.n_rows
+    acc = MAXPLUS.zero
     for k, p in enumerate(a.powers(n)[1:], start=1):
         t = p.trace()
-        if not sf.is_zero(t):
-            acc = sf.add(acc, sf.power(t, Fraction(1, k)))
+        if not MAXPLUS.is_zero(t):
+            acc = MAXPLUS.add(acc, MAXPLUS.power(t, Fraction(1, k)))
     return acc
 
 
@@ -672,8 +687,7 @@ def _radius_case(rng, i):
     n = 8 if i % 40 == 0 else rng.randint(1, 7)
     kinds = rng.choice(_MIXES)
     exact = "float" not in kinds
-    sf = MAXPLUS if exact else MAXPLUS
-    return Matrix(_table(rng, n, n, kinds), sf), exact
+    return Matrix(_table(rng, n, n, kinds)), exact
 
 
 def _close(x, y) -> bool:
@@ -772,7 +786,7 @@ def _near_range_case(rng):
               for _ in range(n))
         for _ in range(n)
     )
-    return Matrix(rows, MAXPLUS)
+    return Matrix(rows)
 
 
 @pytest.fixture
@@ -782,9 +796,9 @@ def karp_tails(monkeypatch):
     taken = []
     tail = linalg._cycle_mean
 
-    def recording(rows, steps, v, sf):
+    def recording(rows, steps, v):
         taken.append(isinstance(steps, itertools.repeat))
-        return tail(rows, steps, v, sf)
+        return tail(rows, steps, v)
 
     monkeypatch.setattr(linalg, "_cycle_mean", recording)
     return taken
@@ -847,7 +861,7 @@ def test_a_node_without_arcs_into_it_leaves_the_early_exit_open(karp_tails):
     for i in range(200):
         a, _ = _radius_case(rng, 1)
         j = rng.randrange(a.n_rows)
-        a = Matrix(tuple(r[:j] + (NEG,) + r[j + 1:] for r in a.rows), a.sf)
+        a = Matrix(tuple(r[:j] + (NEG,) + r[j + 1:] for r in a.rows))
         karp_tails.clear()
         lam, nodes = _max_cycle(a)
         step = _eigen_step(a)
@@ -906,15 +920,15 @@ def test_near_range_walk_sums_get_the_exact_radius():
         ((NEG, -big), (-big, NEG)),
         ((NEG, -big, -1.79e308), (big, NEG, NEG), (big, 1.5e308, NEG)),
     ):
-        _assert_near_exact(Matrix(rows, MAXPLUS))
+        _assert_near_exact(Matrix(rows))
     # the witness (2, 1, 0) has weight -5e307: its running sum
     # -5e307 - 1.79e308 leaves the float range, not the int one
     rows = ((NEG, 0.0, 1.79e308), (-1.79e308, NEG, -1.5e308),
             (NEG, -5e307, -1e308))
-    lam, nodes = _max_cycle(Matrix(rows, MAXPLUS))
+    lam, nodes = _max_cycle(Matrix(rows))
     assert nodes == (2, 1, 0) and lam == pytest.approx(-5e307 / 3, rel=1e-12)
-    assert Matrix(((big,),), MAXPLUS).spectral_radius() == big
-    assert Matrix(((-_M, NEG), (NEG, _M)), MAXPLUS).spectral_radius() == _M
+    assert Matrix(((big,),)).spectral_radius() == big
+    assert Matrix(((-_M, NEG), (NEG, _M))).spectral_radius() == _M
 
 
 def test_infinite_entry_is_named():
@@ -922,7 +936,7 @@ def test_infinite_entry_is_named():
     # arc of no cycle
     for rows in (((INF,),), ((NEG, INF), (NEG, NEG)), ((0.0, 1.0), (INF, NEG))):
         with pytest.raises(ValueError, match="^float overflow: a result is \\+inf$"):
-            Matrix(rows, MAXPLUS).spectral_radius()
+            Matrix(rows).spectral_radius()
 
 
 def test_radius_scales_by_powers_of_two():
@@ -938,12 +952,12 @@ def test_radius_scales_by_powers_of_two():
                   for _ in range(n))
             for _ in range(n)
         )
-        lam, nodes = _max_cycle(Matrix(rows, MAXPLUS))
+        lam, nodes = _max_cycle(Matrix(rows))
         k = rng.randint(0, e - 1)
         top = max((abs(w) for r in rows for w in r if w != NEG), default=0.0)
         near += math.ldexp(top, k) > _M / (2 * n * n)
         big = tuple(tuple(math.ldexp(w, k) for w in r) for r in rows)
-        got = _max_cycle(Matrix(big, MAXPLUS))
+        got = _max_cycle(Matrix(big))
         assert repr(got) == repr((math.ldexp(lam, k), nodes)), (rows, k)
     assert near > 300
 
@@ -958,7 +972,7 @@ def test_extreme_range_matches_exact_karp():
                   for _ in range(n))
             for _ in range(n)
         )
-        _assert_near_exact(Matrix(rows, MAXPLUS))
+        _assert_near_exact(Matrix(rows))
 
 
 def test_whole_number_solve_stays_in_ints(general_problem):
@@ -1019,31 +1033,30 @@ def test_scale_meet_and_regularity_keep_the_semifield_rules():
 
 def test_helpers_match_their_semifield_definitions():
     rng = random.Random(103)
-    sf = MAXPLUS
     for _ in range(400):
         n = rng.randint(1, 6)
         x, y = (tuple(_scalar(rng) for _ in range(n)) for _ in range(2))
         c = _scalar(rng)
         col, other = Vector(x), Vector(y)
-        assert repr(col.scale(c)) == repr(Vector(tuple(sf.mul(c, v) for v in x)))
-        assert repr(col.meet(other)) == repr(Vector(tuple(map(sf.meet, x, y))))
-        assert col.is_regular() == all(not sf.is_zero(v) for v in x)
-        assert col.is_zero() == all(sf.is_zero(v) for v in x)
+        assert repr(col.scale(c)) == repr(Vector(tuple(MAXPLUS.mul(c, v) for v in x)))
+        assert repr(col.meet(other)) == repr(Vector(tuple(map(MAXPLUS.meet, x, y))))
+        assert col.is_regular() == all(not MAXPLUS.is_zero(v) for v in x)
+        assert col.is_zero() == all(MAXPLUS.is_zero(v) for v in x)
         if not col.is_zero():
-            want = tuple(sf.zero if sf.is_zero(v) else sf.inv(v) for v in x)
+            want = tuple(MAXPLUS.zero if MAXPLUS.is_zero(v) else MAXPLUS.inv(v) for v in x)
             assert repr(col.conj()) == repr(RowVector(want))
         a, b = Matrix(_table(rng, n, n)), Matrix(_table(rng, n, n))
-        want = tuple(tuple(sf.mul(c, v) for v in r) for r in a.rows)
+        want = tuple(tuple(MAXPLUS.mul(c, v) for v in r) for r in a.rows)
         assert repr(a.scale(c)) == repr(Matrix(want))
-        summed = tuple(tuple(map(sf.add, r, s)) for r, s in zip(want, b.rows))
+        summed = tuple(tuple(map(MAXPLUS.add, r, s)) for r, s in zip(want, b.rows))
         assert repr(linalg._scaled_sum(c, a, b)) == repr(Matrix(summed))
         want = tuple(
-            tuple(sf.zero if sf.is_zero(v) else sf.inv(v) for v in col)
+            tuple(MAXPLUS.zero if MAXPLUS.is_zero(v) else MAXPLUS.inv(v) for v in col)
             for col in zip(*a.rows)
         )
         assert repr(a.conj()) == repr(Matrix(want))
         assert a.is_column_regular() == all(
-            any(not sf.is_zero(v) for v in col) for col in zip(*a.rows)
+            any(not MAXPLUS.is_zero(v) for v in col) for col in zip(*a.rows)
         )
 
 
@@ -1115,10 +1128,10 @@ def test_acyclic_matches_a_zero_spectral_radius():
     for label, a in _acyclic_draws(rng):
         n = a.n_rows
         want = a.spectral_radius() == NEG
-        assert linalg._acyclic(linalg._finite(a.rows, NEG), n) is want, (label, a)
+        assert linalg._acyclic(linalg._finite(a.rows), n) is want, (label, a)
         bordered = [list(r) + [rng.randint(-5, 5)] for r in a.rows]
         bordered.append([rng.randint(-5, 5) for _ in range(n + 1)])
-        assert linalg._acyclic(linalg._finite(bordered, NEG), n) is want, (label, a)
+        assert linalg._acyclic(linalg._finite(bordered), n) is want, (label, a)
         seen.setdefault(label, set()).add(want)
     assert seen == {
         "sample": {True, False}, "acyclic": {True}, "self-loop": {False},
@@ -1159,8 +1172,8 @@ def _two_pass_scan(matrices, zero):
         m, d = v.as_integer_ratio()
         return m * (scale // d)
 
-    matrices = tuple(Matrix(tuple(tuple(map(whole, r)) for r in m.rows), m.sf) for m in matrices)
-    return matrices, [linalg._finite(m.rows, zero) for m in matrices], scale, floating
+    matrices = tuple(Matrix(tuple(tuple(map(whole, r)) for r in m.rows)) for m in matrices)
+    return matrices, [linalg._finite(m.rows) for m in matrices], scale, floating
 
 
 class _Counted(Fraction):
@@ -1194,11 +1207,11 @@ def test_scan_matches_a_two_pass_scan(label):
                          for _ in range(n)))
             for _ in range(2)
         )
-        got, want = linalg._scan(pair, NEG), _two_pass_scan(pair, NEG)
+        got, want = linalg._scan(pair), _two_pass_scan(pair, NEG)
         assert repr(got) == repr(want), (label, draw, pair)
         # a vector scans as the one row of its entries, by the same D
         col = Vector(tuple(NEG if rng.random() < 0.3 else entry(rng) for _ in range(n)))
-        items, lists, scale, _ = linalg._scan(pair + (col, RowVector(col.entries)), NEG)
+        items, lists, scale, _ = linalg._scan(pair + (col, RowVector(col.entries)))
         ref = _two_pass_scan(pair + (Matrix((col.entries,)),), NEG)
         assert scale == ref[2] and lists[2] == lists[3] == ref[1][2], (label, draw)
         assert [type(x) for x in items[2:]] == [Vector, RowVector], (label, draw)
@@ -1212,7 +1225,7 @@ def test_scan_reads_each_entry_once():
         rows = tuple(tuple(NEG if rng.random() < 0.3 else _Counted(rng.randint(-90, 90), rng.choice((1, 3, 10)))
                            for _ in range(n)) for _ in range(n))
         _Counted.reads = 0
-        (m,), lists, scale, floating = linalg._scan((Matrix(rows),), NEG)
+        (m,), lists, scale, floating = linalg._scan((Matrix(rows),))
         assert _Counted.reads == sum(v != NEG for r in rows for v in r)
         assert not floating and m.rows == tuple(
             tuple(v if v == NEG else int(v * scale) for v in r) for r in rows)
@@ -1222,4 +1235,4 @@ def test_scan_names_an_infinite_entry():
     for items in ((Matrix(((1.0, INF),)),), (Matrix(((0.5,),)), Vector((INF, 1.0))),
                   (Matrix(((Fraction(1, 3),),)), RowVector((2, INF)))):
         with pytest.raises(ValueError, match="^float overflow: a result is \\+inf$"):
-            linalg._scan(items, NEG)
+            linalg._scan(items)

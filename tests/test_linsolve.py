@@ -47,7 +47,7 @@ class TestUpperBounded:
             assert (a @ u).leq(d)
             for i in range(n):
                 bumped = list(u.entries)
-                bumped[i] = a.sf.mul(bumped[i], 1)
+                bumped[i] = MAXPLUS.mul(bumped[i], 1)
                 assert not (a @ Vector(tuple(bumped))).leq(d)
 
     def test_rectangular_system(self):
@@ -135,16 +135,15 @@ class TestCombined:
         # 0.1 + 0.2 lies one ulp above 0.3, so (d^- A*)^- falls below b
         # by float dust; the box is widened, as solve does on the same
         # system posed as a BoxConstrained problem
-        sf = MAXPLUS
-        a = Matrix(((NEG,),), sf)
-        b, d = Vector((0.1 + 0.2,), sf), Vector((0.3,), sf)
+        a = Matrix(((NEG,),))
+        b, d = Vector((0.1 + 0.2,)), Vector((0.3,))
         with pytest.warns(RuntimeWarning, match="parameter box widened") as record:
             sol = solve_combined(a, b, d)
         assert record[0].filename == __file__
         assert sol.upper.entries == sol.lower.entries == (0.30000000000000004,)
         box = Problem(
-            ProblemKind.BOX_CONSTRAINED, a, p=Vector((NEG,), sf),
-            q=Vector((100.0,), sf), g=b, h=d, r=0.0,
+            ProblemKind.BOX_CONSTRAINED, a, p=Vector((NEG,)),
+            q=Vector((100.0,)), g=b, h=d, r=0.0,
         )
         with pytest.warns(RuntimeWarning, match="parameter box widened"):
             res = solve_problem(box)
@@ -238,9 +237,9 @@ def test_each_solver_makes_one_pass_over_the_bordered_table(monkeypatch):
     passes = []
     kernel = linalg._floyd_warshall
 
-    def counted(d, stop, zero, start=0):
+    def counted(d, stop, start=0):
         passes.append((len(d), start, stop))
-        return kernel(d, stop, zero, start)
+        return kernel(d, stop, start)
 
     # the kernel's one home; optimize holds the only other reference
     for module in (linalg, optimize):

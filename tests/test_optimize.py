@@ -461,9 +461,9 @@ def test_scale_gate_skips_spectral_radius_when_r_is_finite(monkeypatch, general_
     calls = []
     kernel = linalg._karp
 
-    def counted(tables, nzs, n, sf, starred):
+    def counted(tables, nzs, n, starred):
         calls.append((n, starred))
-        return kernel(tables, nzs, n, sf, starred)
+        return kernel(tables, nzs, n, starred)
 
     monkeypatch.setattr(linalg, "_karp", counted)
     monkeypatch.setattr(optimize, "_karp", counted)
@@ -478,9 +478,9 @@ def test_cycle_gate_makes_no_karp_pass(monkeypatch, kind):
     calls = []
     kernel = linalg._karp
 
-    def counted(tables, nzs, n, sf, starred):
+    def counted(tables, nzs, n, starred):
         calls.append((n, starred))
-        return kernel(tables, nzs, n, sf, starred)
+        return kernel(tables, nzs, n, starred)
 
     monkeypatch.setattr(linalg, "_karp", counted)
     monkeypatch.setattr(optimize, "_karp", counted)
@@ -493,32 +493,29 @@ class TestParameterBox:
     def test_float_dust_is_absorbed(self):
         # ints at scale D = 2^52: upper falls short of lower by 2^12,
         # about 1e-12 of the data's values, within eps (x) D
-        sf = MAXPLUS
         scale = 2**52
-        lower = Vector((scale, 2 * scale), sf)
+        lower = Vector((scale, 2 * scale))
         dust = Fraction(1e-9) * scale
         with pytest.warns(RuntimeWarning):
-            upper = _tighten_box(lower, Vector((scale - 2**12, 5 * scale), sf), dust)
+            upper = _tighten_box(lower, Vector((scale - 2**12, 5 * scale)), dust)
         assert upper.entries == (scale, 5 * scale)
         with pytest.raises(EmptyParameterBox):
-            _tighten_box(lower, Vector((scale - 2**12, 5 * scale), sf), 0)
+            _tighten_box(lower, Vector((scale - 2**12, 5 * scale)), 0)
 
     def test_empty_box_is_a_named_error(self):
-        sf = MAXPLUS
         with pytest.raises(EmptyParameterBox) as err:
-            _tighten_box(Vector((1.0, 2.0), sf), Vector((1.0, 1.5), sf), 1e-9)
+            _tighten_box(Vector((1.0, 2.0)), Vector((1.0, 1.5)), 1e-9)
         assert isinstance(err.value, TroptError)
 
     def test_widening_warning_names_the_caller(self):
         # the dust cycle of `test_float_gate_tolerance` passes its gate
         # and leaves the parameter box empty by dust; every entry point
         # reports the line here
-        sf = MAXPLUS
-        zeros = Vector((0.0, 0.0), sf)
+        zeros = Vector((0.0, 0.0))
         spec = ScheduleSpec(
-            start_finish=Matrix(((0.0, NEG), (NEG, 0.0)), sf),
-            start_start=Matrix(((NEG, 1e-16), (NEG, NEG)), sf),
-            earliest_start=Vector((NEG, 0.0), sf),
+            start_finish=Matrix(((0.0, NEG), (NEG, 0.0))),
+            start_start=Matrix(((NEG, 1e-16), (NEG, NEG))),
+            earliest_start=Vector((NEG, 0.0)),
             latest_start=zeros,
             window_lower=zeros,
             window_upper=zeros,
@@ -569,10 +566,10 @@ def _failed_conditions(prob):
 def _reference_outcome(prob):
     """(error class, condition) the separate gates and then the kind's
     no-cycle rule give, or None when the problem passes them all."""
-    sf = prob.A.sf
     failed = _failed_conditions(prob)
     if failed:
         return InfeasibleConstraints, failed[0]
+    sf = MAXPLUS
     if prob.kind is ProblemKind.LINEAR_CONSTRAINED:
         if sf.is_zero(prob.A.spectral_radius()):
             return ZeroSpectralRadius, None
@@ -661,15 +658,14 @@ def test_positive_cycle_through_every_node_of_the_border():
 @pytest.mark.parametrize("weight, passes", [(1e-16, True), (1e-6, False)])
 def test_float_gate_tolerance(weight, passes):
     # one cycle border -> 0 -> 1 -> border of weight -h_0 + B_01 + g_1
-    sf = MAXPLUS
     prob = Problem(
         ProblemKind.GENERAL,
-        A=Matrix(((0.0, NEG), (NEG, 0.0)), sf),
-        B=Matrix(((NEG, weight), (NEG, NEG)), sf),
-        p=Vector((0.0, 0.0), sf),
-        q=Vector((0.0, 0.0), sf),
-        g=Vector((NEG, 0.0), sf),
-        h=Vector((0.0, 0.0), sf),
+        A=Matrix(((0.0, NEG), (NEG, 0.0))),
+        B=Matrix(((NEG, weight), (NEG, NEG))),
+        p=Vector((0.0, 0.0)),
+        q=Vector((0.0, 0.0)),
+        g=Vector((NEG, 0.0)),
+        h=Vector((0.0, 0.0)),
         r=0.0,
     )
     assert _failed_conditions(prob) == ([] if passes else ["h^- B* g <= 1"])
@@ -683,9 +679,9 @@ def test_feasible_general_solve_stars_once(monkeypatch, general_problem):
     calls = []
     kernel = linalg._floyd_warshall
 
-    def counted(d, stop, zero, start=0):
+    def counted(d, stop, start=0):
         calls.append((len(d), start, stop))
-        return kernel(d, stop, zero, start)
+        return kernel(d, stop, start)
 
     # the read-off looks the kernel up in linalg; any other pass, there
     # or in optimize, would be counted too
@@ -706,19 +702,19 @@ def test_feasible_general_solve_scans_its_data_once(monkeypatch):
     events = []
     scan, kernel, finite = linalg._scan, linalg._karp, linalg._finite
 
-    def scanned(matrices, zero):
-        out = scan(matrices, zero)
+    def scanned(matrices):
+        out = scan(matrices)
         kept = all(x is y for x, y in zip(out[0], matrices))
         events.append(("scan", [m.n_rows for m in matrices], kept, out[1]))
         return out
 
-    def counted(tables, nzs, n, sf, starred):
+    def counted(tables, nzs, n, starred):
         events.append(("karp", nzs))
-        return kernel(tables, nzs, n, sf, starred)
+        return kernel(tables, nzs, n, starred)
 
-    def built(rows, zero):
+    def built(rows):
         events.append(("finite", len(rows)))
-        return finite(rows, zero)
+        return finite(rows)
 
     for module in (linalg, optimize):
         monkeypatch.setattr(module, "_scan", scanned)
@@ -777,32 +773,31 @@ def test_no_solver_reaches_the_power_sum(monkeypatch):
 def _star_and_cycle(m: Matrix) -> tuple[Matrix, object]:
     """(m*, heaviest cycle weight) off `linalg._family`'s one pass over
     m bordered by zeros, in m's own arithmetic."""
-    n, sf = m.n_rows, m.sf
-    table = [list(r) for r in linalg._border(m, n, sf, None, None, None).rows]
-    cycle, star, _, _ = linalg._family(table, n, sf)
+    n = m.n_rows
+    table = [list(r) for r in linalg._border(m, n, None, None, None).rows]
+    cycle, star, _, _ = linalg._family(table, n)
     return star, cycle
 
 
 def _bordered_pair(prob: Problem) -> tuple[Matrix, Matrix]:
     """Bhat* and Ahat, as `solve_problem` builds them."""
-    n, sf = prob.dim, prob.A.sf
+    n = prob.dim
     qc = None if prob.q is None else prob.q.conj()
     hc = None if prob.h is None else prob.h.conj()
-    b_star = optimize._border(prob.B, n, sf, prob.g, hc, None).star()
-    return b_star, optimize._border(prob.A, n, sf, prob.p, qc, prob.r)
+    b_star = optimize._border(prob.B, n, prob.g, hc, None).star()
+    return b_star, optimize._border(prob.A, n, prob.p, qc, prob.r)
 
 
 def _in_floats(prob: Problem) -> Problem:
     """The same problem read as float mode reads it."""
-    sf = MAXPLUS
 
     def conv(x):
         if x is None:
             return None
         if isinstance(x, Matrix):
-            return Matrix(tuple(tuple(map(float, r)) for r in x.rows), sf)
+            return Matrix(tuple(tuple(map(float, r)) for r in x.rows))
         if isinstance(x, Vector):
-            return Vector(tuple(map(float, x.entries)), sf)
+            return Vector(tuple(map(float, x.entries)))
         return float(x)
 
     fields = ("A", "B", "p", "q", "g", "h", "r")
@@ -843,15 +838,15 @@ def _closure_path_answer(prob: Problem, monkeypatch):
     relaxed path's own."""
     kernel, hits = linalg._karp, []
 
-    def closed(tables, nzs, n, sf, starred):
+    def closed(tables, nzs, n, starred):
         if not starred:
-            return kernel(tables, nzs, n, sf, False)
+            return kernel(tables, nzs, n, False)
         hits.append(n)
-        b_star, cycle = _star_and_cycle(Matrix._built(tables[0], sf))
+        b_star, cycle = _star_and_cycle(Matrix._built(tables[0]))
         if cycle > 0:
             return None
-        lists = (linalg._finite(b_star.rows, sf.zero), nzs[1])
-        return kernel((b_star.rows, tables[1]), lists, n, sf, False)
+        lists = (linalg._finite(b_star.rows), nzs[1])
+        return kernel((b_star.rows, tables[1]), lists, n, False)
 
     with monkeypatch.context() as m:
         m.setattr(optimize, "_karp", closed)
@@ -863,7 +858,7 @@ def _closure_path_answer(prob: Problem, monkeypatch):
 def _mapped(prob: Problem, f) -> Problem:
     """The problem with f(field, i, j, entry) applied to each finite
     entry (j None for vectors, i and j None for r)."""
-    zero = prob.A.sf.zero
+    zero = MAXPLUS.zero
 
     def conv(name, x):
         if x is None:
@@ -871,10 +866,10 @@ def _mapped(prob: Problem, f) -> Problem:
         if isinstance(x, Matrix):
             return Matrix(tuple(
                 tuple(w if w == zero else f(name, i, j, w) for j, w in enumerate(r))
-                for i, r in enumerate(x.rows)), x.sf)
+                for i, r in enumerate(x.rows)))
         if isinstance(x, Vector):
             return Vector(tuple(w if w == zero else f(name, i, None, w)
-                                for i, w in enumerate(x.entries)), x.sf)
+                                for i, w in enumerate(x.entries)))
         return x if x == zero else f(name, None, None, x)
 
     fields = ("A", "B", "p", "q", "g", "h", "r")
@@ -910,9 +905,9 @@ def test_theta_relaxed_through_bhat_matches_the_closure_path(monkeypatch):
     early = []
     tail = linalg._cycle_mean
 
-    def recording(tables, steps, v, sf):
+    def recording(tables, steps, v):
         early.append(isinstance(steps, itertools.repeat))
-        return tail(tables, steps, v, sf)
+        return tail(tables, steps, v)
 
     monkeypatch.setattr(linalg, "_cycle_mean", recording)
     seen = Counter()
@@ -931,11 +926,10 @@ def test_theta_relaxed_through_bhat_matches_the_closure_path(monkeypatch):
             # a change of variables keeps the verdict, its condition and theta
             if label == "offset":
                 assert _outcome(prob) == _outcome(base), (i, prob)
-            sf = prob.A.sf
             qc = None if prob.q is None else prob.q.conj()
             hc = None if prob.h is None else prob.h.conj()
-            b_hat = optimize._border(prob.B, n, sf, prob.g, hc, None)
-            a_hat = optimize._border(prob.A, n, sf, prob.p, qc, prob.r)
+            b_hat = optimize._border(prob.B, n, prob.g, hc, None)
+            a_hat = optimize._border(prob.A, n, prob.p, qc, prob.r)
             b_star, cycle = _star_and_cycle(b_hat)
             del early[:]
             found = linalg._max_cycle(b_hat, a_hat, starred=True)
@@ -951,7 +945,7 @@ def test_theta_relaxed_through_bhat_matches_the_closure_path(monkeypatch):
             # the witness is a cycle of Bhat* Ahat with mean theta
             prod = (b_star @ a_hat).rows
             arcs = [prod[u][v] for u, v in zip(nodes, nodes[1:] + nodes[:1])]
-            mean = sf.power(sum(arcs[1:], arcs[0]), Fraction(1, len(nodes))) if nodes else NEG
+            mean = MAXPLUS.power(sum(arcs[1:], arcs[0]), Fraction(1, len(nodes))) if nodes else NEG
             assert repr(mean) == repr(lam), (i, label, prob, nodes)
             seen["fractional"] += Fraction(lam).denominator > 1 if nodes else 0
             seen["full formula"] += full
@@ -963,12 +957,11 @@ def test_theta_relaxed_through_bhat_matches_the_closure_path(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:parameter box widened:RuntimeWarning")
 def test_float_data_gate_on_the_closure(monkeypatch):
-    sf = MAXPLUS
-    zeros = Vector((0.0, 0.0, 0.0), sf)
-    a = Matrix(((NEG, NEG, NEG), (NEG, 5.0, NEG), (NEG, NEG, NEG)), sf)
+    zeros = Vector((0.0, 0.0, 0.0))
+    a = Matrix(((NEG, NEG, NEG), (NEG, 5.0, NEG), (NEG, NEG, NEG)))
 
     def linear(b01, b12, b21=0.0):
-        b = Matrix(((NEG, b01, NEG), (NEG, NEG, b12), (NEG, b21, NEG)), sf)
+        b = Matrix(((NEG, b01, NEG), (NEG, NEG, b12), (NEG, b21, NEG)))
         return Problem(ProblemKind.LINEAR_CONSTRAINED, a, b, g=zeros)
 
     # the cycle 1 -> 2 -> 1 gains less than half a unit in the last place
@@ -981,14 +974,14 @@ def test_float_data_gate_on_the_closure(monkeypatch):
     # raise node 1 around the zero cycle 1 -> 2 -> 1 again and again; on
     # the exact ints the cycle weighs 0 and the walk settles
     zero_cycle = linear(0.2, 0.1, -0.1)
-    assert linalg._relax([0.0] * 3, linalg._finite(zero_cycle.B.rows, NEG), NEG) is None
+    assert linalg._relax([0.0] * 3, linalg._finite(zero_cycle.B.rows)) is None
     assert solve_problem(zero_cycle).minimum == 5.0
     # the starred flag of each Karp walk the solver starts
     kernel, starred = linalg._karp, []
 
-    def counted(tables, nzs, n, sf, flag):
+    def counted(tables, nzs, n, flag):
         starred.append(flag)
-        return kernel(tables, nzs, n, sf, flag)
+        return kernel(tables, nzs, n, flag)
 
     def theta(prob):
         try:
@@ -1002,13 +995,13 @@ def test_float_data_gate_on_the_closure(monkeypatch):
     # the dust cycle stops the relaxed walk and passes the closure's
     # gate, and Karp then runs on (Bhat*, Ahat); the near-range pair
     # settles in the relaxed walk
-    two = Vector((0.0, 0.0), sf)
+    two = Vector((0.0, 0.0))
     dust = Problem(
-        ProblemKind.GENERAL, Matrix(((0.0, NEG), (NEG, 0.0)), sf),
-        Matrix(((NEG, 1e-16), (NEG, NEG)), sf), two, two, Vector((NEG, 0.0), sf), two, 0.0)
+        ProblemKind.GENERAL, Matrix(((0.0, NEG), (NEG, 0.0))),
+        Matrix(((NEG, 1e-16), (NEG, NEG))), two, two, Vector((NEG, 0.0)), two, 0.0)
     near = Problem(
-        ProblemKind.FIXPOINT_CONSTRAINED, Matrix(((0.0, NEG), (NEG, 1e308)), sf),
-        Matrix(((NEG, 1e308), (NEG, NEG)), sf), two, two, r=0.0)
+        ProblemKind.FIXPOINT_CONSTRAINED, Matrix(((0.0, NEG), (NEG, 1e308))),
+        Matrix(((NEG, 1e308), (NEG, NEG))), two, two, r=0.0)
     assert theta(dust) == 2e-16 and theta(near) == 1e308
     assert starred == [True, False, True]
     # every float draw, whole at offsets of 1e9 or in tenths, starts the
@@ -1050,9 +1043,9 @@ def test_infeasible_float_data_weigh_their_cycles_in_one_pass(monkeypatch):
     passes = []
     kernel = linalg._floyd_warshall
 
-    def counted(d, stop, zero, start=0):
+    def counted(d, stop, start=0):
         passes.append((id(d), len(d), start, stop))
-        return kernel(d, stop, zero, start)
+        return kernel(d, stop, start)
 
     monkeypatch.setattr(linalg, "_floyd_warshall", counted)
     monkeypatch.setattr(optimize, "_floyd_warshall", counted)
@@ -1090,9 +1083,9 @@ def test_infeasible_exact_data_weigh_their_cycles_in_one_pass(monkeypatch):
     passes = []
     kernel = linalg._floyd_warshall
 
-    def counted(d, stop, zero, start=0):
+    def counted(d, stop, start=0):
         passes.append((len(d), start, stop))
-        return kernel(d, stop, zero, start)
+        return kernel(d, stop, start)
 
     for module in (linalg, optimize):
         monkeypatch.setattr(module, "_floyd_warshall", counted)
@@ -1118,11 +1111,11 @@ def _unscaled_family(prob: Problem, theta):
     """G, the parameter box and the canonical point in the data's own
     arithmetic, theta^-1 (x) A (+) B with a Fraction theta, as the
     solvers built them before the family ran at theta's scale."""
-    n, sf = prob.dim, prob.A.sf
-    inv_t = sf.inv(theta)
+    n = prob.dim
+    inv_t = MAXPLUS.inv(theta)
     scaled = prob.A.scale(inv_t)
     gen = (scaled if prob.B is None else scaled + prob.B).star()
-    lower = Vector.zeros(n, sf)
+    lower = Vector.zeros(n)
     if prob.p is not None:
         lower = lower + prob.p.scale(inv_t)
     if prob.g is not None:
@@ -1183,13 +1176,13 @@ def _unscaled_answer(prob: Problem):
     Bhat's closure gates, theta is the best cycle mean of Bhat* Ahat by
     cycle enumeration, and the family is `_unscaled_family`'s; the gate
     condition alone for an infeasible draw."""
-    n, sf = prob.dim, prob.A.sf
+    n = prob.dim
     qc = None if prob.q is None else prob.q.conj()
     hc = None if prob.h is None else prob.h.conj()
-    b_star, cycle = _star_and_cycle(optimize._border(prob.B, n, sf, prob.g, hc, None))
+    b_star, cycle = _star_and_cycle(optimize._border(prob.B, n, prob.g, hc, None))
     if cycle > 0:
         return InfeasibleConstraints
-    theta = max_cycle_mean(b_star @ optimize._border(prob.A, n, sf, prob.p, qc, prob.r))
+    theta = max_cycle_mean(b_star @ optimize._border(prob.A, n, prob.p, qc, prob.r))
     gen, lower, upper, canonical = _unscaled_family(prob, theta)
     return theta, gen.rows, lower.entries, upper and upper.entries, canonical.entries
 
@@ -1386,13 +1379,13 @@ def _three_pass(prob: Problem):
     and `SolutionSet.canonical`, all divided once by l D.  Returns
     their repr and the branches taken (a zero in the lower bound,
     l > 1, float data), or None when Bhat has a positive cycle."""
-    n, sf = prob.dim, prob.A.sf
-    zero = sf.zero
+    n = prob.dim
+    zero = MAXPLUS.zero
     qc = None if prob.q is None else prob.q.conj()
     hc = None if prob.h is None else prob.h.conj()
-    pair = (optimize._border(prob.B, n, sf, prob.g, hc, None),
-            optimize._border(prob.A, n, sf, prob.p, qc, prob.r))
-    (b_hat, a_hat), _, scale, floating = linalg._scan(pair, zero)
+    pair = (optimize._border(prob.B, n, prob.g, hc, None),
+            optimize._border(prob.A, n, prob.p, qc, prob.r))
+    (b_hat, a_hat), _, scale, floating = linalg._scan(pair)
     if _star_and_cycle(b_hat)[1] > 0:
         return None
     w, ell = (b_hat.star() @ a_hat).spectral_radius().as_integer_ratio()
@@ -1400,8 +1393,8 @@ def _three_pass(prob: Problem):
     def split(m):
         """Corner, last column and last row of a bordered matrix, times l."""
         rows = [[v if v == zero else v * ell for v in r] for r in m.rows]
-        return (Matrix([r[:n] for r in rows[:n]], sf), Vector([r[n] for r in rows[:n]], sf),
-                RowVector(rows[n][:n], sf))
+        return (Matrix([r[:n] for r in rows[:n]]), Vector([r[n] for r in rows[:n]]),
+                RowVector(rows[n][:n]))
 
     a, p, q_c = split(a_hat)
     b, g, h_c = split(b_hat)
@@ -1411,7 +1404,7 @@ def _three_pass(prob: Problem):
     dust = Fraction(1e-9) * ell * scale if floating else 0
     upper = None if row.is_zero() else _tighten_box(lower, (row @ gen).conj(), dust)
     canonical = SolutionSet(generator=gen, lower=lower, upper=upper).canonical()
-    answer = linalg._unscale((w, gen, lower, upper, canonical), ell * scale, floating, zero)
+    answer = linalg._unscale((w, gen, lower, upper, canonical), ell * scale, floating)
     return repr(answer), zero in lower.entries, ell > 1, floating
 
 
@@ -1515,10 +1508,10 @@ def test_theta_and_witness_where_the_walk_exits_on_the_support(monkeypatch):
     exits = Counter()
     tail = linalg._cycle_mean
 
-    def recording(tables, steps, v, sf):
+    def recording(tables, steps, v):
         if isinstance(steps, itertools.repeat):
             exits["early"] += 1
-        return tail(tables, steps, v, sf)
+        return tail(tables, steps, v)
 
     monkeypatch.setattr(linalg, "_cycle_mean", recording)
     rng = random.Random(139)
@@ -1533,7 +1526,7 @@ def test_theta_and_witness_where_the_walk_exits_on_the_support(monkeypatch):
         b_star, a_hat = _bordered_pair(prob)
         product = b_star @ a_hat
         assert theta == _karp_formula(product), (i, prob)
-        b_hat = optimize._border(prob.B, prob.dim, prob.A.sf, prob.g, None, None)
+        b_hat = optimize._border(prob.B, prob.dim, prob.g, None, None)
         lam, nodes = linalg._max_cycle(b_hat, a_hat, starred=True)
         arcs = [product.rows[u][v] for u, v in zip(nodes, nodes[1:] + nodes[:1])]
         assert lam == theta == Fraction(sum(arcs), len(arcs)), (i, prob, nodes)

@@ -15,6 +15,7 @@ from _words import (
     enum_cumulative_trace,
 )
 from tropt import (
+    MAXPLUS,
     GridTooLarge,
     Matrix,
     NoFeasiblePoint,
@@ -104,7 +105,6 @@ class TestGridMinimize:
         best, arg = grid_minimize(
             prob, GridSpec(Vector((-2, -2)), Vector((2, 2)), Fraction(1))
         )
-        sf = prob.A.sf
         assert arg.entries[0] >= arg.entries[1] + 1
         # every reported value is reproducible by hand at the argmin
         x1, x2 = arg.entries
@@ -331,8 +331,7 @@ class TestCompositionEnumeration:
         a = Matrix(((1, NEG), (NEG, NEG)))
         b = Matrix(((NEG, 0), (0, NEG)))
         s = a + b
-        sf = a.sf
-        expected = sf.add(s.trace(), (s @ s).trace())
+        expected = MAXPLUS.add(s.trace(), (s @ s).trace())
         assert enum_cumulative_trace(a, b, 2) == expected
 
 
@@ -363,7 +362,7 @@ def _vec(v):
     """Fraction entries, None for the zero; None for no vector."""
     if v is None:
         return None
-    return [oracle._exact(x, v.sf.zero) for x in v.entries]
+    return [oracle._exact(x) for x in v.entries]
 
 
 def _denoms(*structures):
@@ -403,7 +402,7 @@ def _ref_grid_minimize(problem, grid):
     a, b = oracle._mat(problem.A), oracle._mat(problem.B)
     p, q = _vec(problem.p), _vec(problem.q)
     g, h = _vec(problem.g), _vec(problem.h)
-    r = None if problem.r is None else oracle._exact(problem.r, problem.A.sf.zero)
+    r = None if problem.r is None else oracle._exact(problem.r)
     corners = [
         grid.step,
         [Fraction(v) for v in grid.lower.entries],

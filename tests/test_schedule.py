@@ -321,9 +321,9 @@ def _spec_mapped(spec: ScheduleSpec, f) -> ScheduleSpec:
     """The spec with f applied to each finite entry."""
     def conv(x):
         if isinstance(x, Matrix):
-            return Matrix(tuple(tuple(v if v == NEG else f(v) for v in r) for r in x.rows), x.sf)
+            return Matrix(tuple(tuple(v if v == NEG else f(v) for v in r) for r in x.rows))
         if isinstance(x, Vector):
-            return Vector(tuple(v if v == NEG else f(v) for v in x.entries), x.sf)
+            return Vector(tuple(v if v == NEG else f(v) for v in x.entries))
         return x
 
     return dataclasses.replace(spec, **{fld.name: conv(getattr(spec, fld.name))
@@ -377,9 +377,9 @@ def test_float_schedules_give_the_rounded_exact_answer():
 def test_one_scan_of_the_spec_and_no_general_problem(monkeypatch, project_spec, solve):
     scanned = []
 
-    def scan(items, zero):
+    def scan(items):
         scanned.append(items)
-        return linalg._scan(items, zero)
+        return linalg._scan(items)
 
     def refuse(*args):
         raise AssertionError("the schedule went through a General Problem")
@@ -404,7 +404,7 @@ def test_bordered_lists_are_the_tables_finite_entries(monkeypatch):
 
     def optimum(kind, scanned, dust):
         tables, lists, *_ = scanned
-        assert lists == tuple(linalg._finite(t.rows, NEG) for t in tables)
+        assert lists == tuple(linalg._finite(t.rows) for t in tables)
         checked.append(kind)
         return real(kind, scanned, dust)
 

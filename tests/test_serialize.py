@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import _frozen as frozen
-from tropt import MAXPLUS, Matrix, ProblemKind, Vector, solve_schedule
+from tropt import Matrix, ProblemKind, Vector, solve_schedule
 from tropt.linalg import RowVector
 from tropt.serialize import (
     dumps,
@@ -111,7 +111,7 @@ class TestLoads:
 
     def test_float_mode_keeps_the_spellings_of_zero(self):
         rows = loads('[[null, "-inf", -Infinity, 1e-400]]', exact=False)
-        assert parse_matrix(rows, MAXPLUS, exact=False).rows == ((NEG, NEG, NEG, 0.0),)
+        assert parse_matrix(rows, exact=False).rows == ((NEG, NEG, NEG, 0.0),)
 
     def test_dumps_is_deterministic(self):
         assert dumps({"b": 1, "a": 2}) == dumps({"a": 2, "b": 1})
