@@ -55,9 +55,9 @@ class Unsolvable(TroptError):
 class _ConditionError(Unsolvable):
     """Base for errors that name a violated feasibility condition."""
 
-    def __init__(self, condition: str, message: str | None = None):
+    def __init__(self, condition: str):
         self.condition = condition
-        super().__init__(message or condition)
+        super().__init__(condition)
 
 
 class NoRegularSolution(_ConditionError):

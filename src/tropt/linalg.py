@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import truediv
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -123,6 +122,24 @@ def _product(left: Sequence[Sequence[Scalar]], right: Sequence[Sequence[Scalar]]
     return _sum_products(len(right[0]), ((left, right_nz),))
 
 
+def _powers(rows: tuple[tuple, ...], nz: list[list], top: int) -> list[tuple]:
+    """Rows of [I, M, M^2, ..., M^top] for the square table M and its
+    `_finite` lists nz, each power after M one product by M; M is its
+    own first power, so a float -0.0 entry stays -0.0."""
+    out = [Matrix.identity(len(rows)).rows, rows]
+    for _ in range(top - 1):
+        out.append(_product(out[-1], rows, nz))
+    return out[:max(top, 0) + 1]
+
+
+def _join(left: Sequence[Sequence[Scalar]],
+          right: Sequence[Sequence[Scalar]]) -> tuple[tuple, ...]:
+    """Rows of the entrywise max-plus sum of two tables of one shape,
+    inlined: the left entry wins ties."""
+    return tuple([tuple([x if y <= x else y for x, y in zip(r, s)])
+                  for r, s in zip(left, right)])
+
+
 @dataclass(frozen=True)
 class Matrix:
     rows: tuple[tuple[Scalar, ...], ...]
@@ -152,8 +169,8 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        one, zero = MAXPLUS.one, MAXPLUS.zero
-        return Matrix(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+        zeros = (MAXPLUS.zero,) * n
+        return Matrix(tuple([zeros[:i] + (MAXPLUS.one,) + zeros[i + 1:] for i in range(n)]))
 
     # -- shape ----------------------------------------------------------
 
@@ -194,13 +211,7 @@ class Matrix:
             raise ShapeMismatch(
                 f"add {self.n_rows}x{self.n_cols} with {other.n_rows}x{other.n_cols}"
             )
-        # the max-plus sum inlined: the left operand wins ties
-        return Matrix._built(
-            tuple(
-                tuple(x if y <= x else y for x, y in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return Matrix._built(_join(self.rows, other.rows))
 
     def __matmul__(self, other: Union["Matrix", "Vector"]) -> Union["Matrix", "Vector"]:
         """Max-plus product: entry (i, j) is the max over k of
@@ -271,13 +282,9 @@ class Matrix:
         return result
 
     def powers(self, top: int) -> list["Matrix"]:
-        """[I, A, A^2, ..., A^top] by iterated products on A's finite entries."""
-        n = self._require_square()
-        nz = _finite(self.rows)
-        out = [Matrix.identity(n).rows]
-        for _ in range(top):
-            out.append(_product(out[-1], self.rows, nz))
-        return [Matrix._built(t) for t in out]
+        """[I, A, A^2, ..., A^top] (`_powers`)."""
+        self._require_square()
+        return [Matrix._built(t) for t in _powers(self.rows, _finite(self.rows), top)]
 
     def trace_sum(self) -> Scalar:
         """Tr(A) = tr A (+) tr A^2 (+) ... (+) tr A^n, at most one exactly
@@ -382,14 +389,10 @@ def _scaled_sum(c: Scalar, a: Matrix, b: Matrix | None) -> Matrix:
     zero, and the scaled entry, the left operand, wins ties."""
     zero = MAXPLUS.zero
     if c == zero:
-        scaled = [[zero] * len(r) for r in a.rows]
+        scaled = tuple([(zero,) * len(r) for r in a.rows])
     else:
-        scaled = [[zero if v == zero else c + v for v in r] for r in a.rows]
-    if b is not None:
-        scaled = [
-            [x if y <= x else y for x, y in zip(ra, rb)] for ra, rb in zip(scaled, b.rows)
-        ]
-    return Matrix._built(tuple(map(tuple, scaled)))
+        scaled = tuple([tuple([zero if v == zero else c + v for v in r]) for r in a.rows])
+    return Matrix._built(scaled if b is None else _join(scaled, b.rows))
 
 
 def _trace_product(left: Matrix, right: Matrix) -> Scalar:
@@ -692,42 +695,47 @@ def _dust(eps: float, scale: int, floating: bool) -> Scalar:
     return Fraction(eps) * scale if floating else 0
 
 
-def _unscale(items, scale: int, floating: bool) -> tuple:
-    """The items of `_scan`'s ints divided by scale, each entry
-    once: for float data the correctly rounded float (int true
-    division), else an int where the quotient is whole and a Fraction
-    elsewhere.  A quotient past the float range raises ValueError."""
+def _unscale(items, scale: int, floating: bool):
+    """The items of `_scan`'s ints, walked as `_rescaled` walks them,
+    divided by scale, each entry once: for float data the correctly
+    rounded float (int true division), else an int where the quotient
+    is whole and a Fraction elsewhere.  A quotient past the float range
+    raises ValueError."""
     if floating:
-        def divide(row):  # zero / scale is zero; float(v) is v / 1
-            return tuple(map(truediv, row, repeat(scale)) if scale > 1 else map(float, row))
+        def divide(row):  # zero / scale is zero
+            return tuple([v / scale for v in row])
     elif scale == 1:
-        return tuple(items)
+        return items
     else:
         zero = MAXPLUS.zero
 
         def divide(row):
-            return tuple(v if v == zero else Fraction(v, scale) if v % scale else v // scale
-                         for v in row)
+            return tuple([v if v == zero else Fraction(v, scale) if v % scale else v // scale
+                          for v in row])
     try:
         return _rescaled(items, divide)
     except OverflowError:
         raise ValueError(_OVERFLOW) from None
 
 
-def _rescaled(items, row) -> tuple:
-    """The Matrix, vector and scalar items with `row` applied to each
-    row of entries (a vector's entries, a scalar as a 1-tuple); None
-    items stay None."""
-    out = []
-    for x in items:
-        if isinstance(x, Matrix):
-            x = Matrix._built(tuple(map(row, x.rows)))
-        elif isinstance(x, _Entries):
-            x = type(x)(row(x.entries))
-        elif x is not None:
-            x = row((x,))[0]
-        out.append(x)
-    return tuple(out)
+def _rescaled(x, row):
+    """x with the entrywise `row` applied to each row of entries of its
+    Matrix, vector and scalar items (a vector's entries, a scalar as a
+    1-tuple), walking tuples, lists and dict values; the values of a
+    dict of int and float scalars are one row.  None stays None."""
+    if isinstance(x, Matrix):
+        return Matrix._built(tuple(map(row, x.rows)))
+    if isinstance(x, _Entries):
+        return type(x)(row(x.entries))
+    if isinstance(x, dict):
+        if {int, float}.issuperset(map(type, x.values())):
+            return dict(zip(x, row(x.values())))
+        return {key: _rescaled(v, row) for key, v in x.items()}
+    if isinstance(x, list):
+        return [_rescaled(v, row) for v in x]
+    if isinstance(x, tuple):
+        return tuple([_rescaled(v, row) for v in x])
+    return x if x is None else row((x,))[0]
 
 
 @dataclass(frozen=True)
@@ -887,13 +895,9 @@ def closure_sums(a: Matrix, b: Matrix) -> list[Matrix]:
     Each of the n-1 factors maps the coefficients T_k to
     T_k (I (+) B) (+) T_(k-1) A.  Entry 0 is B*."""
     n = _check_pair(a, b)
-    eye = Matrix.identity(n)
-    step = (eye + b).rows
+    step = _join(Matrix.identity(n).rows, b.rows)
     step_nz, a_nz = _finite(step), _finite(a.rows)
-    tops, bottoms = [eye.rows], [eye.rows]
-    for _ in range(n - 1):
-        tops.append(_product(tops[-1], a.rows, a_nz))
-        bottoms.append(_product(bottoms[-1], step, step_nz))
+    tops, bottoms = _powers(a.rows, a_nz, n - 1), _powers(step, step_nz, n - 1)
     return [Matrix._built(t) for t in _closures(tops, bottoms, step_nz, a_nz)]
 
 

@@ -131,9 +131,8 @@ def objective_value(problem: Problem, x: Vector) -> Scalar:
 
 
 # kinds whose optimum needs a cycle in A, and kinds that need only one
-# nonzero scale bound: lambda(A), (q^- p)^(1/2) or r; for Basic a zero
-# theta is the no-cycle gate
-_NEEDS_CYCLE = (ProblemKind.EXTENDED, ProblemKind.LINEAR_CONSTRAINED)
+# nonzero scale bound: lambda(A), (q^- p)^(1/2) or r
+_NEEDS_CYCLE = (ProblemKind.BASIC, ProblemKind.EXTENDED, ProblemKind.LINEAR_CONSTRAINED)
 _NEEDS_SCALE = (ProblemKind.BOX_CONSTRAINED, ProblemKind.FIXPOINT_CONSTRAINED,
                 ProblemKind.GENERAL)
 
@@ -224,8 +223,6 @@ def _optimum(kind: ProblemKind, scanned, dust) -> tuple[int, tuple]:
     if (kind in _NEEDS_SCALE and MAXPLUS.is_zero(a_hat.row(n) @ a_hat.column(n))
             and _acyclic(a_nz, n)):
         raise DegenerateProblem("every scale bound is zero: no cycle, q^- p zero, r zero")
-    if MAXPLUS.is_zero(found[0]):
-        raise ZeroSpectralRadius("matrix has no cycle")
     # theta = w / l: the family at data scale l, where theta is the int
     # w, read off m = theta^-1 Ahat (+) Bhat = [[theta^-1 A (+) B,
     # theta^-1 p (+) g], [theta^-1 q^- (+) h^-, theta^-1 r]]; theta and

@@ -23,23 +23,27 @@ the solve (`optimize._optimum`) and y, s, t and the flow times all
 run on those ints, and each answer is divided once, so a float answer
 is the correctly rounded exact one.  `solve_schedule_detailed` also
 lists theta's terms off the same scan, the rooted squeezes of the
-chain and closure families of (A, B) against p, q, g, h, as a ledger.
+chain and closure families of (A, B) against p, q, g, h, as a ledger:
+a dict that names each printed item once, from the powers `A_pow` and
+`B_pow` through the families and their `sum_*` roots to `theta`,
+`scaled_sum` and the solution family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from itertools import accumulate
+from typing import Optional
 
 from .errors import InfeasibleConstraints, InfeasibleSchedule, SpecValidation
 # chain_sums and closure_sums stay names of this module, where tracers
 # that patch names where they are looked up find them; the ledger
 # builds both families on its own int tables
 from .linalg import (  # noqa: F401
-    Matrix, RowVector, Vector, _border, _closures, _compared, _dust, _finite, _product,
-    _rescaled, _scaled_sum, _scan, _sum_products, _trace_product, _unscale, chain_sums,
-    closure_sums,
+    Matrix, RowVector, Vector, _border, _closures, _compared, _dust, _finite, _join, _powers,
+    _product, _rescaled, _scaled_sum, _scan, _sum_products, _trace_product, _unscale,
+    chain_sums, closure_sums,
 )
 from .linsolve import SolutionSet
 from .optimize import Problem, ProblemKind, _optimum
@@ -143,6 +147,15 @@ def _scanned(spec: ScheduleSpec) -> tuple:
                   spec.earliest_start, spec.latest_start))
 
 
+def _times(items: tuple, ell: int) -> tuple:
+    """The int items at ell times their scale: each finite entry times
+    ell, zero staying zero (`_rescaled`)."""
+    if ell == 1:
+        return items
+    zero = MAXPLUS.zero
+    return _rescaled(items, lambda row: tuple([v if v == zero else v * ell for v in row]))
+
+
 def _solve(spec: ScheduleSpec, scanned: tuple, eps: float) -> ScheduleResult:
     """The schedule off the spec's scan: the rewrite on its ints, the
     bordered pair's optimum at unit l D (`optimize._optimum`, a dust
@@ -162,9 +175,8 @@ def _solve(spec: ScheduleSpec, scanned: tuple, eps: float) -> ScheduleResult:
                                 _dust(eps, scale, floating))
     except InfeasibleConstraints as exc:
         raise InfeasibleSchedule(exc.condition) from None
-    ell, x = unit // scale, answer[-1]
-    if ell > 1:
-        a, q, p = _rescaled((a, q, p), lambda row: tuple(v if v == zero else v * ell for v in row))
+    x = answer[-1]
+    a, q, p = _times((a, q, p), unit // scale)
     y = a @ x
     s = x.meet(q)
     t = y + p
@@ -192,32 +204,29 @@ def _ledger(scanned: tuple, result: ScheduleResult) -> dict:
     and their sum `theta`, then the solution family.
 
     It reads the solve's own `_scan` of A, B, p, q, g and h, ints at
-    one D, builds every family once on the int tables, and divides
-    each printed item once (`_unscale`), so a float item is the
-    correctly rounded exact value on the data's own values.
+    one D, and builds each printed item once, under its own key, on
+    the int tables.  The items are divided by one `_unscale` call per
+    unit: D for the powers, the families and their terms, k D for a
+    sum whose largest root is v/k, and l D for theta^-1 A (+) B and its
+    powers, so a float item is the correctly rounded exact value on
+    the data's own values.
     After s factors of the closure recurrence the top coefficient is
     A^s and the bottom one (I (+) B)^s = I (+) B (+) ... (+) B^s, read
-    off the two power lists; B* is T_0, the chain C_(k+1) is A T_k and
-    C_n = A^n, and q^- C_(k+1) = (q^- A) T_k.  Each T_k's finite
-    entries are listed once, for A T_k, h^- T_k and (q^- A) T_k.  The
-    root v^(1/k) is the ratio v/k of ints, compared by
-    cross-multiplying; theta = w/l at scale D puts theta^-1 A (+) B and
-    its powers at scale l D, where theta is the int w, as in the
-    solver's family table."""
+    off `_powers` of A and B, the latter joined as they come; B* is
+    T_0, the chain C_(k+1) is A T_k and C_n = A^n, and
+    q^- C_(k+1) = (q^- A) T_k.  Each T_k's finite entries are listed
+    once, for A T_k, h^- T_k and (q^- A) T_k.  The root v^(1/k) is the
+    ratio v/k of ints, compared by cross-multiplying; theta = w/l at
+    scale D puts theta^-1 A (+) B and its powers at scale l D, where
+    theta is the int w, as in the solver's family table."""
     (a, b, _, q, _, h), (a_nz, b_nz, (p_nz,), _, (g_nz,), _), scale, floating = scanned
     zero, n = MAXPLUS.zero, a.n_rows
-    eye = Matrix.identity(n).rows
-    a_pow, b_pow, b_sums = [eye, a.rows], [eye, b.rows], [eye]
-    for _ in range(n - 1):
-        a_pow.append(_product(a_pow[-1], a.rows, a_nz))
-        b_pow.append(_product(b_pow[-1], b.rows, b_nz))
-    for m in b_pow[1:]:
-        b_sums.append(tuple([tuple([x if y <= x else y for x, y in zip(r, s)])
-                             for r, s in zip(b_sums[-1], m)]))
+    a_pow, b_pow = _powers(a.rows, a_nz, n), _powers(b.rows, b_nz, n)
+    b_sums = list(accumulate(b_pow, _join))
     closures = _closures(a_pow, b_sums, _finite(b_sums[1]), a_nz)
     t_nz = [_finite(t) for t in closures]
-    chains = [eye] + [_product(a.rows, t, nz) for t, nz in zip(closures[:-1], t_nz)]
-    chains.append(a_pow[n])
+    chains = ([a_pow[0]] + [_product(a.rows, t, nz) for t, nz in zip(closures[:-1], t_nz)]
+              + [a_pow[n]])
 
     # the rows h^- T_k and q^- C_(k+1) = (q^- A) T_k, two rows a product
     hc, qc = tuple(-v for v in h.entries), tuple(-v for v in q.entries)
@@ -266,45 +275,29 @@ def _ledger(scanned: tuple, result: ScheduleResult) -> dict:
     # theta = w / l at scale D, finite since q^- p is: theta^-1 A (+) B
     # at scale l D
     w, ell = Fraction(*top).as_integer_ratio()
-    a_l, b_l = (a, b) if ell == 1 else _rescaled(
-        (a, b), lambda row: tuple(v if v == zero else v * ell for v in row))
-    scaled = _scaled_sum(-w, a_l, b_l).rows
-    s_pow, s_nz = [scaled], _finite(scaled)
-    for _ in range(n - 2):
-        s_pow.append(_product(s_pow[-1], scaled, s_nz))
+    a_l, b_l = _times((a, b), ell)
+    scaled = _scaled_sum(-w, a_l, b_l)
+    s_pow = _powers(scaled.rows, _finite(scaled.rows), n - 1)
 
-    def divided(items, unit: int = 1) -> Iterator:
-        """The items at scale unit D, each divided once, in order."""
-        return iter(_unscale(items, unit * scale, floating))
-
-    # the tables at scale D, then their scalars as one row
-    scalars = [_trace_product(b, Matrix._built(closures[0])), dot(h_rows[0], g_nz)]
-    for terms in families.values():
-        scalars += terms.values()
-    out = divided([Matrix._built(t) for t in a_pow[2:] + b_pow[2:] + closures + chains]
-                  + [RowVector(scalars)])
-    inter: dict = {
-        "A_pow": {str(k): next(out) for k in range(2, n + 1)},
-        "B_pow": {str(k): next(out) for k in range(2, n + 1)},
-    }
-    closures = [next(out) for _ in closures]
-    chains = [next(out) for _ in chains]
-    values = iter(next(out).entries)
+    closures = [Matrix._built(t) for t in closures]
+    inter = _unscale({
+        "A_pow": {str(k): Matrix._built(a_pow[k]) for k in range(2, n + 1)},
+        "B_pow": {str(k): Matrix._built(b_pow[k]) for k in range(2, n + 1)},
+        "B_star": None,  # closure_sums[0], once divided
+        "trace_sum_B": _trace_product(b, closures[0]),
+        "h_Bstar_g": dot(h_rows[0], g_nz),
+        "chain_sums": [Matrix._built(t) for t in chains],
+        "closure_sums": closures,
+        **{key: {str(k): v for k, v in terms.items()} for key, terms in families.items()},
+    }, scale, floating)
+    inter["B_star"] = inter["closure_sums"][0]
+    inter.update({key: _unscale(v, k * scale, floating) for key, (v, k) in sums.items()})
+    inter["theta"] = _unscale(top[0], top[1] * scale, floating)
+    inter.update(_unscale({
+        "scaled_sum": scaled,
+        "scaled_sum_pow": {str(k): Matrix._built(s_pow[k]) for k in range(2, n)},
+    }, ell * scale, floating))
     inter.update(
-        B_star=closures[0],
-        trace_sum_B=next(values),
-        h_Bstar_g=next(values),
-        chain_sums=chains,
-        closure_sums=closures,
-    )
-    for key, terms in families.items():
-        inter[key] = {str(k): next(values) for k in terms}
-    inter.update({key: next(divided((v,), k)) for key, (v, k) in sums.items()})
-    s_pow = divided([Matrix._built(t) for t in s_pow], ell)
-    inter.update(
-        theta=next(divided(top[:1], top[1])),
-        scaled_sum=next(s_pow),
-        scaled_sum_pow={str(k): next(s_pow) for k in range(2, n)},
         generator=result.solutions.generator,
         lower_u=result.solutions.lower,
         upper_u=result.solutions.upper,

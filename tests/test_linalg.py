@@ -1236,3 +1236,27 @@ def test_scan_names_an_infinite_entry():
                   (Matrix(((Fraction(1, 3),),)), RowVector((2, INF)))):
         with pytest.raises(ValueError, match="^float overflow: a result is \\+inf$"):
             linalg._scan(items)
+
+
+_M2, _M3 = Matrix(((0, 1), (2, 3))), Matrix(((0, 1, 2), (2, 3, 4), (1, 1, 1)))
+_V2, _V3 = Vector((1, 2)), Vector((1, 2, 3))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: _M2 + 1, TypeError, "unsupported operand type(s) for +: 'Matrix' and 'int'"),
+    (lambda: RowVector((1, 2)) @ 3, TypeError,
+     "unsupported operand type(s) for @: 'RowVector' and 'int'"),
+    (lambda: _M2 + _M3, ShapeMismatch, "add 2x2 with 3x3"),
+    (lambda: _M2 @ _V3, ShapeMismatch, "2x2 times vector of dim 3"),
+    (lambda: _M2.leq(_M3), ShapeMismatch, "order on unequal shapes"),
+    (lambda: _V2 + _V3, ShapeMismatch, "add dims 2 and 3"),
+    (lambda: _V2.meet(_V3), ShapeMismatch, "meet dims 2 and 3"),
+    (lambda: _V2.leq(_V3), ShapeMismatch, "order on unequal dims"),
+    (lambda: RowVector((1, 2)) @ _V3, ShapeMismatch, "row dim 2 times vector dim 3"),
+    (lambda: RowVector((1, 2)) @ _M3, ShapeMismatch, "row dim 2 times 3x3"),
+    (lambda: closure_sums(_M2, _M3), ShapeMismatch, "families need equal square orders"),
+])
+def test_unequal_shapes_and_foreign_operands_are_named(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -307,3 +307,15 @@ def test_float_data_give_the_rounded_exact_answer():
         seen["gated" if isinstance(want, str) else scale] += 1
         seen["combined" if floats[2] is not None else "fixpoint"] += 1
     assert min(seen.values()) > 50 and seen[1e-1] + seen[1e3] + seen[1.4e8] > 300, seen
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: solve_fixpoint_lower(Matrix(((0, 1), (2, 3))), Vector((1, 2, 3))),
+     ShapeMismatch, "lower bound dim 3 against order 2"),
+    (lambda: solve_combined(Matrix(((0, 1), (2, 3))), Vector((1, 2)), Vector((1, NEG))),
+     NotRegularVector, "upper bound must be regular"),
+])
+def test_bad_bounds_are_named(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

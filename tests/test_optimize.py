@@ -1531,3 +1531,10 @@ def test_theta_and_witness_where_the_walk_exits_on_the_support(monkeypatch):
         arcs = [product.rows[u][v] for u, v in zip(nodes, nodes[1:] + nodes[:1])]
         assert lam == theta == Fraction(sum(arcs), len(arcs)), (i, prob, nodes)
     assert min(exits[kinds[0]], exits[kinds[1]]) > 100 and exits["early"] > 300, exits
+
+
+def test_objective_value_names_a_point_of_the_wrong_size():
+    prob = Problem(ProblemKind.BASIC, Matrix(((0, 1, 2), (2, 3, 4), (1, 1, 1))))
+    with pytest.raises(ShapeMismatch) as info:
+        objective_value(prob, Vector((1, 2)))
+    assert str(info.value) == "x dim 2, order 3"

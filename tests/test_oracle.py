@@ -814,3 +814,16 @@ def test_an_off_centre_window_finds_its_minimum():
             constraints = _random_terms(rng, n, rng.choice((0, 1, 2)))
             got = _outcome(oracle._scan, axes, objective, constraints)
             assert got == _outcome(_literal_scan, axes, objective, constraints)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: max_cycle_mean(Matrix(((0.5, 1), (2, 3)))), TypeError,
+     "oracle needs exact scalars, got 0.5"),
+    (lambda: grid_minimize(Problem(ProblemKind.BASIC, Matrix(((0, 1, 2), (2, 3, 4), (1, 1, 1)))),
+                           GridSpec(Vector((0, 0)), Vector((1, 1)), Fraction(1))),
+     ValueError, "grid dimension differs from problem order"),
+])
+def test_float_data_and_a_grid_of_the_wrong_size_are_named(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
