@@ -11,22 +11,32 @@ imported and never changed: `feasible_schedule` draws for
 draws as they are (int) and with each datum v as v/10 (decimal).  The
 grid oracle, `oracle.grid_minimize`, runs at order 3 on the
 `feasible_problem` draws, each over the window-1 grid around its
-closed-form canonical point that `tropt verify --window 1` scans.  Each
-round times every draw once on each tree, the tree that goes first
-alternating from round to round.  For each solver and order the script
-prints the fastest milliseconds per solve (per scan for the grid
-oracle) of each tree over the rounds, the rounds each tree won, and
-how many answers differ: by repr, and for the ledger by its
-`serialize.dumps` text, which is what the CLI prints.
+closed-form canonical point that `tropt verify --window 1` scans.  The
+request path, `cli.main`, runs in process on draws written to a temp
+dir: `solve` at order 4 on the `feasible_problem` draws, exact and
+--float, and `schedule --emit-intermediates` at order 6 on the schedule
+draws.  Each round times every draw once on each tree, the tree that
+goes first alternating from round to round.  For each solver and order
+the script prints the fastest milliseconds per solve (per scan for the
+grid oracle, per request for the CLI) of each tree over the rounds, the
+median over rounds of this tree's time over the other's, the rounds
+each tree won, and how many answers differ: by repr, for the ledger by
+its `serialize.dumps` text, which is what the CLI prints, and for a
+request by its exit code and stdout.
 
 Usage:
     python3 scripts/ab_trees.py OTHER_TREE [--sizes 12 32 64] [--rounds 15] [--draws 6]
 """
 
 import argparse
+import contextlib
 import functools
 import importlib.util
+import io
+import json
+import statistics
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -39,6 +49,9 @@ import gen  # noqa: E402
 NEG = float("-inf")
 LEDGER_SIZES = (6, 12)
 GRID_ORDER = 3
+# (subcommand, order, flags) of the request rows
+CLI_REQUESTS = (("solve", 4, ()), ("solve", 4, ("--float",)),
+                ("schedule", 6, ("--emit-intermediates",)))
 
 
 def load_tropt(tree: Path, name: str):
@@ -122,6 +135,34 @@ def grid_calls(tropt, n: int, count: int) -> list:
     return calls
 
 
+def request(main, argv: list) -> tuple[int, str]:
+    """The exit code and stdout of main(argv); stderr is dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def cli_calls(command: str, flags: tuple, workdir: Path):
+    """The builder of `cli.main` requests `command FILE *flags`, each
+    FILE a draw written to workdir: a schedule, or a feasible problem of
+    the six kinds in turn."""
+    def build(tropt, n: int, count: int) -> list:
+        main = functools.partial(request, importlib.import_module(tropt.__name__ + ".cli").main)
+        calls = []
+        for i in range(count):
+            if command == "schedule":
+                doc = gen.feasible_schedule(gen.instance_rng("ab-schedule", n, i), n).to_json()
+            else:
+                kind = gen.KINDS[i % len(gen.KINDS)]
+                doc = gen.feasible_problem(gen.instance_rng("ab-problem", n, i), kind, n)
+            path = workdir / f"{command}-{n}-{i}.json"
+            path.write_text(json.dumps(doc))
+            calls.append((main, [command, str(path), *flags]))
+        return calls
+    return build
+
+
 def timed(calls) -> tuple[float, list]:
     """Seconds per call over one run of the calls, and their answers."""
     start = time.perf_counter()
@@ -148,26 +189,38 @@ def main() -> int:
     rows += [(f"solve_schedule_detailed {data}", n, ledger_calls(data == "decimal"))
              for n in LEDGER_SIZES for data in ("int", "decimal")]
     rows.append(("grid_minimize", GRID_ORDER, grid_calls))
-    for label, n, build in rows:
-        calls = {name: build(tropt, n, args.draws) for name, tropt in trees.items()}
-        best = dict.fromkeys(trees, float("inf"))
-        wins = dict.fromkeys(trees, 0)
-        answers = {}
-        for r in range(args.rounds):
-            order = ("this", "other") if r % 2 else ("other", "this")
-            took = {}
-            for name in order:
-                took[name], answers[name] = timed(calls[name])
-                best[name] = min(best[name], took[name])
-            wins[min(took, key=took.get)] += 1
-        differ = sum(answer_text(trees["this"], a) != answer_text(trees["other"], b)
-                     for a, b in zip(answers["this"], answers["other"]))
-        unit = "scan" if build is grid_calls else "solve"
-        print(f"{label} n={n}: other {best['other'] * 1e3:.3f} ms, "
-              f"this {best['this'] * 1e3:.3f} ms per {unit} (fastest round); "
-              f"this won {wins['this']} of {args.rounds} rounds; "
-              f"{differ} of {args.draws} answers differ")
+    with tempfile.TemporaryDirectory(prefix="ab_trees-") as workdir:
+        rows += [(" ".join(("cli.main", command, *flags)), n,
+                  cli_calls(command, flags, Path(workdir)))
+                 for command, n, flags in CLI_REQUESTS]
+        for label, n, build in rows:
+            compare(trees, label, n, build, args.rounds, args.draws)
     return 0
+
+
+def compare(trees: dict, label: str, n: int, build, rounds: int, draws: int) -> None:
+    """Time one row's calls on both trees over the rounds; print its line."""
+    calls = {name: build(tropt, n, draws) for name, tropt in trees.items()}
+    best = dict.fromkeys(trees, float("inf"))
+    wins = dict.fromkeys(trees, 0)
+    ratios = []
+    answers = {}
+    for r in range(rounds):
+        order = ("this", "other") if r % 2 else ("other", "this")
+        took = {}
+        for name in order:
+            took[name], answers[name] = timed(calls[name])
+            best[name] = min(best[name], took[name])
+        wins[min(took, key=took.get)] += 1
+        ratios.append(took["this"] / took["other"])
+    differ = sum(answer_text(trees["this"], a) != answer_text(trees["other"], b)
+                 for a, b in zip(answers["this"], answers["other"]))
+    unit = {"grid_minimize": "scan", "cli.main": "request"}.get(label.split()[0], "solve")
+    print(f"{label} n={n}: other {best['other'] * 1e3:.3f} ms, "
+          f"this {best['this'] * 1e3:.3f} ms per {unit} (fastest round), "
+          f"median this/other {statistics.median(ratios):.3f}; "
+          f"this won {wins['this']} of {rounds} rounds; "
+          f"{differ} of {draws} answers differ")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,11 @@ answers, and `serialize.dumps` encodes the handler's document.
 One parser serves a process: `main` builds it on its first call and
 reuses it after.  That is safe because `parse_args` returns a fresh
 Namespace each call, and usage errors and --help look up sys.stderr
-and sys.stdout when they print.
+and sys.stdout when they print.  A request whose first argument names
+a subcommand goes straight to that subcommand's parser, which is what
+the two-level parse would hand it all the other arguments to; any
+other argv (none, -h, an unknown word) takes the two-level parse.
+Either way a leftover argument is the top-level parser's error.
 """
 
 from __future__ import annotations
@@ -66,11 +70,22 @@ def _eps(args) -> float:
     return 1e-9 if args.epsilon is None else args.epsilon
 
 
+def _read(name: str) -> str:
+    """The text of file `name` in the locale's encoding.  A failed open
+    is left to `Path.read_text`, which reads "x/" as "x" and names the
+    path in its error as Path spells it ("./x" as "x", "" as ".")."""
+    try:
+        with open(name) as f:
+            return f.read()
+    except OSError:
+        return Path(name).read_text()
+
+
 def _load(args) -> tuple[object, bool]:
     """The input document ('-' reads stdin) and its mode, True for
     exact; without mode flags (verify) that is exact mode."""
     exact = _mode(args)
-    text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
+    text = sys.stdin.read() if args.input == "-" else _read(args.input)
     return serialize.loads(text, exact), exact
 
 
@@ -254,15 +269,27 @@ def _add_mode_flags(sub) -> None:
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1, the code for bad input, not argparse's 2,
     which this CLI keeps for infeasible instances.  Subparsers share
-    the class."""
+    the class; only the top-level parser has `commands`, the map from
+    subcommand name to subparser that `build_parser` records."""
+
+    commands: Optional[dict] = None
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
     def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        sub = self.commands.get(args[0]) if self.commands and args else None
+        if sub is None:
+            namespace, extras = super().parse_known_args(args, namespace)
+        else:
+            # what the subparsers action does with all of args: hand the
+            # rest to the command's parser and name the command; the
+            # caller reports the leftovers as the top-level parser's
+            namespace, extras = sub.parse_known_args(args[1:], namespace)
+            namespace.command = args[0]
         # --epsilon implies --float, so it cannot join --exact
-        namespace, extras = super().parse_known_args(args, namespace)
         if getattr(namespace, "exact", False) and getattr(namespace, "epsilon", None) is not None:
             self.error("argument --epsilon: not allowed with argument --exact")
         return namespace, extras
@@ -274,45 +301,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="closed-form tropical optimization and scheduling",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
 
-    sub = subs.add_parser("solve", help="minimize a span objective")
-    sub.add_argument("input", metavar="problem", help="problem JSON file ('-' for stdin)")
+    def command(name: str, func, summary: str, metavar: str, input_help: str):
+        sub = parser.commands[name] = subs.add_parser(name, help=summary)
+        sub.add_argument("input", metavar=metavar, help=input_help)
+        sub.set_defaults(func=func)
+        return sub
+
+    sub = command("solve", _cmd_solve, "minimize a span objective",
+                  "problem", "problem JSON file ('-' for stdin)")
     _add_mode_flags(sub)
-    sub.set_defaults(func=_cmd_solve)
 
-    sub = subs.add_parser("schedule", help="solve a project schedule")
-    sub.add_argument("input", metavar="spec", help="schedule JSON file ('-' for stdin)")
+    sub = command("schedule", _cmd_schedule, "solve a project schedule",
+                  "spec", "schedule JSON file ('-' for stdin)")
     sub.add_argument(
         "--emit-intermediates",
         action="store_true",
         help="include every intermediate quantity in the JSON result",
     )
     _add_mode_flags(sub)
-    sub.set_defaults(func=_cmd_schedule)
 
-    sub = subs.add_parser(
-        "solve-ineq", help="solve A x <= x style inequality systems"
-    )
-    sub.add_argument(
-        "input", metavar="system", help="JSON file with A and b and/or d ('-' for stdin)"
-    )
+    sub = command("solve-ineq", _cmd_solve_ineq, "solve A x <= x style inequality systems",
+                  "system", "JSON file with A and b and/or d ('-' for stdin)")
     _add_mode_flags(sub)
-    sub.set_defaults(func=_cmd_solve_ineq)
 
-    sub = subs.add_parser("eig", help="spectral radius")
-    sub.add_argument("input", metavar="matrix", help="matrix JSON file ('-' for stdin)")
+    sub = command("eig", _cmd_eig, "spectral radius",
+                  "matrix", "matrix JSON file ('-' for stdin)")
     _add_mode_flags(sub)
-    sub.set_defaults(func=_cmd_eig)
 
-    sub = subs.add_parser("star", help="matrix closure")
-    sub.add_argument("input", metavar="matrix", help="matrix JSON file ('-' for stdin)")
+    sub = command("star", _cmd_star, "matrix closure",
+                  "matrix", "matrix JSON file ('-' for stdin)")
     _add_mode_flags(sub)
-    sub.set_defaults(func=_cmd_star)
 
-    sub = subs.add_parser(
-        "verify", help="check the closed form against a grid scan"
-    )
-    sub.add_argument("input", metavar="problem", help="problem JSON file ('-' for stdin)")
+    sub = command("verify", _cmd_verify, "check the closed form against a grid scan",
+                  "problem", "problem JSON file ('-' for stdin)")
     sub.add_argument(
         "--window",
         type=int,
@@ -324,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--step", default=None, help="grid step, a positive fraction such as 1/12"
     )
     sub.add_argument("--output", help="write the JSON result to a file")
-    sub.set_defaults(func=_cmd_verify)
 
     return parser
 

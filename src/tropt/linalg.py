@@ -271,15 +271,17 @@ class Matrix:
         n = self._require_square()
         if not isinstance(m, int) or m < 0:
             raise UndefinedPower(f"matrix power {m!r}")
-        result = Matrix.identity(n)
+        # square and multiply from m's lowest set bit, whose power is
+        # the first factor: no product by I, and A^1 is A's own entries
+        result = None
         base = self
         while m:
             if m & 1:
-                result = result @ base
+                result = base if result is None else result @ base
             m >>= 1
             if m:
                 base = base @ base
-        return result
+        return Matrix.identity(n) if result is None else result
 
     def powers(self, top: int) -> list["Matrix"]:
         """[I, A, A^2, ..., A^top] (`_powers`)."""

@@ -189,6 +189,16 @@ def parse_scalar(value, exact: bool = True) -> Scalar:
     return int(frac) if frac.denominator == 1 else frac
 
 
+def _scalars(values: list, exact: bool) -> tuple:
+    """`parse_scalar` of each value, with an exact-mode int, a float-mode
+    finite float (v - v is nan for inf and nan) and null read inline."""
+    if exact:
+        return tuple([v if type(v) is int else _ZERO if v is None
+                      else parse_scalar(v, True) for v in values])
+    return tuple([v if type(v) is float and v - v == 0 else _ZERO if v is None
+                  else parse_scalar(v, False) for v in values])
+
+
 def encode_scalar(value: Scalar):
     # int and float first: isinstance(value, Fraction) is an ABC check
     if type(value) is int:
@@ -249,7 +259,7 @@ def parse_matrix(obj, exact: bool = True) -> Matrix:
         raise ValueError("declared row count does not match the data")
     if declared_cols is not None and declared_cols != width:
         raise ValueError("declared column count does not match the data")
-    return Matrix(tuple(tuple(parse_scalar(v, exact) for v in row) for row in data))
+    return Matrix._built(tuple([_scalars(row, exact) for row in data]))
 
 
 def encode_matrix(m: Matrix) -> dict:
@@ -263,7 +273,7 @@ def encode_matrix(m: Matrix) -> dict:
 def parse_vector(obj, exact: bool = True) -> Vector:
     if not isinstance(obj, list) or not obj:
         raise ValueError("vector must be a non-empty array")
-    return Vector(tuple(parse_scalar(v, exact) for v in obj))
+    return Vector(_scalars(obj, exact))
 
 
 def encode_vector(v) -> list:

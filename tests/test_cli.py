@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -410,9 +411,37 @@ class TestSolve:
         assert err == "error: --epsilon must be finite and at least 0, got nan\n"
 
     def test_missing_file(self, capsys, tmp_path):
-        code, _, err = run(capsys, "solve", str(tmp_path / "absent.json"))
-        assert code == 1
-        assert "error" in err
+        path = str(tmp_path / "absent.json")
+        assert run(capsys, "solve", path) == (
+            1, "", f"error: [Errno 2] No such file or directory: {path!r}\n")
+
+    def test_directory(self, capsys, tmp_path):
+        assert run(capsys, "eig", str(tmp_path)) == (
+            1, "", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
+
+    @pytest.mark.parametrize("name, spelled", [
+        ("./absent.json", "absent.json"), ("sub//absent.json", "sub/absent.json"),
+        ("sub/", "sub"), ("", "."),
+    ])
+    def test_read_errors_name_the_path_as_path_spells_it(self, capsys, tmp_path, monkeypatch,
+                                                         name, spelled):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        code, out, err = run(capsys, "eig", name)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [Errno ") and err.endswith(f": {spelled!r}\n")
+
+    def test_trailing_slash_after_a_file_reads_it(self, capsys, fixtures_dir):
+        code, doc, _ = run_json(capsys, "eig", str(fixtures_dir / "A.json") + "/")
+        assert code == 0 and "spectralRadius" in doc
+
+    def test_undecodable_bytes(self, capsys, tmp_path):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe[\x00[\x001\x00]\x00]\x00")
+        code, out, err = run(capsys, "eig", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_malformed_json(self, capsys, tmp_path):
         bad = tmp_path / "mangled.json"
@@ -966,6 +995,66 @@ class TestSharedParser:
             main([command, "--help"])
         assert exc.value.code == 0
         assert "('-' for stdin)" in " ".join(capsys.readouterr().out.split())
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), a usage exit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_FIXTURE = {"solve": "general_problem", "schedule": "three_activity_project",
+            "solve-ineq": "combined_inequality", "eig": "A", "star": "A",
+            "verify": "box_problem"}
+_DISPATCH_ARGVS = (
+    [[command, f"{fixture}.json"] for command, fixture in _FIXTURE.items()]
+    + [[], ["-h"], ["--help"]] + [[command, "--help"] for command in _FIXTURE]
+    + [["bogus", "A.json"], ["solve"], ["eig", "A.json", "--bogus"]]
+    + [["eig", "A.json", "extra"], ["eig", "--", "A.json"], ["--", "eig", "A.json"]]
+    + [["schedule", "three_activity_project.json", "--emit"],
+       ["solve", "general_problem.json", "--exact", "--epsilon", "1e-6"],
+       ["verify", "box_problem.json", "--window", "x"],
+       ["star", "A.json", "-h", "--float"], ["eig", "A.json", "--float", "--output"]]
+)
+
+
+class TestDispatch:
+    """A named subcommand goes straight to its parser, with the output
+    of the two-level parse."""
+
+    @pytest.mark.parametrize("argv", _DISPATCH_ARGVS, ids=lambda a: " ".join(a) or "none")
+    def test_same_as_the_two_level_parse(self, capsys, monkeypatch, fixtures_dir, argv):
+        monkeypatch.chdir(fixtures_dir)
+        dispatched = _outcome(capsys, argv)
+        full = build_parser()
+        full.commands = None
+        monkeypatch.setattr(cli, "_shared_parser", lambda: full)
+        assert dispatched == _outcome(capsys, argv)
+
+    def test_named_subcommand_skips_the_top_level_parse(self, capsys, monkeypatch,
+                                                        fixtures_dir):
+        parsed = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def recorded(self, *args):
+            parsed.append(self.prog)
+            return parse(self, *args)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recorded)
+        assert run(capsys, "eig", str(fixtures_dir / "A.json"))[0] == 0
+        assert parsed == ["tropt eig"]
+        with pytest.raises(SystemExit):
+            main(["--bogus"])
+        assert parsed[1:] == ["tropt"]
+
+    def test_only_the_top_level_parser_dispatches(self):
+        parser = build_parser()
+        assert sorted(parser.commands) == sorted(_FIXTURE)
+        assert all(sub.commands is None for sub in parser.commands.values())
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -102,6 +102,24 @@ class TestArithmetic:
         with pytest.raises(UndefinedPower):
             a.power(-1)
 
+    def test_power_takes_no_product_by_identity(self, a, monkeypatch):
+        # square and multiply from the lowest set bit: one product per
+        # squaring and one per set bit after the first
+        want = _reference_powers(a, 8)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return product(*args)
+
+        product = linalg._product
+        monkeypatch.setattr(linalg, "_product", counted)
+        for m, products in enumerate([0, 0, 1, 2, 2, 3, 3, 4, 3]):
+            calls.clear()
+            assert a.power(m) == want[m], m
+            assert len(calls) == products, m
+        assert a.power(1).rows is a.rows
+
     def test_powers_prefix(self, a):
         ps = a.powers(3)
         assert len(ps) == 4

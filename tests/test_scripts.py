@@ -62,7 +62,8 @@ def test_ab_trees_against_its_own_tree():
         "solve_schedule n=4", "solve_schedule n=12", "solve_problem n=4", "solve_problem n=12",
         "solve_schedule_detailed int n=6", "solve_schedule_detailed decimal n=6",
         "solve_schedule_detailed int n=12", "solve_schedule_detailed decimal n=12",
-        "grid_minimize n=3"]
+        "grid_minimize n=3", "cli.main solve n=4", "cli.main solve --float n=4",
+        "cli.main schedule --emit-intermediates n=6"]
     assert all(line.endswith("0 of 3 answers differ") for line in lines), done.stdout
 
 

@@ -165,6 +165,30 @@ class TestVectors:
             parse_vector([])
 
 
+def _typed_or_raised(call):
+    """The type and repr of each entry call() returns, or the type and
+    message of what it raises."""
+    try:
+        got = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(type(v), repr(v)) for v in got]
+
+
+# json.loads turns NaN, Infinity and -Infinity into the three floats
+_SCALAR_EDGES = [pytest.param(10**400, id="10**400"), True, None, float("nan"),
+                 float("inf"), NEG, "-inf", "1/3", "2.5", 2.5, -0.0, 1e308, 3, Fraction(5, 2)]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("value", _SCALAR_EDGES, ids=repr)
+def test_rows_read_each_entry_as_parse_scalar_does(value, exact):
+    for row in ([value], [1, value], [value, 1]):
+        want = _typed_or_raised(lambda: [parse_scalar(v, exact) for v in row])
+        assert _typed_or_raised(lambda: parse_vector(row, exact).entries) == want, row
+        assert _typed_or_raised(lambda: parse_matrix([row, row], exact).rows[1]) == want, row
+
+
 class TestProblems:
     def test_round_trip(self, general_problem):
         doc = json.loads(json.dumps(encode_problem(general_problem)))
