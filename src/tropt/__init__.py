@@ -3,7 +3,7 @@ under two-sided constraints, and just-in-time project scheduling.
 
 The public surface:
 
-  semifield  max-plus scalar arithmetic: MAXPLUS, the one Semifield
+  semifield  the max-plus carrier: MAXPLUS names its zero and one
   linalg     Matrix, Vector, RowVector, closures, chain families
   linsolve   inequality systems with explicit solution families
   optimize   constrained span minimization in closed form
@@ -25,7 +25,6 @@ from .errors import (
     IndexOutOfRange,
     InfeasibleConstraints,
     InfeasibleSchedule,
-    InversionOfZero,
     NoFeasiblePoint,
     NoRegularSolution,
     NotColumnRegular,
@@ -90,7 +89,6 @@ __all__ = [
     "IndexOutOfRange",
     "InfeasibleConstraints",
     "InfeasibleSchedule",
-    "InversionOfZero",
     "MAXPLUS",
     "Matrix",
     "NoFeasiblePoint",

@@ -26,7 +26,9 @@ and sys.stdout when they print.  A request whose first argument names
 a subcommand goes straight to that subcommand's parser, which is what
 the two-level parse would hand it all the other arguments to; any
 other argv (none, -h, an unknown word) takes the two-level parse.
-Either way a leftover argument is the top-level parser's error.
+Either way a leftover argument is the top-level parser's error.  A
+"--" ahead of a subcommand's name is dropped, so that `tropt -- eig
+FILE` is `tropt eig FILE` on every Python.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import math
 import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional
 
 from . import serialize
@@ -70,22 +71,16 @@ def _eps(args) -> float:
     return 1e-9 if args.epsilon is None else args.epsilon
 
 
-def _read(name: str) -> str:
-    """The text of file `name` in the locale's encoding.  A failed open
-    is left to `Path.read_text`, which reads "x/" as "x" and names the
-    path in its error as Path spells it ("./x" as "x", "" as ".")."""
-    try:
-        with open(name) as f:
-            return f.read()
-    except OSError:
-        return Path(name).read_text()
-
-
 def _load(args) -> tuple[object, bool]:
-    """The input document ('-' reads stdin) and its mode, True for
-    exact; without mode flags (verify) that is exact mode."""
+    """The input document ('-' reads stdin, a path is opened as typed,
+    in the locale's encoding) and its mode, True for exact; without
+    mode flags (verify) that is exact mode."""
     exact = _mode(args)
-    text = sys.stdin.read() if args.input == "-" else _read(args.input)
+    if args.input == "-":
+        text = sys.stdin.read()
+    else:
+        with open(args.input) as f:
+            text = f.read()
     return serialize.loads(text, exact), exact
 
 
@@ -93,7 +88,8 @@ def _emit(doc, args) -> None:
     """Write the answer; a float-mode one has only floats for numbers."""
     text = serialize.dumps(doc, floats=not _mode(args))
     if getattr(args, "output", None):
-        Path(args.output).write_text(text + "\n")
+        with open(args.output, "w") as f:
+            f.write(text + "\n")
     else:
         print(text, flush=True)  # a closed pipe shows here, not at exit
 
@@ -198,9 +194,9 @@ def _verify_window(problem: Problem, window: int, step: Fraction,
         low = [-reach] * n
         high = [reach] * n
         for i in range(n):
-            if problem.g is not None and not MAXPLUS.is_zero(problem.g.entries[i]):
+            if problem.g is not None and problem.g.entries[i] != MAXPLUS.zero:
                 low[i] = min(low[i], Fraction(problem.g.entries[i]))
-            if problem.h is not None and not MAXPLUS.is_zero(problem.h.entries[i]):
+            if problem.h is not None and problem.h.entries[i] != MAXPLUS.zero:
                 high[i] = max(high[i], Fraction(problem.h.entries[i]))
     return Vector(tuple(low)), Vector(tuple(high))
 
@@ -280,7 +276,12 @@ class _Parser(argparse.ArgumentParser):
 
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
-        sub = self.commands.get(args[0]) if self.commands and args else None
+        commands = self.commands or {}
+        if len(args) > 1 and args[0] == "--" and args[1] in commands:
+            # argparse of Python 3.11 takes this "--" for the command's
+            # name; on every Python the command is the word after it
+            del args[0]
+        sub = commands.get(args[0]) if args else None
         if sub is None:
             namespace, extras = super().parse_known_args(args, namespace)
         else:

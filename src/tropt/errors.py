@@ -29,12 +29,8 @@ class AllZeroVector(TroptError):
     """Conjugate transpose of the all-zero vector is undefined."""
 
 
-class InversionOfZero(TroptError):
-    """The tropical zero has no multiplicative inverse."""
-
-
 class UndefinedPower(TroptError):
-    """pow(zero, r) is undefined for r <= 0."""
+    """A matrix power whose exponent is negative or not an int."""
 
 
 class NotColumnRegular(TroptError):

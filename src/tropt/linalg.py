@@ -30,9 +30,9 @@ closing a cycle of mean c.
 `_acyclic` tells from the lists in O(n^2) whether a matrix has a cycle
 at all, the spectral radius's zero test, with no walk.
 Entrywise helpers (`scale`, `conj`, `meet`, `leq`, the zero and
-regularity tests) inline the max-plus rules, as `+` and `@` do: no
-Semifield call per entry.  `==` is exact; a check compares on `_scan`'s ints, float
-data within the one bound of `_compared`.
+regularity tests) inline the max-plus rules, as `+` and `@` do.  `==`
+is exact; a check compares on `_scan`'s ints, float data within the
+one bound of `_compared`.
 Column and row vectors share one core of entrywise operations but are
 distinct types, so that expressions read like the algebra:
 ``h.conj() @ T @ g`` is a scalar.
@@ -95,9 +95,9 @@ def _sum_products(width: int, terms) -> tuple[tuple, ...]:
     the `_finite` lists of R), the L row-major tables of one height.
     Terms go in order, each in increasing k, and only a strictly
     larger sum replaces the running maximum: the first maximal term is
-    kept, so the result, Python type included, is that of
-    `MAXPLUS.sum` of `MAXPLUS.mul`s, and an earlier term wins ties, as
-    the left operand of `+` does."""
+    kept, so the result, Python type included, is that of `max` over
+    the terms' sums a + b, and an earlier term wins ties, as the left
+    operand of `+` does."""
     zero, out = MAXPLUS.zero, []
     for rows in zip(*[left for left, _ in terms]):
         acc = [zero] * width
@@ -265,7 +265,7 @@ class Matrix:
 
     def trace(self) -> Scalar:
         n = self._require_square()
-        return MAXPLUS.sum(self.rows[i][i] for i in range(n))
+        return max(self.rows[i][i] for i in range(n))
 
     def power(self, m: int) -> "Matrix":
         n = self._require_square()
@@ -855,8 +855,8 @@ Vector._transpose, RowVector._transpose = RowVector, Vector
 
 
 def outer(col: Vector, row: RowVector) -> Matrix:
-    """Rank-one product col (x) row."""
-    return Matrix(tuple(tuple(MAXPLUS.mul(a, b) for b in row.entries) for a in col.entries))
+    """Rank-one product col (x) row: row i is row scaled by col_i."""
+    return Matrix(tuple(row.scale(a).entries for a in col.entries))
 
 
 # -- interleaved product families ------------------------------------------

@@ -125,9 +125,8 @@ def objective_value(problem: Problem, x: Vector) -> Scalar:
     value = xc @ (problem.A @ x)
     if problem.p is None:
         return value
-    value = MAXPLUS.add(value, xc @ problem.p)
-    value = MAXPLUS.add(value, problem.q.conj() @ x)
-    return MAXPLUS.add(value, problem.r)
+    # (+) is max, an earlier term winning ties
+    return max(value, xc @ problem.p, problem.q.conj() @ x, problem.r)
 
 
 # kinds whose optimum needs a cycle in A, and kinds that need only one
@@ -220,7 +219,7 @@ def _optimum(kind: ProblemKind, scanned, dust) -> tuple[int, tuple]:
         raise ZeroSpectralRadius("matrix has no cycle")
     # q^- p (+) r is zero exactly when Ahat's border row times its
     # border column, q^- p (+) r r, is
-    if (kind in _NEEDS_SCALE and MAXPLUS.is_zero(a_hat.row(n) @ a_hat.column(n))
+    if (kind in _NEEDS_SCALE and a_hat.row(n) @ a_hat.column(n) == zero
             and _acyclic(a_nz, n)):
         raise DegenerateProblem("every scale bound is zero: no cycle, q^- p zero, r zero")
     # theta = w / l: the family at data scale l, where theta is the int

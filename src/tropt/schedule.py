@@ -332,8 +332,9 @@ def collapse_solution_line(solutions: SolutionSet) -> Optional[
     last = n - 1
     (ints,), bound = _compared((gen,), n)
     for row in ints.rows:
+        c = row[last]
         for x, y in zip(row, ints.rows[last]):
-            z = MAXPLUS.mul(row[last], y)
+            z = c + y  # the ints hold no +inf, so -inf + v stays the zero
             if x != z and not abs(x - z) <= bound:
                 return None
     direction = gen.column(last)

@@ -84,7 +84,7 @@ def sample_problem(
         if "h" in need:
             fields["h"] = Vector(
                 tuple(
-                    (v if not MAXPLUS.is_zero(v) else rng.randint(-3, 0))
+                    (v if v != MAXPLUS.zero else rng.randint(-3, 0))
                     + rng.randint(0, 4)
                     for v in g.entries
                 )
@@ -101,14 +101,14 @@ def sample_schedule(rng: random.Random, n: Optional[int] = None) -> ScheduleSpec
         n = rng.choice((2, 3))
     rows = [list(r) for r in random_matrix(rng, n, zero_p=0.3, lo=0, hi=5).rows]
     for j in range(n):
-        if all(MAXPLUS.is_zero(rows[i][j]) for i in range(n)):
+        if all(rows[i][j] == MAXPLUS.zero for i in range(n)):
             rows[rng.randrange(n)][j] = rng.randint(1, 5)
     a = Matrix(tuple(tuple(r) for r in rows))
     b = random_trace_bounded(rng, n, zero_p=0.6)
     g = random_vector(rng, n, zero_p=0.3, lo=-2, hi=1)
     h = Vector(
         tuple(
-            (v if not MAXPLUS.is_zero(v) else 0) + rng.randint(0, 4)
+            (v if v != MAXPLUS.zero else 0) + rng.randint(0, 4)
             for v in g.entries
         )
     )

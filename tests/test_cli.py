@@ -419,21 +419,23 @@ class TestSolve:
         assert run(capsys, "eig", str(tmp_path)) == (
             1, "", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
 
-    @pytest.mark.parametrize("name, spelled", [
-        ("./absent.json", "absent.json"), ("sub//absent.json", "sub/absent.json"),
-        ("sub/", "sub"), ("", "."),
-    ])
-    def test_read_errors_name_the_path_as_path_spells_it(self, capsys, tmp_path, monkeypatch,
-                                                         name, spelled):
+    @pytest.mark.parametrize("name, reason", [
+        ("./absent.json", "No such file or directory"),
+        ("sub//absent.json", "No such file or directory"),
+        ("sub/", "Is a directory"), ("", "No such file or directory"),
+    ], ids=["dot-slash", "double-slash", "directory-slash", "empty"])
+    def test_read_errors_name_the_path_as_typed(self, capsys, tmp_path, monkeypatch,
+                                                name, reason):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
         code, out, err = run(capsys, "eig", name)
         assert (code, out) == (1, "")
-        assert err.startswith("error: [Errno ") and err.endswith(f": {spelled!r}\n")
+        assert err.startswith("error: [Errno ") and err.endswith(f"] {reason}: {name!r}\n")
 
-    def test_trailing_slash_after_a_file_reads_it(self, capsys, fixtures_dir):
-        code, doc, _ = run_json(capsys, "eig", str(fixtures_dir / "A.json") + "/")
-        assert code == 0 and "spectralRadius" in doc
+    def test_trailing_slash_after_a_file_is_not_a_directory(self, capsys, fixtures_dir):
+        path = str(fixtures_dir / "A.json") + "/"
+        assert run(capsys, "eig", path) == (
+            1, "", f"error: [Errno 20] Not a directory: {path!r}\n")
 
     def test_undecodable_bytes(self, capsys, tmp_path):
         bad = tmp_path / "utf16.json"
@@ -1031,9 +1033,20 @@ class TestDispatch:
         monkeypatch.chdir(fixtures_dir)
         dispatched = _outcome(capsys, argv)
         full = build_parser()
-        full.commands = None
+        # the names without their parsers: the "--" rule still holds,
+        # and no name dispatches
+        full.commands = dict.fromkeys(full.commands)
         monkeypatch.setattr(cli, "_shared_parser", lambda: full)
         assert dispatched == _outcome(capsys, argv)
+
+    def test_leading_double_dash_runs_the_named_command(self, capsys, monkeypatch,
+                                                        fixtures_dir):
+        monkeypatch.chdir(fixtures_dir)
+        answer = _outcome(capsys, ["eig", "A.json"])
+        assert answer[0] == 0 and json.loads(answer[1]) == {"spectralRadius": 4}
+        assert _outcome(capsys, ["--", "eig", "A.json"]) == answer
+        code, out, err = _outcome(capsys, ["--", "bogus"])
+        assert (code, out) == (1, "") and "invalid choice" in err
 
     def test_named_subcommand_skips_the_top_level_parse(self, capsys, monkeypatch,
                                                         fixtures_dir):

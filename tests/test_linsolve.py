@@ -7,7 +7,6 @@ import pytest
 import _frozen as frozen
 from _samplers import random_matrix, random_trace_bounded, random_vector
 from tropt import (
-    MAXPLUS,
     Matrix,
     NoRegularSolution,
     NotColumnRegular,
@@ -47,7 +46,7 @@ class TestUpperBounded:
             assert (a @ u).leq(d)
             for i in range(n):
                 bumped = list(u.entries)
-                bumped[i] = MAXPLUS.mul(bumped[i], 1)
+                bumped[i] += 1
                 assert not (a @ Vector(tuple(bumped))).leq(d)
 
     def test_rectangular_system(self):
@@ -228,6 +227,48 @@ class TestSolutionSet:
         )
 
 
+class TestEquality:
+    """`==` on vectors is exact; a check on float data compares on the
+    ints of one scan, within `linalg._compared`'s bound (8e-9 here),
+    and eps is the solvers' dust tolerance."""
+
+    def test_exact_pairs_compare_exactly(self):
+        assert Vector((Fraction(4, 1),)) == Vector((4,))
+        assert Vector((Fraction(4, 1),)) != Vector((Fraction(4000000001, 1000000000),))
+
+    def test_float_pairs_compare_with_tolerance(self):
+        point = SolutionSet(Matrix(((0.0,),)), Vector((4.0,)), Vector((4.0,)))
+        assert Vector((4.0,)) != Vector((4.0 + 1e-12,))
+        assert point.contains(Vector((4.0 + 1e-12,)))
+        assert not point.contains(Vector((4.0 + 1e-6,)))
+
+    def test_infinite_values(self):
+        assert Vector((NEG,)) == Vector((NEG,))
+        assert Vector((NEG,)) != Vector((-1e12,))
+
+    def test_custom_epsilon(self):
+        # a loop of weight 0.1 passes eps = 0.5 but not the default; one
+        # of weight 1.0 passes neither
+        b = Vector((0.0,))
+        assert solve_fixpoint_lower(Matrix(((0.1,),)), b, eps=0.5).lower == b
+        for weight, eps in ((0.1, 1e-9), (1.0, 0.5)):
+            with pytest.raises(NoRegularSolution):
+                solve_fixpoint_lower(Matrix(((weight,),)), b, eps=eps)
+
+    def test_the_dust_gate_reads_a_loop_twice(self):
+        # the gate compares eps with the diagonal of one Floyd-Warshall
+        # pass, which goes round a loop of weight 0.3 twice: 0.6
+        b = Vector((0.0,))
+        with pytest.raises(NoRegularSolution):
+            solve_fixpoint_lower(Matrix(((0.3,),)), b, eps=0.5)
+        assert solve_fixpoint_lower(Matrix(((0.3,),)), b, eps=0.7).lower == b
+
+    def test_leq_tol(self):
+        below = SolutionSet(Matrix(((0.0,),)), Vector((NEG,)), Vector((4.0,)))
+        assert below.contains(Vector((4.0 + 1e-12,)))
+        assert not below.contains(Vector((4.1,)))
+
+
 # -- the optimizers' one scan and one pass ----------------------------------
 
 
@@ -314,6 +355,10 @@ def test_float_data_give_the_rounded_exact_answer():
      ShapeMismatch, "lower bound dim 3 against order 2"),
     (lambda: solve_combined(Matrix(((0, 1), (2, 3))), Vector((1, 2)), Vector((1, NEG))),
      NotRegularVector, "upper bound must be regular"),
+    (lambda: solve_combined(Matrix(((0, 1), (2, 3))), Vector((1, 2, 3)), Vector((1, 2))),
+     ShapeMismatch, "bound dims against matrix order"),
+    (lambda: solve_combined(Matrix(((0, 1), (2, 3))), Vector((1, 2)), Vector((1,))),
+     ShapeMismatch, "bound dims against matrix order"),
 ])
 def test_bad_bounds_are_named(call, error, message):
     with pytest.raises(error) as info:

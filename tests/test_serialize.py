@@ -6,17 +6,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import _frozen as frozen
-from tropt import Matrix, ProblemKind, Vector, solve_schedule
+from tropt import Matrix, Problem, ProblemKind, Vector, solve_problem, solve_schedule
 from tropt.linalg import RowVector
 from tropt.serialize import (
     dumps,
     encode_matrix,
+    encode_opt_result,
     encode_problem,
     encode_scalar,
     encode_schedule_result,
+    encode_solutions,
     encode_value,
     encode_vector,
     loads,
+    opt_document,
     parse_matrix,
     parse_operand,
     parse_problem,
@@ -410,3 +413,16 @@ class TestWriter:
         with pytest.raises(ValueError) as theirs:
             reference_dumps(doc)
         assert str(ours.value) == str(theirs.value)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_result_encoders_give_the_documents_text(self, fixtures_dir, exact):
+        # a bounded family from the fixture, an unbounded one from BASIC
+        text = (fixtures_dir / "general_problem.json").read_text()
+        basic = Problem(ProblemKind.BASIC, Matrix(((1, Fraction(1, 2)), (0, 3))))
+        for res in (solve_problem(parse_problem(loads(text, exact), exact)),
+                    solve_problem(basic)):
+            doc = opt_document(res)
+            assert ("upperU" in doc["solutions"]) == (res.solutions.upper is not None)
+            for encoded, want in ((encode_opt_result(res), doc),
+                                  (encode_solutions(res.solutions), doc["solutions"])):
+                assert json.dumps(encoded, indent=2, sort_keys=True) == dumps(want)

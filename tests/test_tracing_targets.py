@@ -4,9 +4,10 @@
 function by `getattr` on its module, a method through its class's
 `__dict__`.  A deletion that strands one of them breaks every traced
 benchmark run, so this test resolves each entry the same way.  The
-module is loaded from its file.  `count_semifield` finds the methods it
-counts on `tropt.semifield.Semifield` and its subclasses; it runs once
-around a small solve.
+module is loaded from its file.  `count_semifield` looks up the class
+`tropt.semifield.Semifield` and counts calls of its methods; the class
+keeps only `zero` and `one`, so it finds no method and counts 0.  It
+runs once around a small solve.
 """
 
 import importlib
